@@ -9,17 +9,16 @@ from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 from .weights import (MembershipResult, StructureFunction, Weight,
                       WeightedField, apply_X, membership_order,
                       structure_function, weights_equivalent)
-from .flows import (Flow, F_inverse, F_map, completeness_check, flow_apply,
-                    flow_scaling_limit, power_flow_exponents, write_flow_csv)
+from .flows import (Flow, completeness_check, flow_scaling_limit,
+                    power_flow_exponents, write_flow_csv)
 from .groupoid import (GPhiElement, HPsiElement, KernelFunction, SElement,
                        gphi_compose, hpsi_action, hpsi_chart, hpsi_compose,
                        kernel_conjugate, rho_infinity, rho_zero, s_compose,
                        write_kernel_csv, zeta_cocycle)
 from .diffop import (CylinderFunction, DiffOp, ParametrixExpansion,
-                     PoweredSymbol, RationalSymbol, VectorField,
-                     expand_X_power, is_elliptic, lie_rinehart_check,
-                     op_apply, op_commutator, op_compose, parametrix_1d,
-                     principal_symbol, radial_symbol,
+                     PoweredSymbol, VectorField, expand_X_power, is_elliptic,
+                     lie_rinehart_check, op_commutator, op_compose,
+                     parametrix_1d, principal_symbol, radial_symbol,
                      random_lie_rinehart_samples)
 from .schrodinger import (GeometricGrid, MembershipReport,
                           ParametrixResidualReport, ResolventProbeReport,

@@ -47,9 +47,12 @@ def _rational(text, key):
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse number {text!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"key {key!r}: number must be finite, got {text!r}")
+    return v
 
 
 def _integer(text, key, minimum=None):
@@ -276,8 +279,6 @@ def _cmd_selftest(cfg, out, log):
 
 def run_selftest(log=lambda msg: None):
     """Quick pass over every module's invariants; returns failed check names."""
-    import numpy as np
-
     from .diffop import (DiffOp, lie_rinehart_check, op_commutator,
                          random_lie_rinehart_samples)
     from .flows import Flow, completeness_check, flow_scaling_limit
@@ -422,8 +423,6 @@ def main(argv=None):
         description="Weighted operator calculus batch runner")
     ap.add_argument("--config", required=True, help="path to the config file")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker count for multi-sector runs")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 

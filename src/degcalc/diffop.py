@@ -389,20 +389,8 @@ class DiffOp:
         """Render the operator in its current form."""
         if not self.coeffs:
             return "0"
-        if self.form == "raw":
-            head = {"t": "d_t", "theta": "d_theta"}
-            parts = []
-            for (i, j) in sorted(self.coeffs, key=lambda k: (k[0] + k[1], k[0]),
-                                 reverse=True):
-                c = self.coeffs[(i, j)]
-                piece = f"[{c!r}]"
-                if i:
-                    piece += f" d_t^{i}" if i > 1 else " d_t"
-                if j:
-                    piece += f" d_theta^{j}" if j > 1 else " d_theta"
-                parts.append(piece)
-            return " + ".join(parts)
-        sym = ("X", "Y") if self.form == "lie" else ("phi d_t", "psi d_theta")
+        sym = {"raw": ("d_t", "d_theta"), "lie": ("X", "Y"),
+               "monomial": ("phi d_t", "psi d_theta")}[self.form]
         parts = []
         for (i, j) in sorted(self.coeffs, key=lambda k: (k[0] + k[1], k[0]),
                              reverse=True):
@@ -475,10 +463,6 @@ def op_compose(A, B):
 
 def op_commutator(A, B):
     return op_compose(A, B) - op_compose(B, A)
-
-
-def op_apply(A, f):
-    return A.apply(f)
 
 
 # -- Lie-Rinehart axioms ---------------------------------------------------
@@ -651,127 +635,6 @@ def is_elliptic(A, t_samples=64, circle_samples=64):
     return True
 
 
-class RationalSymbol:
-    """Quotient of polynomials in the covariable xi with ring coefficients.
-
-    ``num`` and ``den`` are coefficient lists indexed by the power of xi.
-    The denominator must not vanish for real xi on the symbol domain.
-    """
-
-    __slots__ = ("num", "den", "domain")
-
-    def __init__(self, num, den, domain=HALF_LINE):
-        self.num = _trim_poly([_as_radial(c, domain) for c in num])
-        self.den = _trim_poly([_as_radial(c, domain) for c in den])
-        if not self.den:
-            raise ZeroDivisionError("zero denominator")
-        self.domain = domain
-
-    @classmethod
-    def from_poly(cls, coeffs, domain=HALF_LINE):
-        return cls(coeffs, [RadialFunction.const(1, domain=domain)],
-                   domain=domain)
-
-    @property
-    def order(self):
-        if not self.num:
-            return -math.inf
-        return (len(self.num) - 1) - (len(self.den) - 1)
-
-    @property
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        num = _poly_add(_poly_mul(self.num, other.den),
-                        _poly_mul(other.num, self.den))
-        return RationalSymbol(num, _poly_mul(self.den, other.den),
-                              domain=self.domain)
-
-    def __sub__(self, other):
-        return self + (self._coerce(other) * -1)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, RationalSymbol):
-            return RationalSymbol(_poly_mul(self.num, other.num),
-                                  _poly_mul(self.den, other.den),
-                                  domain=self.domain)
-        num = [c * other for c in self.num]
-        return RationalSymbol(num, self.den, domain=self.domain)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, RationalSymbol):
-            return other
-        return RationalSymbol([_as_radial(other, self.domain)],
-                              [RadialFunction.const(1, domain=self.domain)],
-                              domain=self.domain)
-
-    def reciprocal(self):
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of zero symbol")
-        return RationalSymbol(self.den, self.num, domain=self.domain)
-
-    def d_xi(self):
-        """Partial derivative in the covariable (quotient rule)."""
-        num = _poly_sub(_poly_mul(_poly_dxi(self.num), self.den),
-                        _poly_mul(self.num, _poly_dxi(self.den)))
-        return RationalSymbol(num, _poly_mul(self.den, self.den),
-                              domain=self.domain)
-
-    def D_s(self, phi):
-        """D_s = -i d/ds acting on coefficients; in the t chart d/ds = X."""
-        prof = phi.profile if isinstance(phi, Weight) else phi
-
-        def dcoef(poly):
-            return [(prof * c.derivative()) * (-1j) for c in poly]
-
-        num = _poly_sub(_poly_mul(dcoef(self.num), self.den),
-                        _poly_mul(self.num, dcoef(self.den)))
-        return RationalSymbol(num, _poly_mul(self.den, self.den),
-                              domain=self.domain)
-
-    def evaluate(self, t, xi):
-        n = _poly_eval(self.num, t, xi)
-        d = _poly_eval(self.den, t, xi)
-        return n / d
-
-    def den_nonvanishing(self, t_samples=32):
-        """Check that the denominator has no real-xi zeros.
-
-        At each sampled radius the denominator is a polynomial in xi;
-        its roots are computed and tested for proximity to the real axis.
-        """
-        if self.domain == HALF_LINE:
-            ts = np.logspace(-5, 5, t_samples)
-        else:
-            u = np.linspace(-11.0, 11.0, t_samples)
-            ts = 1.0 / (1.0 + np.exp(-u))
-        for t in ts:
-            coeffs = [complex(c(float(t))) for c in reversed(self.den)]
-            while coeffs and abs(coeffs[0]) == 0:
-                coeffs = coeffs[1:]
-            if not coeffs:
-                return False
-            if len(coeffs) == 1:
-                continue
-            for root in np.roots(coeffs):
-                if abs(root.imag) <= 1e-9 * max(1.0, abs(root.real)):
-                    return False
-        return True
-
-    def __repr__(self):
-        def fmt(poly):
-            return " + ".join(f"({c.to_text()})*xi^{k}"
-                              for k, c in enumerate(poly) if not c.is_zero)
-        return f"RationalSymbol(({fmt(self.num)}) / ({fmt(self.den)}))"
-
-
 def _as_radial(c, domain):
     if isinstance(c, RadialFunction):
         if c.domain != domain:
@@ -830,7 +693,9 @@ def radial_symbol(A):
     """Full symbol of a radial operator in the flow coordinate.
 
     The operator must be in lie form with radial coefficients; X = d/ds there,
-    so A = sum a_i X^i has symbol sum a_i (i xi)^i.
+    so A = sum a_i X^i has symbol sum a_i (i xi)^i.  It is returned as the
+    PoweredSymbol with itself as base and power 0, the shape the parametrix
+    recursion divides by.
     """
     lie = A.to_lie() if A.form != "lie" else A
     if not lie.is_radial:
@@ -840,7 +705,8 @@ def radial_symbol(A):
     poly = [RadialFunction.zero(domain=dom) for _ in range(mmax + 1)]
     for (i, _), c in lie.coeffs.items():
         poly[i] = poly[i] + c.radial_part() * (1j ** i)
-    return RationalSymbol.from_poly(poly, domain=dom)
+    poly = _trim_poly(poly)
+    return PoweredSymbol(poly, poly, 0, domain=dom)
 
 
 class PoweredSymbol:
@@ -917,12 +783,6 @@ class PoweredSymbol:
         return (_poly_eval(self.num, t, xi)
                 / _poly_eval(self.base, t, xi) ** self.power)
 
-    def to_rational(self):
-        den = [RadialFunction.const(1, domain=self.domain)]
-        for _ in range(self.power):
-            den = _poly_mul(den, self.base)
-        return RationalSymbol(self.num, den, domain=self.domain)
-
     def __repr__(self):
         return (f"PoweredSymbol(deg {len(self.num) - 1} num / "
                 f"base^{self.power})")
@@ -936,14 +796,6 @@ class ParametrixExpansion:
         self.remainder = remainder
         self.remainder_order = remainder_order
         self.symbol = symbol
-
-    def total(self):
-        if not self.terms:
-            return None
-        out = self.terms[0]
-        for q in self.terms[1:]:
-            out = out + q
-        return out
 
 
 def symbol_sharp(sigma, q, phi, max_alpha):
@@ -978,13 +830,12 @@ def parametrix_1d(A, N):
     lead = sigma.num[-1] if sigma.num else None
     if lead is None or not _nonvanishing_on_closure(lead):
         raise PreconditionError("operator is not elliptic on its radial sector")
-    if not sigma.reciprocal().den_nonvanishing():
+    dom = A.domain
+    if not _no_real_roots(sigma.num, dom):
         raise PreconditionError(
             "full symbol vanishes for real xi; shift the operator off its "
             "spectrum before building a parametrix")
     base = sigma.num
-    dom = A.domain
-    sigma_p = PoweredSymbol(base, base, 0, domain=dom)
     q0 = PoweredSymbol([RadialFunction.const(1, domain=dom)], base, 1,
                        domain=dom)
     one = PoweredSymbol([RadialFunction.const(1, domain=dom)], base, 0,
@@ -993,12 +844,37 @@ def parametrix_1d(A, N):
         return ParametrixExpansion([], one, m, sigma)
     phi = lie.phi
     terms = [q0]
-    E = one - symbol_sharp(sigma_p, q0, phi, m)
+    E = one - symbol_sharp(sigma, q0, phi, m)
     for _ in range(1, N):
         qk = q0 * E
         terms.append(qk)
-        E = E - symbol_sharp(sigma_p, qk, phi, m)
+        E = E - symbol_sharp(sigma, qk, phi, m)
     return ParametrixExpansion(terms, E, m - 1 - N, sigma)
+
+
+def _no_real_roots(poly, domain):
+    """True iff the polynomial in xi has no real root at any sampled radius.
+
+    At each of 32 radii the ring coefficients are evaluated and the roots
+    of the resulting polynomial are tested for proximity to the real axis.
+    """
+    if domain == HALF_LINE:
+        ts = np.logspace(-5, 5, 32)
+    else:
+        u = np.linspace(-11.0, 11.0, 32)
+        ts = 1.0 / (1.0 + np.exp(-u))
+    for t in ts:
+        coeffs = [complex(c(float(t))) for c in reversed(poly)]
+        while coeffs and abs(coeffs[0]) == 0:
+            coeffs = coeffs[1:]
+        if not coeffs:
+            return False
+        if len(coeffs) == 1:
+            continue
+        for root in np.roots(coeffs):
+            if abs(root.imag) <= 1e-9 * max(1.0, abs(root.real)):
+                return False
+    return True
 
 
 def _nonvanishing_on_closure(f, samples=64):

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InversionError, PreconditionError, PropertyViolationError
-from .powerfun import HALF_LINE, UNIT_INTERVAL
+from .powerfun import HALF_LINE
 from .weights import Weight, structure_function
 
 #: flow tolerance, closed-form mode
@@ -251,18 +251,6 @@ class Flow:
     def __repr__(self):
         w = None if self.weight is None else self.weight.profile.to_text()
         return f"Flow(mode={self.mode!r}, weight={w!r})"
-
-
-def F_map(flow, x):
-    return flow.F(x)
-
-
-def F_inverse(flow, y):
-    return flow.F_inverse(y)
-
-
-def flow_apply(flow, s, x):
-    return flow.apply(s, x)
 
 
 def flow_scaling_limit(flow, psi, s):

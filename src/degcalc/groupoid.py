@@ -9,7 +9,6 @@ functions along arrows and conjugate kernels by boundary weights.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, CompositionError, PreconditionError
-from .powerfun import HALF_LINE, RadialFunction
 from .weights import Weight, structure_function
 
 TWO_PI = 2.0 * math.pi
@@ -215,10 +213,7 @@ def _boundary_rate(flow, which):
 def zeta_cocycle(g, which, flow):
     """zeta = rho o d / rho o r along the arrow; boundary units extend by the
     flow's endpoint scaling rate.  Always positive."""
-    if isinstance(g, SElement):
-        x, t = g.x, g.t
-    else:
-        x, t = g.x, g.t
+    x, t = g.x, g.t
     rho = rho_zero if which == "zero" else rho_infinity
     interior_end = (x != 0 and x != math.inf)
     if interior_end:

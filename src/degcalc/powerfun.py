@@ -28,7 +28,11 @@ COEFF_REL_TOL = 1e-12
 
 def as_exponent(x):
     """Normalize an exponent: ints, Fractions and strings become exact
-    Fractions; floats are kept as floats (no guessing of intent)."""
+    Fractions; finite floats are kept as floats (no guessing of intent).
+
+    nan and +/-inf are rejected: endpoint limits walk the exponents in
+    integer steps and would never terminate on them.
+    """
     if isinstance(x, bool):
         raise TypeError("bool is not a valid exponent")
     if isinstance(x, (int, Fraction)):
@@ -36,6 +40,8 @@ def as_exponent(x):
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"exponent must be finite, got {x!r}")
         return x
     raise TypeError(f"unsupported exponent type: {type(x)!r}")
 
@@ -121,19 +127,6 @@ class RadialFunction:
     @property
     def is_single_term(self):
         return len(self.terms) == 1
-
-    @property
-    def is_constant(self):
-        if self.is_zero:
-            return True
-        return self.is_single_term and (0, 0) in self.terms
-
-    def constant_value(self):
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        return self.terms[(Fraction(0), Fraction(0))]
 
     def _require_same_domain(self, other):
         if self.domain != other.domain:
@@ -273,12 +266,11 @@ class RadialFunction:
     # -- endpoint limits and continuity ----------------------------------
 
     def limit(self, end):
-        """Endpoint limit: ``end`` is 'zero' or 'far' ('infinity' accepted
-        as an alias of 'far' on the half-line).  Returns a finite value or
-        +/-inf."""
+        """Endpoint limit: ``end`` is 'zero' or 'far'.  Returns a finite
+        value or +/-inf."""
         if end == "zero":
             return _series_limit_at_zero(self)
-        if end in ("far", "infinity", "one"):
+        if end == "far":
             if self.domain == HALF_LINE:
                 return _series_limit_at_zero(self.invert())
             return _series_limit_at_zero(self.flip())
@@ -318,17 +310,6 @@ class RadialFunction:
         return self.domain == other.domain and self.terms == other.terms
 
     __hash__ = None
-
-    def isclose(self, other, tol=1e-12):
-        """Coefficient-wise comparison with tolerance (same key sets after
-        merging the difference)."""
-        diff = self - other
-        if diff.is_zero:
-            return True
-        scale = max(
-            [abs(complex(c)) for c in self.terms.values()]
-            + [abs(complex(c)) for c in other.terms.values()] + [1.0])
-        return all(abs(complex(c)) <= tol * scale for c in diff.terms.values())
 
     def __repr__(self):
         return f"RadialFunction({self.to_text()!r})"
@@ -376,19 +357,6 @@ class RadialFunction:
             _accumulate(terms, as_exponent(p), as_exponent(q),
                         as_coefficient(c))
         return cls(terms, domain=domain or HALF_LINE)
-
-
-def ring_combine(f, g, kind="add", c=None):
-    """Functional wrapper over the ring operations (add, mul, scale)."""
-    if kind == "add":
-        return f + g
-    if kind == "mul":
-        return f * g
-    if kind == "scale":
-        if c is None:
-            raise ValueError("scale needs a coefficient")
-        return f * c
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # -- internals ------------------------------------------------------------

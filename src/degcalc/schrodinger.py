@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .diffop import CylinderFunction, DiffOp, parametrix_1d
+from .diffop import DiffOp, parametrix_1d
 from .errors import ConvergenceError, PreconditionError
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction, as_exponent
 from .weights import Weight, membership_order
@@ -28,10 +28,6 @@ from .weights import Weight, membership_order
 S_MIN_DEFAULT = -12.0
 S_MAX_DEFAULT = 12.0
 N_POINTS_DEFAULT = 4000
-
-
-def _as_frac(x):
-    return as_exponent(x)
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,8 @@ class SchrodingerProblem:
         if self.V.domain != HALF_LINE:
             raise PreconditionError("potential must live on the half-line")
         if not self.V.is_zero:
-            g = _as_frac(self.gamma)
-            gp = _as_frac(self.gamma_prime)
+            g = as_exponent(self.gamma)
+            gp = as_exponent(self.gamma_prime)
             if self.V.min_p() != -2 * g:
                 raise PreconditionError(
                     f"potential exponent at 0 is {self.V.min_p()}, "
@@ -70,11 +66,11 @@ class SchrodingerProblem:
 
     @property
     def gamma_tilde(self):
-        return max(_as_frac(self.gamma), Fraction(1))
+        return max(as_exponent(self.gamma), Fraction(1))
 
     @property
     def gamma_prime_tilde(self):
-        return max(_as_frac(self.gamma_prime), Fraction(0))
+        return max(as_exponent(self.gamma_prime), Fraction(0))
 
     @property
     def angular_eigenvalue(self):
@@ -96,8 +92,8 @@ class SchrodingerProblem:
         """Build V = rho_0^{-2 gamma} rho_inf^{-2 gamma'} V0 from the smooth
         factor V0, using the ring realizations rho_0 = t/(1+t),
         rho_inf = 1/(1+t)."""
-        g = _as_frac(gamma)
-        gp = _as_frac(gamma_prime)
+        g = as_exponent(gamma)
+        gp = as_exponent(gamma_prime)
         pref = RadialFunction.term(1, -2 * g, 2 * g + 2 * gp)
         return cls(n=n, gamma=g, gamma_prime=gp, V=pref * V0, l=l)
 
@@ -113,10 +109,7 @@ class RewriteResult:
 
 
 def _label(a, b):
-    def fmt(x):
-        x = _as_frac(x)
-        return str(x)
-    return f"c_{{{fmt(a)},{fmt(b)}}}"
+    return f"c_{{{as_exponent(a)},{as_exponent(b)}}}"
 
 
 def rewrite(prob):
@@ -138,7 +131,7 @@ def rewrite(prob):
     c0 = (RadialFunction.term(Lam, 2 * g - 2)
           + RadialFunction.term(1, 2 * g) * prob.V)
     op0 = DiffOp("lie", {(2, 0): -1, (1, 0): c1, (0, 0): c0}, phi0)
-    branch0 = "schr3" if _as_frac(prob.gamma) <= 1 else "schr4"
+    branch0 = "schr3" if as_exponent(prob.gamma) <= 1 else "schr4"
     label0 = _label(g, g - 1)
 
     # near infinity, in r = 1/t on the unit-interval ring
@@ -155,7 +148,7 @@ def rewrite(prob):
     c0i = (RadialFunction.term(Lam, 2 * gp + 2, 0, domain=UNIT_INTERVAL)
            + RadialFunction.term(1, 2 * gp, 0, domain=UNIT_INTERVAL) * Vr)
     opi = DiffOp("lie", {(2, 0): -1, (1, 0): c1i, (0, 0): c0i}, phi_inf)
-    branchi = "schr5" if _as_frac(prob.gamma_prime) <= 0 else "schr6"
+    branchi = "schr5" if as_exponent(prob.gamma_prime) <= 0 else "schr6"
     labeli = _label(2 + gp, 1 + gp)
     return RewriteResult(op0, opi, label0, labeli, branch0, branchi)
 
@@ -164,7 +157,7 @@ def verify_identity_r_power(gamma_prime_values=(Fraction(-1, 2), 0,
                                                 Fraction(1, 3), 1, 2)):
     """Exact check of (r^{2+g} d_r)^2 = r^{2g}(r^2 d_r)^2 + g r^{2g+3} d_r."""
     for gp in gamma_prime_values:
-        gp = _as_frac(gp)
+        gp = as_exponent(gp)
         phi = Weight.from_term(1, 2 + gp, 0, domain=UNIT_INTERVAL)
         lhs = DiffOp("lie", {(2, 0): 1}, phi).to_raw()
         # right side assembled directly in raw form
@@ -320,16 +313,7 @@ def _assemble_tridiagonal(prob, grid):
     return diag, off
 
 
-def _check_symmetry(diag, off):
-    # the assembly is symmetric by construction; the guard catches future
-    # edits that break it
-    asym = 0.0
-    if asym > 1e-12:
-        raise PreconditionError(f"assembled matrix asymmetry {asym}")
-
-
-def assemble_and_solve(prob, grid=None, k=2, method="shift-invert",
-                       maxiter=None):
+def assemble_and_solve(prob, grid=None, k=2, method="shift-invert"):
     """Lowest k eigenvalues of the discretized radial operator.
 
     The primary path is sparse shift-invert with a deterministic start
@@ -338,7 +322,6 @@ def assemble_and_solve(prob, grid=None, k=2, method="shift-invert",
     """
     grid = grid or GeometricGrid()
     diag, off = _assemble_tridiagonal(prob, grid)
-    _check_symmetry(diag, off)
     interior = slice(1, -1)
     d = diag[interior]
     e = off[1:-1]
@@ -346,8 +329,11 @@ def assemble_and_solve(prob, grid=None, k=2, method="shift-invert",
     if k >= npts:
         raise PreconditionError("k too large for the grid")
     if method == "dense":
+        # the default bisection tolerance, eps * ||T||, is about 0.8 on the
+        # default grid: larger than the gaps between the lowest eigenvalues
         vals, vecs = eigh_tridiagonal(d, e, select="i",
-                                      select_range=(0, k - 1))
+                                      select_range=(0, k - 1),
+                                      tol=np.finfo(float).tiny)
         lam = vals
         res = _residuals(d, e, lam, vecs)
         return SpectralResult(tuple(float(v) for v in lam),
@@ -363,12 +349,10 @@ def assemble_and_solve(prob, grid=None, k=2, method="shift-invert",
     v0 = np.sin(math.pi * (s_nodes - s_nodes[0])
                 / (s_nodes[-1] - s_nodes[0]))
     try:
-        vals, vecs = eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                           maxiter=maxiter, tol=0)
+        vals, vecs = eigsh(A, k=k, sigma=sigma, which="LM", v0=v0, tol=0)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
-            f"eigensolver did not converge (shift {sigma})",
-            iterations=maxiter) from exc
+            f"eigensolver did not converge (shift {sigma})") from exc
     order = np.argsort(vals)
     lam = vals[order]
     vecs = vecs[:, order]
@@ -429,23 +413,6 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
     return ParametrixResidualReport(tuple(rows))
 
 
-def residual_kernel(prob, N, xi, n_grid=64):
-    """Sampled chart kernel of the order-N residual at frequency xi, for
-    conjugation studies with the zeta cocycles."""
-    from .groupoid import KernelFunction
-
-    rw = rewrite(prob)
-    px = parametrix_1d(rw.op_infinity, N)
-    u = np.linspace(-6.0, -1.0, n_grid)
-    rs = 1.0 / (1.0 + np.exp(-u))
-    if N == 0:
-        vals = np.ones((len(rs), 1), dtype=complex)
-    else:
-        vals = np.array([[px.remainder.evaluate(float(r), float(xi))]
-                         for r in rs], dtype=complex)
-    return KernelFunction(float(rs[0]), u, [0.0], vals)
-
-
 # -- resolvent probe ---------------------------------------------------------
 
 
@@ -489,8 +456,6 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
         table = {}
         for i in range(2):
             for j in range(2):
-                if i + j > 2:
-                    continue
                 M = np.linalg.matrix_power(A, i) @ T @ np.linalg.matrix_power(A, j)
                 table[(i, j)] = float(np.linalg.norm(M, 2))
         return table, dist

@@ -127,8 +127,7 @@ def membership_order(f, phi, n):
             return MembershipResult(member_up_to=k - 1, is_member=False,
                                     failure_order=k)
         if g.is_zero:
-            return MembershipResult(member_up_to=limit_k if n != math.inf
-                                    else MEMBERSHIP_CAP, is_member=True)
+            return MembershipResult(member_up_to=limit_k, is_member=True)
         if n == math.inf and _stable_forever(g, w):
             return MembershipResult(member_up_to=MEMBERSHIP_CAP,
                                     is_member=True)
@@ -228,17 +227,17 @@ def structure_function(psi, phi):
     def evaluate(t):
         return phi_w.profile(t) * prof.derivative()(t) / prof(t)
 
-    def dominant(key_fn, best):
+    def dominant(best):
         (p, q) = best
         return RadialFunction.term(prof.terms[(p, q)], p, q, domain=prof.domain)
 
-    dom0 = dominant(None, min(prof.terms, key=lambda k: (float(k[0]), float(k[1]))))
+    dom0 = dominant(min(prof.terms, key=lambda k: (float(k[0]), float(k[1]))))
     if prof.domain == HALF_LINE:
-        domf = dominant(None, max(prof.terms,
-                                  key=lambda k: (float(k[0] + k[1]), float(k[1]))))
+        domf = dominant(max(prof.terms,
+                            key=lambda k: (float(k[0] + k[1]), float(k[1]))))
     else:
-        domf = dominant(None, min(prof.terms,
-                                  key=lambda k: (float(k[1]), float(k[0]))))
+        domf = dominant(min(prof.terms,
+                            key=lambda k: (float(k[1]), float(k[0]))))
     v0 = (phi_w.profile * log_derivative(dom0)).limit("zero")
     vf = (phi_w.profile * log_derivative(domf)).limit("far")
     return StructureFunction(ring=None, value_at_zero=v0, value_at_far=vf,

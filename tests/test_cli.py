@@ -77,6 +77,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse("[problem]\nn = 3\n")
 
+    @pytest.mark.parametrize("line", ["gamma = nan", "gamma_prime = -inf",
+                                      "potential = 1,-inf,0"])
+    def test_non_finite_number_rejected(self, line):
+        with pytest.raises(ConfigError, match="finite"):
+            parse(f"[run]\ncommand = classify\n[problem]\n{line}\n")
+
     def test_malformed_number(self):
         with pytest.raises(ConfigError, match="gamma"):
             parse("[run]\ncommand = classify\n[problem]\ngamma = abc\n")
@@ -161,6 +167,21 @@ class TestMain:
         code = main(["--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "wat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "membership"])
+    def test_non_finite_exponents_exit_code(self, tmp_path, capsys, command):
+        # classify used to print c_{inf,inf} and membership to loop forever
+        cfg = write_config(tmp_path, f"""
+            [run]
+            command = {command}
+            [problem]
+            gamma = inf
+            gamma_prime = -inf
+            potential = 1,-inf,0
+        """)
+        code = main(["--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
 
     def test_precondition_exit_code(self, tmp_path, capsys):
         # potential exponents inconsistent with the declared gamma

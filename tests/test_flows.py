@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from degcalc.errors import PreconditionError, PropertyViolationError
-from degcalc.flows import (Flow, completeness_check, flow_apply,
-                           flow_scaling_limit, power_flow_exponents,
-                           write_flow_csv)
+from degcalc.flows import (Flow, completeness_check, flow_scaling_limit,
+                           power_flow_exponents, write_flow_csv)
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.weights import Weight
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from degcalc.errors import EndpointEvalError
 from degcalc.powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction,
-                              generalized_binomial)
+                              as_exponent, generalized_binomial)
 
 F = Fraction
 
@@ -103,6 +103,17 @@ class TestLimits:
     def test_endpoint_eval_rejected(self):
         with pytest.raises(EndpointEvalError):
             rf((1, 1, 0))(0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, bad):
+        # limit("zero") steps through p, p+1, ... up to 0, which never ends
+        # for p = -inf
+        with pytest.raises(ValueError):
+            as_exponent(bad)
+        with pytest.raises(ValueError):
+            RadialFunction.term(1, bad)
+        with pytest.raises(ValueError):
+            RadialFunction.term(1, 0, bad)
 
 
 class TestCoordinateMaps:

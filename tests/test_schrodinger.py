@@ -200,6 +200,16 @@ class TestSpectra:
         for a, b in zip(sp.eigenvalues, de.eigenvalues):
             assert abs(a - b) < 1e-8
 
+    @pytest.mark.parametrize("prob", [
+        SchrodingerProblem.hydrogen(), SchrodingerProblem.oscillator(),
+        SchrodingerProblem.hydrogen(l=1)],
+        ids=["hydrogen", "oscillator", "hydrogen_l1"])
+    def test_dense_matches_sparse_on_default_grid(self, prob):
+        sp = assemble_and_solve(prob, k=3)
+        de = assemble_and_solve(prob, k=3, method="dense")
+        for a, b in zip(sp.eigenvalues, de.eigenvalues):
+            assert abs(a - b) <= 1e-10 * abs(a)
+
     def test_residuals_small(self):
         res = assemble_and_solve(SchrodingerProblem.oscillator(),
                                  GeometricGrid(-6.0, 4.0, 1000), k=2)
