@@ -211,20 +211,16 @@ def _boundary_rate(flow, which):
 
 
 def zeta_cocycle(g, which, flow):
-    """zeta = rho o d / rho o r along the arrow; boundary units extend by the
-    flow's endpoint scaling rate.  Always positive."""
+    """zeta = rho o d / rho o r along the arrow.  At an endpoint it is 1 where
+    rho is 1 and e^{-lambda t} where rho vanishes, lambda the flow's scaling
+    rate there.  Always positive."""
     x, t = g.x, g.t
     rho = rho_zero if which == "zero" else rho_infinity
-    interior_end = (x != 0 and x != math.inf)
-    if interior_end:
+    if x != 0 and x != math.inf:
         return rho(x) / rho(flow.apply(t, x))
-    if which == "zero":
-        if x == math.inf:
-            return 1.0
-        return math.exp(-_boundary_rate(flow, "zero") * t)
-    if x == 0:
+    if rho(x) == 1.0:
         return 1.0
-    return math.exp(-_boundary_rate(flow, "infinity") * t)
+    return math.exp(-_boundary_rate(flow, which) * t)
 
 
 class KernelFunction:

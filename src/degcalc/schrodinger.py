@@ -52,9 +52,13 @@ class SchrodingerProblem:
             raise PreconditionError("angular sector must be >= 0")
         if self.V.domain != HALF_LINE:
             raise PreconditionError("potential must live on the half-line")
-        if not self.V.is_zero:
+        try:
             g = as_exponent(self.gamma)
             gp = as_exponent(self.gamma_prime)
+        except (ValueError, TypeError) as exc:
+            raise PreconditionError(
+                f"gamma and gamma_prime must be exponents: {exc}") from exc
+        if not self.V.is_zero:
             if self.V.min_p() != -2 * g:
                 raise PreconditionError(
                     f"potential exponent at 0 is {self.V.min_p()}, "
@@ -329,11 +333,9 @@ def assemble_and_solve(prob, grid=None, k=2, method="shift-invert"):
     if k >= npts:
         raise PreconditionError("k too large for the grid")
     if method == "dense":
-        # the default bisection tolerance, eps * ||T||, is about 0.8 on the
-        # default grid: larger than the gaps between the lowest eigenvalues
         vals, vecs = eigh_tridiagonal(d, e, select="i",
                                       select_range=(0, k - 1),
-                                      tol=np.finfo(float).tiny)
+                                      lapack_driver="stemr")
         lam = vals
         res = _residuals(d, e, lam, vecs)
         return SpectralResult(tuple(float(v) for v in lam),

@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from degcalc.diffop import (CylinderFunction, DiffOp, lie_rinehart_check,
                             op_compose, random_lie_rinehart_samples)
 from degcalc.flows import Flow, flow_scaling_limit, power_flow_exponents

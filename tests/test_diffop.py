@@ -1,13 +1,12 @@
 """Operator algebra: normal forms, composition, symbols, parametrices."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
-                            VectorField, expand_X_power, is_elliptic,
+from degcalc.diffop import (CylinderFunction, DiffOp, VectorField,
+                            expand_X_power, is_elliptic,
                             lie_rinehart_check, op_commutator, op_compose,
                             parametrix_1d, principal_symbol, radial_symbol,
                             random_lie_rinehart_samples)

@@ -2,10 +2,12 @@
 
 import math
 import os
+import types
 from fractions import Fraction
 
 import pytest
 
+from degcalc import flows
 from degcalc.errors import PreconditionError, PropertyViolationError
 from degcalc.flows import (Flow, completeness_check, flow_scaling_limit,
                            power_flow_exponents, write_flow_csv)
@@ -49,14 +51,35 @@ class TestClosedForms:
         # sigma_{1/2}(1/2) = 0.5 / (1 - 0.5*0.5) = 2/3
         assert abs(fl.apply(0.5, 0.5) - 2.0 / 3.0) < 1e-15
 
-    def test_tanh_example(self):
-        fl = Flow.tanh_example()
-        assert fl.F_inverse(0.0) == 0.0
-        assert abs(fl.apply(1.0, 0.0) - math.tanh(1.0)) < 1e-15
-        assert fl.apply(5.0, -1.0) == -1.0
+    def test_b_weight_tanh_flow(self):
+        # phi = 2t(1-t) on [0, 1] moves x = 2t - 1 by dx/ds = 1 - x^2
+        fl = Flow(Weight.from_term(2, 1, 1, domain=UNIT_INTERVAL))
+        assert fl.mode == "closed_form_tanh"
+        assert fl.F_inverse(0.0) == 0.5
+        assert abs(2 * fl.apply(1.0, 0.5) - 1 - math.tanh(1.0)) < 1e-15
+        assert fl.apply(5.0, 0.0) == 0.0
+        for s in (-1.3, 0.4, 2.0):
+            for x in (-0.9, 0.0, 0.3, 0.99):
+                want = math.tanh(math.atanh(x) + s)
+                assert abs(2 * fl.apply(s, (1 + x) / 2) - 1 - want) < 1e-14
+
+    def test_b_weight_group_law(self):
+        fl = Flow(Weight.from_term(F(1, 2), 1, 1, domain=UNIT_INTERVAL))
+        assert fl.mode == "closed_form_tanh"
+        for s in (-1.2, 0.5):
+            for t in (0.8, -0.3):
+                for x in (0.02, 0.5, 0.97):
+                    lhs = fl.apply(s, fl.apply(t, x))
+                    assert abs(lhs - fl.apply(s + t, x)) < 1e-14
+
+    def test_same_exponents_on_half_line_stay_numeric(self):
+        # on the half-line the exponents (1, 1) are t(1+t)
+        fl = Flow(Weight.from_term(1, 1, 1), require_complete=False)
+        assert fl.mode == "numeric"
 
     def test_identity_at_s_zero(self):
-        for fl in (Flow(Weight.from_term(1, 1)), Flow.tanh_example()):
+        for fl in (Flow(Weight.from_term(1, 1)),
+                   Flow(Weight.from_term(2, 1, 1, domain=UNIT_INTERVAL))):
             assert fl.apply(0.0, 0.42) == 0.42
 
 
@@ -108,6 +131,36 @@ class TestScalingLimit:
         fl = Flow(Weight(RadialFunction.term(1, 2, -1)))
         val = flow_scaling_limit(fl, Weight.from_term(1, F(1, 2)), 1.0)
         assert val == 1.0
+
+    def test_agreeing_limit_samples_only_to_k_8(self):
+        fl = Flow(Weight.from_term(1, 1))
+        calls = []
+        apply = fl.apply
+        fl.apply = lambda s, x: calls.append(x) or apply(s, x)
+        flow_scaling_limit(fl, Weight.from_term(1, 2), 1.0)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("mode", [None, "numeric"])
+    def test_slow_limit_for_t_3_2(self, mode):
+        # psi(t)/psi(sigma_s(t)) approaches 1 only like t^{1/2}
+        fl = Flow(Weight.from_term(1, F(3, 2)), mode=mode,
+                  require_complete=False)
+        for b in (F(1, 2), 1, 2):
+            for s in (-1.0, 0.5):
+                val = flow_scaling_limit(fl, Weight.from_term(1, b), s)
+                assert val == 1.0
+
+    def test_wrong_rate_rejected(self, monkeypatch):
+        fl = Flow(Weight.from_term(1, F(3, 2)), require_complete=False)
+        true_rate = flows.structure_function
+
+        def wrong_rate(psi, phi):
+            lam = true_rate(psi, phi).value_at_zero + F(1, 100)
+            return types.SimpleNamespace(value_at_zero=lam)
+
+        monkeypatch.setattr(flows, "structure_function", wrong_rate)
+        with pytest.raises(PropertyViolationError):
+            flow_scaling_limit(fl, Weight.from_term(1, 1), 0.5)
 
     def test_s_zero_identity(self):
         fl = Flow(Weight.from_term(1, 1))

@@ -1,6 +1,5 @@
 """Schrodinger problems: rewrites, membership, spectra, residual decay."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +34,13 @@ class TestProblemValidation:
                                RadialFunction.term(-1, -1))
         with pytest.raises(PreconditionError):
             SchrodingerProblem.hydrogen(l=-1)
+
+    @pytest.mark.parametrize("gamma, gamma_prime", [
+        (float("inf"), 0), (0, float("nan")), (F(1, 2), None)])
+    def test_invalid_exponents_rejected_without_potential(self, gamma,
+                                                          gamma_prime):
+        with pytest.raises(PreconditionError):
+            SchrodingerProblem(3, gamma, gamma_prime, RadialFunction.zero())
 
     def test_prefactored_constructor(self):
         prob = SchrodingerProblem.from_prefactored(
@@ -209,6 +215,7 @@ class TestSpectra:
         de = assemble_and_solve(prob, k=3, method="dense")
         for a, b in zip(sp.eigenvalues, de.eigenvalues):
             assert abs(a - b) <= 1e-10 * abs(a)
+        assert max(de.residuals) <= 1e-6
 
     def test_residuals_small(self):
         res = assemble_and_solve(SchrodingerProblem.oscillator(),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from degcalc.errors import InvalidWeightError
-from degcalc.powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
+from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.weights import (Weight, WeightedField, apply_X, membership_order,
                              structure_function, weights_equivalent)
 
