@@ -6,9 +6,9 @@ from .errors import (ChartDomainError, CompositionError, ConfigError,
                      EndpointEvalError, InvalidWeightError, InversionError,
                      PreconditionError, PropertyViolationError)
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
-from .weights import (MembershipResult, StructureFunction, Weight,
-                      WeightedField, apply_X, membership_order,
-                      structure_function, weights_equivalent)
+from .weights import (MembershipResult, StructureFunction, Weight, apply_X,
+                      membership_order, structure_function,
+                      weights_equivalent)
 from .flows import (Flow, completeness_check, flow_scaling_limit,
                     power_flow_exponents, write_flow_csv)
 from .groupoid import (GPhiElement, HPsiElement, KernelFunction, SElement,

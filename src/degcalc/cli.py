@@ -15,10 +15,19 @@ import os
 import sys
 from fractions import Fraction
 
+from .diffop import (DiffOp, lie_rinehart_check, op_commutator,
+                     random_lie_rinehart_samples)
 from .errors import (ConfigError, ConvergenceError, DegcalcError,
                      InvalidWeightError, InversionError, PreconditionError)
-from .powerfun import RadialFunction
-from .weights import Weight
+from .flows import Flow, completeness_check, flow_scaling_limit, write_flow_csv
+from .groupoid import GPhiElement, gphi_compose, zeta_cocycle
+from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
+from .schrodinger import (GeometricGrid, SchrodingerProblem,
+                          assemble_and_solve, membership_in_diff_s,
+                          parametrix_residual, resolvent_probe, rewrite,
+                          verify_identity_r_power, write_parametrix_csv,
+                          write_spectrum_csv)
+from .weights import Weight, membership_order
 
 COMMANDS = ("classify", "membership", "flow", "spectrum", "parametrix",
             "resolvent", "selftest")
@@ -74,8 +83,6 @@ def _floatval(text, key):
 
 def _term_list(text, key, domain=None):
     """Parse 'coeff,p,q; coeff,p,q; ...' into a ring function."""
-    from .powerfun import HALF_LINE
-
     domain = domain or HALF_LINE
     out = RadialFunction.zero(domain=domain)
     for chunk in text.split(";"):
@@ -160,15 +167,11 @@ class RunConfig:
             raise ConfigError(f"resolvent: unknown mode {self.res_mode!r}")
 
     def problem(self):
-        from .schrodinger import SchrodingerProblem
-
         return SchrodingerProblem(n=self.n, gamma=self.gamma,
                                   gamma_prime=self.gamma_prime,
                                   V=self.potential, l=self.l)
 
     def grid(self):
-        from .schrodinger import GeometricGrid
-
         return GeometricGrid(self.s_min, self.s_max, self.points)
 
 
@@ -180,25 +183,25 @@ def load_config(path):
     return RunConfig(parser)
 
 
-def _cmd_classify(cfg, out, log):
-    from .schrodinger import rewrite
-
-    rw = rewrite(cfg.problem())
-    lines = [
-        f"near 0: {rw.branch_zero} rewrite, {rw.label_zero} calculus",
-        f"near infinity: {rw.branch_infinity} rewrite, "
-        f"{rw.label_infinity} calculus",
-    ]
+def _report(out, name, lines):
+    """Print a text report and write it to <out>/<name>.txt."""
     for ln in lines:
         print(ln)
-    with open(os.path.join(out, "classify.txt"), "w") as fh:
+    with open(os.path.join(out, f"{name}.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_membership(cfg, out, log):
-    from .schrodinger import membership_in_diff_s
+def _cmd_classify(cfg, out, log):
+    rw = rewrite(cfg.problem())
+    return _report(out, "classify", [
+        f"near 0: {rw.branch_zero} rewrite, {rw.label_zero} calculus",
+        f"near infinity: {rw.branch_infinity} rewrite, "
+        f"{rw.label_infinity} calculus",
+    ])
 
+
+def _cmd_membership(cfg, out, log):
     rep = membership_in_diff_s(cfg.problem())
     lines = [f"weight phi = {rep.weight}",
              f"weight psi = {rep.angular_weight}"]
@@ -206,16 +209,10 @@ def _cmd_membership(cfg, out, log):
         lines.append(f"coefficient {v.key}: {v.coefficient} -> "
                      f"{'member' if v.is_member else 'FAIL'}")
     lines.append(f"overall: {'PASS' if rep.passed else 'FAIL'}")
-    for ln in lines:
-        print(ln)
-    with open(os.path.join(out, "membership.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return _report(out, "membership", lines)
 
 
 def _cmd_flow(cfg, out, log):
-    from .flows import Flow, write_flow_csv
-
     flow = Flow(Weight(cfg.flow_weight))
     path = os.path.join(out, "flow.csv")
     write_flow_csv(path, flow, cfg.flow_s, cfg.flow_x)
@@ -224,8 +221,6 @@ def _cmd_flow(cfg, out, log):
 
 
 def _cmd_spectrum(cfg, out, log):
-    from .schrodinger import assemble_and_solve, write_spectrum_csv
-
     prob = cfg.problem()
     result = assemble_and_solve(prob, cfg.grid(), k=cfg.num_eigs)
     if max(result.residuals) > max(cfg.tolerance, 1e-6):
@@ -240,8 +235,6 @@ def _cmd_spectrum(cfg, out, log):
 
 
 def _cmd_parametrix(cfg, out, log):
-    from .schrodinger import parametrix_residual, write_parametrix_csv
-
     rep = parametrix_residual(cfg.problem(), orders=cfg.px_orders,
                               cutoffs=cfg.px_cutoffs)
     path = os.path.join(out, "parametrix.csv")
@@ -253,18 +246,12 @@ def _cmd_parametrix(cfg, out, log):
 
 
 def _cmd_resolvent(cfg, out, log):
-    from .schrodinger import resolvent_probe
-
     rep = resolvent_probe(cfg.problem(), cfg.z, mode=cfg.res_mode)
     lines = [f"z = {rep.z}", f"spectrum distance = {rep.spectrum_distance:.6g}"]
     for (i, j), (a, b, r) in sorted(rep.norms.items()):
         lines.append(f"i={i} j={j}: coarse {a:.6g}  fine {b:.6g}  "
                      f"ratio {r:.6g}")
-    for ln in lines:
-        print(ln)
-    with open(os.path.join(out, "resolvent.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return _report(out, "resolvent", lines)
 
 
 def _cmd_selftest(cfg, out, log):
@@ -279,16 +266,6 @@ def _cmd_selftest(cfg, out, log):
 
 def run_selftest(log=lambda msg: None):
     """Quick pass over every module's invariants; returns failed check names."""
-    from .diffop import (DiffOp, lie_rinehart_check, op_commutator,
-                         random_lie_rinehart_samples)
-    from .flows import Flow, completeness_check, flow_scaling_limit
-    from .groupoid import GPhiElement, gphi_compose, zeta_cocycle
-    from .schrodinger import (GeometricGrid, SchrodingerProblem,
-                              assemble_and_solve, membership_in_diff_s,
-                              parametrix_residual, rewrite,
-                              verify_identity_r_power)
-    from .weights import membership_order
-
     failures = []
 
     def check(name, fn):
@@ -309,8 +286,6 @@ def run_selftest(log=lambda msg: None):
     check("ring text round-trip", ring_roundtrip)
 
     def membership_family():
-        from .powerfun import UNIT_INTERVAL
-
         for a in (1, Fraction(3, 2), 2):
             for b in (0, Fraction(1, 2), 1):
                 phi = Weight.from_term(1, a, 0, domain=UNIT_INTERVAL)

@@ -18,10 +18,13 @@ import math
 from math import comb
 
 from .errors import DomainMismatchError, PreconditionError
-from .powerfun import HALF_LINE, RadialFunction
+from .powerfun import HALF_LINE, RadialFunction, interior_points
 from .weights import Weight, membership_order
 
 import numpy as np
+
+#: interior points, and covariable-circle points, of the sampled closure checks
+CLOSURE_SAMPLES = 64
 
 
 class CylinderFunction:
@@ -64,10 +67,9 @@ class CylinderFunction:
         return cls({}, domain=domain)
 
     @classmethod
-    def harmonic(cls, m, domain=HALF_LINE, coeff=1):
-        """coeff * e^{i m theta}"""
-        return cls({m: RadialFunction.const(coeff, domain=domain)},
-                   domain=domain)
+    def harmonic(cls, m, domain=HALF_LINE):
+        """e^{i m theta}"""
+        return cls({m: RadialFunction.const(1, domain=domain)}, domain=domain)
 
     @property
     def is_zero(self):
@@ -178,8 +180,7 @@ def expand_X_power(phi, n):
     Triangular recurrence a_k -> X(a_k) + k a_k phi' + a_{k-1}, starting from
     X^0 = 1.  All coefficients stay in the ring.
     """
-    w = phi if isinstance(phi, Weight) else Weight(phi)
-    prof = w.profile
+    prof = phi.profile
     dprof = prof.derivative()
     coeffs = {0: RadialFunction.const(1, domain=prof.domain)}
     for _ in range(n):
@@ -201,21 +202,19 @@ class DiffOp:
     def __init__(self, form, coeffs, phi, psi=None):
         if form not in ("raw", "lie", "monomial"):
             raise ValueError(f"unknown form {form!r}")
-        w_phi = phi if isinstance(phi, Weight) else Weight(phi)
         if psi is None:
-            psi = Weight.from_term(1, 1, 0, domain=w_phi.domain)
-        w_psi = psi if isinstance(psi, Weight) else Weight(psi)
-        if w_phi.domain != w_psi.domain:
+            psi = Weight.from_term(1, 1, 0, domain=phi.domain)
+        if phi.domain != psi.domain:
             raise DomainMismatchError("phi and psi on different domains")
         clean = {}
         for (i, j), c in coeffs.items():
-            cf = _as_cylinder(c, w_phi.domain)
+            cf = _as_cylinder(c, phi.domain)
             if not cf.is_zero:
                 clean[(int(i), int(j))] = cf
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "phi", w_phi)
-        object.__setattr__(self, "psi", w_psi)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -236,9 +235,8 @@ class DiffOp:
 
     @classmethod
     def identity(cls, phi, psi=None):
-        w = phi if isinstance(phi, Weight) else Weight(phi)
-        return cls("raw", {(0, 0): CylinderFunction.const(1, domain=w.domain)},
-                   phi, psi)
+        one = CylinderFunction.const(1, domain=phi.domain)
+        return cls("raw", {(0, 0): one}, phi, psi)
 
     @classmethod
     def X(cls, phi, psi=None):
@@ -439,13 +437,12 @@ def _compose_terms(i1, j1, b1, i2, j2, b2):
 
 def check_weight_admissible(phi):
     """phi' must lie in C_phi^(infinity); raise otherwise."""
-    w = phi if isinstance(phi, Weight) else Weight(phi)
-    res = membership_order(w.profile.derivative(), w, math.inf)
+    res = membership_order(phi.profile.derivative(), phi, math.inf)
     if not res.is_member:
         raise PreconditionError(
             "phi' does not lie in the infinite-order class of phi; "
             "normal forms would leave the ring")
-    return w
+    return phi
 
 
 def op_compose(A, B):
@@ -472,8 +469,8 @@ class VectorField:
     """First-order field u*X + v*Y with ring (cylinder) coefficients."""
 
     def __init__(self, u, v, phi, psi):
-        self.phi = phi if isinstance(phi, Weight) else Weight(phi)
-        self.psi = psi if isinstance(psi, Weight) else Weight(psi)
+        self.phi = phi
+        self.psi = psi
         self.u = _as_cylinder(u, self.phi.domain)
         self.v = _as_cylinder(v, self.phi.domain)
 
@@ -510,9 +507,7 @@ def random_lie_rinehart_samples(phi, psi, count, seed=0):
     import random as _random
 
     rng = _random.Random(seed)
-    w_phi = phi if isinstance(phi, Weight) else Weight(phi)
-    w_psi = psi if isinstance(psi, Weight) else Weight(psi)
-    dom = w_phi.domain
+    dom = phi.domain
     from fractions import Fraction
 
     def rnd_rf():
@@ -527,9 +522,9 @@ def random_lie_rinehart_samples(phi, psi, count, seed=0):
     samples = []
     for _ in range(count):
         samples.append({
-            "Z": VectorField(rnd_cf(), rnd_cf(), w_phi, w_psi),
-            "W": VectorField(rnd_cf(), rnd_cf(), w_phi, w_psi),
-            "U": VectorField(rnd_cf(), rnd_cf(), w_phi, w_psi),
+            "Z": VectorField(rnd_cf(), rnd_cf(), phi, psi),
+            "W": VectorField(rnd_cf(), rnd_cf(), phi, psi),
+            "U": VectorField(rnd_cf(), rnd_cf(), phi, psi),
             "a": rnd_cf(),
             "f": rnd_cf(),
         })
@@ -589,20 +584,15 @@ def principal_symbol(A):
     return {key: c for key, c in mono.coeffs.items() if sum(key) == ordr}
 
 
-def is_elliptic(A, t_samples=64, circle_samples=64):
+def is_elliptic(A):
     """No zeros of the principal symbol on the unit covariable circle,
-    sampled over a log grid in t plus both endpoint limits."""
+    sampled over the interior (uniform in u) plus both endpoint limits."""
     sym = principal_symbol(A)
     if not sym:
         return False
-    dom = A.domain
-    if dom == HALF_LINE:
-        ts = np.logspace(-6, 6, t_samples)
-    else:
-        u = np.linspace(-14.0, 14.0, t_samples)
-        ts = 1.0 / (1.0 + np.exp(-u))
+    ts = interior_points(A.domain, CLOSURE_SAMPLES, 14.0)
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    alphas = np.linspace(0.0, 2.0 * math.pi, circle_samples, endpoint=False)
+    alphas = np.linspace(0.0, 2.0 * math.pi, CLOSURE_SAMPLES, endpoint=False)
 
     def sym_min(coeff_at):
         m = math.inf
@@ -769,7 +759,7 @@ class PoweredSymbol:
         return PoweredSymbol(num, self.base, self.power + 1, self.domain)
 
     def D_s(self, phi):
-        prof = phi.profile if isinstance(phi, Weight) else phi
+        prof = phi.profile
 
         def dcoef(poly):
             return [(prof * c.derivative()) * (-1j) for c in poly]
@@ -858,12 +848,7 @@ def _no_real_roots(poly, domain):
     At each of 32 radii the ring coefficients are evaluated and the roots
     of the resulting polynomial are tested for proximity to the real axis.
     """
-    if domain == HALF_LINE:
-        ts = np.logspace(-5, 5, 32)
-    else:
-        u = np.linspace(-11.0, 11.0, 32)
-        ts = 1.0 / (1.0 + np.exp(-u))
-    for t in ts:
+    for t in interior_points(domain, 32, 11.0):
         coeffs = [complex(c(float(t))) for c in reversed(poly)]
         while coeffs and abs(coeffs[0]) == 0:
             coeffs = coeffs[1:]
@@ -877,13 +862,8 @@ def _no_real_roots(poly, domain):
     return True
 
 
-def _nonvanishing_on_closure(f, samples=64):
-    if f.domain == HALF_LINE:
-        ts = np.logspace(-6, 6, samples)
-    else:
-        u = np.linspace(-14.0, 14.0, samples)
-        ts = 1.0 / (1.0 + np.exp(-u))
-    for t in ts:
+def _nonvanishing_on_closure(f):
+    for t in interior_points(f.domain, CLOSURE_SAMPLES, 14.0):
         if abs(complex(f(float(t)))) <= 1e-9:
             return False
     for end in ("zero", "far"):

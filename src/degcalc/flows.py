@@ -1,14 +1,17 @@
 """Completeness, the reparametrization F, and the one-parameter flow sigma_s.
 
 A complete weight phi generates a globally defined flow through
-F(x) = integral_gamma^x dt/phi(t) and sigma_s = F^{-1}(F + s).  Closed forms
-cover c*t, pure powers and the b-weight c*t(1-t) of [0, 1] (tanh in 2t - 1);
-everything else goes through adaptive quadrature in a compactifying
-coordinate plus monotone bracketing for the inversion.
+F(x) = integral_gamma^x dt/phi(t) and sigma_s = F^{-1}(F + s).  Everything is
+done in the flow coordinate u of the b-weight b (``powerfun.to_u``), where
+F(u) = integral_0^u du'/g with g = phi/b.  A constant g = c (c*t on the
+half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
+have a closed form; everything else goes through adaptive quadrature in u plus
+monotone bracketing for the inversion.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from fractions import Fraction
@@ -17,8 +20,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InversionError, PreconditionError, PropertyViolationError
-from .powerfun import HALF_LINE, UNIT_INTERVAL
-from .weights import Weight, structure_function
+from .powerfun import b_weight, from_u, shift_u, to_u
+from .weights import structure_function
 
 #: flow tolerance, closed-form mode
 TAU_FLOW_CLOSED = 1e-10
@@ -28,7 +31,7 @@ TAU_FLOW_NUMERIC = 1e-8
 #: quadrature relative tolerance for F
 QUAD_RTOL = 1e-12
 
-#: initial span of the bracketing table in the compactified coordinate
+#: initial span of the bracketing table in the flow coordinate u
 TABLE_SPAN = 40.0
 TABLE_POINTS = 401
 
@@ -36,85 +39,68 @@ TABLE_POINTS = 401
 def completeness_check(phi):
     """True iff the reciprocal weight has divergent integral at both ends.
 
-    Decided exactly from endpoint exponents: divergence at 0 needs vanishing
-    order a >= 1; at the far end the half-line condition is growth no faster
-    than t (max(p+q) <= 1) and the unit-interval condition is vanishing order
-    at least 1.
+    Decided exactly from endpoint exponents: F diverges at both ends exactly
+    when g = phi/b stays bounded there, i.e. vanishing order a >= 1 at 0 and,
+    at the far end, growth no faster than t on the half-line or vanishing
+    order at least 1 at t = 1.
     """
-    w = phi if isinstance(phi, Weight) else Weight(phi)
-    if w.a < 1:
-        return False
-    if w.domain == HALF_LINE:
-        return w.a_prime >= -1
-    return w.a_prime >= 1
+    g = phi.profile.divide_term(b_weight(phi.domain))
+    return g.min_p() >= 0 and g.far_exponent() >= 0
 
 
 class Flow:
     """The one-parameter group sigma_s generated by X = phi d/dt.
 
-    ``mode`` is one of ``closed_form_b`` (weight c*t, exponential flow),
-    ``closed_form_power`` (weight c*t^a with a != 1), ``closed_form_tanh``
-    (weight c*t(1-t) on [0, 1]), or ``numeric``.
+    ``mode`` is one of ``closed_form_b`` (the b-weight times a constant c:
+    translation by c*s in u), ``closed_form_power`` (weight c*t^a with
+    a != 1), or ``numeric``.  Passing ``mode`` can force ``numeric``; any
+    other value must be the detected mode.
     """
 
     def __init__(self, weight, mode=None, require_complete=True):
-        w = weight if isinstance(weight, Weight) else Weight(weight)
-        self.weight = w
-        self.complete = completeness_check(w)
+        self.weight = weight
+        self.complete = completeness_check(weight)
         if require_complete and not self.complete:
             raise PreconditionError(
                 "weight is not complete; its flow escapes in finite time "
                 "(pass require_complete=False to study it anyway)")
-        if mode is None:
-            mode = self._detect_mode(w)
-        self.mode = mode
-        self.tolerance = (TAU_FLOW_NUMERIC if mode == "numeric"
+        self._g = weight.profile.divide_term(b_weight(weight.domain))
+        detected = self._detect_mode()
+        if mode not in (None, "numeric", detected):
+            raise PreconditionError(
+                f"mode {mode!r} does not describe this weight "
+                f"(detected {detected!r})")
+        self.mode = mode or detected
+        self.tolerance = (TAU_FLOW_NUMERIC if self.mode == "numeric"
                           else TAU_FLOW_CLOSED)
-        if mode in ("closed_form_b", "closed_form_tanh"):
-            ((_, _), c), = w.profile.terms.items()
+        if self.mode == "closed_form_b":
+            (_, c), = self._g.terms.items()
             self._rate = float(c)
-        elif mode == "closed_form_power":
-            ((p, _), c), = w.profile.terms.items()
+        elif self.mode == "closed_form_power":
+            ((p, _), c), = weight.profile.terms.items()
             self._a = float(p)
             self._c = float(c)
-        # monotone bracketing table in the compactified coordinate u
+        self._far = from_u(weight.domain, math.inf)
+        # monotone bracketing table of F over u
         self._table_u = []
         self._table_F = []
 
-    @staticmethod
-    def _detect_mode(w):
-        if w.is_single_term:
-            ((p, q), _), = w.profile.terms.items()
-            if q == 0:
-                if p == 1:
-                    return "closed_form_b"
-                return "closed_form_power"
-            if p == q == 1 and w.domain == UNIT_INTERVAL:
-                return "closed_form_tanh"
+    def _detect_mode(self):
+        if not self._g.is_single_term:
+            return "numeric"
+        if (0, 0) in self._g.terms:  # g is the constant c
+            return "closed_form_b"
+        ((p, q), _), = self.weight.profile.terms.items()
+        if q == 0 and p != 1:
+            return "closed_form_power"
         return "numeric"
 
-    # -- coordinate helpers for numeric mode and the tanh closed form -----
-    # u is ln t on the half-line and logit t on the unit interval; both map
-    # the interior onto the whole real line with base point u = 0.
-
-    def _to_u(self, t):
-        if self.weight.domain == HALF_LINE:
-            return math.log(t)
-        return math.log(t / (1.0 - t))
-
-    def _from_u(self, u):
-        if self.weight.domain == HALF_LINE:
-            return math.exp(u)
-        return 1.0 / (1.0 + math.exp(-u))
+    # -- numeric mode: F and its inverse in u -----------------------------
 
     def _integrand(self, u):
-        # dt/phi pulled back: dt = t du (half-line) or t(1-t) du (interval)
-        t = self._from_u(u)
-        jac = t if self.weight.domain == HALF_LINE else t * (1.0 - t)
-        return jac / self.weight.profile(t)
+        return 1.0 / self._g.at_u(u)
 
-    def _F_numeric(self, x):
-        u = self._to_u(x)
+    def _F_u(self, u):
         val, _ = quad(self._integrand, 0.0, u, epsabs=0.0, epsrel=QUAD_RTOL,
                       limit=200)
         return val
@@ -155,44 +141,30 @@ class Flow:
         raise InversionError(
             f"bracketing table could not reach F value {target}")
 
-    def _F_inverse_numeric(self, y):
+    def _u_of_F(self, y):
+        """The u with F(u) = y, by brentq inside its table bracket."""
         self._ensure_table(y)
         us, Fs = self._table_u, self._table_F
-        lo, hi = 0, len(us) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if Fs[mid] <= y:
-                lo = mid
-            else:
-                hi = mid
-        u = brentq(lambda uu: self._F_numeric(self._from_u(uu)) - y,
-                   us[lo], us[hi], xtol=1e-14, rtol=8.9e-16)
-        return self._from_u(u)
+        hi = min(bisect.bisect_right(Fs, y), len(Fs) - 1)
+        return brentq(lambda u: self._F_u(u) - y, us[hi - 1], us[hi],
+                      xtol=1e-14, rtol=8.9e-16)
 
     # -- public interface -------------------------------------------------
 
-    def _endpoints(self):
-        if self.weight.domain == HALF_LINE:
-            return (0.0, math.inf)
-        return (0.0, 1.0)
-
     def F(self, x):
         """The reparametrization F(x) = integral from the base point."""
-        lo, hi = self._endpoints()
-        if not (lo < x < hi):
+        if not (0.0 < x < self._far):
             raise PreconditionError(f"F is defined on the interior, got {x}")
         if self.mode == "closed_form_b":
-            return math.log(x) / self._rate
+            return to_u(self.weight.domain, x) / self._rate
         if self.mode == "closed_form_power":
             a, c = self._a, self._c
             return (1.0 - x ** (1.0 - a)) / (c * (a - 1.0))
-        if self.mode == "closed_form_tanh":
-            return self._to_u(x) / self._rate
-        return self._F_numeric(x)
+        return self._F_u(to_u(self.weight.domain, x))
 
     def F_inverse(self, y):
         if self.mode == "closed_form_b":
-            return math.exp(self._rate * y)
+            return from_u(self.weight.domain, self._rate * y)
         if self.mode == "closed_form_power":
             a, c = self._a, self._c
             base = 1.0 - c * (a - 1.0) * y
@@ -200,30 +172,26 @@ class Flow:
                 # the incomplete end has been reached in finite time
                 return math.inf if a > 1 else 0.0
             return base ** (1.0 / (1.0 - a))
-        if self.mode == "closed_form_tanh":
-            return self._from_u(self._rate * y)
-        return self._F_inverse_numeric(y)
+        return from_u(self.weight.domain, self._u_of_F(y))
 
     def apply(self, s, x):
         """sigma_s(x); endpoints are fixed points by continuous extension."""
-        lo, hi = self._endpoints()
-        if x == lo or x == hi:
+        if x == 0.0 or x == self._far:
             return x
-        if not (lo < x < hi):
+        if not (0.0 < x < self._far):
             raise PreconditionError(f"point {x} outside the domain")
         if s == 0:
             return x
         if self.mode == "closed_form_b":
-            return math.exp(self._rate * s) * x
+            return shift_u(self.weight.domain, x, self._rate * s)
         if self.mode == "closed_form_power":
             a, c = self._a, self._c
             bracket = 1.0 + c * (1.0 - a) * s * x ** (a - 1.0)
             if bracket <= 0.0:
                 return math.inf if a > 1 else 0.0
             return x * bracket ** (1.0 / (1.0 - a))
-        if self.mode == "closed_form_tanh":
-            return x / (x + (1.0 - x) * math.exp(-self._rate * s))
-        return self._F_inverse_numeric(self._F_numeric(x) + s)
+        u = self._u_of_F(self.F(x) + s)
+        return from_u(self.weight.domain, u)
 
     def __call__(self, s, x):
         return self.apply(s, x)
@@ -237,13 +205,12 @@ def flow_scaling_limit(flow, psi, s):
     """lim_{t -> 0} psi(t)/psi(sigma_s(t)).
 
     Computed in closed form as e^{-lambda*s} with lambda the structure
-    function value at 0, and checked against the numeric limit along
-    t = 10^{-k}, k = 4..8; while the last sample disagrees beyond 1e-6, k goes
-    on to 16 (for phi = t^{3/2} the ratio converges like t^{1/2}) and the
-    first agreeing sample is accepted.  Disagreement at every sample raises.
+    function value at 0, and checked against the numeric ratio at t = 10^{-k}
+    for k = 8, 9, ..., 16: the first finite sample that agrees to 1e-6 is
+    accepted (for phi = t^{3/2} the ratio converges only like t^{1/2}).
+    Disagreement at every sample raises.
     """
-    psi_w = psi if isinstance(psi, Weight) else Weight(psi)
-    lam = structure_function(psi_w, flow.weight).value_at_zero
+    lam = structure_function(psi, flow.weight).value_at_zero
     if not math.isfinite(float(lam)):
         raise PreconditionError(
             f"structure function diverges at 0 (lambda = {lam})")
@@ -252,19 +219,17 @@ def flow_scaling_limit(flow, psi, s):
         return 1.0
     tol = 1e-6 * max(1.0, abs(closed))
     numeric = None
-    for k in range(4, 17):
-        if k > 8 and numeric is not None and abs(numeric - closed) <= tol:
-            break
+    for k in range(8, 17):
         t = 10.0 ** (-k)
         st = flow.apply(s, t)
         if 0.0 < st < math.inf:
-            numeric = psi_w.profile(t) / psi_w.profile(st)
+            numeric = psi.profile(t) / psi.profile(st)
+            if abs(numeric - closed) <= tol:
+                return closed
     if numeric is None:
         raise InversionError("numeric scaling limit could not be sampled")
-    if abs(numeric - closed) > tol:
-        raise PropertyViolationError(
-            f"scaling limit mismatch: closed form {closed}, numeric {numeric}")
-    return closed
+    raise PropertyViolationError(
+        f"scaling limit mismatch: closed form {closed}, numeric {numeric}")
 
 
 def write_flow_csv(path, flow, s, xs):

@@ -28,9 +28,9 @@ def _canonical_angle(theta):
     return float(theta) % TWO_PI
 
 
-def _angles_match(a, b, tol=ANGLE_TOL):
+def _angles_match(a, b):
     d = abs(_canonical_angle(a) - _canonical_angle(b))
-    return min(d, TWO_PI - d) <= tol
+    return min(d, TWO_PI - d) <= ANGLE_TOL
 
 
 def rho_zero(x):
@@ -159,12 +159,11 @@ def hpsi_chart(w, s, psi, theta1=0.0):
     interior arrow with angle offset psi(s) * w, provided the offset stays
     inside the injectivity window of the circle exponential.
     """
-    psi_w = psi if isinstance(psi, Weight) else Weight(psi)
     if s < 0:
         raise ChartDomainError("chart needs s >= 0")
     if s == 0:
         return HPsiElement.tangent(theta1, w)
-    offset = psi_w.profile(s) * w
+    offset = psi.profile(s) * w
     if abs(offset) >= math.pi:
         raise ChartDomainError(
             f"angle offset {offset} outside the chart window (-pi, pi)")
@@ -190,9 +189,8 @@ def hpsi_compose(g, h):
 def hpsi_action(s, g, flow, psi):
     """The flow action on H_psi: interior points move along sigma_s, boundary
     tangents rescale by e^{-lambda s} with lambda the structure function at 0."""
-    psi_w = psi if isinstance(psi, Weight) else Weight(psi)
     if g.boundary:
-        lam = structure_function(psi_w, flow.weight).value_at_zero
+        lam = structure_function(psi, flow.weight).value_at_zero
         if not math.isfinite(float(lam)):
             raise PreconditionError(
                 f"structure function diverges at 0 (lambda = {lam})")

@@ -5,7 +5,9 @@ Functions are finite sums  sum_m c_m t^{p_m} (1+t)^{q_m}  on [0, inf]
 basis).  The exponents may be arbitrary reals; rational exponents are kept as
 exact ``Fraction`` objects so that cancellation is exact.  The class is closed
 under addition, multiplication and d/dt, and endpoint limits are decided
-exactly from the exponents.
+exactly from the exponents.  This module also owns the geometry of the two
+domains: the flow coordinate u of the b-weight and the interior sample points
+the sampled closure checks use.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainMismatchError, EndpointEvalError
 
@@ -295,9 +299,20 @@ class RadialFunction:
         if self.domain == UNIT_INTERVAL and not (t < 1.0):
             raise EndpointEvalError(f"t={t} is not interior; use limit()")
         sign = 1.0 if self.domain == HALF_LINE else -1.0
+        return self._sum(t, 1.0 + sign * t)
+
+    def at_u(self, u):
+        """The value at t = from_u(domain, u), with the factor 1 -/+ t also
+        taken from u: on the unit interval 1 - t = 1/(1 + e^u), which keeps
+        its digits where t rounds to 1."""
+        if self.domain == HALF_LINE:
+            t = math.exp(u)
+            return self._sum(t, 1.0 + t)
+        return self._sum(1.0 / (1.0 + math.exp(-u)), 1.0 / (1.0 + math.exp(u)))
+
+    def _sum(self, t, base):
         total = 0.0
         for (p, q), c in self.terms.items():
-            base = 1.0 + sign * t
             val = t ** float(p) * base ** float(q)
             total = total + (complex(c) if isinstance(c, complex) else float(c)) * val
         return total
@@ -357,6 +372,48 @@ class RadialFunction:
             _accumulate(terms, as_exponent(p), as_exponent(q),
                         as_coefficient(c))
         return cls(terms, domain=domain or HALF_LINE)
+
+
+# -- the flow coordinate u of the b-weight ----------------------------------
+# u = ln t on the half-line and logit t on the unit interval; both map the
+# interior onto the real line, and the b-weight t resp. t(1-t) flows by
+# translation in u.
+
+
+def b_weight(domain):
+    """The b-weight: t on the half-line, t(1-t) on the unit interval."""
+    return RadialFunction.term(1, 1, 0 if domain == HALF_LINE else 1,
+                               domain=domain)
+
+
+def to_u(domain, t):
+    """u = ln t on the half-line, logit t on the unit interval."""
+    if domain == HALF_LINE:
+        return math.log(t)
+    return math.log(t / (1.0 - t))
+
+
+def from_u(domain, u):
+    """Inverse of to_u; u = -inf and inf give the endpoints."""
+    if domain == HALF_LINE:
+        return math.exp(u)
+    return 1.0 / (1.0 + math.exp(-u))
+
+
+def shift_u(domain, x, v):
+    """from_u(to_u(x) + v): the flow of the b-weight for time v."""
+    if domain == HALF_LINE:
+        return math.exp(v) * x
+    return x / (x + (1.0 - x) * math.exp(-v))
+
+
+def interior_points(domain, n, u_max):
+    """n interior points, uniform in u over [-u_max, u_max]: from_u on a
+    numpy array, since the positivity check samples 10,000 of them."""
+    u = np.linspace(-u_max, u_max, n)
+    if domain == HALF_LINE:
+        return np.exp(u)
+    return 1.0 / (1.0 + np.exp(-u))
 
 
 # -- internals ------------------------------------------------------------

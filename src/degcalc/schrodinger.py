@@ -272,9 +272,9 @@ class GeometricGrid:
     def rho_nodes(self):
         return np.exp(self.s_nodes())
 
-    def refined(self, factor=2):
-        return GeometricGrid(self.s_min, self.s_max,
-                             self.n_points * factor)
+    def refined(self):
+        """The grid with twice the points."""
+        return GeometricGrid(self.s_min, self.s_max, self.n_points * 2)
 
 
 @dataclass(frozen=True)

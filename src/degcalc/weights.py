@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidWeightError
-from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
+from .powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction,
+                       interior_points)
 
 #: iteration cap for the undecidable branch of the infinite-order membership test
 MEMBERSHIP_CAP = 64
@@ -76,21 +77,10 @@ class Weight:
         return f"Weight({self.profile.to_text()!r})"
 
 
-@dataclass(frozen=True)
-class WeightedField:
-    """The derivation X = phi * d/dt."""
-
-    weight: Weight
-
-    def __call__(self, f, k=1):
-        return apply_X(self, f, k)
-
-
-def apply_X(X, f, k=1):
-    """Exact X^k f = (phi d/dt)^k f in the ring."""
+def apply_X(w, f, k=1):
+    """Exact X^k f = (phi d/dt)^k f in the ring, for the weight phi = w."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    w = X.weight if isinstance(X, WeightedField) else X
     g = f
     for _ in range(k):
         g = w.profile * g.derivative()
@@ -118,7 +108,6 @@ def membership_order(f, phi, n):
     Otherwise iteration continues until failure, an empty term map, or the
     cap (reported as undecided).
     """
-    w = phi if isinstance(phi, Weight) else Weight(phi)
     g = f
     k = 0
     limit_k = MEMBERSHIP_CAP if n == math.inf else int(n)
@@ -128,7 +117,7 @@ def membership_order(f, phi, n):
                                     failure_order=k)
         if g.is_zero:
             return MembershipResult(member_up_to=limit_k, is_member=True)
-        if n == math.inf and _stable_forever(g, w):
+        if n == math.inf and _stable_forever(g, phi):
             return MembershipResult(member_up_to=MEMBERSHIP_CAP,
                                     is_member=True)
         if k == limit_k:
@@ -136,7 +125,7 @@ def membership_order(f, phi, n):
                 return MembershipResult(member_up_to=k, is_member=False,
                                         decided=False)
             return MembershipResult(member_up_to=k, is_member=True)
-        g = w.profile * g.derivative()
+        g = phi.profile * g.derivative()
         k += 1
 
 
@@ -202,9 +191,7 @@ def structure_function(psi, phi):
     sign differs from the customary boundary-exponent convention; this is
     surfaced via ``far_sign_flagged``.
     """
-    psi_w = psi if isinstance(psi, Weight) else Weight(psi)
-    phi_w = phi if isinstance(phi, Weight) else Weight(phi)
-    if psi_w.domain != phi_w.domain:
+    if psi.domain != phi.domain:
         raise InvalidWeightError("weights live on different domains")
 
     def log_derivative(prof):
@@ -214,18 +201,18 @@ def structure_function(psi, phi):
         return (RadialFunction.term(p, -1, 0, domain=prof.domain)
                 + RadialFunction.term(sign * q, 0, -1, domain=prof.domain))
 
-    flagged = phi_w.domain == UNIT_INTERVAL
-    if psi_w.is_single_term:
-        ring = phi_w.profile * log_derivative(psi_w.profile)
+    flagged = phi.domain == UNIT_INTERVAL
+    if psi.is_single_term:
+        ring = phi.profile * log_derivative(psi.profile)
         return StructureFunction(ring=ring,
                                  value_at_zero=ring.limit("zero"),
                                  value_at_far=ring.limit("far"),
                                  far_sign_flagged=flagged)
     # numeric closure; endpoint values from the dominant terms
-    prof = psi_w.profile
+    prof = psi.profile
 
     def evaluate(t):
-        return phi_w.profile(t) * prof.derivative()(t) / prof(t)
+        return phi.profile(t) * prof.derivative()(t) / prof(t)
 
     def dominant(best):
         (p, q) = best
@@ -238,8 +225,8 @@ def structure_function(psi, phi):
     else:
         domf = dominant(min(prof.terms,
                             key=lambda k: (float(k[1]), float(k[0]))))
-    v0 = (phi_w.profile * log_derivative(dom0)).limit("zero")
-    vf = (phi_w.profile * log_derivative(domf)).limit("far")
+    v0 = (phi.profile * log_derivative(dom0)).limit("zero")
+    vf = (phi.profile * log_derivative(domf)).limit("far")
     return StructureFunction(ring=None, value_at_zero=v0, value_at_far=vf,
                              numeric_mode=True, far_sign_flagged=flagged,
                              _eval=evaluate)
@@ -248,31 +235,28 @@ def structure_function(psi, phi):
 def weights_equivalent(psi, psi1, phi):
     """psi ~ psi1 relative to phi: both extended quotients lie in
     C_phi^(infinity)."""
-    psi_w = psi if isinstance(psi, Weight) else Weight(psi)
-    psi1_w = psi1 if isinstance(psi1, Weight) else Weight(psi1)
-    phi_w = phi if isinstance(phi, Weight) else Weight(phi)
 
     def quotient_member(num, den):
         if den.is_single_term:
             q = num.divide_term(den)
-            res = membership_order(q, phi_w, math.inf)
+            res = membership_order(q, phi, math.inf)
             if res.decided:
                 return res.is_member
         return None
 
-    fwd = quotient_member(psi_w.profile, psi1_w.profile)
-    bwd = quotient_member(psi1_w.profile, psi_w.profile)
+    fwd = quotient_member(psi.profile, psi1.profile)
+    bwd = quotient_member(psi1.profile, psi.profile)
     if fwd is not None and bwd is not None:
         return fwd and bwd
     # fallback: for weights with definite power behavior at both ends the
     # two-sided condition forces equal endpoint exponents
-    same_zero = _close(psi_w.a, psi1_w.a)
-    same_far = _close(psi_w.a_prime, psi1_w.a_prime)
+    same_zero = _close(psi.a, psi1.a)
+    same_far = _close(psi.a_prime, psi1.a_prime)
     return same_zero and same_far
 
 
-def _close(a, b, tol=1e-12):
-    return abs(float(a) - float(b)) <= tol
+def _close(a, b):
+    return abs(float(a) - float(b)) <= 1e-12
 
 
 def _check_positive(profile):
@@ -282,11 +266,7 @@ def _check_positive(profile):
     if all(c > 0 for c in coeffs):
         return
     # dense sampling over the interior plus endpoint dominance
-    if profile.domain == HALF_LINE:
-        ts = np.logspace(-8, 8, POSITIVITY_SAMPLES)
-    else:
-        u = np.linspace(-18, 18, POSITIVITY_SAMPLES)
-        ts = 1.0 / (1.0 + np.exp(-u))
+    ts = interior_points(profile.domain, POSITIVITY_SAMPLES, 18.0)
     vals = np.array([profile(float(t)) for t in ts])
     if np.any(vals <= 0):
         raise InvalidWeightError("weight profile is not positive on the interior")

@@ -6,12 +6,13 @@ import types
 from fractions import Fraction
 
 import pytest
+from scipy.integrate import quad
 
 from degcalc import flows
 from degcalc.errors import PreconditionError, PropertyViolationError
 from degcalc.flows import (Flow, completeness_check, flow_scaling_limit,
                            power_flow_exponents, write_flow_csv)
-from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
+from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, to_u
 from degcalc.weights import Weight
 
 F = Fraction
@@ -54,7 +55,7 @@ class TestClosedForms:
     def test_b_weight_tanh_flow(self):
         # phi = 2t(1-t) on [0, 1] moves x = 2t - 1 by dx/ds = 1 - x^2
         fl = Flow(Weight.from_term(2, 1, 1, domain=UNIT_INTERVAL))
-        assert fl.mode == "closed_form_tanh"
+        assert fl.mode == "closed_form_b"
         assert fl.F_inverse(0.0) == 0.5
         assert abs(2 * fl.apply(1.0, 0.5) - 1 - math.tanh(1.0)) < 1e-15
         assert fl.apply(5.0, 0.0) == 0.0
@@ -65,7 +66,7 @@ class TestClosedForms:
 
     def test_b_weight_group_law(self):
         fl = Flow(Weight.from_term(F(1, 2), 1, 1, domain=UNIT_INTERVAL))
-        assert fl.mode == "closed_form_tanh"
+        assert fl.mode == "closed_form_b"
         for s in (-1.2, 0.5):
             for t in (0.8, -0.3):
                 for x in (0.02, 0.5, 0.97):
@@ -120,6 +121,65 @@ class TestNumericMode:
             assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
+UNIT_WEIGHTS = [
+    RadialFunction.term(1, 2, 1, domain=UNIT_INTERVAL),
+    RadialFunction.term(1, 1, 1, domain=UNIT_INTERVAL)
+    + RadialFunction.term(1, 2, 1, domain=UNIT_INTERVAL),
+]
+
+
+class TestUnitIntervalNumeric:
+    @pytest.mark.parametrize("prof", UNIT_WEIGHTS, ids=["t2", "t_plus_t2"])
+    def test_flow_time_matches_t_quadrature(self, prof):
+        # sigma_s(x) is where integral_x dt/phi reaches s
+        fl = Flow(Weight(prof))
+        assert fl.mode == "numeric"
+        for s in (-1.5, 0.7, 2.0):
+            for x in (0.02, 0.3, 0.5, 0.9, 0.99):
+                elapsed, _ = quad(lambda t: 1.0 / prof(t), x, fl.apply(s, x),
+                                  epsabs=0.0, epsrel=1e-13, limit=200)
+                assert abs(elapsed - s) <= 1e-10
+
+    @pytest.mark.parametrize("prof", UNIT_WEIGHTS, ids=["t2", "t_plus_t2"])
+    def test_group_law(self, prof):
+        fl = Flow(Weight(prof))
+        for s in (-1.2, 0.5):
+            for t in (0.8, -0.3):
+                for x in (0.02, 0.5, 0.97):
+                    lhs = fl.apply(s, fl.apply(t, x))
+                    assert abs(lhs - fl.apply(s + t, x)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [F(1, 2), 1, 2])
+    def test_forced_numeric_b_weight_matches_closed_form(self, c):
+        w = Weight.from_term(c, 1, 1, domain=UNIT_INTERVAL)
+        numeric, closed = Flow(w, mode="numeric"), Flow(w)
+        checked = 0
+        for x in (1e-9, 1e-4, 0.1, 0.5, 0.9, 1 - 1e-4, 1 - 1e-9):
+            for s in (-12.0, -3.3, -0.4, 1.1, 5.0, 12.0):
+                if abs(to_u(UNIT_INTERVAL, x) + c * s) <= 30:
+                    want = closed.apply(s, x)
+                    assert abs(numeric.apply(s, x) - want) <= 1e-12 * want
+                    checked += 1
+        assert checked >= 30
+
+
+class TestModeValidation:
+    def test_forced_mode_must_describe_the_weight(self):
+        with pytest.raises(PreconditionError):
+            Flow(Weight.from_term(1, 2), mode="closed_form_b",
+                 require_complete=False)
+        with pytest.raises(PreconditionError):
+            Flow(Weight.from_term(1, 1), mode="closed_form_power")
+        with pytest.raises(PreconditionError):
+            Flow(Weight.from_term(2, 1, 1, domain=UNIT_INTERVAL),
+                 mode="closed_form_tanh")
+
+    def test_detected_or_numeric_mode_accepted(self):
+        w = Weight.from_term(1, 2)
+        for mode in ("closed_form_power", "numeric"):
+            assert Flow(w, mode=mode, require_complete=False).mode == mode
+
+
 class TestScalingLimit:
     def test_linear_weight_rate(self):
         fl = Flow(Weight.from_term(1, 1))
@@ -138,7 +198,7 @@ class TestScalingLimit:
         apply = fl.apply
         fl.apply = lambda s, x: calls.append(x) or apply(s, x)
         flow_scaling_limit(fl, Weight.from_term(1, 2), 1.0)
-        assert len(calls) == 5
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", [None, "numeric"])
     def test_slow_limit_for_t_3_2(self, mode):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from degcalc.errors import EndpointEvalError
 from degcalc.powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction,
-                              as_exponent, generalized_binomial)
+                              as_exponent, b_weight, from_u,
+                              generalized_binomial, interior_points, shift_u,
+                              to_u)
 
 F = Fraction
 
@@ -145,6 +147,51 @@ class TestExponentData:
 
     def test_generalized_binomial(self):
         assert generalized_binomial(F(1, 2), 2) == F(-1, 8)
+
+
+class TestFlowCoordinate:
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    def test_round_trip_and_endpoints(self, domain):
+        # to_u forms 1 - t by subtraction, so u stays moderate above 0
+        for u in (-20.0, -1.5, 0.0, 0.25, 5.0):
+            assert abs(to_u(domain, from_u(domain, u)) - u) <= 1e-12
+        assert from_u(domain, -math.inf) == 0.0
+        assert from_u(domain, math.inf) == (math.inf if domain == HALF_LINE
+                                            else 1.0)
+
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    def test_shift_is_translation_in_u(self, domain):
+        for x in (1e-3, 0.2, 0.5, 0.9):
+            for v in (-2.0, 0.7):
+                want = from_u(domain, to_u(domain, x) + v)
+                assert abs(shift_u(domain, x, v) - want) <= 1e-14 * want
+
+    def test_b_weight(self):
+        assert b_weight(HALF_LINE) == rf((1, 1, 0))
+        assert b_weight(UNIT_INTERVAL) == rf((1, 1, 1), domain=UNIT_INTERVAL)
+
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    def test_at_u_matches_pointwise(self, domain):
+        f = rf((2, F(1, 2), -1), (-1, 2, F(3, 2)), domain=domain)
+        for u in (-6.0, -0.3, 0.0, 1.2, 6.0):
+            want = f(from_u(domain, u))
+            assert abs(f.at_u(u) - want) <= 1e-13 * abs(want)
+
+    def test_at_u_keeps_the_far_factor(self):
+        # t rounds to 1 at u = 40, but 1 - t = 1/(1 + e^u) does not
+        f = rf((1, 1, 1), domain=UNIT_INTERVAL)
+        with pytest.raises(EndpointEvalError):
+            f(from_u(UNIT_INTERVAL, 40.0))
+        want = math.exp(-40.0) / (1.0 + math.exp(-40.0)) ** 2
+        assert abs(f.at_u(40.0) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    def test_interior_points_uniform_in_u(self, domain):
+        ts = interior_points(domain, 9, 14.0)
+        us = [to_u(domain, float(t)) for t in ts]
+        assert len(us) == 9
+        assert all(abs(u - (-14.0 + 3.5 * k)) <= 1e-9
+                   for k, u in enumerate(us))
 
 
 coeffs = st.fractions(min_value=-5, max_value=5).filter(lambda x: x != 0)

@@ -7,7 +7,7 @@ import pytest
 
 from degcalc.errors import InvalidWeightError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
-from degcalc.weights import (Weight, WeightedField, apply_X, membership_order,
+from degcalc.weights import (Weight, apply_X, membership_order,
                              structure_function, weights_equivalent)
 
 F = Fraction
@@ -34,9 +34,9 @@ class TestWeight:
 
 class TestApplyX:
     def test_single_application(self):
-        X = WeightedField(Weight.from_term(1, 2, -3))
+        w = Weight.from_term(1, 2, -3)
         f = RadialFunction.term(1, F(1, 2), 0)
-        assert X(f) == RadialFunction.term(F(1, 2), F(3, 2), -3)
+        assert apply_X(w, f) == RadialFunction.term(F(1, 2), F(3, 2), -3)
 
     def test_nilpotent_case(self):
         # X = t^{1/2} d/dt kills t^{1/2} after two applications
