@@ -50,18 +50,11 @@ EXIT_CONVERGENCE = 4
 
 
 def _rational(text, key):
-    text = text.strip()
     try:
-        return Fraction(text)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        v = float(text)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse number {text!r}")
-    if not math.isfinite(v):
-        raise ConfigError(f"key {key!r}: number must be finite, got {text!r}")
-    return v
+        raise ConfigError(
+            f"key {key!r}: expected a finite number, got {text.strip()!r}")
 
 
 def _integer(text, key, minimum=None):

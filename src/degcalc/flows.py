@@ -14,13 +14,12 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from fractions import Fraction
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InversionError, PreconditionError, PropertyViolationError
-from .powerfun import b_weight, from_u, shift_u, to_u
+from .powerfun import as_exponent, b_weight, from_u, shift_u, to_u
 from .weights import structure_function
 
 #: flow tolerance, closed-form mode
@@ -122,14 +121,18 @@ class Flow:
                 vals[i] = vals[i + 1] - seg
             self._table_u = us
             self._table_F = vals
-        # extend on demand, a step at a time on the target's side
+        # extend on demand, a step at a time on the target's side, until t
+        # leaves the float range: from_u is an endpoint at every u beyond
         us, Fs = self._table_u, self._table_F
         step = us[1] - us[0]
-        for _ in range(100_000):
+        while True:
             up = target > Fs[-1]
             if not (up or target < Fs[0]):
                 return
             lo, hi = (us[-1], us[-1] + step) if up else (us[0] - step, us[0])
+            node = hi if up else lo
+            if not 0.0 < from_u(self.weight.domain, node) < self._far:
+                return
             seg, _ = quad(self._integrand, lo, hi,
                           epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
             if up:
@@ -138,13 +141,15 @@ class Flow:
             else:
                 us.insert(0, lo)
                 Fs.insert(0, Fs[0] - seg)
-        raise InversionError(
-            f"bracketing table could not reach F value {target}")
 
     def _u_of_F(self, y):
-        """The u with F(u) = y, by brentq inside its table bracket."""
+        """The u with F(u) = y, by brentq inside its table bracket; -inf or
+        inf where y lies beyond the table, whose ends are the last u with t
+        inside the float range."""
         self._ensure_table(y)
         us, Fs = self._table_u, self._table_F
+        if not Fs[0] <= y <= Fs[-1]:
+            return math.copysign(math.inf, y - Fs[0])
         hi = min(bisect.bisect_right(Fs, y), len(Fs) - 1)
         return brentq(lambda u: self._F_u(u) - y, us[hi - 1], us[hi],
                       xtol=1e-14, rtol=8.9e-16)
@@ -170,12 +175,14 @@ class Flow:
             base = 1.0 - c * (a - 1.0) * y
             if base <= 0.0:
                 # the incomplete end has been reached in finite time
-                return math.inf if a > 1 else 0.0
-            return base ** (1.0 / (1.0 - a))
+                return self._far if a > 1 else 0.0
+            return min(base ** (1.0 / (1.0 - a)), self._far)
         return from_u(self.weight.domain, self._u_of_F(y))
 
     def apply(self, s, x):
-        """sigma_s(x); endpoints are fixed points by continuous extension."""
+        """sigma_s(x); endpoints are fixed points by continuous extension,
+        and a flow that reaches an endpoint (past the float range or past
+        its escape time) stays there."""
         if x == 0.0 or x == self._far:
             return x
         if not (0.0 < x < self._far):
@@ -188,8 +195,8 @@ class Flow:
             a, c = self._a, self._c
             bracket = 1.0 + c * (1.0 - a) * s * x ** (a - 1.0)
             if bracket <= 0.0:
-                return math.inf if a > 1 else 0.0
-            return x * bracket ** (1.0 / (1.0 - a))
+                return self._far if a > 1 else 0.0
+            return min(x * bracket ** (1.0 / (1.0 - a)), self._far)
         u = self._u_of_F(self.F(x) + s)
         return from_u(self.weight.domain, u)
 
@@ -249,5 +256,5 @@ def power_flow_exponents(a, nterms=6):
     x^(1 + m(a-1)).  These are all nonnegative integers exactly when a is a
     positive integer, which is the chart-smoothness dichotomy at 0.
     """
-    a = Fraction(a) if not isinstance(a, Fraction) else a
+    a = as_exponent(a)
     return [1 + m * (a - 1) for m in range(nterms)]

@@ -2,16 +2,18 @@
 
 Functions are finite sums  sum_m c_m t^{p_m} (1+t)^{q_m}  on [0, inf]
 (half-line basis) or  sum_m c_m t^{p_m} (1-t)^{q_m}  on [0, 1] (unit-interval
-basis).  The exponents may be arbitrary reals; rational exponents are kept as
-exact ``Fraction`` objects so that cancellation is exact.  The class is closed
-under addition, multiplication and d/dt, and endpoint limits are decided
-exactly from the exponents.  This module also owns the geometry of the two
-domains: the flow coordinate u of the b-weight and the interior sample points
-the sampled closure checks use.
+basis).  Every exponent is an exact ``Fraction``: rationals as written, floats
+at their exact binary value, so equal exponents merge and cancellation is
+exact.  The class is closed under addition, multiplication and d/dt, and
+endpoint limits are decided exactly from the exponents.  This module also
+owns the geometry of the two domains: the flow coordinate u of the b-weight
+and the interior sample points the sampled closure checks use.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -23,30 +25,26 @@ from .errors import DomainMismatchError, EndpointEvalError
 HALF_LINE = "half_line"       # basis t^p (1+t)^q on [0, inf]
 UNIT_INTERVAL = "unit_interval"  # basis t^p (1-t)^q on [0, 1]
 
-#: tolerance used to merge floating-point exponents into one key
-EXP_TOL = 1e-12
-
 #: relative threshold below which an aggregated float coefficient counts as zero
 COEFF_REL_TOL = 1e-12
 
 
 def as_exponent(x):
-    """Normalize an exponent: ints, Fractions and strings become exact
-    Fractions; finite floats are kept as floats (no guessing of intent).
+    """Normalize an exponent to an exact Fraction: ints, Fractions and
+    strings as written, a finite float at its exact binary value (no
+    guessing of intent, so 0.1 is 3602879701896397/36028797018963968).
 
     nan and +/-inf are rejected: endpoint limits walk the exponents in
     integer steps and would never terminate on them.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a valid exponent")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"exponent must be finite, got {x!r}")
-        return x
+        return Fraction(x)
     raise TypeError(f"unsupported exponent type: {type(x)!r}")
 
 
@@ -62,20 +60,13 @@ def as_coefficient(c):
     raise TypeError(f"unsupported coefficient type: {type(c)!r}")
 
 
-def exponents_equal(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return abs(a - b) <= EXP_TOL
-
-
 def _coeff_is_zero(c):
     return c == 0
 
 
 def generalized_binomial(q, k):
-    """binom(q, k) for real (possibly non-integer) q and integer k >= 0;
-    exact when q is a Fraction."""
-    num = Fraction(1) if isinstance(q, Fraction) else 1.0
+    """binom(q, k), exactly, for a rational q and an integer k >= 0."""
+    num = Fraction(1)
     for i in range(k):
         num = num * (q - i)
     return num / math.factorial(k)
@@ -241,31 +232,18 @@ class RadialFunction:
             return math.inf
         return min(self.terms, key=lambda k: k[0])[0]
 
-    def max_pq(self):
-        """Leading exponent at t = inf, half-line only (-inf for zero)."""
-        if self.domain != HALF_LINE:
-            raise DomainMismatchError("max_pq is a half-line notion")
-        if self.is_zero:
-            return -math.inf
-        return max(p + q for (p, q) in self.terms)
-
-    def min_q(self):
-        """Leading exponent at t = 1, unit interval only."""
-        if self.domain != UNIT_INTERVAL:
-            raise DomainMismatchError("min_q is a unit-interval notion")
-        if self.is_zero:
-            return math.inf
-        return min(q for (_, q) in self.terms)
-
     def far_exponent(self):
-        """Leading exponent at the far endpoint (inf or 1).
+        """Leading exponent at the far endpoint (inf or 1), +inf for the zero
+        function.
 
         For the half-line this is -max(p+q), i.e. positive exponents mean
         decay; for the unit interval it is min q, with the same reading.
         """
+        if self.is_zero:
+            return math.inf
         if self.domain == HALF_LINE:
-            return -self.max_pq()
-        return self.min_q()
+            return -max(p + q for (p, q) in self.terms)
+        return min(q for (_, q) in self.terms)
 
     # -- endpoint limits and continuity ----------------------------------
 
@@ -332,14 +310,13 @@ class RadialFunction:
     # -- serialization ----------------------------------------------------
 
     def to_text(self):
-        """One ``coeff * t^p * (1+t)^q`` triple per line; rational exponents
+        """One ``coeff * t^p * (1+t)^q`` triple per line; exponents
         round-trip exactly."""
         if self.is_zero:
             return "0"
         factor = "(1+t)" if self.domain == HALF_LINE else "(1-t)"
-        keys = sorted(self.terms, key=lambda k: (float(k[0]), float(k[1])))
         lines = []
-        for p, q in keys:
+        for p, q in sorted(self.terms):
             c = self.terms[(p, q)]
             lines.append(f"{_num_to_text(c)} * t^{_num_to_text(p)}"
                          f" * {factor}^{_num_to_text(q)}")
@@ -394,17 +371,29 @@ def to_u(domain, t):
 
 
 def from_u(domain, u):
-    """Inverse of to_u; u = -inf and inf give the endpoints."""
+    """Inverse of to_u; u = -inf, u = inf and any u whose t lies past the
+    float range give the endpoints."""
     if domain == HALF_LINE:
-        return math.exp(u)
-    return 1.0 / (1.0 + math.exp(-u))
+        return _exp(u)
+    return 1.0 / (1.0 + _exp(-u))
 
 
 def shift_u(domain, x, v):
     """from_u(to_u(x) + v): the flow of the b-weight for time v."""
-    if domain == HALF_LINE:
-        return math.exp(v) * x
-    return x / (x + (1.0 - x) * math.exp(-v))
+    try:
+        if domain == HALF_LINE:
+            return math.exp(v) * x
+        return x / (x + (1.0 - x) * math.exp(-v))
+    except OverflowError:  # e^|v| alone leaves the float range
+        return from_u(domain, to_u(domain, x) + v)
+
+
+def _exp(u):
+    """e^u, and inf where that leaves the float range."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
 
 
 def interior_points(domain, n, u_max):
@@ -422,23 +411,12 @@ def _accumulate(merged, p, q, c):
     if _coeff_is_zero(c):
         return
     key = (p, q)
-    if key in merged:
-        new = merged[key] + c
-        if _coeff_is_zero(new):
+    old = merged.get(key)
+    if old is not None:
+        c = old + c
+        if _coeff_is_zero(c):
             del merged[key]
-        else:
-            merged[key] = new
-        return
-    # tolerance merge for float exponents that are not hash-equal
-    if isinstance(p, float) or isinstance(q, float):
-        for (p0, q0) in merged:
-            if exponents_equal(p0, p) and exponents_equal(q0, q):
-                new = merged[(p0, q0)] + c
-                if _coeff_is_zero(new):
-                    del merged[(p0, q0)]
-                else:
-                    merged[(p0, q0)] = new
-                return
+            return
     merged[key] = c
 
 
@@ -451,42 +429,32 @@ def _wrap(merged, domain):
 
 def _series_limit_at_zero(f):
     """Limit of f at t -> 0+ via the generalized power series of the second
-    basis factor; exact for rational exponents."""
-    if f.is_zero:
-        return Fraction(0)
+    basis factor, exactly.
+
+    A term c t^p (1 +/- t)^q contributes c binom(q, k) (+/-1)^k at each
+    exponent e = p + k, k = 0, 1, ...  Only e <= 0 can decide the limit, so
+    the ladders p, p+1, ... <= 0 are merged lazily in increasing order and
+    the first exponent whose contributions do not cancel decides it.
+    """
     sign = 1 if f.domain == HALF_LINE else -1
-    # candidate effective exponents e = p + k <= 0, k integer >= 0
-    candidates = []
-    for (p, q) in f.terms:
-        k = 0
-        while p + k <= EXP_TOL:
-            candidates.append(p + k)
-            k += 1
-    if not candidates:
-        return Fraction(0)  # all exponents positive
-    # sort / dedupe with tolerance
-    candidates.sort(key=float)
-    unique = []
-    for e in candidates:
-        if not unique or not exponents_equal(unique[-1], e):
-            unique.append(e)
-    for e in unique:
+    ladders = (map(p.__add__, range(math.floor(-p) + 1)) for (p, _) in f.terms)
+    for e, _ in itertools.groupby(heapq.merge(*ladders)):
         total = Fraction(0)
         scale = 0.0
         for (p, q), c in f.terms.items():
-            kf = e - p
-            k = int(round(float(kf)))
-            if k < 0 or not exponents_equal(p + k, e):
+            k = e - p
+            if k < 0 or k.denominator != 1:
                 continue
+            k = k.numerator
             contrib = c * (generalized_binomial(q, k) * (sign ** k))
             total = total + contrib
             scale = max(scale, abs(complex(contrib)))
         if _coeff_is_zero(total):
             continue
-        if not isinstance(total, (Fraction,)) and scale > 0.0 \
+        if not isinstance(total, Fraction) and scale > 0.0 \
                 and abs(complex(total)) <= COEFF_REL_TOL * scale:
             continue  # float cancellation noise
-        if e < -EXP_TOL:
+        if e < 0:
             s = total.real if isinstance(total, complex) else total
             return math.inf if s > 0 else -math.inf
         return total

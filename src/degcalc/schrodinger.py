@@ -29,6 +29,9 @@ S_MIN_DEFAULT = -12.0
 S_MAX_DEFAULT = 12.0
 N_POINTS_DEFAULT = 4000
 
+#: the gamma' values at which verify_identity_r_power checks its identity
+IDENTITY_GAMMA_PRIMES = (Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)
+
 
 @dataclass(frozen=True)
 class SchrodingerProblem:
@@ -157,11 +160,10 @@ def rewrite(prob):
     return RewriteResult(op0, opi, label0, labeli, branch0, branchi)
 
 
-def verify_identity_r_power(gamma_prime_values=(Fraction(-1, 2), 0,
-                                                Fraction(1, 3), 1, 2)):
-    """Exact check of (r^{2+g} d_r)^2 = r^{2g}(r^2 d_r)^2 + g r^{2g+3} d_r."""
-    for gp in gamma_prime_values:
-        gp = as_exponent(gp)
+def verify_identity_r_power():
+    """Exact check of (r^{2+g} d_r)^2 = r^{2g}(r^2 d_r)^2 + g r^{2g+3} d_r
+    for g in IDENTITY_GAMMA_PRIMES."""
+    for gp in IDENTITY_GAMMA_PRIMES:
         phi = Weight.from_term(1, 2 + gp, 0, domain=UNIT_INTERVAL)
         lhs = DiffOp("lie", {(2, 0): 1}, phi).to_raw()
         # right side assembled directly in raw form

@@ -145,20 +145,18 @@ def _stable_forever(g, w):
         return (all(_is_nonneg_int(e) for e in w_exps)
                 and all(_is_nonneg_int(e) for e in g_exps))
 
-    if w.domain == HALF_LINE:
-        zero_ok = end_ok([p for (p, _) in g.terms],
-                         [p for (p, _) in w.profile.terms])
-        far_ok = w.a_prime >= -1 and g.max_pq() <= 0
-        return zero_ok and far_ok
     zero_ok = end_ok([p for (p, _) in g.terms],
                      [p for (p, _) in w.profile.terms])
-    far_ok = end_ok([q for (_, q) in g.terms],
-                    [q for (_, q) in w.profile.terms])
+    if w.domain == HALF_LINE:
+        far_ok = w.a_prime >= -1 and g.far_exponent() >= 0
+    else:
+        far_ok = end_ok([q for (_, q) in g.terms],
+                        [q for (_, q) in w.profile.terms])
     return zero_ok and far_ok
 
 
 def _is_nonneg_int(e):
-    return e >= 0 and float(e) == int(float(e))
+    return e >= 0 and e.denominator == 1
 
 
 @dataclass(frozen=True)
@@ -218,13 +216,11 @@ def structure_function(psi, phi):
         (p, q) = best
         return RadialFunction.term(prof.terms[(p, q)], p, q, domain=prof.domain)
 
-    dom0 = dominant(min(prof.terms, key=lambda k: (float(k[0]), float(k[1]))))
+    dom0 = dominant(min(prof.terms))
     if prof.domain == HALF_LINE:
-        domf = dominant(max(prof.terms,
-                            key=lambda k: (float(k[0] + k[1]), float(k[1]))))
+        domf = dominant(max(prof.terms, key=lambda k: (k[0] + k[1], k[1])))
     else:
-        domf = dominant(min(prof.terms,
-                            key=lambda k: (float(k[1]), float(k[0]))))
+        domf = dominant(min(prof.terms, key=lambda k: (k[1], k[0])))
     v0 = (phi.profile * log_derivative(dom0)).limit("zero")
     vf = (phi.profile * log_derivative(domf)).limit("far")
     return StructureFunction(ring=None, value_at_zero=v0, value_at_far=vf,
@@ -250,13 +246,7 @@ def weights_equivalent(psi, psi1, phi):
         return fwd and bwd
     # fallback: for weights with definite power behavior at both ends the
     # two-sided condition forces equal endpoint exponents
-    same_zero = _close(psi.a, psi1.a)
-    same_far = _close(psi.a_prime, psi1.a_prime)
-    return same_zero and same_far
-
-
-def _close(a, b):
-    return abs(float(a) - float(b)) <= 1e-12
+    return psi.a == psi1.a and psi.a_prime == psi1.a_prime
 
 
 def _check_positive(profile):

@@ -183,7 +183,7 @@ def test_06_schrodinger_rewrites():
     }, phi_inf)
     ok &= rwh.op_infinity == direct_inf
 
-    ok &= verify_identity_r_power((F(-1, 2), 0, F(1, 3), 1, 2))
+    ok &= verify_identity_r_power()
     report(6, "singular-potential rewrites and boundary coincidences", ok)
 
 

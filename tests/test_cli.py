@@ -146,6 +146,18 @@ class TestMain:
         assert lines[0] == "s,x,sigma_s_x"
         assert len(lines) == 3
 
+    def test_flow_past_the_float_range(self, tmp_path):
+        # sigma_1000(x) = e^1000 x for the default weight t
+        cfg = write_config(tmp_path, """
+            [run]
+            command = flow
+            [flow]
+            s = 1000
+        """)
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / "flow.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["inf"] * 5
+
     def test_parametrix(self, tmp_path):
         cfg = write_config(tmp_path, """
             [run]

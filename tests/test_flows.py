@@ -121,6 +121,43 @@ class TestNumericMode:
             assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
+class TestEndpointReached:
+    """A flow past the float range or past its escape time stays at the
+    endpoint it runs into."""
+
+    def test_b_weight_past_the_float_range(self):
+        assert Flow(Weight.from_term(1, 1)).apply(1000.0, 1.0) == math.inf
+        fl = Flow(Weight.from_term(1, 1, 1, domain=UNIT_INTERVAL))
+        assert fl.apply(-1000.0, 0.5) == 0.0
+        assert fl.apply(1000.0, 0.5) == 1.0
+
+    def test_numeric_past_the_escape_time(self):
+        # phi = t^2: F(x) = 1 - 1/x stays below 1, so sigma_2(1) escapes
+        w = Weight.from_term(1, 2)
+        numeric = Flow(w, mode="numeric", require_complete=False)
+        closed = Flow(w, require_complete=False)
+        assert numeric.apply(2.0, 1.0) == closed.apply(2.0, 1.0) == math.inf
+        assert numeric.F_inverse(2.0) == math.inf
+
+    def test_numeric_past_the_float_range(self):
+        # F grows like u = ln t at the far end, so sigma_1000(1) ~ e^1000
+        fl = Flow(Weight(RadialFunction.term(1, 2, -1)))
+        assert fl.mode == "numeric"
+        assert fl.apply(1000.0, 1.0) == math.inf
+
+    def test_power_weight_stops_at_one(self):
+        # t^2 does not vanish at 1: sigma_s(x) = x/(1 - sx) reaches 1 at
+        # s = 1/x - 1
+        fl = Flow(Weight.from_term(1, 2, 0, domain=UNIT_INTERVAL),
+                  require_complete=False)
+        assert fl.mode == "closed_form_power"
+        assert abs(fl.apply(0.1, 0.9) - 0.9 / 0.91) < 1e-15
+        assert fl.apply(1.0, 0.9) == 1.0
+        assert fl.apply(2.0, 0.9) == 1.0
+        assert fl.F_inverse(0.5) == 1.0
+        assert fl.F_inverse(2.0) == 1.0
+
+
 UNIT_WEIGHTS = [
     RadialFunction.term(1, 2, 1, domain=UNIT_INTERVAL),
     RadialFunction.term(1, 1, 1, domain=UNIT_INTERVAL)

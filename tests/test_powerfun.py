@@ -1,6 +1,7 @@
 """Ring of finite power-law sums: arithmetic, limits, serialization."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,11 @@ class TestLimits:
         with pytest.raises(EndpointEvalError):
             rf((1, 1, 0))(0.0)
 
+    def test_deep_pole_decided_by_its_first_exponent(self):
+        start = time.perf_counter()
+        assert RadialFunction.term(1, -2 * 10**6).limit("zero") == math.inf
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_exponent_rejected(self, bad):
         # limit("zero") steps through p, p+1, ... up to 0, which never ends
@@ -148,6 +154,18 @@ class TestExponentData:
     def test_generalized_binomial(self):
         assert generalized_binomial(F(1, 2), 2) == F(-1, 8)
 
+    def test_float_exponents_are_exact(self):
+        assert as_exponent(0.5) == F(1, 2)
+        assert as_exponent(0.1) == F(3602879701896397, 36028797018963968)
+        assert (rf((1, math.e, 0)).to_text()
+                == "1 * t^6121026514868073/2251799813685248 * (1+t)^0")
+
+    def test_many_float_exponents_construct_quickly(self):
+        start = time.perf_counter()
+        f = RadialFunction({(k / 7, 0.5): 1 for k in range(3000)})
+        assert time.perf_counter() - start < 1.0
+        assert len(f.terms) == 3000
+
 
 class TestFlowCoordinate:
     @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
@@ -185,6 +203,15 @@ class TestFlowCoordinate:
         want = math.exp(-40.0) / (1.0 + math.exp(-40.0)) ** 2
         assert abs(f.at_u(40.0) - want) <= 1e-15 * want
 
+    def test_past_the_exp_range(self):
+        # e^710 overflows, 1e-300 e^710 does not; e^1000 does
+        want = 1e-300 * math.exp(355.0) * math.exp(355.0)
+        assert abs(shift_u(HALF_LINE, 1e-300, 710.0) - want) <= 1e-12 * want
+        assert shift_u(HALF_LINE, 1.0, 1000.0) == math.inf
+        assert shift_u(UNIT_INTERVAL, 0.5, -1000.0) == 0.0
+        assert from_u(HALF_LINE, 1000.0) == math.inf
+        assert from_u(UNIT_INTERVAL, -1000.0) == 0.0
+
     @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
     def test_interior_points_uniform_in_u(self, domain):
         ts = interior_points(domain, 9, 14.0)
@@ -195,7 +222,10 @@ class TestFlowCoordinate:
 
 
 coeffs = st.fractions(min_value=-5, max_value=5).filter(lambda x: x != 0)
-exps = st.fractions(min_value=-3, max_value=3)
+rational_exps = st.fractions(min_value=-3, max_value=3)
+# a float exponent is its exact binary value, distinct from a rational it
+# rounds, e.g. 1/3 and float(1/3)
+exps = st.one_of(rational_exps, rational_exps.map(float))
 term_st = st.tuples(coeffs, exps, exps)
 
 
@@ -211,6 +241,9 @@ class TestProperties:
     def test_commutativity(self, f, g):
         assert f + g == g + f
         assert f * g == g * f
+        for h in (f + g, f * g, f.derivative()):
+            assert all(isinstance(p, Fraction) and isinstance(q, Fraction)
+                       for p, q in h.terms)
 
     @given(ring_functions(), ring_functions(), ring_functions())
     @settings(max_examples=40, deadline=None)
