@@ -19,7 +19,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InversionError, PreconditionError, PropertyViolationError
-from .powerfun import as_exponent, b_weight, from_u, shift_u, to_u
+from .powerfun import (HALF_LINE, as_exponent, b_weight, from_u, shift_u,
+                       to_u)
 from .weights import structure_function
 
 #: flow tolerance, closed-form mode
@@ -93,6 +94,27 @@ class Flow:
         if q == 0 and p != 1:
             return "closed_form_power"
         return "numeric"
+
+    def _power_flow(self, s, x):
+        """sigma_s(x) = x (1 + k x^{a-1})^{1/(1-a)}, k = c(1-a)s, for c*t^a;
+        a bracket <= 0 means the incomplete end was reached in finite time."""
+        a, k = self._a, self._c * (1.0 - self._a) * s
+        try:
+            bracket = 1.0 + k * x ** (a - 1.0)
+            if bracket <= 0.0:
+                return self._far if a > 1 else 0.0
+            if bracket < math.inf:
+                return min(x * bracket ** (1.0 / (1.0 - a)), self._far)
+        except OverflowError:
+            pass
+        # a power left the float range: sigma^{1-a} = x^{1-a} + k in logs
+        ln_p = (1.0 - a) * math.log(x)
+        ln_k = math.log(abs(k)) if k else -math.inf
+        if k < 0.0 and ln_k >= ln_p:
+            return self._far if a > 1 else 0.0
+        ln_base = (ln_p + math.log1p(-math.exp(ln_k - ln_p)) if k < 0.0 else
+                   max(ln_p, ln_k) + math.log1p(math.exp(-abs(ln_p - ln_k))))
+        return min(from_u(HALF_LINE, ln_base / (1.0 - a)), self._far)
 
     # -- numeric mode: F and its inverse in u -----------------------------
 
@@ -171,12 +193,7 @@ class Flow:
         if self.mode == "closed_form_b":
             return from_u(self.weight.domain, self._rate * y)
         if self.mode == "closed_form_power":
-            a, c = self._a, self._c
-            base = 1.0 - c * (a - 1.0) * y
-            if base <= 0.0:
-                # the incomplete end has been reached in finite time
-                return self._far if a > 1 else 0.0
-            return min(base ** (1.0 / (1.0 - a)), self._far)
+            return self._power_flow(y, 1.0)  # F(1) = 0
         return from_u(self.weight.domain, self._u_of_F(y))
 
     def apply(self, s, x):
@@ -192,11 +209,7 @@ class Flow:
         if self.mode == "closed_form_b":
             return shift_u(self.weight.domain, x, self._rate * s)
         if self.mode == "closed_form_power":
-            a, c = self._a, self._c
-            bracket = 1.0 + c * (1.0 - a) * s * x ** (a - 1.0)
-            if bracket <= 0.0:
-                return self._far if a > 1 else 0.0
-            return min(x * bracket ** (1.0 / (1.0 - a)), self._far)
+            return self._power_flow(s, x)
         u = self._u_of_F(self.F(x) + s)
         return from_u(self.weight.domain, u)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -430,42 +430,50 @@ class ResolventProbeReport:
 def resolvent_probe(prob, z, mode="plain", base_points=300):
     """Norms of A^i (A - z)^{-1} A^j at two grid resolutions.
 
-    ``mode='plain'`` probes the discretized operator itself;
+    ``mode='plain'`` probes the discretized operator A itself;
     ``mode='weighted'`` probes phi*A with phi the membership weight.  The
-    reported ratio between resolutions is a boundedness proxy.
+    reported ratio between resolutions is a boundedness proxy.  The factors
+    commute, so a norm depends on k = i + j alone: (0, 1) equals (1, 0).
+    A is symmetric tridiagonal, hence normal, and its norms are
+    max |lam^k / (lam - z)| over its eigenvalues lam.  phi*A is not normal,
+    but with W = diag(phi) it is similar to the symmetric tridiagonal
+    W^{1/2} A W^{1/2} = Q diag(lam) Q^T: with L = W^{1/2} Q its norms are
+    those of M_k = L diag(lam^k / (lam - z)) L^{-1}, each the root of the
+    top eigenvalue of M_k^H M_k.
     """
     if mode not in ("plain", "weighted"):
         raise PreconditionError(f"unknown probe mode {mode!r}")
     phi, _ = membership_weights(prob)
+    z_arith = np.real_if_close(z)  # real z keeps the arithmetic real
 
-    def build(npts):
-        grid = GeometricGrid(-8.0, 8.0, npts)
+    def norms_at(grid):
         diag, off = _assemble_tridiagonal(prob, grid)
         d, e = diag[1:-1], off[1:-1]
-        A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        if mode == "weighted":
-            rho = grid.rho_nodes()[1:-1]
-            w = np.array([float(phi(float(r))) for r in rho])
-            A = w[:, None] * A
-        return A
-
-    def norms_at(npts):
-        A = build(npts)
-        evs = np.linalg.eigvals(A)
-        dist = float(np.min(np.abs(evs - z)))
+        if mode == "plain":
+            lam = eigh_tridiagonal(d, e, eigvals_only=True)
+        else:
+            w = np.array([float(phi(float(r)))
+                          for r in grid.rho_nodes()[1:-1]])
+            sqrt_w = np.sqrt(w)
+            lam, Q = eigh_tridiagonal(w * d, sqrt_w[:-1] * e * sqrt_w[1:])
+            L, L_inv = sqrt_w[:, None] * Q, Q.T / sqrt_w
+        dist = float(np.min(np.abs(lam - z_arith)))
         if dist < 0.1:
             raise PreconditionError(
                 f"z = {z} is within 0.1 of the computed spectrum")
-        T = np.linalg.inv(A - z * np.eye(len(A)))
-        table = {}
-        for i in range(2):
-            for j in range(2):
-                M = np.linalg.matrix_power(A, i) @ T @ np.linalg.matrix_power(A, j)
-                table[(i, j)] = float(np.linalg.norm(M, 2))
-        return table, dist
+        fs = [lam ** k / (lam - z_arith) for k in range(3)]
+        if mode == "plain":
+            by_k = [float(np.max(np.abs(f))) for f in fs]
+        else:
+            top = [len(lam) - 1] * 2
+            by_k = [float(np.sqrt(eigvalsh(M.conj().T @ M,
+                                           subset_by_index=top)[0]))
+                    for M in ((L * f) @ L_inv for f in fs)]
+        return {(i, j): by_k[i + j] for i in range(2) for j in range(2)}, dist
 
-    t1, dist1 = norms_at(base_points)
-    t2, _ = norms_at(base_points * 2)
+    coarse = GeometricGrid(-8.0, 8.0, base_points)
+    t1, dist1 = norms_at(coarse)
+    t2, _ = norms_at(coarse.refined())
     norms = {key: (t1[key], t2[key], t2[key] / t1[key]) for key in t1}
     return ResolventProbeReport(z=z, norms=norms, spectrum_distance=dist1)
 

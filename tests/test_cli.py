@@ -1,6 +1,7 @@
 """Batch runner: config validation, commands, exit codes, CSV determinism."""
 
 import configparser
+import re
 import textwrap
 from fractions import Fraction
 
@@ -24,6 +25,24 @@ def parse(text):
     parser.read_string(textwrap.dedent(text))
     return RunConfig(parser)
 
+
+OSCILLATOR_RESOLVENT = """
+    [run]
+    command = resolvent
+    [problem]
+    gamma = -1
+    gamma_prime = 1
+    potential = 1,2,0
+    [resolvent]
+    z_real = {z_real}
+    mode = {mode}
+"""
+
+#: resolvent.txt: z, the distance to the spectrum, then one line per (i, j)
+NUMBER = r"[-+0-9.e]+"
+RESOLVENT_LINES = [r"z = \(-1\+0j\)", rf"spectrum distance = {NUMBER}"] + [
+    rf"i={i} j={j}: coarse {NUMBER}  fine {NUMBER}  ratio {NUMBER}"
+    for i in range(2) for j in range(2)]
 
 HYDROGEN_SPECTRUM = """
     [run]
@@ -172,6 +191,29 @@ class TestMain:
         """)
         assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "parametrix.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["plain", "weighted"])
+    def test_resolvent(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, OSCILLATOR_RESOLVENT.format(
+            z_real=-1, mode=mode))
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        text = (tmp_path / "resolvent.txt").read_text()
+        assert capsys.readouterr().out == text
+        lines = text.splitlines()
+        assert len(lines) == len(RESOLVENT_LINES)
+        for line, pattern in zip(lines, RESOLVENT_LINES):
+            assert re.fullmatch(pattern, line), line
+        # the factors commute, so (0, 1) and (1, 0) print the same norms
+        assert lines[3].split(":")[1] == lines[4].split(":")[1]
+
+    def test_resolvent_near_spectrum_exit_code(self, tmp_path, capsys):
+        # the oscillator's lowest eigenvalue is 3
+        cfg = write_config(tmp_path, OSCILLATOR_RESOLVENT.format(
+            z_real=3, mode="plain"))
+        code = main(["--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_PRECONDITION
+        assert "within 0.1 of the computed spectrum" in capsys.readouterr().err
+        assert not (tmp_path / "resolvent.txt").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\ncommand = classify\n"

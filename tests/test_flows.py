@@ -145,6 +145,33 @@ class TestEndpointReached:
         assert fl.mode == "numeric"
         assert fl.apply(1000.0, 1.0) == math.inf
 
+    def test_power_weight_past_the_float_range(self):
+        # phi = t^{1/2}: sigma_s(x) = (x^{1/2} + s/2)^2 overflows for s = 1e300
+        fl = Flow(Weight.from_term(1, F(1, 2)), require_complete=False)
+        assert fl.mode == "closed_form_power"
+        assert fl.apply(1e300, 1.0) == math.inf
+        assert fl.F_inverse(1e300) == math.inf
+        assert fl.apply(-1e300, 1.0) == 0.0
+        # phi = t^{99/100}: sigma_s(x) = (x^{1/100} + s/100)^100 is finite
+        # though the bracket (1 + s x^{-1/100}/100)^100 overflows
+        fl = Flow(Weight.from_term(1, F(99, 100)), require_complete=False)
+        assert fl.apply(200.0, 1e-300) == pytest.approx((1e-3 + 2.0) ** 100,
+                                                        rel=1e-12)
+        # phi = t^{101/100}: (x^{-1/100} - s/100)^{-100} = 0.5^{-100}; the
+        # difference cancels three digits, so the rounding of a shows
+        fl = Flow(Weight.from_term(1, F(101, 100)), require_complete=False)
+        assert fl.apply(99950.0, 1e-300) == pytest.approx(0.5 ** -100,
+                                                          rel=1e-6)
+
+    def test_power_weight_back_from_past_the_float_range(self):
+        # phi = t^3: sigma_s(x) = (x^{-2} - 2s)^{-1/2}.  For s < 0 the image
+        # is finite though x^2, or 1 - 2s x^2, leaves the float range
+        fl = Flow(Weight.from_term(1, 3), require_complete=False)
+        assert fl.apply(-1.0, 1e200) == pytest.approx(2 ** -0.5, rel=1e-12)
+        assert fl.apply(-1e10, 1e150) == pytest.approx(2e10 ** -0.5,
+                                                       rel=1e-12)
+        assert fl.apply(1.0, 1e200) == math.inf
+
     def test_power_weight_stops_at_one(self):
         # t^2 does not vanish at 1: sigma_s(x) = x/(1 - sx) reaches 1 at
         # s = 1/x - 1

@@ -9,7 +9,8 @@ from degcalc.diffop import CylinderFunction, DiffOp
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem,
-                                 assemble_and_solve, membership_in_diff_s,
+                                 _assemble_tridiagonal, assemble_and_solve,
+                                 membership_in_diff_s,
                                  membership_weights, parametrix_residual,
                                  reduced_potential, resolvent_probe, rewrite,
                                  verify_identity_r_power, write_parametrix_csv,
@@ -244,7 +245,48 @@ class TestParametrixResidual:
         assert byNK[(2, 4.0)] / byNK[(2, 8.0)] >= 2.0
 
 
+def dense_resolvent_norms(prob, z, mode, npts):
+    """Oracle: the four norms of A^i (A - z)^{-1} A^j and the distance from z
+    to the spectrum, by a dense inverse, 2-norms (SVD) and a non-symmetric
+    eigensolve of the assembled matrix."""
+    grid = GeometricGrid(-8.0, 8.0, npts)
+    diag, off = _assemble_tridiagonal(prob, grid)
+    d, e = diag[1:-1], off[1:-1]
+    A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    if mode == "weighted":
+        phi, _ = membership_weights(prob)
+        A = np.array([float(phi(float(r)))
+                      for r in grid.rho_nodes()[1:-1]])[:, None] * A
+    dist = float(np.min(np.abs(np.linalg.eigvals(A) - z)))
+    T = np.linalg.inv(A - z * np.eye(len(A)))
+    norms = {(i, j): float(np.linalg.norm(np.linalg.matrix_power(A, i) @ T
+                                          @ np.linalg.matrix_power(A, j), 2))
+             for i in range(2) for j in range(2)}
+    return norms, dist
+
+
 class TestResolventProbe:
+    @pytest.mark.parametrize("mode", ["plain", "weighted"])
+    @pytest.mark.parametrize("z", [complex(-2.0), complex(-1.0, 1.0)],
+                             ids=["real_z", "complex_z"])
+    @pytest.mark.parametrize("prob", [SchrodingerProblem.hydrogen(),
+                                      SchrodingerProblem.oscillator()],
+                             ids=["hydrogen", "oscillator"])
+    def test_matches_dense_oracle(self, prob, z, mode):
+        rep = resolvent_probe(prob, z, mode=mode, base_points=60)
+        coarse, dist = dense_resolvent_norms(prob, z, mode, 60)
+        fine, _ = dense_resolvent_norms(prob, z, mode, 120)
+        assert rep.spectrum_distance == pytest.approx(dist, rel=1e-10)
+        for key, (c, f, ratio) in rep.norms.items():
+            assert c == pytest.approx(coarse[key], rel=1e-10)
+            assert f == pytest.approx(fine[key], rel=1e-10)
+            assert ratio == f / c
+        # the factors commute: (0, 1) and (1, 0) are one number
+        assert rep.norms[(0, 1)] == rep.norms[(1, 0)]
+        if mode == "plain":  # A is normal: ||(A - z)^{-1}|| = 1/dist
+            assert rep.norms[(0, 0)][0] == pytest.approx(
+                1.0 / rep.spectrum_distance, rel=1e-12)
+
     def test_plain_bound(self):
         rep = resolvent_probe(SchrodingerProblem.oscillator(), -1.0,
                               base_points=120)
