@@ -18,7 +18,7 @@ import math
 from math import comb
 
 from .errors import DomainMismatchError, PreconditionError
-from .powerfun import HALF_LINE, RadialFunction, interior_points
+from .powerfun import HALF_LINE, RadialFunction, from_u
 from .weights import Weight, membership_order
 
 import numpy as np
@@ -147,8 +147,8 @@ class CylinderFunction:
                                 domain=self.domain)
 
     def __call__(self, t, theta):
-        return sum(complex(0) + f(t) * complex(math.cos(m * theta),
-                                               math.sin(m * theta))
+        """The value at (t, theta): floats, or numpy arrays that broadcast."""
+        return sum(f(t) * np.exp(1j * m * theta)
                    for m, f in self.modes.items())
 
     def __eq__(self, other):
@@ -590,25 +590,20 @@ def is_elliptic(A):
     sym = principal_symbol(A)
     if not sym:
         return False
-    ts = interior_points(A.domain, CLOSURE_SAMPLES, 14.0)
+    # the t x theta x alpha grid, alpha on the last axis
+    t = from_u(A.domain, np.linspace(-14.0, 14.0, CLOSURE_SAMPLES))
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     alphas = np.linspace(0.0, 2.0 * math.pi, CLOSURE_SAMPLES, endpoint=False)
+    i_xi, i_eta = 1j * np.cos(alphas), 1j * np.sin(alphas)
 
     def sym_min(coeff_at):
-        m = math.inf
-        for al in alphas:
-            xi, eta = math.cos(al), math.sin(al)
-            v = sum(c * (1j * xi) ** i * (1j * eta) ** j
-                    for (i, j), c in coeff_at.items())
-            m = min(m, abs(v))
-        return m
+        return np.min(np.abs(sum(c * i_xi ** i * i_eta ** j
+                                 for (i, j), c in coeff_at.items())))
 
-    for t in ts:
-        for th in thetas:
-            at = {key: complex(c(float(t), float(th)))
-                  for key, c in sym.items()}
-            if sym_min(at) <= 1e-9:
-                return False
+    at = {key: c(t[:, None, None], thetas[:, None])
+          for key, c in sym.items()}
+    if sym_min(at) <= 1e-9:
+        return False
     # endpoint limits of the radial parts
     for end in ("zero", "far"):
         at = {}
@@ -673,9 +668,9 @@ def _poly_dxi(a):
 
 
 def _poly_eval(poly, t, xi):
-    val = complex(0)
+    val = 0j
     for c in reversed(poly):
-        val = val * xi + complex(c(t))
+        val = val * xi + c(t)
     return val
 
 
@@ -770,6 +765,7 @@ class PoweredSymbol:
         return PoweredSymbol(num, self.base, self.power + 1, self.domain)
 
     def evaluate(self, t, xi):
+        """The value at (t, xi): floats, or numpy arrays that broadcast."""
         return (_poly_eval(self.num, t, xi)
                 / _poly_eval(self.base, t, xi) ** self.power)
 
@@ -821,7 +817,7 @@ def parametrix_1d(A, N):
     if lead is None or not _nonvanishing_on_closure(lead):
         raise PreconditionError("operator is not elliptic on its radial sector")
     dom = A.domain
-    if not _no_real_roots(sigma.num, dom):
+    if not _no_real_roots(sigma.num):
         raise PreconditionError(
             "full symbol vanishes for real xi; shift the operator off its "
             "spectrum before building a parametrix")
@@ -842,30 +838,32 @@ def parametrix_1d(A, N):
     return ParametrixExpansion(terms, E, m - 1 - N, sigma)
 
 
-def _no_real_roots(poly, domain):
+def _no_real_roots(poly):
     """True iff the polynomial in xi has no real root at any sampled radius.
 
-    At each of 32 radii the ring coefficients are evaluated and the roots
-    of the resulting polynomial are tested for proximity to the real axis.
+    At 32 radii, uniform in u over [-11, 11], the ring coefficients are
+    evaluated and the roots of the resulting polynomials, the eigenvalues of
+    their companion matrices, are tested for proximity to the real axis.  A
+    polynomial whose constant or leading coefficient vanishes at a radius
+    fails there: it has the root 0, or it loses its degree.
     """
-    for t in interior_points(domain, 32, 11.0):
-        coeffs = [complex(c(float(t))) for c in reversed(poly)]
-        while coeffs and abs(coeffs[0]) == 0:
-            coeffs = coeffs[1:]
-        if not coeffs:
-            return False
-        if len(coeffs) == 1:
-            continue
-        for root in np.roots(coeffs):
-            if abs(root.imag) <= 1e-9 * max(1.0, abs(root.real)):
-                return False
-    return True
+    u = np.linspace(-11.0, 11.0, 32)
+    p = np.array([c.at_u(u) for c in reversed(poly)], dtype=complex).T
+    if not (p[:, 0].all() and p[:, -1].all()):
+        return False
+    n = p.shape[1] - 1
+    companion = np.zeros((len(p), n, n), dtype=complex)
+    companion[:, :1] = -p[:, None, 1:] / p[:, None, :1]
+    companion[:, range(1, n), range(n - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    near_real = abs(roots.imag) <= 1e-9 * np.maximum(1.0, abs(roots.real))
+    return not near_real.any()
 
 
 def _nonvanishing_on_closure(f):
-    for t in interior_points(f.domain, CLOSURE_SAMPLES, 14.0):
-        if abs(complex(f(float(t)))) <= 1e-9:
-            return False
+    if np.any(np.abs(f.at_u(np.linspace(-14.0, 14.0, CLOSURE_SAMPLES)))
+              <= 1e-9):
+        return False
     for end in ("zero", "far"):
         v = f.limit(end)
         if not math.isfinite(abs(v)) or abs(v) <= 1e-9:

@@ -9,6 +9,10 @@ class DomainMismatchError(DegcalcError):
     """Operands live on different base domains (half-line vs unit interval)."""
 
 
+class ExponentError(DegcalcError, ValueError):
+    """An exponent is nan or +/-inf, on which endpoint limits never end."""
+
+
 class EndpointEvalError(DegcalcError):
     """Pointwise evaluation requested at a domain endpoint; use the limit instead."""
 

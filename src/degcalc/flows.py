@@ -186,7 +186,10 @@ class Flow:
             return to_u(self.weight.domain, x) / self._rate
         if self.mode == "closed_form_power":
             a, c = self._a, self._c
-            return (1.0 - x ** (1.0 - a)) / (c * (a - 1.0))
+            try:
+                return (1.0 - x ** (1.0 - a)) / (c * (a - 1.0))
+            except OverflowError:  # x^{1-a}, and with it F(x), is infinite
+                return math.copysign(math.inf, c * (1.0 - a))
         return self._F_u(to_u(self.weight.domain, x))
 
     def F_inverse(self, y):

@@ -6,8 +6,8 @@ basis).  Every exponent is an exact ``Fraction``: rationals as written, floats
 at their exact binary value, so equal exponents merge and cancellation is
 exact.  The class is closed under addition, multiplication and d/dt, and
 endpoint limits are decided exactly from the exponents.  This module also
-owns the geometry of the two domains: the flow coordinate u of the b-weight
-and the interior sample points the sampled closure checks use.
+owns the geometry of the two domains: the flow coordinate u of the b-weight,
+in which every numeric reading of a function is evaluated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainMismatchError, EndpointEvalError
+from .errors import DomainMismatchError, EndpointEvalError, ExponentError
 
 HALF_LINE = "half_line"       # basis t^p (1+t)^q on [0, inf]
 UNIT_INTERVAL = "unit_interval"  # basis t^p (1-t)^q on [0, 1]
@@ -34,8 +34,8 @@ def as_exponent(x):
     strings as written, a finite float at its exact binary value (no
     guessing of intent, so 0.1 is 3602879701896397/36028797018963968).
 
-    nan and +/-inf are rejected: endpoint limits walk the exponents in
-    integer steps and would never terminate on them.
+    nan and +/-inf raise ExponentError: endpoint limits walk the exponents
+    in integer steps and would never terminate on them.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a valid exponent")
@@ -43,7 +43,7 @@ def as_exponent(x):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise ValueError(f"exponent must be finite, got {x!r}")
+            raise ExponentError(f"exponent must be finite, got {x!r}")
         return Fraction(x)
     raise TypeError(f"unsupported exponent type: {type(x)!r}")
 
@@ -79,7 +79,7 @@ class RadialFunction:
     are immutable by convention; every operation returns a fresh object.
     """
 
-    __slots__ = ("domain", "terms")
+    __slots__ = ("domain", "terms", "_floats")
 
     def __init__(self, terms=None, domain=HALF_LINE):
         if domain not in (HALF_LINE, UNIT_INTERVAL):
@@ -270,29 +270,37 @@ class RadialFunction:
         return True
 
     def __call__(self, t):
-        """Exact floating evaluation at a strictly interior point."""
-        t = float(t)
-        if not (t > 0.0) or math.isinf(t):
+        """Floating evaluation, not exact, at strictly interior points: t is a
+        float or a numpy array, and the result has its shape."""
+        far = math.inf if self.domain == HALF_LINE else 1.0
+        interior = (t > 0.0) & (t < far)
+        if not (interior.all() if isinstance(t, np.ndarray) else interior):
             raise EndpointEvalError(f"t={t} is not interior; use limit()")
-        if self.domain == UNIT_INTERVAL and not (t < 1.0):
-            raise EndpointEvalError(f"t={t} is not interior; use limit()")
-        sign = 1.0 if self.domain == HALF_LINE else -1.0
-        return self._sum(t, 1.0 + sign * t)
+        return self.at_u(to_u(self.domain, t))
 
     def at_u(self, u):
-        """The value at t = from_u(domain, u), with the factor 1 -/+ t also
-        taken from u: on the unit interval 1 - t = 1/(1 + e^u), which keeps
-        its digits where t rounds to 1."""
+        """The value at t = from_u(domain, u) for a float or a numpy array u:
+        the sum of c exp(p ln t + q ln(1 -/+ t)), both logarithms taken from
+        u.  So 1 - t keeps its digits where t rounds to 1, and a term is inf
+        only where it leaves the float range itself.  Floats stay in
+        ``math``: numpy on a single float is several times slower."""
+        xp = np if isinstance(u, np.ndarray) else math
+        pos = (u + abs(u)) / 2  # max(u, 0), and max(-u, 0) = pos - u
+        tail = xp.log1p(xp.exp(-abs(u)))  # ln(1 + e^u) = max(u, 0) + tail
         if self.domain == HALF_LINE:
-            t = math.exp(u)
-            return self._sum(t, 1.0 + t)
-        return self._sum(1.0 / (1.0 + math.exp(-u)), 1.0 / (1.0 + math.exp(u)))
-
-    def _sum(self, t, base):
-        total = 0.0
-        for (p, q), c in self.terms.items():
-            val = t ** float(p) * base ** float(q)
-            total = total + (complex(c) if isinstance(c, complex) else float(c)) * val
+            ln_t, ln_base = u, pos + tail
+        else:  # ln t = -ln(1 + e^-u), ln(1 - t) = -ln(1 + e^u)
+            ln_t, ln_base = u - pos - tail, -pos - tail
+        try:
+            floats = self._floats
+        except AttributeError:  # the float exponents, converted once
+            floats = tuple((float(p), float(q),
+                            c if isinstance(c, complex) else float(c))
+                           for (p, q), c in self.terms.items())
+            object.__setattr__(self, "_floats", floats)
+        total = np.zeros(u.shape) if xp is np else 0.0
+        for p, q, c in floats:
+            total = total + c * _exp(p * ln_t + q * ln_base)
         return total
 
     # -- comparison and display ------------------------------------------
@@ -364,15 +372,16 @@ def b_weight(domain):
 
 
 def to_u(domain, t):
-    """u = ln t on the half-line, logit t on the unit interval."""
+    """u = ln t on the half-line, logit t on [0, 1]; t a float or an array."""
+    log = np.log if isinstance(t, np.ndarray) else math.log
     if domain == HALF_LINE:
-        return math.log(t)
-    return math.log(t / (1.0 - t))
+        return log(t)
+    return log(t / (1.0 - t))
 
 
 def from_u(domain, u):
-    """Inverse of to_u; u = -inf, u = inf and any u whose t lies past the
-    float range give the endpoints."""
+    """Inverse of to_u for a float or a numpy array u; u = -inf, u = inf and
+    any u whose t lies past the float range give the endpoints."""
     if domain == HALF_LINE:
         return _exp(u)
     return 1.0 / (1.0 + _exp(-u))
@@ -389,20 +398,14 @@ def shift_u(domain, x, v):
 
 
 def _exp(u):
-    """e^u, and inf where that leaves the float range."""
+    """e^u for a float or an array u; inf where that leaves the float range."""
+    if isinstance(u, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.exp(u)
     try:
         return math.exp(u)
     except OverflowError:
         return math.inf
-
-
-def interior_points(domain, n, u_max):
-    """n interior points, uniform in u over [-u_max, u_max]: from_u on a
-    numpy array, since the positivity check samples 10,000 of them."""
-    u = np.linspace(-u_max, u_max, n)
-    if domain == HALF_LINE:
-        return np.exp(u)
-    return 1.0 / (1.0 + np.exp(-u))
 
 
 # -- internals ------------------------------------------------------------

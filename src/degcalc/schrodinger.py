@@ -21,7 +21,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .diffop import DiffOp, parametrix_1d
 from .errors import ConvergenceError, PreconditionError
-from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction, as_exponent
+from .powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction, as_exponent,
+                       from_u)
 from .weights import Weight, membership_order
 
 #: default truncation of the flow coordinate s = ln(rho)
@@ -292,8 +293,8 @@ def reduced_potential(prob, rho):
     half-density substitution w = rho^{(n-1)/2} u."""
     n, l = prob.n, prob.l
     cent = l * (l + n - 2) + (n - 1) * (n - 3) / 4.0
-    V = np.array([float(prob.V(float(r))) for r in np.atleast_1d(rho)])
-    return V + cent / np.atleast_1d(rho) ** 2
+    rho = np.atleast_1d(rho)
+    return prob.V(rho) + cent / rho ** 2
 
 
 def _assemble_tridiagonal(prob, grid):
@@ -396,23 +397,15 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
     rw = rewrite(prob)
     A = rw.op_infinity
     # sample the chart: r in the far-field region (t large), via s uniform
-    u = np.linspace(-6.0, -1.0, n_grid)
-    rs = 1.0 / (1.0 + np.exp(-u))  # r in (0, 1/2) roughly: far field
+    rs = from_u(UNIT_INTERVAL, np.linspace(-6.0, -1.0, n_grid))
     rows = []
     for N in orders:
         px = parametrix_1d(A, N)
         for K in cutoffs:
+            # a (xi, r) grid, r contiguous: each row is one xi's L2 mean
             xis = np.linspace(K / 2.0, K, 9)
-            worst = 0.0
-            for xi in xis:
-                if N == 0:
-                    vals = np.ones(len(rs))
-                else:
-                    vals = np.array([abs(px.remainder.evaluate(float(r),
-                                                               float(xi)))
-                                     for r in rs])
-                ratio = math.sqrt(float(np.mean(vals ** 2)))
-                worst = max(worst, ratio)
+            vals = np.abs(px.remainder.evaluate(rs, xis[:, None]))
+            worst = float(np.max(np.sqrt(np.mean(vals ** 2, axis=1))))
             rows.append((N, float(K), worst))
     return ParametrixResidualReport(tuple(rows))
 
@@ -452,8 +445,7 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
         if mode == "plain":
             lam = eigh_tridiagonal(d, e, eigvals_only=True)
         else:
-            w = np.array([float(phi(float(r)))
-                          for r in grid.rho_nodes()[1:-1]])
+            w = phi(grid.rho_nodes()[1:-1])
             sqrt_w = np.sqrt(w)
             lam, Q = eigh_tridiagonal(w * d, sqrt_w[:-1] * e * sqrt_w[1:])
             L, L_inv = sqrt_w[:, None] * Q, Q.T / sqrt_w

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidWeightError
-from .powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction,
-                       interior_points)
+from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 
 #: iteration cap for the undecidable branch of the infinite-order membership test
 MEMBERSHIP_CAP = 64
@@ -255,10 +254,9 @@ def _check_positive(profile):
         raise InvalidWeightError("weights must be real")
     if all(c > 0 for c in coeffs):
         return
-    # dense sampling over the interior plus endpoint dominance
-    ts = interior_points(profile.domain, POSITIVITY_SAMPLES, 18.0)
-    vals = np.array([profile(float(t)) for t in ts])
-    if np.any(vals <= 0):
+    # dense sampling over the interior, uniform in u, plus endpoint dominance
+    u = np.linspace(-18.0, 18.0, POSITIVITY_SAMPLES)
+    if np.any(profile.at_u(u) <= 0):
         raise InvalidWeightError("weight profile is not positive on the interior")
     for end in ("zero", "far"):
         v = profile.limit(end)

@@ -131,9 +131,12 @@ class TestEndpointReached:
         assert fl.apply(-1000.0, 0.5) == 0.0
         assert fl.apply(1000.0, 0.5) == 1.0
 
-    def test_numeric_past_the_escape_time(self):
-        # phi = t^2: F(x) = 1 - 1/x stays below 1, so sigma_2(1) escapes
-        w = Weight.from_term(1, 2)
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_numeric_past_the_escape_time(self, a):
+        # phi = t^a: F(x) = (1 - x^{1-a})/(a-1) stays below 1/(a-1), so
+        # sigma_2(1) escapes; for t^3 the table runs to u ~ 355, where t^3
+        # alone leaves the float range
+        w = Weight.from_term(1, a)
         numeric = Flow(w, mode="numeric", require_complete=False)
         closed = Flow(w, require_complete=False)
         assert numeric.apply(2.0, 1.0) == closed.apply(2.0, 1.0) == math.inf
@@ -171,6 +174,15 @@ class TestEndpointReached:
         assert fl.apply(-1e10, 1e150) == pytest.approx(2e10 ** -0.5,
                                                        rel=1e-12)
         assert fl.apply(1.0, 1e200) == math.inf
+
+    def test_power_weight_F_past_the_float_range(self):
+        # phi = t^3: F(x) = (1 - x^{-2})/2; phi = t^{-1}: F(x) = (x^2 - 1)/2
+        fl = Flow(Weight.from_term(1, 3), require_complete=False)
+        assert fl.F(1e-200) == -math.inf
+        assert fl.F(1e-100) == -5e199
+        fl = Flow(Weight.from_term(1, -1), require_complete=False)
+        assert fl.F(1e200) == math.inf
+        assert fl.F(2e75) == pytest.approx(2e150, rel=1e-15)
 
     def test_power_weight_stops_at_one(self):
         # t^2 does not vanish at 1: sigma_s(x) = x/(1 - sx) reaches 1 at

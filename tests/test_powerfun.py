@@ -4,15 +4,16 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degcalc.errors import EndpointEvalError
+from degcalc.errors import DegcalcError, EndpointEvalError
 from degcalc.powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction,
                               as_exponent, b_weight, from_u,
-                              generalized_binomial, interior_points, shift_u,
-                              to_u)
+                              generalized_binomial, shift_u, to_u)
 
 F = Fraction
 
@@ -122,6 +123,8 @@ class TestLimits:
             RadialFunction.term(1, bad)
         with pytest.raises(ValueError):
             RadialFunction.term(1, 0, bad)
+        with pytest.raises(DegcalcError):
+            as_exponent(bad)
 
 
 class TestCoordinateMaps:
@@ -171,8 +174,14 @@ class TestFlowCoordinate:
     @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
     def test_round_trip_and_endpoints(self, domain):
         # to_u forms 1 - t by subtraction, so u stays moderate above 0
-        for u in (-20.0, -1.5, 0.0, 0.25, 5.0):
+        us = (-20.0, -1.5, 0.0, 0.25, 5.0)
+        for u in us:
             assert abs(to_u(domain, from_u(domain, u)) - u) <= 1e-12
+        # an array maps elementwise, as its floats do
+        ts = from_u(domain, np.array(us))
+        assert all(abs(t - from_u(domain, u)) <= 1e-15 * t
+                   for t, u in zip(ts, us))
+        assert np.all(np.abs(to_u(domain, ts) - us) <= 1e-12)
         assert from_u(domain, -math.inf) == 0.0
         assert from_u(domain, math.inf) == (math.inf if domain == HALF_LINE
                                             else 1.0)
@@ -203,6 +212,24 @@ class TestFlowCoordinate:
         want = math.exp(-40.0) / (1.0 + math.exp(-40.0)) ** 2
         assert abs(f.at_u(40.0) - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    def test_at_u_matches_mpmath(self, domain):
+        terms = ((F(2, 3), F(1, 3), F(-5, 7)), (-3, F(-2, 9), F(7, 5)),
+                 (F(1, 7), F(9, 11), F(1, 3)))
+        f = rf(*terms, domain=domain)
+        sign = 1 if domain == HALF_LINE else -1
+        with mpmath.workdps(50):
+            for u in (-40.0, -5.0, 0.0, 5.0, 40.0):
+                t = (mpmath.exp(u) if domain == HALF_LINE
+                     else 1 / (1 + mpmath.exp(-u)))
+                vals = [mpmath.mpf(c.numerator) / c.denominator
+                        * t ** (mpmath.mpf(p.numerator) / p.denominator)
+                        * (1 + sign * t) ** (mpmath.mpf(q.numerator)
+                                             / q.denominator)
+                        for c, p, q in terms]
+                want, scale = sum(vals), sum(abs(v) for v in vals)
+                assert abs(f.at_u(u) - want) <= 1e-14 * scale
+
     def test_past_the_exp_range(self):
         # e^710 overflows, 1e-300 e^710 does not; e^1000 does
         want = 1e-300 * math.exp(355.0) * math.exp(355.0)
@@ -211,15 +238,8 @@ class TestFlowCoordinate:
         assert shift_u(UNIT_INTERVAL, 0.5, -1000.0) == 0.0
         assert from_u(HALF_LINE, 1000.0) == math.inf
         assert from_u(UNIT_INTERVAL, -1000.0) == 0.0
-
-    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
-    def test_interior_points_uniform_in_u(self, domain):
-        ts = interior_points(domain, 9, 14.0)
-        us = [to_u(domain, float(t)) for t in ts]
-        assert len(us) == 9
-        assert all(abs(u - (-14.0 + 3.5 * k)) <= 1e-9
-                   for k, u in enumerate(us))
-
+        # t^400 and (1+t)^-400 leave the float range, their product does not
+        assert RadialFunction.term(1, 400, -400)(1e200) == pytest.approx(1.0)
 
 coeffs = st.fractions(min_value=-5, max_value=5).filter(lambda x: x != 0)
 rational_exps = st.fractions(min_value=-3, max_value=3)
@@ -263,3 +283,11 @@ class TestProperties:
         direct = sum(complex(c) * t ** float(p) * (1 + t) ** float(q)
                      for (p, q), c in f.terms.items())
         assert abs(complex(f(t)) - direct) <= 1e-10 * (1 + abs(direct))
+        # an array gives the values of its floats, on both domains and with
+        # a complex coefficient, up to the rounding of the term sizes
+        ts = np.array([1e-3, 0.37, 0.5, 0.9])
+        for g in (f, (1 + 2j) * f, RadialFunction(f.terms, UNIT_INTERVAL)):
+            sizes = RadialFunction({k: abs(c) for k, c in g.terms.items()},
+                                   g.domain)
+            for t, got, scale in zip(ts, g(ts), sizes(ts)):
+                assert abs(got - g(float(t))) <= 1e-14 * scale
