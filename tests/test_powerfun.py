@@ -241,6 +241,7 @@ class TestFlowCoordinate:
         # t^400 and (1+t)^-400 leave the float range, their product does not
         assert RadialFunction.term(1, 400, -400)(1e200) == pytest.approx(1.0)
 
+
 coeffs = st.fractions(min_value=-5, max_value=5).filter(lambda x: x != 0)
 rational_exps = st.fractions(min_value=-3, max_value=3)
 # a float exponent is its exact binary value, distinct from a rational it
