@@ -174,17 +174,26 @@ class TestFlowCoordinate:
     @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
     def test_round_trip_and_endpoints(self, domain):
         # to_u forms 1 - t by subtraction, so u stays moderate above 0
-        us = (-20.0, -1.5, 0.0, 0.25, 5.0)
-        for u in us:
+        for u in (-20.0, -1.5, 0.0, 0.25, 5.0):
             assert abs(to_u(domain, from_u(domain, u)) - u) <= 1e-12
-        # an array maps elementwise, as its floats do
-        ts = from_u(domain, np.array(us))
-        assert all(abs(t - from_u(domain, u)) <= 1e-15 * t
-                   for t, u in zip(ts, us))
-        assert np.all(np.abs(to_u(domain, ts) - us) <= 1e-12)
         assert from_u(domain, -math.inf) == 0.0
         assert from_u(domain, math.inf) == (math.inf if domain == HALF_LINE
                                             else 1.0)
+
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    def test_interior_points_uniform_in_u(self, domain):
+        # from_u on a u-grid gives interior sample points, elementwise as
+        # on its floats, and to_u maps them back to the grid
+        us = np.linspace(-14.0, 14.0, 9)
+        ts = from_u(domain, us)
+        assert ts.shape == (9,)
+        assert all(0.0 < t < (math.inf if domain == HALF_LINE else 1.0)
+                   for t in ts)
+        assert all(abs(t - from_u(domain, float(u))) <= 1e-15 * t
+                   for t, u in zip(ts, us))
+        back = to_u(domain, ts)
+        assert all(abs(u - (-14.0 + 3.5 * k)) <= 1e-9
+                   for k, u in enumerate(back))
 
     @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
     def test_shift_is_translation_in_u(self, domain):
