@@ -336,10 +336,9 @@ def assemble_and_solve(prob, grid=None, k=2, method="shift-invert"):
     if k >= npts:
         raise PreconditionError("k too large for the grid")
     if method == "dense":
-        vals, vecs = eigh_tridiagonal(d, e, select="i",
-                                      select_range=(0, k - 1),
-                                      lapack_driver="stemr")
-        lam = vals
+        lam, vecs = eigh_tridiagonal(d, e, select="i",
+                                     select_range=(0, k - 1),
+                                     lapack_driver="stemr")
         res = _residuals(d, e, lam, vecs)
         return SpectralResult(tuple(float(v) for v in lam),
                               tuple(float(r) for r in res), grid, "dense")
@@ -367,14 +366,12 @@ def assemble_and_solve(prob, grid=None, k=2, method="shift-invert"):
 
 
 def _residuals(d, e, lam, vecs):
-    out = []
-    for j, lv in enumerate(lam):
-        v = vecs[:, j]
-        av = d * v
-        av[:-1] += e * v[1:]
-        av[1:] += e * v[:-1]
-        out.append(np.linalg.norm(av - lv * v) / np.linalg.norm(v))
-    return out
+    """||A v - lam v|| / ||v|| for each column v of vecs."""
+    av = d[:, None] * vecs
+    av[:-1] += e[:, None] * vecs[1:]
+    av[1:] += e[:, None] * vecs[:-1]
+    return (np.linalg.norm(av - lam * vecs, axis=0)
+            / np.linalg.norm(vecs, axis=0))
 
 
 # -- parametrix residual ----------------------------------------------------
@@ -420,28 +417,6 @@ class ResolventProbeReport:
     spectrum_distance: float
 
 
-def _spectral_norm(M):
-    """Largest singular value of a dense matrix M: the root of the top
-    eigenvalue of the Hermitian H = M^H M.
-
-    Off-diagonal entries with |H_ij| <= eps sqrt(H_ii H_jj) are set to zero
-    first; that moves the top eigenvalue by at most n*eps relative.  On
-    oscillator problems much of H is such entries, decaying to the underflow
-    range away from the diagonal, and LAPACK's reduction of H multiplied
-    them into subnormal numbers: it ran 3 times slower than on a hydrogen
-    problem of the same size.  Without them, and reducing H from its last
-    column (the upper triangle, the large-rho end where most of them sit),
-    both cost the same.
-    """
-    H = M.conj().T @ M
-    s = np.abs(np.diag(H)) ** -0.5     # H_ii > 0: M is invertible
-    np.copyto(H, 0.0, where=np.abs(H) * s * s[:, None]
-              <= np.finfo(H.dtype).eps)
-    top = [len(H) - 1] * 2
-    return float(np.sqrt(eigvalsh(H, lower=False, overwrite_a=True,
-                                  subset_by_index=top)[0]))
-
-
 def resolvent_probe(prob, z, mode="plain", base_points=300):
     """Norms of A^i (A - z)^{-1} A^j at two grid resolutions.
 
@@ -479,7 +454,13 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
         if mode == "plain":
             by_k = [float(np.max(np.abs(f))) for f in fs]
         else:
-            by_k = [_spectral_norm((L * f) @ L_inv) for f in fs]
+            # M^H M is reduced from its large-rho end (the upper triangle):
+            # on oscillator problems it decays into underflow there, and
+            # from the other end LAPACK runs 2-3x slower on subnormals
+            top = [len(lam) - 1] * 2
+            by_k = [float(np.sqrt(eigvalsh(M.conj().T @ M, lower=False,
+                                           subset_by_index=top)[0]))
+                    for M in ((L * f) @ L_inv for f in fs)]
         return {(i, j): by_k[i + j] for i in range(2) for j in range(2)}, dist
 
     coarse = GeometricGrid(-8.0, 8.0, base_points)
