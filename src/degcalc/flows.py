@@ -5,8 +5,10 @@ F(x) = integral_gamma^x dt/phi(t) and sigma_s = F^{-1}(F + s).  Everything is
 done in the flow coordinate u of the b-weight b (``powerfun.to_u``), where
 F(u) = integral_0^u du'/g with g = phi/b.  A constant g = c (c*t on the
 half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
-have a closed form; everything else goes through adaptive quadrature in u plus
-monotone bracketing for the inversion.
+have a closed form.  For everything else F is a table of adaptive quadratures
+over segments 0.2 wide in u, grown outward from u = 0 only as far as a call
+needs; F between nodes adds one quadrature over the rest of the way, and the
+inversion runs brentq inside one segment.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ TAU_FLOW_NUMERIC = 1e-8
 #: quadrature relative tolerance for F
 QUAD_RTOL = 1e-12
 
-#: initial span of the bracketing table in the flow coordinate u
-TABLE_SPAN = 40.0
-TABLE_POINTS = 401
+#: width in u of one segment of the table of F
+TABLE_STEP = 0.2
 
 
 def completeness_check(phi):
@@ -81,9 +82,11 @@ class Flow:
             self._a = float(p)
             self._c = float(c)
         self._far = from_u(weight.domain, math.inf)
-        # monotone bracketing table of F over u
-        self._table_u = []
-        self._table_F = []
+        # the table of F, grown from (0, 0): nodes u, and F(u) as the
+        # rounded value plus the rounding error, so long sums stay exact
+        self._table_u = [0.0]
+        self._table_F = [0.0]
+        self._table_err = [0.0]
 
     def _detect_mode(self):
         if not self._g.is_single_term:
@@ -119,60 +122,52 @@ class Flow:
     # -- numeric mode: F and its inverse in u -----------------------------
 
     def _integrand(self, u):
-        return 1.0 / self._g.at_u(u)
+        g = self._g.at_u(u)
+        return 1.0 / g if g else math.inf  # g underflows: 1/g is past floats
+
+    def _grow(self, up):
+        """Add one segment to the upper or lower end of the table of F;
+        False where t at the new node leaves the float range."""
+        us, Fs, errs = self._table_u, self._table_F, self._table_err
+        end = -1 if up else 0
+        node = us[end] + (TABLE_STEP if up else -TABLE_STEP)
+        if not 0.0 < from_u(self.weight.domain, node) < self._far:
+            return False
+        seg, _ = quad(self._integrand, us[end], node, epsabs=0.0,
+                      epsrel=QUAD_RTOL, limit=200)
+        F = math.fsum((Fs[end], errs[end], seg))
+        err = (math.fsum((Fs[end], errs[end], seg, -F))
+               if math.isfinite(F) else 0.0)
+        for table, value in ((us, node), (Fs, F), (errs, err)):
+            table.insert(len(table) if up else 0, value)
+        return True
 
     def _F_u(self, u):
-        val, _ = quad(self._integrand, 0.0, u, epsabs=0.0, epsrel=QUAD_RTOL,
-                      limit=200)
-        return val
-
-    def _ensure_table(self, target):
-        if not self._table_u:
-            us = [(-TABLE_SPAN + 2 * TABLE_SPAN * i / (TABLE_POINTS - 1))
-                  for i in range(TABLE_POINTS)]
-            vals = [0.0] * len(us)
-            # cumulative quadrature from the base point outward
-            k0 = us.index(min(us, key=abs))
-            for i in range(k0 + 1, len(us)):
-                seg, _ = quad(self._integrand, us[i - 1], us[i],
-                              epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
-                vals[i] = vals[i - 1] + seg
-            for i in range(k0 - 1, -1, -1):
-                seg, _ = quad(self._integrand, us[i], us[i + 1],
-                              epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
-                vals[i] = vals[i + 1] - seg
-            self._table_u = us
-            self._table_F = vals
-        # extend on demand, a step at a time on the target's side, until t
-        # leaves the float range: from_u is an endpoint at every u beyond
+        """F at u: the table value at the last node between 0 and u, grown
+        to it if need be, plus one quad over the rest of the way."""
         us, Fs = self._table_u, self._table_F
-        step = us[1] - us[0]
-        while True:
-            up = target > Fs[-1]
-            if not (up or target < Fs[0]):
-                return
-            lo, hi = (us[-1], us[-1] + step) if up else (us[0] - step, us[0])
-            node = hi if up else lo
-            if not 0.0 < from_u(self.weight.domain, node) < self._far:
-                return
-            seg, _ = quad(self._integrand, lo, hi,
-                          epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
-            if up:
-                us.append(hi)
-                Fs.append(Fs[-1] + seg)
-            else:
-                us.insert(0, lo)
-                Fs.insert(0, Fs[0] - seg)
+        up = u > 0.0
+        while ((us[-1] + TABLE_STEP <= u if up else us[0] - TABLE_STEP >= u)
+               and self._grow(up)):
+            pass
+        i = bisect.bisect_right(us, u) - 1 if up else bisect.bisect_left(us, u)
+        rest, _ = quad(self._integrand, us[i], u, epsabs=0.0,
+                       epsrel=QUAD_RTOL, limit=200)
+        return math.fsum((Fs[i], self._table_err[i], rest))
 
     def _u_of_F(self, y):
-        """The u with F(u) = y, by brentq inside its table bracket; -inf or
+        """The u with F(u) = y, by brentq inside its table segment; -inf or
         inf where y lies beyond the table, whose ends are the last u with t
         inside the float range."""
-        self._ensure_table(y)
         us, Fs = self._table_u, self._table_F
+        up = y > 0.0
+        while (y > Fs[-1] if up else y < Fs[0]) and self._grow(up):
+            pass
         if not Fs[0] <= y <= Fs[-1]:
-            return math.copysign(math.inf, y - Fs[0])
+            return math.copysign(math.inf, y)
         hi = min(bisect.bisect_right(Fs, y), len(Fs) - 1)
+        if not math.isfinite(Fs[hi - 1] - Fs[hi]):
+            raise InversionError(f"F = {y} lies where 1/g overflows")
         return brentq(lambda u: self._F_u(u) - y, us[hi - 1], us[hi],
                       xtol=1e-14, rtol=8.9e-16)
 
@@ -213,11 +208,10 @@ class Flow:
             return shift_u(self.weight.domain, x, self._rate * s)
         if self.mode == "closed_form_power":
             return self._power_flow(s, x)
-        u = self._u_of_F(self.F(x) + s)
-        return from_u(self.weight.domain, u)
-
-    def __call__(self, s, x):
-        return self.apply(s, x)
+        y = self.F(x)
+        if not math.isfinite(y):
+            raise InversionError(f"F({x}) = {y} lies past the float range")
+        return from_u(self.weight.domain, self._u_of_F(y + s))
 
     def __repr__(self):
         w = self.weight.profile.to_text()

@@ -5,11 +5,13 @@ import os
 import types
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
 from degcalc import flows
-from degcalc.errors import PreconditionError, PropertyViolationError
+from degcalc.errors import (InversionError, PreconditionError,
+                            PropertyViolationError)
 from degcalc.flows import (Flow, completeness_check, flow_scaling_limit,
                            power_flow_exponents, write_flow_csv)
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, to_u
@@ -119,6 +121,75 @@ class TestNumericMode:
         for s in (-1.0, 1.5):
             ys = [fl.apply(s, x) for x in xs]
             assert all(a < b for a, b in zip(ys, ys[1:]))
+
+
+class TestTableOfF:
+    """Numeric F is a table of quadrature segments grown from u = 0 only as
+    far as a call needs."""
+
+    #: phi = t + t^2/(1+t) = t(1+2t)/(1+t), F(x) = ln x - ln((1+2x)/3)/2
+    PHI = RadialFunction.term(1, 1) + RadialFunction.term(1, 2, -1)
+
+    def test_first_apply_grows_only_what_it_needs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flows, "quad",
+                            lambda *a, **k: calls.append(a) or quad(*a, **k))
+        fl = Flow(Weight(self.PHI))
+        assert fl.mode == "numeric"
+        fl.apply(0.7, 0.5)
+        assert len(calls) <= 30
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-6, 0.3, 5.0, 1e6, 1e12])
+    def test_F_matches_closed_form(self, x):
+        # up to 140 segments of 0.2 in u = ln x
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(x)
+            exact = mpmath.log(xm) - mpmath.log((1 + 2 * xm) / 3) / 2
+            assert Flow(Weight(self.PHI)).F(x) == pytest.approx(
+                float(exact), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("x", [1e30, 1e300])
+    def test_F_keeps_its_digits_over_many_segments(self, x):
+        # phi = 2t + t^{3/2}(1+t)^{-1/2}: a segment adds nearly the same 1/15
+        # each time, whose rounding would add up over the 350 and 3,450
+        # segments.  With w = (t/(1+t))^{1/2}, F is the sum of ln w,
+        # -ln(1-w)/3 = (ln(1+t) + ln(1+w))/3, -ln(1+w) and ln(2+w)/3.
+        phi = (RadialFunction.term(2, 1)
+               + RadialFunction.term(1, F(3, 2), F(-1, 2)))
+
+        def antiderivative(t):
+            w = mpmath.sqrt(t / (1 + t))
+            return (mpmath.log(w) + (mpmath.log(1 + t) + mpmath.log(1 + w)) / 3
+                    - mpmath.log(1 + w) + mpmath.log(2 + w) / 3)
+
+        with mpmath.workdps(40):
+            exact = antiderivative(mpmath.mpf(x)) - antiderivative(1)
+            assert Flow(Weight(phi)).F(x) == pytest.approx(
+                float(exact), rel=1e-15, abs=0)
+
+    def test_g_underflowing_far_from_the_call(self):
+        # g = (t/(1+t))^19 underflows to 0 at u = -40, which this call never
+        # reaches; the value agrees with F(u) = u + sum C(19,k)(1-e^{-ku})/k
+        fl = Flow(Weight(RadialFunction.term(1, 20, -19)))
+        assert fl.apply(0.5, 1.0) == pytest.approx(1.0000009536790913,
+                                                   rel=1e-14, abs=0)
+
+    def test_g_underflowing_near_zero(self):
+        # F(1e-15) ~ -e^{656}/19 is finite and sigma_1 barely moves the
+        # point; F(1e-17) and F(1e-20) lie past the float range
+        w = Weight(RadialFunction.term(1, 20, -19))
+        assert Flow(w).apply(1.0, 1e-15) == pytest.approx(1e-15, rel=1e-13,
+                                                          abs=0)
+        for x in (1e-17, 1e-20):
+            with pytest.raises(InversionError):
+                Flow(w).apply(1.0, x)
+
+    def test_inverse_where_the_integrand_overflows(self):
+        # F = -1.7e308 is reached near u = -37.5, where 1/g ~ 19|F| is
+        # past the float range
+        fl = Flow(Weight(RadialFunction.term(1, 20, -19)))
+        with pytest.raises(InversionError):
+            fl.apply(-1.7e308, 1.0)
 
 
 class TestEndpointReached:
