@@ -83,7 +83,7 @@ class Flow:
             self._c = float(c)
         self._far = from_u(weight.domain, math.inf)
         # the table of F, grown from (0, 0): nodes u, and F(u) as the
-        # rounded value plus the rounding error, so long sums stay exact
+        # rounded value plus its rounding error, so long sums keep digits
         self._table_u = [0.0]
         self._table_F = [0.0]
         self._table_err = [0.0]
@@ -167,7 +167,8 @@ class Flow:
             return math.copysign(math.inf, y)
         hi = min(bisect.bisect_right(Fs, y), len(Fs) - 1)
         if not math.isfinite(Fs[hi - 1] - Fs[hi]):
-            raise InversionError(f"F = {y} lies where 1/g overflows")
+            raise InversionError(
+                f"F = {y} lies in a segment where 1/g overflows")
         return brentq(lambda u: self._F_u(u) - y, us[hi - 1], us[hi],
                       xtol=1e-14, rtol=8.9e-16)
 
