@@ -5,10 +5,11 @@ F(x) = integral_gamma^x dt/phi(t) and sigma_s = F^{-1}(F + s).  Everything is
 done in the flow coordinate u of the b-weight b (``powerfun.to_u``), where
 F(u) = integral_0^u du'/g with g = phi/b.  A constant g = c (c*t on the
 half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
-have a closed form.  For everything else F is a table of adaptive quadratures
-over segments 0.2 wide in u, grown outward from u = 0 only as far as a call
-needs; F between nodes adds one quadrature over the rest of the way, and the
-inversion runs brentq inside one segment.
+have a closed form.  For everything else F is a table over segments 0.2 wide
+in u, grown outward from u = 0 only as far as a call needs.  Each segment keeps
+the Chebyshev coefficients of the mean of 1/g from its inner node (16 samples,
+or quad where they do not resolve 1/g), so F is one Clenshaw sum, and brentq
+inverts it inside one segment.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import bisect
 import csv
 import math
 
+import numpy as np
+from numpy.polynomial.chebyshev import chebdiv, chebint
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -35,6 +38,15 @@ QUAD_RTOL = 1e-12
 
 #: width in u of one segment of the table of F
 TABLE_STEP = 0.2
+
+#: a segment samples 1/g at a + (node - a) * _AT, the Chebyshev points cos
+#: theta_j moved to [0, 1]; _CHEB maps the values to Chebyshev coefficients
+#: (angles k theta_j reduced exactly), _MEAN to those of the mean over [-1, x]
+_AT = (1.0 + np.cos(np.pi * (np.arange(16) + 0.5) / 16)) / 2
+_CHEB = np.outer(np.arange(16), 2 * np.arange(16) + 1) % 64
+_CHEB = np.cos(np.pi / 32 * np.minimum(_CHEB, 64 - _CHEB)) / 8
+_CHEB[0] /= 2
+_MEAN = np.array([chebdiv(P, [1, 1])[0] for P in chebint(_CHEB, lbnd=-1).T]).T
 
 
 def completeness_check(phi):
@@ -82,11 +94,13 @@ class Flow:
             self._a = float(p)
             self._c = float(c)
         self._far = from_u(weight.domain, math.inf)
-        # the table of F, grown from (0, 0): nodes u, and F(u) as the
-        # rounded value plus its rounding error, so long sums keep digits
+        # the table of F, grown from (0, 0): nodes u, F(u) as the rounded
+        # value plus its rounding error, so long sums keep digits, and the
+        # mean of 1/g over the segment inward of each node (None: quad)
         self._table_u = [0.0]
         self._table_F = [0.0]
         self._table_err = [0.0]
+        self._table_mean = [None]
 
     def _detect_mode(self):
         if not self._g.is_single_term:
@@ -130,29 +144,47 @@ class Flow:
         False where t at the new node leaves the float range."""
         us, Fs, errs = self._table_u, self._table_F, self._table_err
         end = -1 if up else 0
-        node = us[end] + (TABLE_STEP if up else -TABLE_STEP)
+        a = us[end]
+        node = a + (TABLE_STEP if up else -TABLE_STEP)
         if not 0.0 < from_u(self.weight.domain, node) < self._far:
             return False
-        seg, _ = quad(self._integrand, us[end], node, epsabs=0.0,
-                      epsrel=QUAD_RTOL, limit=200)
+        with np.errstate(all="ignore"):
+            inv_g = 1.0 / self._g.at_u(a + (node - a) * _AT)
+            coef, mean = abs(_CHEB @ inv_g), _MEAN @ inv_g
+        if np.isfinite(mean).all() and coef[-2:].max() <= 1e-15 * coef.max():
+            mean = mean.tolist()
+            seg = (node - a) * math.fsum(mean)  # the mean at x = 1
+        else:  # not resolved at 16 points: adaptive quadrature
+            mean = None
+            seg, _ = quad(self._integrand, a, node, epsabs=0.0,
+                          epsrel=QUAD_RTOL, limit=200)
         F = math.fsum((Fs[end], errs[end], seg))
         err = (math.fsum((Fs[end], errs[end], seg, -F))
                if math.isfinite(F) else 0.0)
-        for table, value in ((us, node), (Fs, F), (errs, err)):
+        for table, value in ((us, node), (Fs, F), (errs, err),
+                             (self._table_mean, mean)):
             table.insert(len(table) if up else 0, value)
         return True
 
     def _F_u(self, u):
-        """F at u: the table value at the last node between 0 and u, grown
-        to it if need be, plus one quad over the rest of the way."""
+        """F at u: the table value at the inner node a of u's segment, grown
+        to it if need be, plus (u - a) times the mean of 1/g over [a, u]."""
         us, Fs = self._table_u, self._table_F
         up = u > 0.0
-        while ((us[-1] + TABLE_STEP <= u if up else us[0] - TABLE_STEP >= u)
-               and self._grow(up)):
+        while (us[-1] < u if up else us[0] > u) and self._grow(up):
             pass
         i = bisect.bisect_right(us, u) - 1 if up else bisect.bisect_left(us, u)
-        rest, _ = quad(self._integrand, us[i], u, epsabs=0.0,
-                       epsrel=QUAD_RTOL, limit=200)
+        a, outer = us[i], i + 1 if up else i - 1  # the segment's ends
+        mean = self._table_mean[outer] if 0 <= outer < len(us) else None
+        rest = 0.0
+        if mean is not None:  # Clenshaw at x = 2(u - a)/(node - a) - 1
+            x, b1, b2 = 2.0 * (u - a) / (us[outer] - a) - 1.0, 0.0, 0.0
+            for c in mean[:0:-1]:
+                b1, b2 = c + 2.0 * x * b1 - b2, b1
+            rest = (u - a) * (mean[0] + x * b1 - b2)
+        elif u != a:  # unresolved, or past the float-range node
+            rest, _ = quad(self._integrand, a, u, epsabs=0.0,
+                           epsrel=QUAD_RTOL, limit=200)
         return math.fsum((Fs[i], self._table_err[i], rest))
 
     def _u_of_F(self, y):

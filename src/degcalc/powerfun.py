@@ -298,9 +298,22 @@ class RadialFunction:
                             c if isinstance(c, complex) else float(c))
                            for (p, q), c in self.terms.items())
             object.__setattr__(self, "_floats", floats)
-        total = np.zeros(u.shape) if xp is np else 0.0
-        for p, q, c in floats:
-            total = total + c * _exp(p * ln_t + q * ln_base)
+        if xp is math:
+            total = 0.0
+            for p, q, c in floats:
+                total = total + c * _exp(p * ln_t + q * ln_base)
+            if total != total:  # inf - inf, which the array path resolves
+                total = float(self.at_u(np.array([u]))[0])
+            return total
+        total = np.zeros(u.shape)
+        with np.errstate(invalid="ignore"):
+            for p, q, c in floats:
+                total = total + c * _exp(p * ln_t + q * ln_base)
+        nan = np.isnan(total)
+        if nan.any():  # inf - inf: the term with the largest exponent decides
+            lead = np.argmax([p * ln_t[nan] + q * ln_base[nan]
+                              for p, q, _ in floats], axis=0)
+            total[nan] = np.array([c for *_, c in floats])[lead] * np.inf
         return total
 
     # -- comparison and display ------------------------------------------

@@ -123,21 +123,69 @@ class TestNumericMode:
             assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
+def count_quad(monkeypatch):
+    """The list of the calls flows makes to quad from now on."""
+    calls = []
+    monkeypatch.setattr(flows, "quad",
+                        lambda *a, **k: calls.append(a) or quad(*a, **k))
+    return calls
+
+
 class TestTableOfF:
-    """Numeric F is a table of quadrature segments grown from u = 0 only as
-    far as a call needs."""
+    """Numeric F is a table of Chebyshev segments grown from u = 0 only as
+    far as a call needs, with quadrature where 16 points do not resolve
+    1/g."""
 
     #: phi = t + t^2/(1+t) = t(1+2t)/(1+t), F(x) = ln x - ln((1+2x)/3)/2
     PHI = RadialFunction.term(1, 1) + RadialFunction.term(1, 2, -1)
+    #: phi = t^20/(1+t)^19: 1/g = (1 + e^{-u})^19 is too steep for 16
+    #: points below u ~ 0.7
+    STEEP = RadialFunction.term(1, 20, -19)
 
-    def test_first_apply_grows_only_what_it_needs(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(flows, "quad",
-                            lambda *a, **k: calls.append(a) or quad(*a, **k))
+    def test_first_apply_grows_only_what_it_needs(self):
+        # u = ln 0.5 ~ -0.69 and its image lie within four segments of 0
         fl = Flow(Weight(self.PHI))
         assert fl.mode == "numeric"
         fl.apply(0.7, 0.5)
-        assert len(calls) <= 30
+        assert len(fl._table_u) <= 8
+
+    def test_applies_make_no_quad_calls(self, monkeypatch):
+        calls = count_quad(monkeypatch)
+        fl = Flow(Weight(self.PHI))
+        fl.apply(0.7, 0.5)
+        for k in range(100):
+            fl.apply(-1.5 + 0.03 * k, math.exp(-2.0 + 0.04 * k))
+        assert calls == []
+
+    def test_steep_segments_fall_back_to_quad(self, monkeypatch):
+        calls = count_quad(monkeypatch)
+        Flow(Weight(self.STEEP)).apply(0.5, 1.0)
+        assert calls
+
+    def test_steep_sigma_matches_mpmath(self):
+        # F(u) = u + sum_k C(19,k)(1 - e^{-ku})/k increases with F' >= 1,
+        # so the image lies within |s| of u; the points mix Chebyshev and
+        # quad segments, and keep |F| small enough that rounding F(x) + s
+        # does not dominate
+        fl = Flow(Weight(self.STEEP))
+
+        def F_exact(u):
+            return u + sum(mpmath.binomial(19, k) * (1 - mpmath.exp(-k * u))
+                           / k for k in range(1, 20))
+
+        with mpmath.workdps(40):
+            for u in (-0.4, 0.0, 0.4, 0.8, 1.2):
+                for s in (-1.5, -0.4, 0.6, 1.7):
+                    x = math.exp(u)
+                    lo = mpmath.log(x) - abs(s)
+                    hi = lo + 2 * abs(s)
+                    target = F_exact(mpmath.log(x)) + s
+                    for _ in range(100):  # bisection
+                        mid = (lo + hi) / 2
+                        lo, hi = ((mid, hi) if F_exact(mid) < target
+                                  else (lo, mid))
+                    assert fl.apply(s, x) == pytest.approx(
+                        float(mpmath.exp(lo)), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("x", [1e-12, 1e-6, 0.3, 5.0, 1e6, 1e12])
     def test_F_matches_closed_form(self, x):
@@ -242,9 +290,10 @@ class TestEndpointReached:
         # phi = t^3: sigma_s(x) = (x^{-2} - 2s)^{-1/2}.  For s < 0 the image
         # is finite though x^2, or 1 - 2s x^2, leaves the float range
         fl = Flow(Weight.from_term(1, 3), require_complete=False)
-        assert fl.apply(-1.0, 1e200) == pytest.approx(2 ** -0.5, rel=1e-12)
+        assert fl.apply(-1.0, 1e200) == pytest.approx(2 ** -0.5, rel=1e-12,
+                                                      abs=0)
         assert fl.apply(-1e10, 1e150) == pytest.approx(2e10 ** -0.5,
-                                                       rel=1e-12)
+                                                       rel=1e-12, abs=0)
         assert fl.apply(1.0, 1e200) == math.inf
 
     def test_power_weight_F_past_the_float_range(self):

@@ -250,6 +250,30 @@ class TestFlowCoordinate:
         # t^400 and (1+t)^-400 leave the float range, their product does not
         assert RadialFunction.term(1, 400, -400)(1e200) == pytest.approx(1.0)
 
+    #: t^3 - t^2, and (1 - t)^-400 - t (1 - t)^-400 = (1 - t)^-399 on [0, 1]:
+    #: both terms leave the float range at t = 1e200 and at u = 5, and the
+    #: term with the larger exponent gives the sign of the infinite value
+    OPPOSITE = (rf((1, 3, 0), (-1, 2, 0)),
+                rf((1, 0, -400), (-1, 1, -400), domain=UNIT_INTERVAL))
+
+    def test_opposite_terms_past_the_float_range(self):
+        f, g = self.OPPOSITE
+        assert f(1e200) == math.inf
+        assert (-f)(1e200) == -math.inf
+        assert g.at_u(5.0) == math.inf
+        assert (-g).at_u(5.0) == -math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_opposite_terms_past_the_float_range_on_an_array(self):
+        f, g = self.OPPOSITE
+        got = f.at_u(np.log([1e200, 2.0, 1e-200]))
+        assert got[0] == math.inf and got[2] == 0.0
+        assert got[1] == pytest.approx(4.0, rel=1e-14, abs=0)
+        assert (-f).at_u(np.log([1e200]))[0] == -math.inf
+        got = g.at_u(np.array([5.0, 0.0]))
+        assert got[0] == math.inf
+        assert got[1] == pytest.approx(2.0 ** 399, rel=1e-13, abs=0)
+
 
 coeffs = st.fractions(min_value=-5, max_value=5).filter(lambda x: x != 0)
 rational_exps = st.fractions(min_value=-3, max_value=3)
