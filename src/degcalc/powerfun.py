@@ -303,7 +303,7 @@ class RadialFunction:
             for p, q, c in floats:
                 total = total + c * _exp(p * ln_t + q * ln_base)
             if total != total:  # inf - inf, which the array path resolves
-                total = float(self.at_u(np.array([u]))[0])
+                total = self.at_u(np.array([u]))[0].item()
             return total
         total = np.zeros(u.shape)
         with np.errstate(invalid="ignore"):
