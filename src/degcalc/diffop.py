@@ -548,20 +548,20 @@ def lie_rinehart_check(phi, psi, samples):
     for s in samples:
         Z, W, U = s["Z"], s["W"], s["U"]
         a, f = s["a"], s["f"]
-        j1 = Z.bracket(W).bracket(U).act(f)
+        ZW, Za, Zf = Z.bracket(W), Z.act(a), Z.act(f)
+        aZ, aZW = Z.scale(a), ZW.scale(a).as_op()
+        j1 = ZW.bracket(U).act(f)
         j2 = W.bracket(U).bracket(Z).act(f)
         j3 = U.bracket(Z).bracket(W).act(f)
         jacobi.append((j1 + j2 + j3).is_zero)
         # [Z, aW] = Z(a) W + a [Z, W]
         lhs = Z.bracket(W.scale(a))
-        rhs = W.scale(Z.act(a)).as_op() + Z.bracket(W).scale(a).as_op()
-        leibniz.append(lhs.as_op() == rhs)
-        module_act.append(Z.scale(a).act(f) == a * Z.act(f))
-        lhs2 = Z.scale(a).bracket(W)
-        rhs2 = (Z.bracket(W).scale(a).as_op()
-                - Z.scale(W.act(a)).as_op())
-        module_br.append(lhs2.as_op() == rhs2)
-        derivation.append(Z.act(a * f) == Z.act(a) * f + a * Z.act(f))
+        leibniz.append(lhs.as_op() == W.scale(Za).as_op() + aZW)
+        module_act.append(aZ.act(f) == a * Zf)
+        # [aZ, W] = a [Z, W] - W(a) Z
+        lhs2 = aZ.bracket(W)
+        module_br.append(lhs2.as_op() == aZW - Z.scale(W.act(a)).as_op())
+        derivation.append(Z.act(a * f) == Za * f + a * Zf)
     record("jacobi", jacobi)
     record("leibniz", leibniz)
     record("module_action", module_act)
@@ -654,8 +654,7 @@ def _poly_sub(a, b):
 def _poly_mul(a, b):
     if not a or not b:
         return []
-    dom = a[0].domain if a else b[0].domain
-    out = [RadialFunction.zero(domain=dom)
+    out = [RadialFunction.zero(domain=a[0].domain)
            for _ in range(len(a) + len(b) - 1)]
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
@@ -699,7 +698,9 @@ class PoweredSymbol:
 
     The parametrix recursion only ever produces denominators that are powers
     of the full symbol, so pinning the base keeps every operation polynomial
-    instead of compounding unreduced quotients.
+    instead of compounding unreduced quotients.  A polynomial symbol (power
+    0) stays at power 0 under d_xi and D_s, so for an operator of order m
+    the remainder E_N has power (m + 1) N.
     """
 
     __slots__ = ("num", "base", "power", "domain")
@@ -747,22 +748,22 @@ class PoweredSymbol:
 
     __rmul__ = __mul__
 
-    def d_xi(self):
-        num = _poly_sub(_poly_mul(_poly_dxi(self.num), self.base),
+    def _derive(self, d):
+        """The quotient rule for a derivation ``d`` of coefficient lists."""
+        if self.power == 0:
+            return PoweredSymbol(d(self.num), self.base, 0, self.domain)
+        num = _poly_sub(_poly_mul(d(self.num), self.base),
                         _poly_mul(self.num,
-                                  [c * self.power for c in _poly_dxi(self.base)]))
+                                  [c * self.power for c in d(self.base)]))
         return PoweredSymbol(num, self.base, self.power + 1, self.domain)
+
+    def d_xi(self):
+        return self._derive(_poly_dxi)
 
     def D_s(self, phi):
         prof = phi.profile
-
-        def dcoef(poly):
-            return [(prof * c.derivative()) * (-1j) for c in poly]
-
-        num = _poly_sub(_poly_mul(dcoef(self.num), self.base),
-                        _poly_mul(self.num,
-                                  [c * self.power for c in dcoef(self.base)]))
-        return PoweredSymbol(num, self.base, self.power + 1, self.domain)
+        return self._derive(
+            lambda poly: [(prof * c.derivative()) * (-1j) for c in poly])
 
     def evaluate(self, t, xi):
         """The value at (t, xi): floats, or numpy arrays that broadcast."""
@@ -777,11 +778,10 @@ class PoweredSymbol:
 class ParametrixExpansion:
     """Finite symbol parametrix: terms q_0 ... q_{N-1} and the remainder."""
 
-    def __init__(self, terms, remainder, remainder_order, symbol):
+    def __init__(self, terms, remainder, remainder_order):
         self.terms = terms
         self.remainder = remainder
         self.remainder_order = remainder_order
-        self.symbol = symbol
 
 
 def symbol_sharp(sigma, q, phi, max_alpha):
@@ -827,7 +827,7 @@ def parametrix_1d(A, N):
     one = PoweredSymbol([RadialFunction.const(1, domain=dom)], base, 0,
                         domain=dom)
     if N <= 0:
-        return ParametrixExpansion([], one, m, sigma)
+        return ParametrixExpansion([], one, m)
     phi = lie.phi
     terms = [q0]
     E = one - symbol_sharp(sigma, q0, phi, m)
@@ -835,7 +835,7 @@ def parametrix_1d(A, N):
         qk = q0 * E
         terms.append(qk)
         E = E - symbol_sharp(sigma, qk, phi, m)
-    return ParametrixExpansion(terms, E, m - 1 - N, sigma)
+    return ParametrixExpansion(terms, E, m - 1 - N)
 
 
 def _no_real_roots(poly):

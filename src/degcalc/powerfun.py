@@ -173,8 +173,8 @@ class RadialFunction:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = RadialFunction.const(1, domain=self.domain)
-        for _ in range(n):
+        out = self if n else RadialFunction.const(1, domain=self.domain)
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -2,19 +2,94 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from sympy.polys.domains import QQ_I
+from sympy.polys.fields import field
 
-from degcalc.diffop import (CylinderFunction, DiffOp, VectorField,
-                            expand_X_power, is_elliptic,
+from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
+                            VectorField, expand_X_power, is_elliptic,
                             lie_rinehart_check, op_commutator, op_compose,
                             parametrix_1d, principal_symbol, radial_symbol,
                             random_lie_rinehart_samples)
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import RadialFunction
+from degcalc.schrodinger import SchrodingerProblem, rewrite
 from degcalc.weights import Weight
 
 F = Fraction
+
+#: far-field operators of rewritten problems, all of order m = 2
+FAR_FIELD = {
+    "hydrogen Z=1 n=3 l=0": SchrodingerProblem.hydrogen(n=3, l=0, charge=1),
+    "hydrogen Z=2 n=2 l=1": SchrodingerProblem.hydrogen(n=2, l=1, charge=2),
+    "oscillator n=3 l=0": SchrodingerProblem.oscillator(n=3, l=0),
+}
+
+
+def far_field_op(name):
+    return rewrite(FAR_FIELD[name]).op_infinity
+
+
+def gauss_rational(c):
+    c = F(c)
+    return QQ_I(c.numerator) / QQ_I(c.denominator)
+
+
+def sympy_remainders(A, xi, n_max):
+    """Oracle: E_N = 1 - sigma # (q_0 + ... + q_{N-1}) at a fixed rational
+    xi for N = 1 .. n_max, as rational functions of r in sympy's field
+    Q(i)(r), where every operation reduces to lowest terms.
+
+    sigma = sum_j a_j(r) (i xi)^j comes from A's radial lie coefficients,
+    q_k = (1 - sigma # (q_0 + ... + q_{k-1})) / sigma, and
+    sigma # q = sum_alpha (1/alpha!) d_xi^alpha sigma * D_s^alpha q with
+    D_s = -i phi d/dr.  Returns the remainders and r's polynomial generator.
+    """
+    K, r = field("r", QQ_I)
+    x = K.ring.gens[0]
+    i = K(QQ_I(0, 1))
+
+    def ring(f):
+        out = K(0)
+        for (p, q), c in f.terms.items():
+            assert p.denominator == q.denominator == 1
+            out += gauss_rational(c) * r ** int(p) * (1 - r) ** int(q)
+        return out
+
+    def d_r(f):
+        # FracElement.diff wants a generator whose denominator == 1, which
+        # QQ_I's unit (1 + 0*I) is not, so the quotient rule is spelled out
+        return K.new(f.numer.diff(x) * f.denom - f.numer * f.denom.diff(x),
+                     f.denom ** 2)
+
+    a = {j: ring(c.radial_part()) for (j, _), c in A.coeffs.items()}
+    m = max(a)
+    # (1/alpha!) d_xi^alpha sigma at xi
+    dsig = [sum((a[j] * i ** j * comb(j, al) * gauss_rational(xi) ** (j - al)
+                 for j in a if j >= al), K(0)) for al in range(m + 1)]
+    phi = ring(A.phi.profile)
+
+    def sharp(q):
+        out = K(0)
+        for al in range(m + 1):
+            if al:
+                q = -i * phi * d_r(q)
+            out += dsig[al] * q
+        return out
+
+    parts = []
+    for _ in range(n_max):
+        parts.append(sharp((1 - sum(parts, K(0))) / dsig[0]))
+    return [1 - sum(parts[:N], K(0)) for N in range(1, n_max + 1)], x
+
+
+def field_value(f, x, r):
+    """The exact value of f in Q(i)(r) at a rational r, rounded once."""
+    r = gauss_rational(r)
+    v = f.numer.evaluate(x, r) / f.denom.evaluate(x, r)
+    return complex(float(v.x), float(v.y))
 
 
 def brute_X_power(w, n):
@@ -190,7 +265,9 @@ class TestLieRinehart:
         psi = Weight.from_term(1, F(1, 2))
         samples = random_lie_rinehart_samples(phi, psi, 10, seed=2)
         report = lie_rinehart_check(phi, psi, samples)
-        assert all(ok for ok, _ in report.values()), report
+        assert report == {name: (True, 0) for name in (
+            "jacobi", "leibniz", "module_action", "module_bracket",
+            "derivation")}
 
     def test_zero_field_passes(self):
         phi = Weight.from_term(1, 1)
@@ -267,6 +344,56 @@ class TestParametrix:
             if prev is not None:
                 assert val < prev
             prev = val
+
+    @pytest.mark.parametrize("name", ["hydrogen Z=1 n=3 l=0",
+                                      "oscillator n=3 l=0"])
+    def test_remainder_in_lowest_terms(self, name):
+        # a polynomial symbol stays polynomial under d_xi, so E_N carries
+        # base^{(m+1)N} and xi-degree 5N - 1 for m = 2, not base^{5N}
+        A = far_field_op(name)
+        m = 2
+        for N in (1, 2, 3):
+            E = parametrix_1d(A, N).remainder
+            assert E.power == (m + 1) * N
+            assert len(E.num) - 1 == 5 * N - 1
+
+    @pytest.mark.parametrize("name", ["hydrogen Z=1 n=3 l=0",
+                                      "oscillator n=3 l=0"])
+    def test_term_orders(self, name):
+        A = far_field_op(name)
+        m = 2
+        for N, remainder_order in ((1, -2), (2, -3), (3, -4)):
+            px = parametrix_1d(A, N)
+            orders = [q.order for q in px.terms]
+            assert orders == [-2, -4, -5][:N]
+            assert all(o <= -m - k for k, o in enumerate(orders))
+            assert px.remainder.order == remainder_order
+
+    def test_polynomial_symbol_stays_polynomial(self):
+        A = far_field_op("oscillator n=3 l=0")
+        sigma = radial_symbol(A)
+        assert sigma.power == 0
+        for d in (sigma.d_xi(), sigma.D_s(A.phi), sigma.d_xi().d_xi()):
+            assert d.power == 0
+        dxi = sigma.d_xi()
+        assert len(dxi.num) == len(sigma.num) - 1
+        for xi in (0.5, 3.0):
+            # sigma = xi^2 + 3i r^2 xi + 1, so d_xi sigma = 2 xi + 3i r^2
+            assert dxi.evaluate(0.25, xi) == pytest.approx(2 * xi + 0.1875j)
+        q0 = PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
+                           sigma.num, 1, domain=A.domain)
+        assert q0.d_xi().power == q0.D_s(A.phi).power == 2
+
+    @pytest.mark.parametrize("name", sorted(FAR_FIELD))
+    def test_remainder_matches_sympy(self, name):
+        A = far_field_op(name)
+        pxs = [parametrix_1d(A, N) for N in (1, 2, 3)]
+        for r, xi in ((F(1, 16), 2), (F(1, 4), 5), (F(5, 8), 3)):
+            want, x = sympy_remainders(A, xi, 3)
+            for px, E in zip(pxs, want):
+                exact = field_value(E, x, r)
+                got = px.remainder.evaluate(float(r), float(xi))
+                assert abs(got - exact) <= 1e-13 * abs(exact), (r, xi)
 
     def test_vanishing_symbol_rejected(self):
         w = Weight.from_term(1, 1)

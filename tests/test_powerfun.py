@@ -48,6 +48,18 @@ class TestArithmetic:
         f = rf((1, 1, -1))
         assert f ** 3 == rf((1, 3, -3))
 
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    @pytest.mark.parametrize("coeffs", [(F(1, 3), F(-5, 2)), (0.1, -2.5),
+                                        (0.5 + 0.25j, -1j)])
+    def test_pow_is_repeated_product(self, domain, coeffs):
+        f = rf((coeffs[0], F(1, 2), 1), (coeffs[1], 0, -1), domain=domain)
+        one = RadialFunction.const(1, domain=domain)
+        for n, product in ((0, one), (1, f), (3, f * f * f)):
+            power = f ** n
+            assert list(power.terms.items()) == list(product.terms.items())
+            assert [type(c) for c in power.terms.values()] == \
+                [type(c) for c in product.terms.values()]
+
     def test_divide_term(self):
         f = rf((2, 2, -3), (4, 1, -1))
         g = rf((2, 1, -1))
