@@ -25,8 +25,7 @@ from .schrodinger import (GeometricGrid, MembershipReport,
                           RewriteResult, SchrodingerProblem, SpectralResult,
                           assemble_and_solve, membership_in_diff_s,
                           membership_weights, parametrix_residual,
-                          reduced_potential, resolvent_probe, rewrite,
-                          verify_identity_r_power, write_parametrix_csv,
-                          write_spectrum_csv)
+                          resolvent_probe, rewrite, verify_identity_r_power,
+                          write_parametrix_csv, write_spectrum_csv)
 
 __version__ = "0.1.0"

@@ -9,12 +9,14 @@ import random
 import time
 from fractions import Fraction
 
+from scipy.linalg import eigh_tridiagonal
+
 from degcalc.diffop import (CylinderFunction, DiffOp, lie_rinehart_check,
                             op_compose, random_lie_rinehart_samples)
 from degcalc.flows import Flow, flow_scaling_limit, power_flow_exponents
 from degcalc.groupoid import GPhiElement, gphi_compose, zeta_cocycle
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
-from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem,
+from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
                                  assemble_and_solve, membership_in_diff_s,
                                  parametrix_residual, rewrite,
                                  verify_identity_r_power)
@@ -201,12 +203,17 @@ def test_07_spectral_oracles():
     for lam, ref in zip(osc.eigenvalues, (3.0, 7.0, 11.0)):
         ok &= abs(lam - ref) <= 1e-3
 
-    # independent dense oracle on a well-conditioned window
+    # independent oracle on a well-conditioned window: bisection on the
+    # fine and half grids' matrices, extrapolated as the solver does
     grid = GeometricGrid(-4.0, 4.0, 400)
     prob = SchrodingerProblem.oscillator()
     sp = assemble_and_solve(prob, grid, k=2)
-    de = assemble_and_solve(prob, grid, k=2, method="dense")
-    for a, b in zip(sp.eigenvalues, de.eigenvalues):
+    fine, half = (eigh_tridiagonal(
+        *_assemble(prob, grid.s_nodes(n))[:2], eigvals_only=True,
+        select="i", select_range=(0, 1), lapack_driver="stebz", tol=1e-300)
+        for n in (400, 200))
+    de = fine + (fine - half) / ((399 / 199) ** 2 - 1)
+    for a, b in zip(sp.eigenvalues, de):
         ok &= abs(a - b) <= 1e-8
     report(7, "hydrogen/oscillator eigenvalues vs analytic oracles", ok)
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from degcalc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, RunConfig,
+from degcalc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK,
+                         EXIT_PRECONDITION, RunConfig,
                          load_config, main, run_selftest)
 from degcalc.errors import ConfigError
 
@@ -60,6 +61,36 @@ HYDROGEN_SPECTRUM = """
     [solve]
     num_eigs = 2
 """
+
+#: n = 3 models at charge and strength 1: (gamma, gamma', potential, exact)
+DEEP_MODELS = {
+    "hydrogen": ("1/2", "-1/2", "-1,-1,0",
+                 lambda nr, l: -1 / (4.0 * (nr + l + 1) ** 2)),
+    "oscillator": ("-1", "1", "1,2,0", lambda nr, l: 4.0 * nr + 2 * l + 3),
+}
+
+
+def run_spectrum(tmp_path, model, l, s_min, points, solve=""):
+    """Exit code, eigenvalues and exact values of a spectrum run on R^3."""
+    gamma, gamma_prime, potential, exact = DEEP_MODELS[model]
+    cfg = write_config(tmp_path, f"""
+        [run]
+        command = spectrum
+        [problem]
+        n = 3
+        gamma = {gamma}
+        gamma_prime = {gamma_prime}
+        potential = {potential}
+        l = {l}
+        [grid]
+        s_min = {s_min}
+        points = {points}
+    """ + solve)
+    code = main(["--config", cfg, "--out", str(tmp_path)])
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()[1:] \
+        if code == EXIT_OK else []
+    eigs = [float(line.split(",")[2]) for line in lines]
+    return code, eigs, [exact(nr, l) for nr in range(len(eigs))]
 
 
 class TestConfigParsing:
@@ -255,6 +286,37 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(tmp_path),
                      "--verbose"]) == EXIT_OK
         assert "all checks passed" in capsys.readouterr().out
+
+
+class TestDeepCut:
+    """Deep cuts s_min: ρ² spans e^{±40} and more on these grids."""
+
+    # num_eigs stays at its default of 2: on [-40, 12] with 500 points
+    # (h = 0.104) the oscillator's third l = 2 eigenvalue carries a 1.1e-3
+    # h^4 remainder, a resolution limit rather than a wrong spectrum
+    @pytest.mark.parametrize("points", [500, 4000])
+    @pytest.mark.parametrize("s_min", [-20, -25, -40])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("model", sorted(DEEP_MODELS))
+    def test_right_or_typed_failure(self, tmp_path, capsys, model, l, s_min,
+                                    points):
+        code, eigs, exact = run_spectrum(tmp_path, model, l, s_min, points)
+        assert code in (EXIT_OK, EXIT_CONVERGENCE)
+        if code == EXIT_OK:
+            assert len(eigs) == 2
+            for lam, ref in zip(eigs, exact):
+                assert abs(lam - ref) <= 1e-3 * max(1.0, abs(ref))
+        else:
+            assert "convergence failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("model", sorted(DEEP_MODELS))
+    def test_resolved_at_s_min_minus_20(self, tmp_path, model, l):
+        code, eigs, exact = run_spectrum(tmp_path, model, l, -20, 1000,
+                                         "[solve]\nnum_eigs = 3\n")
+        assert code == EXIT_OK and len(eigs) == 3
+        for lam, ref in zip(eigs, exact):
+            assert abs(lam - ref) <= 6e-6 * abs(ref)
 
 
 class TestSelftest:

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import ai_zeros
 
 from degcalc.diffop import CylinderFunction, DiffOp
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
-from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem,
-                                 _assemble_tridiagonal, assemble_and_solve,
-                                 membership_in_diff_s,
+from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
+                                 assemble_and_solve, membership_in_diff_s,
                                  membership_weights, parametrix_residual,
-                                 reduced_potential, resolvent_probe, rewrite,
+                                 resolvent_probe, rewrite,
                                  verify_identity_r_power, write_parametrix_csv,
                                  write_spectrum_csv)
 from degcalc.weights import Weight
@@ -173,7 +174,8 @@ class TestMembership:
 class TestGrid:
     def test_nodes(self):
         g = GeometricGrid(-1.0, 1.0, 11)
-        assert g.rho_nodes()[5] == pytest.approx(1.0)
+        assert g.s_nodes()[5] == pytest.approx(0.0)
+        assert g.s_nodes(5)[1] == pytest.approx(-0.5)
         assert g.refined().n_points == 22
 
     def test_invalid_grid(self):
@@ -203,8 +205,7 @@ class TestSpectra:
         grid = GeometricGrid(-4.0, 4.0, 400)
         prob = SchrodingerProblem.oscillator()
         sp = assemble_and_solve(prob, grid, k=2)
-        de = assemble_and_solve(prob, grid, k=2, method="dense")
-        for a, b in zip(sp.eigenvalues, de.eigenvalues):
+        for a, b in zip(sp.eigenvalues, dense_eigenvalues(prob, grid, 2)):
             assert abs(a - b) < 1e-8
 
     @pytest.mark.parametrize("prob", [
@@ -213,26 +214,93 @@ class TestSpectra:
         ids=["hydrogen", "oscillator", "hydrogen_l1"])
     def test_dense_matches_sparse_on_default_grid(self, prob):
         sp = assemble_and_solve(prob, k=3)
-        de = assemble_and_solve(prob, k=3, method="dense")
-        for a, b in zip(sp.eigenvalues, de.eigenvalues):
+        de = dense_eigenvalues(prob, GeometricGrid(), 3)
+        for a, b in zip(sp.eigenvalues, de):
             assert abs(a - b) <= 1e-10 * abs(a)
-        assert max(de.residuals) <= 1e-6
+        assert max(sp.residuals) <= 1e-6
 
     def test_residuals_small(self):
         res = assemble_and_solve(SchrodingerProblem.oscillator(),
                                  GeometricGrid(-6.0, 4.0, 1000), k=2)
         assert all(r < 1e-8 for r in res.residuals)
 
-    def test_reduced_potential_centrifugal(self):
+    def test_assembly_centrifugal_term(self):
+        # hydrogen n=3 l=1: nu = 3/2; at rho = 1 the row is 2/h^2 + nu^2 + V
         prob = SchrodingerProblem.hydrogen(l=1)
-        # n=3: centrifugal term is l(l+1)/rho^2, half-density term vanishes
-        W = reduced_potential(prob, np.array([2.0]))
-        assert W[0] == pytest.approx(-0.5 + 2 / 4.0)
+        d, e, rho = _assemble(prob, np.linspace(-1.0, 1.0, 11))
+        h = 0.2
+        assert len(d) == 10 and rho[5] == pytest.approx(1.0)
+        assert d[5] == pytest.approx(2 / h ** 2 + 2.25 - 1.0, rel=1e-14)
+        assert e[5] == pytest.approx(-1 / (h ** 2 * rho[5] * rho[6]),
+                                     rel=1e-14)
+        # the Friedrichs row: half mass, stiffness 1/h and nu added
+        m0 = h / 2 * rho[0] ** 2
+        assert d[0] == pytest.approx(
+            (1 / h + 1.5 + h / 2 * (2.25 - rho[0])) / m0, rel=1e-14)
 
     def test_k_too_large(self):
         with pytest.raises(PreconditionError):
             assemble_and_solve(SchrodingerProblem.oscillator(),
                                GeometricGrid(-2, 2, 12), k=50)
+
+
+def linear_potential():
+    """V = rho on R^3, l = 0: the eigenvalues are minus the Airy zeros."""
+    return SchrodingerProblem(3, F(-1, 2), F(1, 2), RadialFunction.term(1, 1))
+
+
+def analytic(model, n, l, k):
+    if model == "hydrogen":
+        return [-1 / (4.0 * (nr + l + (n - 1) / 2.0) ** 2) for nr in range(k)]
+    return [4.0 * nr + 2 * l + n for nr in range(k)]
+
+
+def worst_error(prob, exact, grid):
+    res = assemble_and_solve(prob, grid, k=len(exact))
+    return max(abs(a - b) / max(1.0, abs(b))
+               for a, b in zip(res.eigenvalues, exact))
+
+
+class TestAccuracy:
+    """The extrapolated eigenvalues against closed forms to 1e-8."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_hydrogen(self, n, l):
+        # nu = 0 (n = 2, l = 0) needs the deeper cut and the finer grid
+        grid = GeometricGrid(-30.0, 6.0, 2000) if (n, l) == (2, 0) else \
+            GeometricGrid(-12.0, 6.0, 1000)
+        prob = SchrodingerProblem.hydrogen(n=n, l=l)
+        assert worst_error(prob, analytic("hydrogen", n, l, 3), grid) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_oscillator(self, n, l):
+        grid = GeometricGrid(-30.0, 2.5, 4000) if (n, l) == (2, 0) else \
+            GeometricGrid(-10.0, 2.5, 2000)
+        prob = SchrodingerProblem.oscillator(n=n, l=l)
+        assert worst_error(prob, analytic("oscillator", n, l, 3), grid) < 1e-8
+
+    def test_linear_potential(self):
+        exact = -ai_zeros(3)[0]
+        assert worst_error(linear_potential(), exact,
+                           GeometricGrid(-10.0, 3.0, 2000)) < 1e-8
+
+    @pytest.mark.parametrize("case", ["linear", "oscillator", "hydrogen"])
+    def test_fourth_order_rate(self, case):
+        # each doubling of the points halves h and cuts the error ~16x;
+        # the errors stay above the ~1e-11 round-off floor
+        prob, exact, s_min, s_max = {
+            "linear": (linear_potential(), -ai_zeros(3)[0], -10.0, 3.0),
+            "oscillator": (SchrodingerProblem.oscillator(l=1),
+                           analytic("oscillator", 3, 1, 3), -10.0, 2.5),
+            "hydrogen": (SchrodingerProblem.hydrogen(),
+                         analytic("hydrogen", 3, 0, 3), -12.0, 6.0)}[case]
+        errs = [worst_error(prob, exact, GeometricGrid(s_min, s_max, n))
+                for n in (251, 501, 1001)]
+        assert errs[-1] > 1e-10
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 12.0 < coarse / fine < 20.0
 
 
 class TestParametrixResidual:
@@ -245,18 +313,33 @@ class TestParametrixResidual:
         assert byNK[(2, 4.0)] / byNK[(2, 8.0)] >= 2.0
 
 
+def dense_eigenvalues(prob, grid, k):
+    """Oracle: the solver's extrapolation with the fine grid's eigenvalues
+    from bisection (LAPACK's stebz, as the solver's half grid) in place of
+    sparse shift-invert.  Sturm-count bisection keeps its relative accuracy
+    on these graded matrices at any s_min; sterf and a dense eigvalsh hold
+    too, but only to eps * ||A|| (2e-8 on the oscillator's ground state on
+    2,000 points), and stemr loses the spectrum from s_min = -20."""
+    n_half = (grid.n_points + 1) // 2
+    fine, half = (eigh_tridiagonal(
+        *_assemble(prob, grid.s_nodes(n))[:2],
+        eigvals_only=True, select="i", select_range=(0, k - 1),
+        lapack_driver="stebz", tol=1e-300)
+        for n in (grid.n_points, n_half))
+    ratio = ((grid.n_points - 1) / (n_half - 1)) ** 2
+    return fine + (fine - half) / (ratio - 1)
+
+
 def dense_resolvent_norms(prob, z, mode, npts):
     """Oracle: the four norms of A^i (A - z)^{-1} A^j and the distance from z
     to the spectrum, by a dense inverse, 2-norms (SVD) and a non-symmetric
     eigensolve of the assembled matrix."""
     grid = GeometricGrid(-8.0, 8.0, npts)
-    diag, off = _assemble_tridiagonal(prob, grid)
-    d, e = diag[1:-1], off[1:-1]
+    d, e, rho = _assemble(prob, grid.s_nodes())
     A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     if mode == "weighted":
         phi, _ = membership_weights(prob)
-        A = np.array([float(phi(float(r)))
-                      for r in grid.rho_nodes()[1:-1]])[:, None] * A
+        A = np.array([float(phi(float(r))) for r in rho])[:, None] * A
     dist = float(np.min(np.abs(np.linalg.eigvals(A) - z)))
     T = np.linalg.inv(A - z * np.eye(len(A)))
     norms = {(i, j): float(np.linalg.norm(np.linalg.matrix_power(A, i) @ T
