@@ -70,7 +70,7 @@ DEEP_MODELS = {
 }
 
 
-def run_spectrum(tmp_path, model, l, s_min, points, solve=""):
+def run_spectrum(tmp_path, model, l, s_min, points, num_eigs=2):
     """Exit code, eigenvalues and exact values of a spectrum run on R^3."""
     gamma, gamma_prime, potential, exact = DEEP_MODELS[model]
     cfg = write_config(tmp_path, f"""
@@ -85,7 +85,9 @@ def run_spectrum(tmp_path, model, l, s_min, points, solve=""):
         [grid]
         s_min = {s_min}
         points = {points}
-    """ + solve)
+        [solve]
+        num_eigs = {num_eigs}
+    """)
     code = main(["--config", cfg, "--out", str(tmp_path)])
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()[1:] \
         if code == EXIT_OK else []
@@ -291,7 +293,7 @@ class TestMain:
 class TestDeepCut:
     """Deep cuts s_min: ρ² spans e^{±40} and more on these grids."""
 
-    # num_eigs stays at its default of 2: on [-40, 12] with 500 points
+    # two eigenvalues, the default num_eigs: on [-40, 12] with 500 points
     # (h = 0.104) the oscillator's third l = 2 eigenvalue carries a 1.1e-3
     # h^4 remainder, a resolution limit rather than a wrong spectrum
     @pytest.mark.parametrize("points", [500, 4000])
@@ -312,8 +314,7 @@ class TestDeepCut:
     @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("model", sorted(DEEP_MODELS))
     def test_resolved_at_s_min_minus_20(self, tmp_path, model, l):
-        code, eigs, exact = run_spectrum(tmp_path, model, l, -20, 1000,
-                                         "[solve]\nnum_eigs = 3\n")
+        code, eigs, exact = run_spectrum(tmp_path, model, l, -20, 1000, 3)
         assert code == EXIT_OK and len(eigs) == 3
         for lam, ref in zip(eigs, exact):
             assert abs(lam - ref) <= 6e-6 * abs(ref)
