@@ -16,7 +16,7 @@ from .groupoid import (GPhiElement, HPsiElement, KernelFunction, SElement,
                        kernel_conjugate, rho_infinity, rho_zero, s_compose,
                        write_kernel_csv, zeta_cocycle)
 from .diffop import (CylinderFunction, DiffOp, ParametrixExpansion,
-                     PoweredSymbol, VectorField, expand_X_power, is_elliptic,
+                     PoweredSymbol, VectorField, is_elliptic,
                      lie_rinehart_check, op_commutator, op_compose,
                      parametrix_1d, principal_symbol, radial_symbol,
                      random_lie_rinehart_samples)

@@ -7,9 +7,9 @@ Operators come in three coefficient forms:
 * ``monomial``:  sum_{i,j} c_{ij} phi^i psi^j dt^i dtheta^j
 
 Raw form is the computational workhorse (exact Leibniz composition); lie and
-monomial are the two normal forms.  The lie -> monomial conversion runs
-through the triangular recurrence for powers of X, and raw composition is an
-independent oracle for it.
+monomial are the two normal forms.  A lie term reaches raw form by one
+recurrence, X applied i times from the left to Y^j = psi^j dtheta^j, and
+``op_compose``'s general Leibniz rule is an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class CylinderFunction:
         return True
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _as_cylinder(other, self.domain)
         merged = dict(self.modes)
         for m, f in other.modes.items():
             merged[m] = merged[m] + f if m in merged else f
@@ -108,15 +108,14 @@ class CylinderFunction:
                                 domain=self.domain)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-_as_cylinder(other, self.domain))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)) or hasattr(other, "numerator"):
             return CylinderFunction({m: f * other
                                      for m, f in self.modes.items()},
                                     domain=self.domain)
-        if isinstance(other, RadialFunction):
-            other = CylinderFunction.radial(other)
+        other = _as_cylinder(other, self.domain)
         merged = {}
         for m1, f1 in self.modes.items():
             for m2, f2 in other.modes.items():
@@ -126,15 +125,6 @@ class CylinderFunction:
         return CylinderFunction(merged, domain=self.domain)
 
     __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, CylinderFunction):
-            if other.domain != self.domain:
-                raise DomainMismatchError("mixed base domains")
-            return other
-        if isinstance(other, RadialFunction):
-            return CylinderFunction.radial(other)
-        return CylinderFunction.const(other, domain=self.domain)
 
     def d_t(self):
         return CylinderFunction({m: f.derivative()
@@ -167,31 +157,13 @@ class CylinderFunction:
 
 
 def _as_cylinder(c, domain):
-    if isinstance(c, CylinderFunction):
-        return c
     if isinstance(c, RadialFunction):
-        return CylinderFunction.radial(c)
+        c = CylinderFunction.radial(c)
+    if isinstance(c, CylinderFunction):
+        if c.domain != domain:
+            raise DomainMismatchError("mixed base domains")
+        return c
     return CylinderFunction.const(c, domain=domain)
-
-
-def expand_X_power(phi, n):
-    """Monomial coefficients of X^n = sum_k a_k phi^k dt^k.
-
-    Triangular recurrence a_k -> X(a_k) + k a_k phi' + a_{k-1}, starting from
-    X^0 = 1.  All coefficients stay in the ring.
-    """
-    prof = phi.profile
-    dprof = prof.derivative()
-    coeffs = {0: RadialFunction.const(1, domain=prof.domain)}
-    for _ in range(n):
-        nxt = {}
-        for k, a in coeffs.items():
-            term = prof * a.derivative() + a * dprof * k
-            if not term.is_zero:
-                nxt[k] = nxt[k] + term if k in nxt else term
-            nxt[k + 1] = nxt[k + 1] + a if k + 1 in nxt else a
-        coeffs = {k: v for k, v in nxt.items() if not v.is_zero}
-    return coeffs
 
 
 class DiffOp:
@@ -251,75 +223,71 @@ class DiffOp:
 
     # -- form conversions ------------------------------------------------
 
+    def _basis(self, form, i, j):
+        """Raw terms {(k, l): b} of the basis operator at (i, j) of ``form``.
+
+        Monomial: phi^i psi^j dt^i dtheta^j.  Lie: X^i Y^j, that is X applied
+        i times from the left to Y^j = psi^j dtheta^j, each time by
+        X o b dt^k dtheta^j = phi b' dt^k dtheta^j + phi b dt^{k+1} dtheta^j.
+        """
+        prof = self.phi.profile
+        if form == "monomial":
+            return {(i, j): prof ** i * self.psi.profile ** j}
+        terms = {(0, j): self.psi.profile ** j}
+        for _ in range(i):
+            nxt = {}
+            for (k, l), b in terms.items():
+                _raw_add(nxt, k, l, prof * b.derivative())
+                _raw_add(nxt, k + 1, l, prof * b)
+            terms = nxt
+        return terms
+
+    def _over_basis(self, i, j, b):
+        """The raw coefficient b divided by phi^i psi^j."""
+        den = self._basis("monomial", i, j)[(i, j)]
+        return CylinderFunction({m: f.divide_term(den)
+                                 for m, f in b.modes.items()},
+                                domain=self.domain)
+
+    def _require_single_terms(self, target):
+        if not (self.phi.is_single_term and self.psi.is_single_term):
+            raise PreconditionError(
+                f"exact {target} form needs single-term phi and psi")
+
     def to_raw(self):
         if self.form == "raw":
             return self
-        if self.form == "monomial":
-            raw = {}
-            for (i, j), c in self.coeffs.items():
-                b = c * (self.phi.profile ** i) * (self.psi.profile ** j)
-                _raw_add(raw, i, j, b)
-            return DiffOp("raw", raw, self.phi, self.psi)
-        # lie: c * X^i Y^j with Y^j = psi^j dtheta^j
         raw = {}
         for (i, j), c in self.coeffs.items():
-            xpow = expand_X_power(self.phi, i)
-            # X^i as raw: sum_k a_k phi^k dt^k, then compose with psi^j dtheta^j
-            left = {(k, 0): _as_cylinder(a * (self.phi.profile ** k),
-                                         self.domain)
-                    for k, a in xpow.items()}
-            right = {(0, j): _as_cylinder(self.psi.profile ** j, self.domain)}
-            for (i1, j1), b1 in left.items():
-                for (i2, j2), b2 in right.items():
-                    for (ii, jj), bb in _compose_terms(i1, j1, b1,
-                                                       i2, j2, b2).items():
-                        _raw_add(raw, ii, jj, c * bb)
-            # (the c multiplier commutes to the left of everything)
+            for (k, l), b in self._basis(self.form, i, j).items():
+                _raw_add(raw, k, l, c * b)
         return DiffOp("raw", raw, self.phi, self.psi)
 
     def to_monomial(self):
         if self.form == "monomial":
             return self
-        raw = self.to_raw()
-        if not (self.phi.is_single_term and self.psi.is_single_term):
-            raise PreconditionError(
-                "exact monomial form needs single-term phi and psi")
-        phi_p, psi_p = self.phi.profile, self.psi.profile
-        coeffs = {}
-        for (i, j), b in raw.coeffs.items():
-            den = (phi_p ** i) * (psi_p ** j)
-            c = CylinderFunction({m: f.divide_term(den)
-                                  for m, f in b.modes.items()},
-                                 domain=self.domain)
-            coeffs[(i, j)] = c
-        return DiffOp("monomial", coeffs, self.phi, self.psi)
+        self._require_single_terms("monomial")
+        raw = self.to_raw().coeffs
+        return DiffOp("monomial", {(i, j): self._over_basis(i, j, b)
+                                   for (i, j), b in raw.items()},
+                      self.phi, self.psi)
 
     def to_lie(self):
         """Triangular elimination from the highest (i + j, i) raw term."""
         if self.form == "lie":
             return self
-        if not (self.phi.is_single_term and self.psi.is_single_term):
-            raise PreconditionError(
-                "exact lie form needs single-term phi and psi")
+        self._require_single_terms("lie")
         remaining = dict(self.to_raw().coeffs)
-        phi_p, psi_p = self.phi.profile, self.psi.profile
         lie = {}
         while remaining:
             (i, j) = max(remaining, key=lambda k: (k[0] + k[1], k[0]))
-            b = remaining[(i, j)]
-            den = (phi_p ** i) * (psi_p ** j)
-            c = CylinderFunction({m: f.divide_term(den)
-                                  for m, f in b.modes.items()},
-                                 domain=self.domain)
-            lie[(i, j)] = c
+            c = lie[(i, j)] = self._over_basis(i, j, remaining[(i, j)])
             # subtract c * X^i Y^j; the top raw term cancels exactly
-            sub = DiffOp("lie", {(i, j): c}, self.phi, self.psi).to_raw()
-            for key, bb in sub.coeffs.items():
-                _raw_add(remaining, key[0], key[1], -1 * bb)
+            for (k, l), b in self._basis("lie", i, j).items():
+                _raw_add(remaining, k, l, -(c * b))
             if (i, j) in remaining:
                 raise PreconditionError(
                     "triangular elimination failed to cancel the top term")
-        lie = {k: v for k, v in lie.items() if not v.is_zero}
         return DiffOp("lie", lie, self.phi, self.psi)
 
     def normal_form(self, target):
@@ -459,7 +427,8 @@ def op_compose(A, B):
 
 
 def op_commutator(A, B):
-    return op_compose(A, B) - op_compose(B, A)
+    a, b = A.to_raw(), B.to_raw()
+    return op_compose(a, b) - op_compose(b, a)
 
 
 # -- Lie-Rinehart axioms ---------------------------------------------------
@@ -681,7 +650,7 @@ def radial_symbol(A):
     PoweredSymbol with itself as base and power 0, the shape the parametrix
     recursion divides by.
     """
-    lie = A.to_lie() if A.form != "lie" else A
+    lie = A.to_lie()
     if not lie.is_radial:
         raise PreconditionError("radial symbol needs a radial operator")
     dom = A.domain

@@ -9,12 +9,12 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
 from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
-                            VectorField, expand_X_power, is_elliptic,
+                            VectorField, is_elliptic,
                             lie_rinehart_check, op_commutator, op_compose,
                             parametrix_1d, principal_symbol, radial_symbol,
                             random_lie_rinehart_samples)
-from degcalc.errors import PreconditionError
-from degcalc.powerfun import RadialFunction
+from degcalc.errors import DomainMismatchError, PreconditionError
+from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import SchrodingerProblem, rewrite
 from degcalc.weights import Weight
 
@@ -118,20 +118,35 @@ class TestCylinderFunction:
         assert f.is_real_valued()
         assert not CylinderFunction.harmonic(1).is_real_valued()
 
+    def test_mixed_domain_coefficients_rejected(self):
+        w = Weight.from_term(1, 1)
+        unit = CylinderFunction.const(1, domain=UNIT_INTERVAL)
+        unit_radial = RadialFunction.const(1, domain=UNIT_INTERVAL)
+        for c in (unit, unit_radial):
+            with pytest.raises(DomainMismatchError):
+                DiffOp("raw", {(0, 0): c}, w)
+            with pytest.raises(DomainMismatchError):
+                VectorField(c, 0, w, w)
+            with pytest.raises(DomainMismatchError):
+                CylinderFunction.const(1) + c
+
 
 class TestExpandXPower:
+    """Monomial coefficients a_k of X^n = sum_k a_k phi^k dt^k."""
+
     def test_known_second_power(self):
         # X^2 = phi^2 dt^2 + phi phi' dt, so coefficient set {1, phi'}
         for a in (1, F(3, 2), 2):
             w = Weight.from_term(1, a)
-            co = expand_X_power(w, 2)
-            assert co[2] == RadialFunction.const(1)
-            assert co[1] == w.profile.derivative()
+            co = DiffOp("lie", {(2, 0): 1}, w).to_monomial().coeffs
+            assert co[(2, 0)] == CylinderFunction.const(1)
+            dphi = w.profile.derivative()
+            assert co[(1, 0)] == CylinderFunction.radial(dphi)
 
     def test_first_power_unchanged(self):
         w = Weight.from_term(1, F(3, 2))
-        co = expand_X_power(w, 1)
-        assert co == {1: RadialFunction.const(1)}
+        co = DiffOp.X(w).to_monomial().coeffs
+        assert co == {(1, 0): CylinderFunction.const(1)}
 
     @pytest.mark.parametrize("profile", [
         RadialFunction.term(1, 1),
@@ -168,6 +183,31 @@ class TestNormalForm:
                                         F(rng.randint(0, 3), 2),
                                         -rng.randint(0, 2))})
             assert op.apply(f) == mono.apply(f)
+
+    @pytest.mark.parametrize("phi, psi", [
+        (RadialFunction.term(1, 1), RadialFunction.term(1, F(1, 2))),
+        (RadialFunction.term(1, 2, -3), RadialFunction.term(1, 1)),
+    ], ids=["t,t^1/2", "t^2(1+t)^-3,t"])
+    @pytest.mark.parametrize("i, j", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                      (3, 1)])
+    def test_mixed_term_matches_composition(self, phi, psi, i, j):
+        # oracle: raw multiplication by c, then i copies of X and j of Y,
+        # composed by op_compose's general Leibniz rule
+        phi, psi = Weight(phi), Weight(psi)
+        c = CylinderFunction({0: RadialFunction.term(F(2, 3), 1, -1),
+                              2: RadialFunction.term(F(-5, 7), F(1, 2))})
+        out = DiffOp("raw", {(0, 0): c}, phi, psi)
+        for factor in [DiffOp.X(phi, psi)] * i + [DiffOp.Y(phi, psi)] * j:
+            out = op_compose(out, factor)
+        assert DiffOp("lie", {(i, j): c}, phi, psi).to_raw() == out
+
+    def test_multi_term_weight_rejected(self):
+        w = Weight(RadialFunction({(1, 0): 1, (2, -1): 1}))
+        for op in (DiffOp("raw", {(1, 0): 1}, w, w), DiffOp("raw", {}, w, w)):
+            with pytest.raises(PreconditionError):
+                op.to_monomial()
+            with pytest.raises(PreconditionError):
+                op.to_lie()
 
     def test_inadmissible_weight_rejected(self):
         # phi = t^{1/2}: phi' = t^{-1/2}/2 is unbounded at 0
