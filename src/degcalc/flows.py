@@ -8,8 +8,8 @@ half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
 have a closed form.  For everything else F is a table over segments 0.2 wide
 in u, grown outward from u = 0 only as far as a call needs.  Each segment keeps
 the Chebyshev coefficients of the mean of 1/g from its inner node (16 samples,
-or quad where they do not resolve 1/g), so F is one Clenshaw sum, and brentq
-inverts it inside one segment.
+or quad where they do not resolve 1/g), so F is one Clenshaw sum, and Newton
+on the same sum inverts it inside one segment.
 """
 
 from __future__ import annotations
@@ -47,6 +47,16 @@ _CHEB = np.outer(np.arange(16), 2 * np.arange(16) + 1) % 64
 _CHEB = np.cos(np.pi / 32 * np.minimum(_CHEB, 64 - _CHEB)) / 8
 _CHEB[0] /= 2
 _MEAN = np.array([chebdiv(P, [1, 1])[0] for P in chebint(_CHEB, lbnd=-1).T]).T
+
+
+def _clenshaw(c, x):
+    """The Chebyshev series with coefficients c and its derivative at x, by
+    Clenshaw's recurrence and the recurrence's derivative in x."""
+    b1 = b2 = d1 = d2 = 0.0
+    for ck in c[:0:-1]:
+        d1, d2 = 2.0 * (b1 + x * d1) - d2, d1
+        b1, b2 = ck + 2.0 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2, b1 + x * d1 - d2
 
 
 def completeness_check(phi):
@@ -177,20 +187,21 @@ class Flow:
         a, outer = us[i], i + 1 if up else i - 1  # the segment's ends
         mean = self._table_mean[outer] if 0 <= outer < len(us) else None
         rest = 0.0
-        if mean is not None:  # Clenshaw at x = 2(u - a)/(node - a) - 1
-            x, b1, b2 = 2.0 * (u - a) / (us[outer] - a) - 1.0, 0.0, 0.0
-            for c in mean[:0:-1]:
-                b1, b2 = c + 2.0 * x * b1 - b2, b1
-            rest = (u - a) * (mean[0] + x * b1 - b2)
+        if mean is not None:  # the mean at x = 2(u - a)/(node - a) - 1
+            x = 2.0 * (u - a) / (us[outer] - a) - 1.0
+            rest = (u - a) * _clenshaw(mean, x)[0]
         elif u != a:  # unresolved, or past the float-range node
             rest, _ = quad(self._integrand, a, u, epsabs=0.0,
                            epsrel=QUAD_RTOL, limit=200)
         return math.fsum((Fs[i], self._table_err[i], rest))
 
     def _u_of_F(self, y):
-        """The u with F(u) = y, by brentq inside its table segment; -inf or
-        inf where y lies beyond the table, whose ends are the last u with t
-        inside the float range."""
+        """The u with F(u) = y inside its table segment; -inf or inf where y
+        lies beyond the table, whose ends are the last u with t inside the
+        float range.  On a segment with an interpolant, safeguarded Newton
+        solves (u - a) m(x) = y - F(a) for the segment's mean m of 1/g from
+        its inner node a, whose derivative in u is m + (x + 1) m'; a segment
+        resolved by quad is left to brentq on F."""
         us, Fs = self._table_u, self._table_F
         up = y > 0.0
         while (y > Fs[-1] if up else y < Fs[0]) and self._grow(up):
@@ -198,11 +209,32 @@ class Flow:
         if not Fs[0] <= y <= Fs[-1]:
             return math.copysign(math.inf, y)
         hi = min(bisect.bisect_right(Fs, y), len(Fs) - 1)
-        if not math.isfinite(Fs[hi - 1] - Fs[hi]):
+        lo = hi - 1
+        if not math.isfinite(Fs[lo] - Fs[hi]):
             raise InversionError(
                 f"F = {y} lies in a segment where 1/g overflows")
-        return brentq(lambda u: self._F_u(u) - y, us[hi - 1], us[hi],
-                      xtol=1e-14, rtol=8.9e-16)
+        inner, outer = (lo, hi) if us[lo] >= 0.0 else (hi, lo)
+        mean = self._table_mean[outer]
+        if mean is None:
+            return brentq(lambda u: self._F_u(u) - y, us[lo], us[hi],
+                          xtol=1e-14, rtol=8.9e-16)
+        a, width = us[inner], us[outer] - us[inner]
+        rest = math.fsum((y, -Fs[inner], -self._table_err[inner]))
+        u_lo, u_hi, dF = us[lo], us[hi], Fs[hi] - Fs[lo]
+        u = u_lo + (u_hi - u_lo) * (y - Fs[lo]) / dF if dF else u_lo
+        for _ in range(100):  # bisection alone stops within 50 steps
+            x = 2.0 * (u - a) / width - 1.0
+            m, dm = _clenshaw(mean, x)
+            residual = (u - a) * m - rest
+            u_lo, u_hi = (u_lo, u) if residual > 0.0 else (u, u_hi)
+            slope = m + (x + 1.0) * dm
+            step = u - residual / slope if slope > 0.0 else math.nan
+            if not u_lo <= step <= u_hi:  # Newton leaves the bracket: bisect
+                step = 0.5 * (u_lo + u_hi)
+            if abs(step - u) <= 1e-14 + 8.9e-16 * abs(step):
+                return step
+            u = step
+        return u
 
     # -- public interface -------------------------------------------------
 

@@ -290,6 +290,7 @@ class GeometricGrid:
 class SpectralResult:
     eigenvalues: tuple
     residuals: tuple
+    backward_errors: tuple
     grid: GeometricGrid
 
 
@@ -326,8 +327,8 @@ def assemble_and_solve(prob, grid=None, k=2):
     bisection (LAPACK's stebz, which keeps its relative accuracy however
     far rho^2 spans), sets the shift one below its ground state and gives
     the Richardson step lam_f + (lam_f - lam_c) / ((h_c / h_f)^2 - 1), which
-    cancels the h^2 error term.  Residuals are those of the fine grid's
-    eigenpairs.
+    cancels the h^2 error term.  Residuals and backward errors are those of
+    the fine grid's eigenpairs.
     """
     grid = grid or GeometricGrid()
     n_half = (grid.n_points + 1) // 2
@@ -350,18 +351,26 @@ def assemble_and_solve(prob, grid=None, k=2):
     lam, vecs = lam[order], vecs[:, order]
     ratio = ((grid.n_points - 1) / (n_half - 1)) ** 2
     lam_x = lam + (lam - lam_half) / (ratio - 1)
-    res = _residuals(d, e, lam, vecs)
+    res, back = _residuals(d, e, lam, vecs)
     return SpectralResult(tuple(float(v) for v in lam_x),
-                          tuple(float(r) for r in res), grid)
+                          tuple(float(r) for r in res),
+                          tuple(float(b) for b in back), grid)
 
 
 def _residuals(d, e, lam, vecs):
-    """||A v - lam v|| / ||v|| for each column v of vecs."""
+    """||A v - lam v|| / ||v|| and the componentwise backward error
+    ||A v - lam v|| / || |A| |v| + |lam| |v| || for each column v of vecs;
+    the second is scale free, so its rounding floor does not grow with
+    ||A|| ~ e^{-2 s_min} / h^2."""
     av = d[:, None] * vecs
     av[:-1] += e[:, None] * vecs[1:]
     av[1:] += e[:, None] * vecs[:-1]
-    return (np.linalg.norm(av - lam * vecs, axis=0)
-            / np.linalg.norm(vecs, axis=0))
+    r = np.linalg.norm(av - lam * vecs, axis=0)
+    v = np.abs(vecs)
+    bound = (np.abs(d)[:, None] + np.abs(lam)) * v
+    bound[:-1] += np.abs(e)[:, None] * v[1:]
+    bound[1:] += np.abs(e)[:, None] * v[:-1]
+    return r / np.linalg.norm(vecs, axis=0), r / np.linalg.norm(bound, axis=0)
 
 
 # -- parametrix residual ----------------------------------------------------

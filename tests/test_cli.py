@@ -5,8 +5,10 @@ import re
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from degcalc import schrodinger
 from degcalc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK,
                          EXIT_PRECONDITION, RunConfig,
                          load_config, main, run_selftest)
@@ -310,6 +312,32 @@ class TestDeepCut:
                 assert abs(lam - ref) <= 1e-3 * max(1.0, abs(ref))
         else:
             assert "convergence failure" in capsys.readouterr().err
+
+    # l = 0 has the smallest nu, the most weight near s_min and so the
+    # largest rounding floor of the absolute residual ||Av - lam v||, which
+    # is 1.4e-6 to 1.4e-2 here; the guard reads the scale-free backward error
+    @pytest.mark.parametrize("s_min, points", [(-20, 4000), (-25, 1000),
+                                               (-40, 4000)])
+    def test_l_0_guarded_by_backward_error(self, tmp_path, s_min, points):
+        code, eigs, exact = run_spectrum(tmp_path, "hydrogen", 0, s_min,
+                                         points, 3)
+        assert code == EXIT_OK and len(eigs) == 3
+        for lam, ref in zip(eigs, exact):
+            assert abs(lam - ref) <= 2e-6 * abs(ref)
+
+    def test_perturbed_eigenvector_fails_the_guard(self, tmp_path, capsys,
+                                                   monkeypatch):
+        real = schrodinger.eigsh
+
+        def noisy(*args, **kwargs):
+            lam, vecs = real(*args, **kwargs)
+            noise = np.random.default_rng(0).standard_normal(vecs.shape)
+            return lam, vecs + 1e-2 * abs(vecs).max(axis=0) * noise
+
+        monkeypatch.setattr(schrodinger, "eigsh", noisy)
+        code, _, _ = run_spectrum(tmp_path, "hydrogen", 0, -20, 4000, 3)
+        assert code == EXIT_CONVERGENCE
+        assert "backward error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("model", sorted(DEEP_MODELS))

@@ -6,7 +6,9 @@ import types
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 
 from degcalc import flows
@@ -123,12 +125,20 @@ class TestNumericMode:
             assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
-def count_quad(monkeypatch):
-    """The list of the calls flows makes to quad from now on."""
-    calls = []
-    monkeypatch.setattr(flows, "quad",
-                        lambda *a, **k: calls.append(a) or quad(*a, **k))
+def count_calls(monkeypatch, name):
+    """The list of the calls flows makes to its scipy ``name`` from now
+    on."""
+    calls, real = [], getattr(flows, name)
+    monkeypatch.setattr(flows, name,
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
+
+
+def steep_F(u):
+    """F(u) = u + sum_k C(19,k)(1 - e^{-ku})/k for phi = t^20/(1+t)^19,
+    whose 1/g = (1 + e^{-u})^19."""
+    return u + sum(mpmath.binomial(19, k) * (1 - mpmath.exp(-k * u)) / k
+                   for k in range(1, 20))
 
 
 class TestTableOfF:
@@ -150,7 +160,7 @@ class TestTableOfF:
         assert len(fl._table_u) <= 8
 
     def test_applies_make_no_quad_calls(self, monkeypatch):
-        calls = count_quad(monkeypatch)
+        calls = count_calls(monkeypatch, "quad")
         fl = Flow(Weight(self.PHI))
         fl.apply(0.7, 0.5)
         for k in range(100):
@@ -158,7 +168,7 @@ class TestTableOfF:
         assert calls == []
 
     def test_steep_segments_fall_back_to_quad(self, monkeypatch):
-        calls = count_quad(monkeypatch)
+        calls = count_calls(monkeypatch, "quad")
         Flow(Weight(self.STEEP)).apply(0.5, 1.0)
         assert calls
 
@@ -168,24 +178,36 @@ class TestTableOfF:
         # quad segments, and keep |F| small enough that rounding F(x) + s
         # does not dominate
         fl = Flow(Weight(self.STEEP))
-
-        def F_exact(u):
-            return u + sum(mpmath.binomial(19, k) * (1 - mpmath.exp(-k * u))
-                           / k for k in range(1, 20))
-
         with mpmath.workdps(40):
             for u in (-0.4, 0.0, 0.4, 0.8, 1.2):
                 for s in (-1.5, -0.4, 0.6, 1.7):
                     x = math.exp(u)
                     lo = mpmath.log(x) - abs(s)
                     hi = lo + 2 * abs(s)
-                    target = F_exact(mpmath.log(x)) + s
+                    target = steep_F(mpmath.log(x)) + s
                     for _ in range(100):  # bisection
                         mid = (lo + hi) / 2
-                        lo, hi = ((mid, hi) if F_exact(mid) < target
+                        lo, hi = ((mid, hi) if steep_F(mid) < target
                                   else (lo, mid))
                     assert fl.apply(s, x) == pytest.approx(
                         float(mpmath.exp(lo)), rel=1e-12, abs=0)
+
+    def test_steep_far_image_by_brentq(self, monkeypatch):
+        """sigma_10(10) lands in a segment quad resolved (41 of the 47 the
+        call grows have no interpolant), so this test keeps the brentq
+        branch of the inversion exercised.  F(10) ~ 5.87e4 is rounded before
+        s is added, which costs up to ~1e-11 (ulp(F) g(sigma))."""
+        calls = count_calls(monkeypatch, "brentq")
+        fl = Flow(Weight(self.STEEP))
+        got = fl.apply(10.0, 10.0)
+        assert calls
+        with mpmath.workdps(50):
+            u = mpmath.log(10.0)
+            target = steep_F(u) + 10
+            root = mpmath.findroot(lambda v: steep_F(v) - target,
+                                   (u, u + 10), solver="illinois")
+            assert got == pytest.approx(float(mpmath.exp(root)), rel=1e-11,
+                                        abs=0)
 
     @pytest.mark.parametrize("x", [1e-12, 1e-6, 0.3, 1 + 1e-9, 5.0, 1e6,
                                    1e12])
@@ -240,6 +262,96 @@ class TestTableOfF:
         fl = Flow(Weight(RadialFunction.term(1, 20, -19)))
         with pytest.raises(InversionError):
             fl.apply(-1.7e308, 1.0)
+
+
+#: points e^{+-30} for the inversion oracles, and flow times
+FAR_POINTS = (math.exp(-30.0), math.exp(30.0))
+FLOW_TIMES = (0.1, 1.0, 10.0, -0.1, -1.0, -10.0)
+
+
+class TestNewtonInversion:
+    """F^{-1} by safeguarded Newton on each segment's interpolant."""
+
+    #: phi = t + t^2/(1+t): F(x) = ln x - ln((1+2x)/3)/2, so F(x) = y at
+    #: x = (E + sqrt(E^2 + 3E))/3 with E = e^{2y}
+    PHI = TestTableOfF.PHI
+
+    @staticmethod
+    def phi_inverse(y):
+        with mpmath.workdps(40):
+            E = mpmath.exp(2 * mpmath.mpf(y))
+            return float((E + mpmath.sqrt(E * E + 3 * E)) / 3)
+
+    def grown(self):
+        """A flow whose table reaches u = -10 and u = 10."""
+        fl = Flow(Weight(self.PHI))
+        fl.F(math.exp(-10.0))
+        fl.F(math.exp(10.0))
+        return fl
+
+    def test_clenshaw_value_and_derivative(self):
+        coef = np.cos(np.arange(16.0)) / (1.0 + np.arange(16.0)) ** 2
+        for x in np.linspace(-1.0, 1.0, 9):
+            m, dm = flows._clenshaw(coef.tolist(), float(x))
+            assert m == pytest.approx(chebyshev.chebval(x, coef), rel=1e-14)
+            assert dm == pytest.approx(
+                chebyshev.chebval(x, chebyshev.chebder(coef)), rel=1e-13)
+
+    # t^a escapes to infinity from e^30 before any time s > 0
+    @pytest.mark.parametrize("a", [F(3, 2), 2, math.e])
+    @pytest.mark.parametrize("x, s", [(x, s) for x in FAR_POINTS
+                                      for s in FLOW_TIMES
+                                      if x < 1 or s < 0])
+    def test_forced_numeric_power_matches_closed_form(self, a, x, s):
+        w = Weight.from_term(1, a)
+        numeric = Flow(w, mode="numeric", require_complete=False)
+        closed = Flow(w, require_complete=False)
+        assert numeric.apply(s, x) == pytest.approx(closed.apply(s, x),
+                                                    rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("phi, F_exact", [
+        (RadialFunction.term(1, 2, -1), lambda t: mpmath.log(t) - 1 / t),
+        (RadialFunction.term(1, 1, -1) + RadialFunction.term(1, 2, -2),
+         lambda t: t / 2 + mpmath.log(t) - mpmath.log(1 + 2 * t) / 4),
+    ], ids=["quotient", "two_term"])
+    @pytest.mark.parametrize("x", FAR_POINTS, ids=["e-30", "e30"])
+    def test_matches_mpmath_root(self, monkeypatch, phi, F_exact, x):
+        # dF/du >= 0.9 for both, so sigma_s lies within 1.2|s| of u
+        calls = count_calls(monkeypatch, "brentq")
+        fl = Flow(Weight(phi))
+        with mpmath.workdps(50):
+            u = mpmath.log(x)
+            for s in FLOW_TIMES:
+                target = F_exact(mpmath.mpf(x)) + s
+                root = mpmath.findroot(
+                    lambda v: F_exact(mpmath.exp(v)) - target,
+                    (u - 1.2 * abs(s), u + 1.2 * abs(s)), solver="illinois")
+                assert fl.apply(s, x) == pytest.approx(
+                    float(mpmath.exp(root)), rel=1e-13, abs=0)
+        assert calls == []
+
+    def test_node_values(self):
+        # the lowest and highest nodes, u = 0 (F = 0) and every node between
+        fl = self.grown()
+        for y in fl._table_F:
+            assert fl.F_inverse(y) == pytest.approx(self.phi_inverse(y),
+                                                    rel=1e-13, abs=0)
+
+    def test_zero_is_the_base_point(self):
+        assert Flow(Weight(self.PHI)).F_inverse(0.0) == 1.0
+        assert self.grown().F_inverse(0.0) == 1.0
+
+    def test_negative_u_segments(self):
+        fl = self.grown()
+        for y in np.linspace(fl._table_F[0], -1e-3, 37):
+            assert fl.F_inverse(y) == pytest.approx(self.phi_inverse(y),
+                                                    rel=1e-13, abs=0)
+
+    def test_round_trip(self):
+        fl = self.grown()
+        for y in np.linspace(fl._table_F[0], fl._table_F[-1], 41):
+            assert fl.F(fl.F_inverse(y)) == pytest.approx(y, rel=1e-14,
+                                                          abs=1e-15)
 
 
 class TestEndpointReached:
