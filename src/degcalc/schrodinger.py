@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh
-from scipy.sparse import diags
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import get_lapack_funcs
+from scipy.sparse import diags, identity
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from .diffop import DiffOp, parametrix_1d
 from .errors import ConvergenceError, PreconditionError
@@ -423,42 +425,51 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     ``mode='weighted'`` probes phi*A with phi the membership weight.  The
     reported ratio between resolutions is a boundedness proxy.  The factors
     commute, so a norm depends on k = i + j alone: (0, 1) equals (1, 0).
-    A is symmetric tridiagonal, hence normal, and its norms are
-    max |lam^k / (lam - z)| over its eigenvalues lam.  phi*A is not normal,
-    but with W = diag(phi) it is similar to the symmetric tridiagonal
-    W^{1/2} A W^{1/2} = Q diag(lam) Q^T: with L = W^{1/2} Q its norms are
-    those of M_k = L diag(lam^k / (lam - z)) L^{-1}, each the root of the
-    top eigenvalue of M_k^H M_k.
+    With W = diag(phi) (W = I in plain mode) phi*A is similar to the
+    symmetric tridiagonal W^{1/2} A W^{1/2}, whose eigenvalues lam give the
+    distance from z to the spectrum.  A is symmetric, hence normal, and its
+    norms are max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
+    those of M_k = (phi A)^k T^{-1}, T = phi*A - z, each the root of a top
+    eigenvalue found by Lanczos (``eigsh``) on an operator that applies
+    O(n) tridiagonal products and solves with one sparse LU of T:
+
+    - k = 0: T^{-H} T^{-1};
+    - k = 2: T^{-H} B^T B T^{-1} with B = (phi A)^2;
+    - k = 1: M_1 = I + z T^{-1}, so M_1^H M_1 = I + T^{-H} K T^{-1} with the
+      Hermitian tridiagonal K = z (phi A)^T + conj(z) phi A - |z|^2.  By
+      Sylvester's law of inertia T^{-H} K T^{-1} is negative definite
+      exactly when K is, which one O(n) Cholesky of -K decides.  Then
+      ||M_1||^2 = 1 - 1/nu with nu the top eigenvalue of T (-K)^{-1} T^H;
+      otherwise ||M_1||^2 = 1 + the top eigenvalue of T^{-H} K T^{-1}.
+      Either eigenvalue is well separated, where the top singular values
+      of M_1 itself cluster near 1.  At z = 0, M_1 = I.
+
+    Lanczos stops once its residual is 1e-12 of the eigenvalue.  No n x n
+    array is formed.  A Lanczos run that does not converge raises
+    ``ConvergenceError`` naming k, the grid's points and the matvecs.
     """
     if mode not in ("plain", "weighted"):
         raise PreconditionError(f"unknown probe mode {mode!r}")
     phi, _ = membership_weights(prob)
-    z_arith = np.real_if_close(z)  # real z keeps the arithmetic real
+    z_arith = np.real_if_close(z).item()  # real z keeps the arithmetic real
 
     def norms_at(grid):
         d, e, rho = _assemble(prob, grid.s_nodes())
-        if mode == "plain":
-            lam = eigh_tridiagonal(d, e, eigvals_only=True)
-        else:
-            w = phi(rho)
-            sqrt_w = np.sqrt(w)
-            lam, Q = eigh_tridiagonal(w * d, sqrt_w[:-1] * e * sqrt_w[1:])
-            L, L_inv = sqrt_w[:, None] * Q, Q.T / sqrt_w
+        w = phi(rho) if mode == "weighted" else np.ones(len(rho))
+        sqrt_w = np.sqrt(w)
+        lam = eigh_tridiagonal(w * d, sqrt_w[:-1] * e * sqrt_w[1:],
+                               eigvals_only=True)
         dist = float(np.min(np.abs(lam - z_arith)))
         if dist < 0.1:
             raise PreconditionError(
                 f"z = {z} is within 0.1 of the computed spectrum")
-        fs = [lam ** k / (lam - z_arith) for k in range(3)]
         if mode == "plain":
-            by_k = [float(np.max(np.abs(f))) for f in fs]
+            by_k = [float(np.max(np.abs(lam ** k / (lam - z_arith))))
+                    for k in range(3)]
         else:
-            # M^H M is reduced from its large-rho end (the upper triangle):
-            # on oscillator problems it decays into underflow there, and
-            # from the other end LAPACK runs 2-3x slower on subnormals
-            top = [len(lam) - 1] * 2
-            by_k = [float(np.sqrt(eigvalsh(M.conj().T @ M, lower=False,
-                                           subset_by_index=top)[0]))
-                    for M in ((L * f) @ L_inv for f in fs)]
+            a = diags([w[1:] * e, w * d, w[:-1] * e], [-1, 0, 1],
+                      format="csr")
+            by_k = _weighted_norms(a, z_arith, grid.n_points)
         return {(i, j): by_k[i + j] for i in range(2) for j in range(2)}, dist
 
     coarse = GeometricGrid(-8.0, 8.0, base_points)
@@ -466,6 +477,50 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     t2, _ = norms_at(coarse.refined())
     norms = {key: (t1[key], t2[key], t2[key] / t1[key]) for key in t1}
     return ResolventProbeReport(z=z, norms=norms, spectrum_distance=dist1)
+
+
+def _weighted_norms(a, z, points):
+    """||a^k (a - z)^{-1}|| for k = 0, 1, 2 and a sparse tridiagonal a (see
+    resolvent_probe); ``points`` is the grid's, for error messages."""
+    n = a.shape[0]
+    eye = identity(n, format="csr")
+    T = (a - z * eye).tocsc()
+    lu = splu(T, permc_spec="NATURAL")  # a tridiagonal LU needs no reordering
+
+    def inv_h(x):
+        return lu.solve(x, trans="H")
+
+    def top(k, op):
+        matvecs = 0
+
+        def matvec(x):
+            nonlocal matvecs
+            matvecs += 1
+            return op(x)
+
+        try:
+            return float(eigsh(LinearOperator((n, n), matvec, dtype=T.dtype),
+                               k=1, which="LA", v0=np.ones(n, T.dtype),
+                               tol=1e-12, return_eigenvectors=False)[0])
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"resolvent norm k={k} did not converge on {points} points "
+                f"after {matvecs} matvecs", iterations=matvecs) from exc
+
+    B = a @ a
+    norm0 = math.sqrt(top(0, lambda x: inv_h(lu.solve(x))))
+    norm2 = math.sqrt(top(2, lambda x: inv_h(B.T @ (B @ lu.solve(x)))))
+    if z == 0:
+        return [norm0, 1.0, norm2]
+    K = z * a.T + np.conj(z) * a - abs(z) ** 2 * eye
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=T.dtype)
+    f_diag, f_up, info = pttrf(-K.diagonal().real, -K.diagonal(1))
+    if info == 0:  # K is negative definite
+        T_h = T.conj().T
+        nu = top(1, lambda x: T @ pttrs(f_diag, f_up, T_h @ x)[0])
+        return [norm0, math.sqrt(1 - 1 / nu), norm2]
+    norm1_sq = 1 + top(1, lambda x: inv_h(K @ lu.solve(x)))
+    return [norm0, math.sqrt(norm1_sq), norm2]
 
 
 # -- CSV writers -------------------------------------------------------------

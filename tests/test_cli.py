@@ -250,6 +250,46 @@ class TestMain:
         assert "within 0.1 of the computed spectrum" in capsys.readouterr().err
         assert not (tmp_path / "resolvent.txt").exists()
 
+    def test_weighted_resolvent_at_z_0(self, tmp_path, capsys):
+        # M_1 = (phi A)(phi A - 0)^{-1} is the identity
+        rep = schrodinger.resolvent_probe(
+            schrodinger.SchrodingerProblem.oscillator(), 0, mode="weighted")
+        for norm in rep.norms[(0, 1)]:
+            assert norm == pytest.approx(1.0, abs=1e-12)
+        cfg = write_config(tmp_path, OSCILLATOR_RESOLVENT.format(
+            z_real=0, mode="weighted"))
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "resolvent.txt").read_text().splitlines()
+        assert lines[3] == "i=0 j=1: coarse 1  fine 1  ratio 1"
+
+    # eigsh runs k = 0, then k = 2, then k = 1 on each grid
+    @pytest.mark.parametrize("failing_call, k", [(0, 0), (1, 2), (2, 1)])
+    def test_weighted_resolvent_non_convergence(self, tmp_path, capsys,
+                                                monkeypatch, failing_call,
+                                                k):
+        real = schrodinger.eigsh
+        calls = []
+
+        def stalled(A, **kwargs):
+            calls.append(A)
+            if len(calls) - 1 < failing_call:
+                return real(A, **kwargs)
+            for _ in range(3):
+                A.matvec(kwargs["v0"])
+            raise schrodinger.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0),
+                np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(schrodinger, "eigsh", stalled)
+        cfg = write_config(tmp_path, OSCILLATOR_RESOLVENT.format(
+            z_real=-1, mode="weighted"))
+        code = main(["--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert f"resolvent norm k={k} did not converge on 300 points " \
+               "after 3 matvecs" in err
+        assert not (tmp_path / "resolvent.txt").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\ncommand = classify\n"
                                      "[grid]\nwat = 1\n")

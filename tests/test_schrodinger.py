@@ -352,9 +352,14 @@ class TestResolventProbe:
     @pytest.mark.parametrize("mode", ["plain", "weighted"])
     @pytest.mark.parametrize("z", [complex(-2.0), complex(-1.0, 1.0)],
                              ids=["real_z", "complex_z"])
+    # weighted (0, 1): at real z, K = z((phi A)^T + phi A) - z^2 is negative
+    # definite for hydrogen on R^3 and the oscillator (norm below 1) and
+    # indefinite for hydrogen on R^2 (nu = 0, norm 1.39); complex z is
+    # indefinite on all three, and on the oscillator Lanczos runs longest
     @pytest.mark.parametrize("prob", [SchrodingerProblem.hydrogen(),
-                                      SchrodingerProblem.oscillator()],
-                             ids=["hydrogen", "oscillator"])
+                                      SchrodingerProblem.oscillator(),
+                                      SchrodingerProblem.hydrogen(n=2)],
+                             ids=["hydrogen", "oscillator", "hydrogen_n2"])
     def test_matches_dense_oracle(self, prob, z, mode):
         rep = resolvent_probe(prob, z, mode=mode, base_points=60)
         coarse, dist = dense_resolvent_norms(prob, z, mode, 60)
