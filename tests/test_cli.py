@@ -272,7 +272,7 @@ class TestMain:
 
         def stalled(A, **kwargs):
             calls.append(A)
-            if len(calls) - 1 < failing_call:
+            if len(calls) <= failing_call:
                 return real(A, **kwargs)
             for _ in range(3):
                 A.matvec(kwargs["v0"])
