@@ -216,9 +216,10 @@ def _cmd_flow(cfg, out, log):
 def _cmd_spectrum(cfg, out, log):
     prob = cfg.problem()
     result = assemble_and_solve(prob, cfg.grid(), k=cfg.num_eigs)
-    if max(result.backward_errors) > max(cfg.tolerance, 1e-6):
-        raise ConvergenceError(f"eigenpair backward error "
-                               f"{max(result.backward_errors)} above tolerance")
+    bad = [b for b in result.backward_errors if not b <= cfg.tolerance]
+    if bad:  # a NaN backward error fails too
+        raise ConvergenceError(f"eigenpair backward error {max(bad)} "
+                               f"above tolerance {cfg.tolerance}")
     path = os.path.join(out, "spectrum.csv")
     write_spectrum_csv(path, prob, result)
     log(f"wrote {path}")

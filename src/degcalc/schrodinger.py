@@ -324,33 +324,32 @@ def _assemble(prob, s):
 def assemble_and_solve(prob, grid=None, k=2):
     """Lowest k eigenvalues of the radial operator, extrapolated in h.
 
-    The grid's N points are the fine grid, solved by sparse shift-invert.
-    The half grid of (N + 1) // 2 points on the same interval is solved by
-    bisection (LAPACK's stebz, which keeps its relative accuracy however
-    far rho^2 spans), sets the shift one below its ground state and gives
-    the Richardson step lam_f + (lam_f - lam_c) / ((h_c / h_f)^2 - 1), which
-    cancels the h^2 error term.  Residuals and backward errors are those of
-    the fine grid's eigenpairs.
+    The grid's N points (the fine grid) and the half grid of (N + 1) // 2
+    points on the same interval are solved by one bisection, LAPACK's stebz,
+    which keeps its relative accuracy however far rho^2 spans.  The
+    Richardson step lam_f + (lam_f - lam_c) / ((h_c / h_f)^2 - 1) cancels
+    the h^2 error term.  The fine grid's vectors from stein take one step of
+    inverse iteration at their own eigenvalue (LAPACK gtsv), which brings
+    their backward error on deep cuts from up to 6e-4 to rounding; a zero
+    pivot raises ConvergenceError.  Residuals and backward errors are those
+    of the refined fine-grid eigenpairs.
     """
     grid = grid or GeometricGrid()
     n_half = (grid.n_points + 1) // 2
     if k >= n_half - 1:
         raise PreconditionError("k too large for the grid")
+    bisect = {"select": "i", "select_range": (0, k - 1),
+              "lapack_driver": "stebz", "tol": 1e-300}
     hd, he, _ = _assemble(prob, grid.s_nodes(n_half))
-    lam_half = eigh_tridiagonal(hd, he, eigvals_only=True, select="i",
-                                select_range=(0, k - 1),
-                                lapack_driver="stebz", tol=1e-300)
-    sigma = float(lam_half[0]) - 1.0
+    lam_half = eigh_tridiagonal(hd, he, eigvals_only=True, **bisect)
     d, e, _ = _assemble(prob, grid.s_nodes())
-    A = diags([e, d, e], [-1, 0, 1], format="csc")
-    try:
-        lam, vecs = eigsh(A, k=k, sigma=sigma, which="LM",
-                          v0=np.ones(len(d)), tol=0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"eigensolver did not converge (shift {sigma})") from exc
-    order = np.argsort(lam)
-    lam, vecs = lam[order], vecs[:, order]
+    lam, vecs = eigh_tridiagonal(d, e, **bisect)
+    gtsv, = get_lapack_funcs(("gtsv",), (d,))
+    for j, mu in enumerate(lam):
+        x, info = gtsv(e, d - mu, e, vecs[:, j])[3:]
+        if info != 0:
+            raise ConvergenceError(f"zero pivot in inverse iteration at {mu}")
+        vecs[:, j] = x / np.linalg.norm(x)
     ratio = ((grid.n_points - 1) / (n_half - 1)) ** 2
     lam_x = lam + (lam - lam_half) / (ratio - 1)
     res, back = _residuals(d, e, lam, vecs)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import diags
+from scipy.sparse.linalg import eigsh
 from scipy.special import ai_zeros
 
 from degcalc.diffop import CylinderFunction, DiffOp
@@ -205,7 +207,8 @@ class TestSpectra:
         grid = GeometricGrid(-4.0, 4.0, 400)
         prob = SchrodingerProblem.oscillator()
         sp = assemble_and_solve(prob, grid, k=2)
-        for a, b in zip(sp.eigenvalues, dense_eigenvalues(prob, grid, 2)):
+        oracle = shift_invert_eigenvalues(prob, grid, 2)
+        for a, b in zip(sp.eigenvalues, oracle):
             assert abs(a - b) < 1e-8
 
     @pytest.mark.parametrize("prob", [
@@ -214,7 +217,7 @@ class TestSpectra:
         ids=["hydrogen", "oscillator", "hydrogen_l1"])
     def test_dense_matches_sparse_on_default_grid(self, prob):
         sp = assemble_and_solve(prob, k=3)
-        de = dense_eigenvalues(prob, GeometricGrid(), 3)
+        de = shift_invert_eigenvalues(prob, GeometricGrid(), 3)
         for a, b in zip(sp.eigenvalues, de):
             assert abs(a - b) <= 1e-10 * abs(a)
         assert max(sp.residuals) <= 1e-6
@@ -313,19 +316,26 @@ class TestParametrixResidual:
         assert byNK[(2, 4.0)] / byNK[(2, 8.0)] >= 2.0
 
 
-def dense_eigenvalues(prob, grid, k):
-    """Oracle: the solver's extrapolation with the fine grid's eigenvalues
-    from bisection (LAPACK's stebz, as the solver's half grid) in place of
-    sparse shift-invert.  Sturm-count bisection keeps its relative accuracy
-    on these graded matrices at any s_min; sterf and a dense eigvalsh hold
-    too, but only to eps * ||A|| (2e-8 on the oscillator's ground state on
-    2,000 points), and stemr loses the spectrum from s_min = -20."""
+def shift_invert_eigenvalues(prob, grid, k):
+    """Oracle: the solver's extrapolation with both grids' eigenvalues from
+    sparse shift-invert Lanczos (ARPACK eigsh, a sparse LU of A - sigma) in
+    place of bisection.  The shift sigma sits one below the half grid's
+    ground state; it only steers Lanczos, which finds the k eigenvalues
+    nearest sigma on its own."""
     n_half = (grid.n_points + 1) // 2
-    fine, half = (eigh_tridiagonal(
-        *_assemble(prob, grid.s_nodes(n))[:2],
-        eigvals_only=True, select="i", select_range=(0, k - 1),
-        lapack_driver="stebz", tol=1e-300)
-        for n in (grid.n_points, n_half))
+    hd, he, _ = _assemble(prob, grid.s_nodes(n_half))
+    sigma = eigh_tridiagonal(hd, he, eigvals_only=True, select="i",
+                             select_range=(0, 0), lapack_driver="stebz",
+                             tol=1e-300)[0] - 1.0
+
+    def lowest(n):
+        d, e, _ = _assemble(prob, grid.s_nodes(n))
+        A = diags([e, d, e], [-1, 0, 1], format="csc")
+        return np.sort(eigsh(A, k=k, sigma=sigma, which="LM",
+                             v0=np.ones(len(d)), tol=0,
+                             return_eigenvectors=False))
+
+    fine, half = lowest(grid.n_points), lowest(n_half)
     ratio = ((grid.n_points - 1) / (n_half - 1)) ** 2
     return fine + (fine - half) / (ratio - 1)
 
