@@ -216,10 +216,9 @@ def _cmd_flow(cfg, out, log):
 def _cmd_spectrum(cfg, out, log):
     prob = cfg.problem()
     result = assemble_and_solve(prob, cfg.grid(), k=cfg.num_eigs)
-    bad = [b for b in result.backward_errors if not b <= cfg.tolerance]
-    if bad:  # a NaN backward error fails too
-        raise ConvergenceError(f"eigenpair backward error {max(bad)} "
-                               f"above tolerance {cfg.tolerance}")
+    if not all(b <= cfg.tolerance for b in result.backward_errors):  # NaN too
+        raise ConvergenceError(f"eigenpair backward errors "
+                               f"{result.backward_errors} above tolerance")
     path = os.path.join(out, "spectrum.csv")
     write_spectrum_csv(path, prob, result)
     log(f"wrote {path}")

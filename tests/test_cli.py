@@ -212,7 +212,8 @@ class TestMain:
         cfg = write_config(tmp_path, HYDROGEN_SPECTRUM)
         assert main(["--config", cfg, "--out", str(tmp_path)]) \
             == EXIT_CONVERGENCE
-        assert "backward error nan" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "backward errors" in err and "nan" in err
 
     def test_flow_csv(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -415,6 +416,20 @@ class TestDeepCut:
         code, _, _ = run_spectrum(tmp_path, "hydrogen", 0, -20, 4000, 3)
         assert code == EXIT_CONVERGENCE
         assert "backward error" in capsys.readouterr().err
+
+    def test_zero_pivot_in_the_refinement_exits_4(self, tmp_path, capsys,
+                                                  monkeypatch):
+        real = schrodinger.get_lapack_funcs
+
+        def lapack_with_singular_gtsv(names, arrays):
+            gtsv, = real(names, arrays)
+            return (lambda *args: (*gtsv(*args)[:4], 1)),
+
+        monkeypatch.setattr(schrodinger, "get_lapack_funcs",
+                            lapack_with_singular_gtsv)
+        code, _, _ = run_spectrum(tmp_path, "hydrogen", 0, -20, 500)
+        assert code == EXIT_CONVERGENCE
+        assert "zero pivot" in capsys.readouterr().err
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("model", sorted(DEEP_MODELS))
