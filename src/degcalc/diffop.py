@@ -307,7 +307,7 @@ class DiffOp:
 
     # -- algebra ----------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
         if not isinstance(other, DiffOp):
             return NotImplemented
         if not self._same_weights(other):
@@ -315,11 +315,11 @@ class DiffOp:
         a, b = self.to_raw(), other.to_raw()
         merged = dict(a.coeffs)
         for key, c in b.coeffs.items():
-            _raw_add(merged, key[0], key[1], c)
+            _raw_add(merged, key[0], key[1], -c if negate else c)
         return DiffOp("raw", merged, self.phi, self.psi)
 
     def __sub__(self, other):
-        return self + (other * -1)
+        return self.__add__(other, negate=True)
 
     def __mul__(self, scalar):
         return DiffOp(self.form, {k: c * scalar

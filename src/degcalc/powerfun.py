@@ -16,6 +16,7 @@ import heapq
 import itertools
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -60,10 +61,6 @@ def as_coefficient(c):
     raise TypeError(f"unsupported coefficient type: {type(c)!r}")
 
 
-def _coeff_is_zero(c):
-    return c == 0
-
-
 def generalized_binomial(q, k):
     """binom(q, k), exactly, for a rational q and an integer k >= 0."""
     num = Fraction(1)
@@ -75,22 +72,16 @@ def generalized_binomial(q, k):
 class RadialFunction:
     """A finite real-exponent power sum, exact under ring operations.
 
-    ``terms`` maps (p, q) exponent pairs to nonzero coefficients.  Instances
-    are immutable by convention; every operation returns a fresh object.
+    ``terms`` maps (p, q) exponent pairs to nonzero coefficients, stored as
+    integers (Dp, Dq) over one denominator D per function, so ring operations
+    add and hash ints.  Instances are immutable by convention; every
+    operation returns a fresh object.
     """
 
-    __slots__ = ("domain", "terms", "_floats")
+    __slots__ = ("domain", "_terms", "_den", "_floats")
 
     def __init__(self, terms=None, domain=HALF_LINE):
-        if domain not in (HALF_LINE, UNIT_INTERVAL):
-            raise ValueError(f"unknown domain {domain!r}")
-        object.__setattr__(self, "domain", domain)
-        merged = {}
-        if terms:
-            for (p, q), c in dict(terms).items():
-                _accumulate(merged, as_exponent(p), as_exponent(q),
-                            as_coefficient(c))
-        object.__setattr__(self, "terms", merged)
+        _wrap(*_stored(dict(terms or {}).items(), domain), out=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("RadialFunction is immutable")
@@ -99,7 +90,7 @@ class RadialFunction:
 
     @classmethod
     def term(cls, coeff, p, q=0, domain=HALF_LINE):
-        return cls({(as_exponent(p), as_exponent(q)): coeff}, domain=domain)
+        return _wrap(*_stored([((p, q), coeff)], domain))
 
     @classmethod
     def const(cls, c, domain=HALF_LINE):
@@ -107,7 +98,7 @@ class RadialFunction:
 
     @classmethod
     def zero(cls, domain=HALF_LINE):
-        return cls({}, domain=domain)
+        return _wrap(*_stored((), domain))
 
     @classmethod
     def t_power(cls, p, domain=HALF_LINE):
@@ -116,12 +107,17 @@ class RadialFunction:
     # -- basic predicates -------------------------------------------------
 
     @property
+    def terms(self):
+        """The terms as a read-only mapping {(p, q): c}, Fraction exponents."""
+        return _Terms(self)
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     @property
     def is_single_term(self):
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def _require_same_domain(self, other):
         if self.domain != other.domain:
@@ -136,15 +132,17 @@ class RadialFunction:
         if not isinstance(other, RadialFunction):
             return NotImplemented
         self._require_same_domain(other)
-        merged = dict(self.terms)
-        for (p, q), c in other.terms.items():
-            _accumulate(merged, p, q, c)
-        return _wrap(merged, self.domain)
+        a, b, den = _common(self, other)
+        merged = dict(a)
+        for key, c in b.items():
+            _accumulate(merged, key, c)
+        return _wrap(merged, den, self.domain)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({k: -c for k, c in self.terms.items()}, self.domain)
+        return _wrap({k: -c for k, c in self._terms.items()}, self._den,
+                     self.domain)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RadialFunction) else -1 * other)
@@ -155,18 +153,20 @@ class RadialFunction:
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction, complex)):
             other = as_coefficient(other)
-            if _coeff_is_zero(other):
-                return RadialFunction.zero(self.domain)
-            return _wrap({k: c * other for k, c in self.terms.items()},
-                         self.domain)
+            merged = {}
+            if other != 0:  # an inf coefficient times 0 stays 0, not nan
+                for key, c in self._terms.items():
+                    _accumulate(merged, key, c * other)
+            return _wrap(merged, self._den, self.domain)
         if not isinstance(other, RadialFunction):
             return NotImplemented
         self._require_same_domain(other)
+        a, b, den = _common(self, other)
         merged = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                _accumulate(merged, p1 + p2, q1 + q2, c1 * c2)
-        return _wrap(merged, self.domain)
+        for (P1, Q1), c1 in a.items():
+            for (P2, Q2), c2 in b.items():
+                _accumulate(merged, (P1 + P2, Q1 + Q2), c1 * c2)
+        return _wrap(merged, den, self.domain)
 
     __rmul__ = __mul__
 
@@ -183,22 +183,24 @@ class RadialFunction:
         self._require_same_domain(other)
         if not other.is_single_term:
             raise ValueError("divisor must be a single term")
-        ((p0, q0), c0), = other.terms.items()
+        a, b, den = _common(self, other)
+        ((P0, Q0), c0), = b.items()
         merged = {}
-        for (p, q), c in self.terms.items():
-            _accumulate(merged, p - p0, q - q0, c / c0)
-        return _wrap(merged, self.domain)
+        for (P, Q), c in a.items():
+            _accumulate(merged, (P - P0, Q - Q0), c / c0)
+        return _wrap(merged, den, self.domain)
 
     def derivative(self):
         """Exact d/dt in the ring."""
         sign = 1 if self.domain == HALF_LINE else -1
+        den = self._den
         merged = {}
-        for (p, q), c in self.terms.items():
-            if not _coeff_is_zero(p * c):
-                _accumulate(merged, p - 1, q, p * c)
-            if not _coeff_is_zero(q * c):
-                _accumulate(merged, p, q - 1, sign * q * c)
-        return _wrap(merged, self.domain)
+        for (P, Q), c in self._terms.items():
+            if P:
+                _accumulate(merged, (P - den, Q), Fraction(P, den) * c)
+            if Q:
+                _accumulate(merged, (P, Q - den), sign * Fraction(Q, den) * c)
+        return _wrap(merged, den, self.domain)
 
     # -- coordinate changes ----------------------------------------------
 
@@ -209,20 +211,16 @@ class RadialFunction:
         """
         if self.domain != HALF_LINE:
             raise DomainMismatchError("invert is a half-line operation")
-        merged = {}
-        for (p, q), c in self.terms.items():
-            _accumulate(merged, -(p + q), q, c)
-        return _wrap(merged, HALF_LINE)
+        return _wrap({(-(P + Q), Q): c for (P, Q), c in self._terms.items()},
+                     self._den, HALF_LINE)
 
     def flip(self):
         """The function t -> f(1-t) on the unit interval (swap the basis
         factors)."""
         if self.domain != UNIT_INTERVAL:
             raise DomainMismatchError("flip is a unit-interval operation")
-        merged = {}
-        for (p, q), c in self.terms.items():
-            _accumulate(merged, q, p, c)
-        return _wrap(merged, UNIT_INTERVAL)
+        return _wrap({(Q, P): c for (P, Q), c in self._terms.items()},
+                     self._den, UNIT_INTERVAL)
 
     # -- exponent data ----------------------------------------------------
 
@@ -230,7 +228,7 @@ class RadialFunction:
         """Leading exponent at t = 0 (+inf for the zero function)."""
         if self.is_zero:
             return math.inf
-        return min(self.terms, key=lambda k: k[0])[0]
+        return Fraction(min(P for P, _ in self._terms), self._den)
 
     def far_exponent(self):
         """Leading exponent at the far endpoint (inf or 1), +inf for the zero
@@ -242,8 +240,8 @@ class RadialFunction:
         if self.is_zero:
             return math.inf
         if self.domain == HALF_LINE:
-            return -max(p + q for (p, q) in self.terms)
-        return min(q for (_, q) in self.terms)
+            return Fraction(-max(P + Q for P, Q in self._terms), self._den)
+        return Fraction(min(Q for _, Q in self._terms), self._den)
 
     # -- endpoint limits and continuity ----------------------------------
 
@@ -294,9 +292,9 @@ class RadialFunction:
         try:
             floats = self._floats
         except AttributeError:  # the float exponents, converted once
-            floats = tuple((float(p), float(q),
+            floats = tuple((P / self._den, Q / self._den,
                             c if isinstance(c, complex) else float(c))
-                           for (p, q), c in self.terms.items())
+                           for (P, Q), c in self._terms.items())
             object.__setattr__(self, "_floats", floats)
         if xp is math:
             total = 0.0
@@ -321,7 +319,8 @@ class RadialFunction:
     def __eq__(self, other):
         if not isinstance(other, RadialFunction):
             return NotImplemented
-        return self.domain == other.domain and self.terms == other.terms
+        a, b, _ = _common(self, other)
+        return self.domain == other.domain and a == b
 
     __hash__ = None
 
@@ -337,10 +336,10 @@ class RadialFunction:
             return "0"
         factor = "(1+t)" if self.domain == HALF_LINE else "(1-t)"
         lines = []
-        for p, q in sorted(self.terms):
-            c = self.terms[(p, q)]
-            lines.append(f"{_num_to_text(c)} * t^{_num_to_text(p)}"
-                         f" * {factor}^{_num_to_text(q)}")
+        for P, Q in sorted(self._terms):
+            c = self._terms[P, Q]
+            lines.append(f"{_num_to_text(c)} * t^{Fraction(P, self._den)}"
+                         f" * {factor}^{Fraction(Q, self._den)}")
         return "\n".join(lines)
 
     @classmethod
@@ -351,7 +350,7 @@ class RadialFunction:
         pat = re.compile(
             r"^\s*(?P<c>\S+)\s*\*\s*t\^(?P<p>\S+)\s*\*\s*"
             r"\((?P<factor>1\+t|1-t)\)\^(?P<q>\S+)\s*$")
-        terms = {}
+        pairs = []
         domain = None
         for line in text.splitlines():
             if not line.strip():
@@ -364,12 +363,9 @@ class RadialFunction:
                 domain = dom
             elif domain != dom:
                 raise ValueError("mixed basis factors in serialized function")
-            p = _num_from_text(m.group("p"))
-            q = _num_from_text(m.group("q"))
-            c = _num_from_text(m.group("c"))
-            _accumulate(terms, as_exponent(p), as_exponent(q),
-                        as_coefficient(c))
-        return cls(terms, domain=domain or HALF_LINE)
+            p, q, c = (_num_from_text(m.group(g)) for g in "pqc")
+            pairs.append(((p, q), c))
+        return _wrap(*_stored(pairs, domain or HALF_LINE))
 
 
 # -- the flow coordinate u of the b-weight ----------------------------------
@@ -423,24 +419,73 @@ def _exp(u):
 
 # -- internals ------------------------------------------------------------
 
-def _accumulate(merged, p, q, c):
-    if _coeff_is_zero(c):
+class _Terms(Mapping):
+    """Read-only {(p, q): c} view of a function's integer keys (P, Q)."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __len__(self):
+        return len(self._f._terms)
+
+    def __iter__(self):
+        d = self._f._den
+        return ((Fraction(P, d), Fraction(Q, d)) for P, Q in self._f._terms)
+
+    def __getitem__(self, key):
+        P, Q = (Fraction(x) * self._f._den for x in key)
+        return self._f._terms[P, Q]  # an integral Fraction finds its int
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _accumulate(merged, key, c):
+    """Add c at key, keeping every stored coefficient nonzero."""
+    if c == 0:
         return
-    key = (p, q)
     old = merged.get(key)
     if old is not None:
         c = old + c
-        if _coeff_is_zero(c):
+        if c == 0:
             del merged[key]
             return
     merged[key] = c
 
 
-def _wrap(merged, domain):
-    out = RadialFunction.__new__(RadialFunction)
+def _stored(pairs, domain):
+    """Stored fields (terms {(P, Q): c}, D, domain) of ((p, q), c) pairs."""
+    if domain not in (HALF_LINE, UNIT_INTERVAL):
+        raise ValueError(f"unknown domain {domain!r}")
+    items = [(as_exponent(p), as_exponent(q), as_coefficient(c))
+             for (p, q), c in pairs]
+    den = math.lcm(*(x.denominator for p, q, _ in items for x in (p, q)))
+    merged = {}
+    for p, q, c in items:
+        _accumulate(merged, (p.numerator * (den // p.denominator),
+                             q.numerator * (den // q.denominator)), c)
+    return merged, den, domain
+
+
+def _wrap(terms, den, domain, out=None):
+    """A new function with these stored fields, or ``out`` given them."""
+    out = RadialFunction.__new__(RadialFunction) if out is None else out
     object.__setattr__(out, "domain", domain)
-    object.__setattr__(out, "terms", merged)
+    object.__setattr__(out, "_terms", terms)
+    object.__setattr__(out, "_den", den)
     return out
+
+
+def _common(f, g):
+    """The terms of f and g over their common denominator, and that."""
+    den = f._den if f._den == g._den else math.lcm(f._den, g._den)
+    return _rescaled(f, den), _rescaled(g, den), den
+
+
+def _rescaled(f, den):
+    k = den // f._den
+    return f._terms if k == 1 else \
+        {(P * k, Q * k): c for (P, Q), c in f._terms.items()}
 
 
 def _series_limit_at_zero(f):
@@ -453,19 +498,19 @@ def _series_limit_at_zero(f):
     the first exponent whose contributions do not cancel decides it.
     """
     sign = 1 if f.domain == HALF_LINE else -1
-    ladders = (map(p.__add__, range(math.floor(-p) + 1)) for (p, _) in f.terms)
+    ladders = (range(P, 1, f._den) for P, _ in f._terms)  # D (p + k) <= 0
     for e, _ in itertools.groupby(heapq.merge(*ladders)):
         total = Fraction(0)
         scale = 0.0
-        for (p, q), c in f.terms.items():
-            k = e - p
-            if k < 0 or k.denominator != 1:
+        for (P, Q), c in f._terms.items():
+            k, rem = divmod(e - P, f._den)
+            if k < 0 or rem:
                 continue
-            k = k.numerator
-            contrib = c * (generalized_binomial(q, k) * (sign ** k))
+            contrib = c * (generalized_binomial(Fraction(Q, f._den), k)
+                           * (sign ** k))
             total = total + contrib
             scale = max(scale, abs(complex(contrib)))
-        if _coeff_is_zero(total):
+        if total == 0:
             continue
         if not isinstance(total, Fraction) and scale > 0.0 \
                 and abs(complex(total)) <= COEFF_REL_TOL * scale:

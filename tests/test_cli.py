@@ -443,3 +443,52 @@ class TestDeepCut:
 class TestSelftest:
     def test_all_checks_pass(self):
         assert run_selftest() == []
+
+
+#: classify.txt and membership.txt of the default configs.  Both come from
+#: the exact ring alone, so their bytes are the same on every platform.
+DEFAULT_EXACT_OUTPUTS = {
+    "classify.txt": (
+        "near 0: schr3 rewrite, c_{1,0} calculus\n"
+        "near infinity: schr5 rewrite, c_{2,1} calculus\n"),
+    "membership.txt": (
+        "weight phi = 1 * t^1 * (1+t)^-1\n"
+        "weight psi = 1 * t^0 * (1+t)^-1\n"
+        "coefficient (0, 0): -1 * t^1 * (1+t)^-2 -> member\n"
+        "coefficient (0, 2): -1 * t^0 * (1+t)^0 -> member\n"
+        "coefficient (1, 0): -2 * t^0 * (1+t)^-1 -> member\n"
+        "coefficient (2, 0): -1 * t^0 * (1+t)^0 -> member\n"
+        "overall: PASS\n"),
+}
+
+#: parametrix.csv of the default config: N and K exactly, then the residual
+#: ratio, which passes through floating point
+DEFAULT_PARAMETRIX = [("0", "4", 1.0), ("0", "8", 1.0),
+                      ("1", "4", 0.019779929917195963),
+                      ("1", "8", 0.0047252832247565322),
+                      ("2", "4", 0.0088309874677664855),
+                      ("2", "8", 0.0010581880597261598)]
+
+
+class TestDefaultOutputs:
+    @staticmethod
+    def run_default(tmp_path, command, name):
+        cfg = write_config(tmp_path, f"[run]\ncommand = {command}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        return (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("command, name", [
+        ("classify", "classify.txt"), ("membership", "membership.txt")])
+    def test_exact_layer_bytes(self, tmp_path, command, name):
+        assert self.run_default(tmp_path, command, name) \
+            == DEFAULT_EXACT_OUTPUTS[name].encode()
+
+    def test_parametrix_csv(self, tmp_path):
+        text = self.run_default(tmp_path, "parametrix", "parametrix.csv")
+        header, *rows = text.decode().split("\r\n")[:-1]
+        assert header == "N,K,residual_ratio"
+        got = [row.split(",") for row in rows]
+        assert [(n, k) for n, k, _ in got] == \
+            [(n, k) for n, k, _ in DEFAULT_PARAMETRIX]
+        for (*_, ratio), (*_, expected) in zip(got, DEFAULT_PARAMETRIX):
+            assert float(ratio) == pytest.approx(expected, rel=1e-12, abs=0)

@@ -70,6 +70,13 @@ class TestArithmetic:
         ((_, _), c), = f.terms.items()
         assert c == F(1, 5)
 
+    def test_scalar_product_drops_coefficients_that_underflow(self):
+        f = RadialFunction.term(1e-200, 1) * 1e-200
+        assert f.is_zero and f == RadialFunction.zero()
+        assert f.far_exponent() == math.inf
+        assert f == RadialFunction.term(1e-200, 1) \
+            * RadialFunction.const(1e-200)
+
 
 class TestDerivative:
     def test_power_rule_half_line(self):
@@ -337,3 +344,143 @@ class TestProperties:
                                    g.domain)
             for t, got, scale in zip(ts, g(ts), sizes(ts)):
                 assert abs(got - g(float(t))) <= 1e-14 * scale
+
+
+# -- the integer keys against a Fraction-keyed reference ----------------------
+# Each function stores its exponents as integers over one denominator D; the
+# reference below works on the Fraction pairs that ``terms`` reads back.
+# Denominators 3, 7, 9 and 11 make operands with different D meet, and float
+# exponents bring D = 2^k for large k.
+
+key_exps = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12),
+              st.sampled_from((1, 2, 3, 7, 9, 11))),
+    st.sampled_from((math.e, -math.pi / 4, 0.1, -2.5)))
+key_coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                       st.integers(1, 3))
+key_terms = st.dictionaries(st.tuples(key_exps, key_exps), key_coeffs,
+                            max_size=4)
+domains = st.sampled_from((HALF_LINE, UNIT_INTERVAL))
+
+
+def reference(pairs):
+    """Fraction-keyed {(p, q): c} of ((p, q), c) pairs, equal keys merged and
+    zero sums dropped."""
+    out = {}
+    for (p, q), c in pairs:
+        key = (as_exponent(p), as_exponent(q))
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def reference_limit_at_zero(terms, domain):
+    """The first nonzero coefficient of the expansion at t = 0 over the
+    exponents e <= 0: +/-inf below e = 0, the value at e = 0, else 0."""
+    sign = 1 if domain == HALF_LINE else -1
+    ladder = sorted({p + k for p, _ in terms
+                     for k in range(math.floor(-p) + 1)})
+    for e in ladder:
+        total = Fraction(0)
+        for (p, q), c in terms.items():
+            k = e - p
+            if k >= 0 and k.denominator == 1:
+                total += c * generalized_binomial(q, int(k)) * sign ** int(k)
+        if total != 0:
+            return total if e == 0 else math.copysign(math.inf, total)
+    return 0
+
+
+def split_denominator(f):
+    """f again, stored over 11 times its denominator."""
+    extra = RadialFunction.term(1, F(1, 11 * 13), domain=f.domain)
+    return f + extra - extra
+
+
+class TestIntegerKeys:
+    @given(key_terms, key_terms, domains)
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations_match_reference(self, a, b, domain):
+        f, g = RadialFunction(a, domain), RadialFunction(b, domain)
+        ra, rb = reference(a.items()), reference(b.items())
+        assert dict(f.terms) == ra and dict(g.terms) == rb
+        assert all(type(p) is Fraction and type(q) is Fraction
+                   for p, q in f.terms)
+        assert dict((f + g).terms) == reference([*ra.items(), *rb.items()])
+        assert dict((f * g).terms) == reference(
+            ((p1 + p2, q1 + q2), c1 * c2)
+            for (p1, q1), c1 in ra.items() for (p2, q2), c2 in rb.items())
+        sign = 1 if domain == HALF_LINE else -1
+        assert dict(f.derivative().terms) == reference(
+            pair for (p, q), c in ra.items()
+            for pair in (((p - 1, q), p * c), ((p, q - 1), sign * q * c)))
+        for (p0, q0), c0 in rb.items():
+            one = RadialFunction.term(c0, p0, q0, domain)
+            assert dict(f.divide_term(one).terms) == reference(
+                ((p - p0, q - q0), c / c0) for (p, q), c in ra.items())
+        if domain == HALF_LINE:
+            far = {(-(p + q), q): c for (p, q), c in ra.items()}
+            assert dict(f.invert().terms) == far
+            assert f.far_exponent() == (-max(p + q for p, q in ra)
+                                        if ra else math.inf)
+        else:
+            far = {(q, p): c for (p, q), c in ra.items()}
+            assert dict(f.flip().terms) == far
+            assert f.far_exponent() == min((q for _, q in ra),
+                                           default=math.inf)
+        assert f.min_p() == min((p for p, _ in ra), default=math.inf)
+        assert f.limit("zero") == reference_limit_at_zero(ra, domain)
+        assert f.limit("far") == reference_limit_at_zero(far, domain)
+
+    @given(key_terms, key_exps, key_exps, domains)
+    @settings(max_examples=60, deadline=None)
+    def test_limit_past_cancelling_exponents(self, a, q1, q2, domain):
+        # (1 +/- t)^q1 - (1 +/- t)^q2 vanishes at t = 0, so every exponent
+        # p of a cancels there and the limit is read further up the ladder
+        f = RadialFunction(a, domain) * (
+            RadialFunction.term(1, 0, q1, domain)
+            - RadialFunction.term(1, 0, q2, domain))
+        assert f.limit("zero") == reference_limit_at_zero(dict(f.terms),
+                                                          domain)
+
+    def test_limit_past_cancelling_exponents_over_thirds(self):
+        # t^-1 ((1+t)^(1/3) - (1+t)^(-1/3)) = 2/3 + O(t), stored over D = 3
+        f = RadialFunction({(-1, F(1, 3)): 1, (-1, F(-1, 3)): -1})
+        assert f.limit("zero") == F(2, 3)
+        assert (f * RadialFunction.term(1, F(-1, 2))).limit("zero") == math.inf
+
+    @given(key_terms, domains)
+    @settings(max_examples=60, deadline=None)
+    def test_stored_denominator_is_not_observable(self, a, domain):
+        f = RadialFunction(a, domain)
+        g = split_denominator(f)
+        assert f == g and g == f and f.terms == g.terms
+        assert f.to_text() == g.to_text()
+        assert (f.min_p(), f.far_exponent(), f.limit("zero"),
+                f.limit("far")) == (g.min_p(), g.far_exponent(),
+                                    g.limit("zero"), g.limit("far"))
+        assert (f - g).is_zero and (f * g - g * f).is_zero
+        back = RadialFunction.from_text(g.to_text())
+        assert back.terms == f.terms
+        if not f.is_zero:  # "0" reads back on the half-line
+            assert back == f
+
+    def test_equal_across_denominators(self):
+        half = RadialFunction.term(1, F(1, 2))
+        assert half * half == RadialFunction.term(1, 1)
+        assert RadialFunction.term(2, F(2, 4), -1) == \
+            RadialFunction.term(2, 0.5, F(-3, 3))
+        e = RadialFunction.term(1, math.e)
+        assert e * RadialFunction.term(1, F(1, 3)) \
+            == RadialFunction.term(1, F(math.e) + F(1, 3))
+        assert e != RadialFunction.term(1, F(6121026514868073,
+                                             2251799813685249))
+
+    def test_terms_is_a_fraction_keyed_view(self):
+        assert RadialFunction.const(1).terms == {(0, 0): 1}
+        f = RadialFunction.term(3, F(1, 3), math.e)
+        assert dict(f.terms) == {(F(1, 3), F(math.e)): 3}
+        assert f.terms[(F(1, 3), math.e)] == 3 and len(f.terms) == 1
+        assert (F(1, 3), 0) not in f.terms and (1, 1) not in f.terms
+        assert f.terms.get((F(2, 3), math.e)) is None
+        with pytest.raises(TypeError):
+            f.terms[(0, 0)] = 1
