@@ -391,7 +391,7 @@ def reference_limit_at_zero(terms, domain):
 
 
 def split_denominator(f):
-    """f again, stored over 11 times its denominator."""
+    """f again, stored over lcm(D, 143) instead of its own denominator D."""
     extra = RadialFunction.term(1, F(1, 11 * 13), domain=f.domain)
     return f + extra - extra
 
