@@ -383,26 +383,6 @@ def _raw_add(raw, i, j, c):
         raw[key] = new
 
 
-def _compose_terms(i1, j1, b1, i2, j2, b2):
-    """Raw term composition  b1 dt^{i1} dtheta^{j1} o b2 dt^{i2} dtheta^{j2}."""
-    out = {}
-    for m in range(i1 + 1):
-        # dtheta passes through radial-in-t derivatives; apply all j1 of them
-        # to b2 (each multiplies Fourier mode mu by i*mu) split by Leibniz
-        for l in range(j1 + 1):
-            g = b2
-            for _ in range(l):
-                g = g.d_theta()
-            for _ in range(m):
-                g = g.d_t()
-            c = b1 * g * (comb(i1, m) * comb(j1, l))
-            if not c.is_zero:
-                key = (i1 - m + i2, j1 - l + j2)
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
-    return out
-
-
 def check_weight_admissible(phi):
     """phi' must lie in C_phi^(infinity); raise otherwise."""
     res = membership_order(phi.profile.derivative(), phi, math.inf)
@@ -414,15 +394,27 @@ def check_weight_admissible(phi):
 
 
 def op_compose(A, B):
-    """Exact composition by Leibniz expansion of the raw forms."""
-    if not (A.phi == B.phi and A.psi == B.psi):
+    """Exact composition by Leibniz expansion of the raw forms.
+
+    b1 dt^{i1} dtheta^{j1} o b2 dt^{i2} dtheta^{j2} is the sum over m <= i1,
+    l <= j1 of C(i1, m) C(j1, l) b1 (dt^m dtheta^l b2) dt^{i1-m+i2}
+    dtheta^{j1-l+j2}; dtheta passes through the radial-in-t derivatives.
+    """
+    if not A._same_weights(B):
         raise PreconditionError("operators built over different weights")
-    a, b = A.to_raw(), B.to_raw()
+    a, b = A.to_raw().coeffs, B.to_raw().coeffs
     raw = {}
-    for (i1, j1), b1 in a.coeffs.items():
-        for (i2, j2), b2 in b.coeffs.items():
-            for (i, j), c in _compose_terms(i1, j1, b1, i2, j2, b2).items():
-                _raw_add(raw, i, j, c)
+    for (i1, j1), b1 in a.items():
+        for (i2, j2), b2 in b.items():
+            for m in range(i1 + 1):
+                for l in range(j1 + 1):
+                    g = b2
+                    for _ in range(l):
+                        g = g.d_theta()
+                    for _ in range(m):
+                        g = g.d_t()
+                    _raw_add(raw, i1 - m + i2, j1 - l + j2,
+                             b1 * g * (comb(i1, m) * comb(j1, l)))
     return DiffOp("raw", raw, A.phi, A.psi)
 
 
@@ -434,36 +426,22 @@ def op_commutator(A, B):
 # -- Lie-Rinehart axioms ---------------------------------------------------
 
 
-class VectorField:
-    """First-order field u*X + v*Y with ring (cylinder) coefficients."""
+class VectorField(DiffOp):
+    """First-order field u*X + v*Y with ring (cylinder) coefficients, as a
+    lie-form DiffOp."""
+
+    __slots__ = ()
 
     def __init__(self, u, v, phi, psi):
-        self.phi = phi
-        self.psi = psi
-        self.u = _as_cylinder(u, self.phi.domain)
-        self.v = _as_cylinder(v, self.phi.domain)
+        super().__init__("lie", {(1, 0): u, (0, 1): v}, phi, psi)
 
-    def as_op(self):
-        return DiffOp("lie", {(1, 0): self.u, (0, 1): self.v},
-                      self.phi, self.psi)
 
-    def act(self, f):
-        return self.as_op().apply(f)
-
-    def bracket(self, other):
-        """[Z, W] as a VectorField (the commutator has order <= 1)."""
-        C = op_commutator(self.as_op(), other.as_op()).to_lie()
-        dom = self.phi.domain
-        zero = CylinderFunction.zero(dom)
-        for (i, j) in C.coeffs:
-            if i + j > 1:
-                raise PreconditionError("bracket left first-order fields")
-        return VectorField(C.coeffs.get((1, 0), zero),
-                           C.coeffs.get((0, 1), zero), self.phi, self.psi)
-
-    def scale(self, a):
-        a = _as_cylinder(a, self.phi.domain)
-        return VectorField(a * self.u, a * self.v, self.phi, self.psi)
+def _bracket(Z, W):
+    """[Z, W] of first-order fields, in lie form (it has order <= 1)."""
+    C = op_commutator(Z, W).to_lie()
+    if C.order > 1:
+        raise PreconditionError("bracket left first-order fields")
+    return C
 
 
 def random_lie_rinehart_samples(phi, psi, count, seed=0):
@@ -517,20 +495,18 @@ def lie_rinehart_check(phi, psi, samples):
     for s in samples:
         Z, W, U = s["Z"], s["W"], s["U"]
         a, f = s["a"], s["f"]
-        ZW, Za, Zf = Z.bracket(W), Z.act(a), Z.act(f)
-        aZ, aZW = Z.scale(a), ZW.scale(a).as_op()
-        j1 = ZW.bracket(U).act(f)
-        j2 = W.bracket(U).bracket(Z).act(f)
-        j3 = U.bracket(Z).bracket(W).act(f)
+        ZW, Za, Zf = _bracket(Z, W), Z.apply(a), Z.apply(f)
+        aZ, aZW = Z * a, ZW * a
+        j1 = _bracket(ZW, U).apply(f)
+        j2 = _bracket(_bracket(W, U), Z).apply(f)
+        j3 = _bracket(_bracket(U, Z), W).apply(f)
         jacobi.append((j1 + j2 + j3).is_zero)
         # [Z, aW] = Z(a) W + a [Z, W]
-        lhs = Z.bracket(W.scale(a))
-        leibniz.append(lhs.as_op() == W.scale(Za).as_op() + aZW)
-        module_act.append(aZ.act(f) == a * Zf)
+        leibniz.append(_bracket(Z, W * a) == W * Za + aZW)
+        module_act.append(aZ.apply(f) == a * Zf)
         # [aZ, W] = a [Z, W] - W(a) Z
-        lhs2 = aZ.bracket(W)
-        module_br.append(lhs2.as_op() == aZW - Z.scale(W.act(a)).as_op())
-        derivation.append(Z.act(a * f) == Za * f + a * Zf)
+        module_br.append(_bracket(aZ, W) == aZW - Z * W.apply(a))
+        derivation.append(Z.apply(a * f) == Za * f + a * Zf)
     record("jacobi", jacobi)
     record("leibniz", leibniz)
     record("module_action", module_act)
@@ -655,9 +631,9 @@ def radial_symbol(A):
         raise PreconditionError("radial symbol needs a radial operator")
     dom = A.domain
     mmax = max((i for (i, _) in lie.coeffs), default=0)
-    poly = [RadialFunction.zero(domain=dom) for _ in range(mmax + 1)]
+    poly = [RadialFunction.zero(domain=dom)] * (mmax + 1)
     for (i, _), c in lie.coeffs.items():
-        poly[i] = poly[i] + c.radial_part() * (1j ** i)
+        poly[i] = c.radial_part() * (1j ** i)
     poly = _trim_poly(poly)
     return PoweredSymbol(poly, poly, 0, domain=dom)
 
@@ -753,20 +729,19 @@ class ParametrixExpansion:
         self.remainder_order = remainder_order
 
 
-def symbol_sharp(sigma, q, phi, max_alpha):
+def symbol_sharp(sigma, q, phi):
     """Asymptotic composition sigma # q = sum_alpha (1/alpha!) d_xi^alpha sigma
-    * D_s^alpha q.  Finite because sigma is polynomial in xi."""
+    * D_s^alpha q.  Finite because sigma is polynomial in xi: alpha runs up
+    to its degree."""
     out = None
     dsig = sigma
     dq = q
     fact = 1
-    for alpha in range(max_alpha + 1):
+    for alpha in range(len(sigma.num)):
         if alpha > 0:
             dsig = dsig.d_xi()
             dq = dq.D_s(phi)
             fact *= alpha
-        if dsig.is_zero:
-            break
         term = dsig * dq * (1.0 / fact)
         out = term if out is None else out + term
     return out
@@ -799,11 +774,11 @@ def parametrix_1d(A, N):
         return ParametrixExpansion([], one, m)
     phi = lie.phi
     terms = [q0]
-    E = one - symbol_sharp(sigma, q0, phi, m)
+    E = one - symbol_sharp(sigma, q0, phi)
     for _ in range(1, N):
         qk = q0 * E
         terms.append(qk)
-        E = E - symbol_sharp(sigma, qk, phi, m)
+        E = E - symbol_sharp(sigma, qk, phi)
     return ParametrixExpansion(terms, E, m - 1 - N)
 
 

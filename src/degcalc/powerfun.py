@@ -100,10 +100,6 @@ class RadialFunction:
     def zero(cls, domain=HALF_LINE):
         return _wrap(*_stored((), domain))
 
-    @classmethod
-    def t_power(cls, p, domain=HALF_LINE):
-        return cls.term(1, p, 0, domain=domain)
-
     # -- basic predicates -------------------------------------------------
 
     @property
@@ -259,13 +255,8 @@ class RadialFunction:
     def is_continuous(self):
         """True iff both endpoint limits are finite, i.e. the function
         extends continuously to the compactified domain."""
-        for end in ("zero", "far"):
-            v = self.limit(end)
-            if isinstance(v, complex):
-                continue
-            if math.isinf(v):
-                return False
-        return True
+        return all(self.limit(end) not in (math.inf, -math.inf)
+                   for end in ("zero", "far"))
 
     def __call__(self, t):
         """Floating evaluation, not exact, at strictly interior points: t is a
@@ -500,21 +491,20 @@ def _series_limit_at_zero(f):
     sign = 1 if f.domain == HALF_LINE else -1
     ladders = (range(P, 1, f._den) for P, _ in f._terms)  # D (p + k) <= 0
     for e, _ in itertools.groupby(heapq.merge(*ladders)):
-        total = Fraction(0)
-        scale = 0.0
+        contribs = []
         for (P, Q), c in f._terms.items():
             k, rem = divmod(e - P, f._den)
-            if k < 0 or rem:
-                continue
-            contrib = c * (generalized_binomial(Fraction(Q, f._den), k)
-                           * (sign ** k))
-            total = total + contrib
-            scale = max(scale, abs(complex(contrib)))
+            if k >= 0 and not rem:
+                contribs.append(c * (generalized_binomial(
+                    Fraction(Q, f._den), k) * (sign ** k)))
+        total = sum(contribs, Fraction(0))
         if total == 0:
             continue
-        if not isinstance(total, Fraction) and scale > 0.0 \
-                and abs(complex(total)) <= COEFF_REL_TOL * scale:
-            continue  # float cancellation noise
+        # float cancellation noise; an exact total has none, and its
+        # contributions may lie beyond the float range
+        if not isinstance(total, Fraction) and abs(complex(total)) <= \
+                COEFF_REL_TOL * max(abs(complex(c)) for c in contribs):
+            continue
         if e < 0:
             s = total.real if isinstance(total, complex) else total
             return math.inf if s > 0 else -math.inf

@@ -157,10 +157,8 @@ def rewrite(prob):
     if any(q != 0 for (_, q) in Vinv.terms):
         raise PreconditionError(
             "far-field rewrite needs a pure-power potential tail")
-    Vr = RadialFunction(
-        {(p, 0): c for (p, _), c in Vinv.terms.items()},
-        domain=UNIT_INTERVAL) if not Vinv.is_zero else \
-        RadialFunction.zero(domain=UNIT_INTERVAL)
+    Vr = RadialFunction({(p, 0): c for (p, _), c in Vinv.terms.items()},
+                        domain=UNIT_INTERVAL)
     phi_inf = Weight.from_term(1, 2 + gp, 0, domain=UNIT_INTERVAL)
     c1i = RadialFunction.term(n - 1 + gp, 1 + gp, 0, domain=UNIT_INTERVAL)
     c0i = (RadialFunction.term(Lam, 2 * gp + 2, 0, domain=UNIT_INTERVAL)
@@ -236,10 +234,9 @@ def membership_in_diff_s(prob, corrupt=None):
     raw = {
         (2, 0): -1 * pref,
         (1, 0): pref * RadialFunction.term(-(n - 1), -1),
-        (0, 2): -1 * pref * RadialFunction.t_power(-2),
+        (0, 2): -1 * pref * RadialFunction.term(1, -2),
         (0, 0): pref * prob.V,
     }
-    raw = {k: v for k, v in raw.items() if not v.is_zero}
     if corrupt is not None:
         bad = RadialFunction.term(1, Fraction(-1, 2))
         cur = raw.get(corrupt, RadialFunction.zero())
@@ -336,6 +333,8 @@ def assemble_and_solve(prob, grid=None, k=2):
     """
     grid = grid or GeometricGrid()
     n_half = (grid.n_points + 1) // 2
+    if k < 1:
+        raise PreconditionError("k must be at least 1")
     if k >= n_half - 1:
         raise PreconditionError("k too large for the grid")
     bisect = {"select": "i", "select_range": (0, k - 1),

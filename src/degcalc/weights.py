@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidWeightError
+from .errors import InvalidWeightError, PreconditionError
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 
 #: iteration cap for the undecidable branch of the infinite-order membership test
@@ -107,6 +107,8 @@ def membership_order(f, phi, n):
     Otherwise iteration continues until failure, an empty term map, or the
     cap (reported as undecided).
     """
+    if n < 0:
+        raise PreconditionError("membership order n must be nonnegative")
     g = f
     k = 0
     limit_k = MEMBERSHIP_CAP if n == math.inf else int(n)

@@ -16,9 +16,14 @@ from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
 from degcalc.errors import DomainMismatchError, PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import SchrodingerProblem, rewrite
-from degcalc.weights import Weight
+from degcalc.weights import Weight, structure_function
 
 F = Fraction
+
+#: the single-term weights (coeff, p, q) of the symbolic benchmark's pool,
+#: and psi with a non-dyadic coefficient
+PHI_TERMS = [(1, 1, 0), (2, 1, 0), (1, F(3, 2), 0), (F(3, 2), 2, -1)]
+PSI_TERMS = [(1, 1, 0), (1, F(1, 2), 0), (F(5, 7), F(1, 2), 0)]
 
 #: far-field operators of rewritten problems, all of order m = 2
 FAR_FIELD = {
@@ -272,12 +277,55 @@ class TestComposition:
         rhs = DiffOp("lie", {(1, 0): coeff}, w, w)
         assert lhs == rhs.to_raw()
 
-    def test_x_y_commutator_is_structure_function_times_y(self):
-        w = Weight.from_term(1, 1)
-        ps = Weight.from_term(1, F(1, 2))
+    @pytest.mark.parametrize("phi_term", PHI_TERMS)
+    @pytest.mark.parametrize("psi_term", PSI_TERMS)
+    def test_x_y_commutator_is_structure_function_times_y(self, phi_term,
+                                                          psi_term):
+        w = Weight.from_term(*phi_term)
+        ps = Weight.from_term(*psi_term)
         C = op_commutator(DiffOp.X(w, ps), DiffOp.Y(w, ps)).to_lie()
         assert set(C.coeffs) == {(0, 1)}
-        assert C.coeffs[(0, 1)].radial_part() == RadialFunction.const(F(1, 2))
+        assert C.coeffs[(0, 1)] == CylinderFunction.radial(
+            structure_function(ps, w).ring)
+
+    @pytest.mark.parametrize("phi_term", PHI_TERMS)
+    @pytest.mark.parametrize("psi_term", PSI_TERMS[:2])
+    def test_general_bracket_formula(self, phi_term, psi_term):
+        # [uX + vY, pX + qY] = (Z(p) - W(u)) X
+        #                      + (Z(q) - W(v) + (u q - v p) C) Y
+        # with Z = uX + vY, W = pX + qY and C = phi psi' / psi; dyadic
+        # coefficients on two Fourier modes keep every product exact
+        rng = random.Random(5)
+        w = Weight.from_term(*phi_term)
+        ps = Weight.from_term(*psi_term)
+        C = CylinderFunction.radial(structure_function(ps, w).ring)
+
+        def rnd_cf():
+            return CylinderFunction({m: RadialFunction.term(
+                F(rng.randint(-8, 8), rng.choice([1, 2, 4])),
+                F(rng.randint(0, 4), 2), -rng.randint(0, 2))
+                for m in rng.sample([-2, -1, 1, 2], 2)})
+
+        for _ in range(3):
+            u, v, p, q = rnd_cf(), rnd_cf(), rnd_cf(), rnd_cf()
+            Z, W = VectorField(u, v, w, ps), VectorField(p, q, w, ps)
+            want = VectorField(Z.apply(p) - W.apply(u),
+                               Z.apply(q) - W.apply(v) + (u * q - v * p) * C,
+                               w, ps)
+            got = op_commutator(Z, W).to_lie()
+            assert not got.coeffs[(0, 1)].is_radial
+            assert got == want
+            assert set(got.coeffs) <= {(1, 0), (0, 1)}
+
+    def test_vector_field_is_lie_form_diffop(self):
+        w = Weight.from_term(1, 1)
+        ps = Weight.from_term(1, F(1, 2))
+        u = CylinderFunction.harmonic(1)
+        v = RadialFunction.term(3, 1, -1)
+        Z = VectorField(u, v, w, ps)
+        assert isinstance(Z, DiffOp) and Z.form == "lie"
+        assert Z.coeffs == {(1, 0): u, (0, 1): CylinderFunction.radial(v)}
+        assert Z == DiffOp("lie", {(1, 0): u, (0, 1): v}, w, ps)
 
 
 class TestApply:

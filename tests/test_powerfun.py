@@ -123,6 +123,15 @@ class TestLimits:
         assert not rf((1, -1, 0)).is_continuous()
         assert not rf((1, 1, 0)).is_continuous()  # unbounded at infinity
 
+    def test_exact_limits_beyond_float_range(self):
+        # an exact total is returned as it is, never converted to float
+        big = RadialFunction.term(10**400, 0)
+        assert big.limit("zero") == big.limit("far") == 10**400
+        assert big.is_continuous()
+        pole = RadialFunction.term(-10**400, -1) + RadialFunction.const(1)
+        assert pole.limit("zero") == -math.inf
+        assert not pole.is_continuous()
+
     def test_endpoint_eval_rejected(self):
         with pytest.raises(EndpointEvalError):
             rf((1, 1, 0))(0.0)

@@ -246,6 +246,11 @@ class TestSpectra:
             assemble_and_solve(SchrodingerProblem.oscillator(),
                                GeometricGrid(-2, 2, 12), k=50)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(PreconditionError):
+            assemble_and_solve(SchrodingerProblem.oscillator(), k=k)
+
 
 def linear_potential():
     """V = rho on R^3, l = 0: the eigenvalues are minus the Airy zeros."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from degcalc.errors import InvalidWeightError
+from degcalc.errors import InvalidWeightError, PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.weights import (Weight, apply_X, membership_order,
                              structure_function, weights_equivalent)
@@ -78,6 +78,18 @@ class TestMembership:
         f = RadialFunction.term(1, 1, -1)
         res = membership_order(f, phi, 3)
         assert res.is_member and res.member_up_to == 3
+
+    def test_negative_order_rejected(self):
+        # the iteration counts up from 0 and would never meet n = -1
+        with pytest.raises(PreconditionError):
+            membership_order(RadialFunction.term(1, 1, -1),
+                             Weight.from_term(1, 1), -1)
+
+    def test_coefficient_beyond_float_range(self):
+        f = RadialFunction.term(10**400, 0)
+        phi = Weight.from_term(1, 1)
+        assert membership_order(f, phi, math.inf).is_member
+        assert membership_order(f, phi, 2).member_up_to == 2
 
 
 class TestStructureFunction:
