@@ -1,9 +1,9 @@
 """Batch front door: config parsing, command dispatch, CSV outputs.
 
-Config files are sectioned key=value text (configparser syntax).  Exponents
-and coefficients accept rational literals like ``3/2`` so they survive
-parsing exactly.  Commands: classify, membership, flow, spectrum,
-parametrix, resolvent, selftest.
+Config files are sectioned key=value text (configparser syntax) whose keys,
+readers and defaults are the table ``_KEYS``.  Exponents and coefficients
+accept rational literals like ``3/2`` so they survive parsing exactly.  The
+``[run] command`` names one entry of ``_DISPATCH``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .diffop import (DiffOp, lie_rinehart_check, op_commutator,
                      random_lie_rinehart_samples)
@@ -21,26 +22,14 @@ from .errors import (ConfigError, ConvergenceError, DegcalcError,
                      InvalidWeightError, InversionError, PreconditionError)
 from .flows import Flow, completeness_check, flow_scaling_limit, write_flow_csv
 from .groupoid import GPhiElement, gphi_compose, zeta_cocycle
-from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
-from .schrodinger import (GeometricGrid, SchrodingerProblem,
+from .powerfun import UNIT_INTERVAL, RadialFunction
+from .schrodinger import (N_POINTS_DEFAULT, S_MAX_DEFAULT, S_MIN_DEFAULT,
+                          GeometricGrid, SchrodingerProblem,
                           assemble_and_solve, membership_in_diff_s,
                           parametrix_residual, resolvent_probe, rewrite,
                           verify_identity_r_power, write_parametrix_csv,
                           write_spectrum_csv)
 from .weights import Weight, membership_order
-
-COMMANDS = ("classify", "membership", "flow", "spectrum", "parametrix",
-            "resolvent", "selftest")
-
-_KNOWN_KEYS = {
-    "run": {"command"},
-    "problem": {"n", "gamma", "gamma_prime", "potential", "l"},
-    "grid": {"s_min", "s_max", "points"},
-    "solve": {"num_eigs", "tolerance"},
-    "flow": {"weight", "s", "x_values"},
-    "parametrix": {"orders", "cutoffs"},
-    "resolvent": {"z_real", "z_imag", "mode"},
-}
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -49,129 +38,116 @@ EXIT_PRECONDITION = 3
 EXIT_CONVERGENCE = 4
 
 
-def _rational(text, key):
+def _word(text, key):
+    return text.strip()
+
+
+def _parsed(parse, what, text, key):
+    """``parse(text)``, or a ConfigError naming the key."""
     try:
-        return Fraction(text.strip())
+        return parse(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(
-            f"key {key!r}: expected a finite number, got {text.strip()!r}")
+        raise ConfigError(f"key {key!r}: expected {what}, got {text!r}")
 
 
-def _integer(text, key, minimum=None):
-    try:
-        v = int(text.strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {text!r}")
-    if minimum is not None and v < minimum:
+_rational = partial(_parsed, Fraction, "a finite number")
+
+
+def _integer(text, key, minimum):
+    v = _parsed(int, "an integer", text, key)
+    if v < minimum:
         raise ConfigError(f"key {key!r}: must be >= {minimum}, got {v}")
     return v
 
 
 def _floatval(text, key):
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {text!r}")
+    v = _parsed(float, "a number", text, key)
+    if math.isfinite(v):
+        return v
+    raise ConfigError(f"key {key!r}: expected a finite number, got {text!r}")
 
 
-def _term_list(text, key, domain=None):
+def _list(read):
+    """A reader of ';'-separated values, each read by ``read``."""
+    return lambda text, key: tuple(read(chunk.strip(), key)
+                                   for chunk in text.split(";")
+                                   if chunk.strip())
+
+
+def _terms(text, key):
     """Parse 'coeff,p,q; coeff,p,q; ...' into a ring function."""
-    domain = domain or HALF_LINE
-    out = RadialFunction.zero(domain=domain)
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
+    out = RadialFunction.zero()
+    for chunk in _list(_word)(text, key):
+        parts = chunk.split(",")
         if len(parts) != 3:
-            raise ConfigError(
-                f"key {key!r}: each term needs 3 fields (coeff,p,q), "
-                f"got {chunk!r}")
-        c, p, q = (_rational(x, key) for x in parts)
-        out = out + RadialFunction.term(c, p, q, domain=domain)
+            raise ConfigError(f"key {key!r}: each term needs 3 fields "
+                              f"(coeff,p,q), got {chunk!r}")
+        c, p, q = (_rational(x.strip(), key) for x in parts)
+        out = out + RadialFunction.term(c, p, q)
     return out
 
 
+#: section -> key -> (reader, default); every key is optional but [run]
+#: command.  Key names are unique, and each is a RunConfig attribute.
+_KEYS = {
+    "run": {"command": (_word, None)},
+    "problem": {"n": (partial(_integer, minimum=2), 3),
+                "gamma": (_rational, Fraction(1, 2)),
+                "gamma_prime": (_rational, Fraction(-1, 2)),
+                "potential": (_terms, RadialFunction.term(-1, -1)),
+                "l": (partial(_integer, minimum=0), 0)},
+    "grid": {"s_min": (_floatval, S_MIN_DEFAULT),
+             "s_max": (_floatval, S_MAX_DEFAULT),
+             "points": (partial(_integer, minimum=10), N_POINTS_DEFAULT)},
+    "solve": {"num_eigs": (partial(_integer, minimum=1), 2),
+              "tolerance": (_floatval, 1e-8)},
+    "flow": {"weight": (_terms, RadialFunction.term(1, 1)),
+             "s": (_floatval, 1.0),
+             "x_values": (_list(_floatval), (0.1, 0.5, 1.0, 2.0, 10.0))},
+    "parametrix": {"orders": (_list(partial(_integer, minimum=0)), (0, 1, 2)),
+                   "cutoffs": (_list(_floatval), (4.0, 8.0))},
+    "resolvent": {"z_real": (_floatval, -1.0),
+                  "z_imag": (_floatval, 0.0),
+                  "mode": (_word, "plain")},
+}
+
+
 class RunConfig:
-    """Validated run configuration."""
+    """Validated run configuration: one attribute per key of ``_KEYS``."""
 
     def __init__(self, parser):
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]")
             for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
+                if key not in _KEYS[section]:
                     raise ConfigError(
                         f"unknown key {key!r} in section [{section}]")
         if "run" not in parser or "command" not in parser["run"]:
             raise ConfigError("missing [run] command")
-        self.command = parser["run"]["command"].strip()
-        if self.command not in COMMANDS:
+        for section, keys in _KEYS.items():
+            given = parser[section] if section in parser else {}
+            for key, (read, default) in keys.items():
+                setattr(self, key,
+                        read(given[key], key) if key in given else default)
+        if self.command not in _DISPATCH:
             raise ConfigError(f"unknown command {self.command!r}")
-
-        prob = parser["problem"] if "problem" in parser else {}
-        self.n = _integer(prob.get("n", "3"), "n", minimum=2)
-        self.gamma = _rational(prob.get("gamma", "1/2"), "gamma")
-        self.gamma_prime = _rational(prob.get("gamma_prime", "-1/2"),
-                                     "gamma_prime")
-        self.potential = _term_list(prob.get("potential", "-1,-1,0"),
-                                    "potential")
-        self.l = _integer(prob.get("l", "0"), "l", minimum=0)
-
-        grid = parser["grid"] if "grid" in parser else {}
-        self.s_min = _floatval(grid.get("s_min", "-12"), "s_min")
-        self.s_max = _floatval(grid.get("s_max", "12"), "s_max")
         if not self.s_min < self.s_max:
             raise ConfigError("grid: need s_min < s_max")
-        self.points = _integer(grid.get("points", "4000"), "points",
-                               minimum=10)
-
-        solve = parser["solve"] if "solve" in parser else {}
-        self.num_eigs = _integer(solve.get("num_eigs", "2"), "num_eigs",
-                                 minimum=1)
-        self.tolerance = _floatval(solve.get("tolerance", "1e-8"),
-                                   "tolerance")
         if self.tolerance <= 0:
             raise ConfigError("solve: tolerance must be > 0")
-
-        fl = parser["flow"] if "flow" in parser else {}
-        self.flow_weight = _term_list(fl.get("weight", "1,1,0"), "weight")
-        self.flow_s = _floatval(fl.get("s", "1.0"), "s")
-        xv = fl.get("x_values", "0.1;0.5;1;2;10")
-        self.flow_x = []
-        for chunk in xv.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                self.flow_x.append(_floatval(chunk, "x_values"))
-
-        par = parser["parametrix"] if "parametrix" in parser else {}
-        self.px_orders = tuple(
-            _integer(c, "orders", minimum=0)
-            for c in par.get("orders", "0;1;2").split(";") if c.strip())
-        self.px_cutoffs = tuple(
-            _floatval(c, "cutoffs")
-            for c in par.get("cutoffs", "4;8").split(";") if c.strip())
-
-        res = parser["resolvent"] if "resolvent" in parser else {}
-        self.z = complex(_floatval(res.get("z_real", "-1"), "z_real"),
-                         _floatval(res.get("z_imag", "0"), "z_imag"))
-        self.res_mode = res.get("mode", "plain").strip()
-        if self.res_mode not in ("plain", "weighted"):
-            raise ConfigError(f"resolvent: unknown mode {self.res_mode!r}")
+        if self.mode not in ("plain", "weighted"):
+            raise ConfigError(f"resolvent: unknown mode {self.mode!r}")
 
     def problem(self):
         return SchrodingerProblem(n=self.n, gamma=self.gamma,
                                   gamma_prime=self.gamma_prime,
                                   V=self.potential, l=self.l)
 
-    def grid(self):
-        return GeometricGrid(self.s_min, self.s_max, self.points)
-
 
 def load_config(path):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     return RunConfig(parser)
 
@@ -206,16 +182,17 @@ def _cmd_membership(cfg, out, log):
 
 
 def _cmd_flow(cfg, out, log):
-    flow = Flow(Weight(cfg.flow_weight))
+    flow = Flow(Weight(cfg.weight))
     path = os.path.join(out, "flow.csv")
-    write_flow_csv(path, flow, cfg.flow_s, cfg.flow_x)
+    write_flow_csv(path, flow, cfg.s, cfg.x_values)
     log(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_spectrum(cfg, out, log):
     prob = cfg.problem()
-    result = assemble_and_solve(prob, cfg.grid(), k=cfg.num_eigs)
+    grid = GeometricGrid(cfg.s_min, cfg.s_max, cfg.points)
+    result = assemble_and_solve(prob, grid, k=cfg.num_eigs)
     if not all(b <= cfg.tolerance for b in result.backward_errors):  # NaN too
         raise ConvergenceError(f"eigenpair backward errors "
                                f"{result.backward_errors} above tolerance")
@@ -228,8 +205,8 @@ def _cmd_spectrum(cfg, out, log):
 
 
 def _cmd_parametrix(cfg, out, log):
-    rep = parametrix_residual(cfg.problem(), orders=cfg.px_orders,
-                              cutoffs=cfg.px_cutoffs)
+    rep = parametrix_residual(cfg.problem(), orders=cfg.orders,
+                              cutoffs=cfg.cutoffs)
     path = os.path.join(out, "parametrix.csv")
     write_parametrix_csv(path, rep)
     log(f"wrote {path}")
@@ -239,7 +216,8 @@ def _cmd_parametrix(cfg, out, log):
 
 
 def _cmd_resolvent(cfg, out, log):
-    rep = resolvent_probe(cfg.problem(), cfg.z, mode=cfg.res_mode)
+    rep = resolvent_probe(cfg.problem(), complex(cfg.z_real, cfg.z_imag),
+                          mode=cfg.mode)
     lines = [f"z = {rep.z}", f"spectrum distance = {rep.spectrum_distance:.6g}"]
     for (i, j), (a, b, r) in sorted(rep.norms.items()):
         lines.append(f"i={i} j={j}: coarse {a:.6g}  fine {b:.6g}  "
@@ -384,6 +362,16 @@ _DISPATCH = {
     "selftest": _cmd_selftest,
 }
 
+#: error class -> (exit code, stderr prefix); the first match wins
+_EXITS = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    ConvergenceError: (EXIT_CONVERGENCE, "convergence failure"),
+    InversionError: (EXIT_CONVERGENCE, "convergence failure"),
+    PreconditionError: (EXIT_PRECONDITION, "precondition violated"),
+    InvalidWeightError: (EXIT_PRECONDITION, "precondition violated"),
+    DegcalcError: (EXIT_PRECONDITION, "error"),
+}
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
@@ -400,21 +388,12 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         os.makedirs(args.out, exist_ok=True)
         return _DISPATCH[cfg.command](cfg, args.out, log)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConvergenceError, InversionError) as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (PreconditionError, InvalidWeightError) as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except DegcalcError as exc:
+        code, prefix = next(v for k, v in _EXITS.items() if isinstance(exc, k))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -115,6 +115,8 @@ class CylinderFunction:
             return CylinderFunction({m: f * other
                                      for m, f in self.modes.items()},
                                     domain=self.domain)
+        if not isinstance(other, (RadialFunction, CylinderFunction)):
+            return NotImplemented  # an operator's __rmul__ takes over
         other = _as_cylinder(other, self.domain)
         merged = {}
         for m1, f1 in self.modes.items():

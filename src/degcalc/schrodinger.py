@@ -26,8 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse import diags, identity
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                 splu)
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .diffop import DiffOp, parametrix_1d
 from .errors import ConvergenceError, PreconditionError
@@ -445,8 +444,8 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
       near 1.  At z = 0, M_1 = I.
 
     Lanczos stops once its residual is 1e-12 of the eigenvalue.  No n x n
-    array is formed.  A Lanczos run that does not converge raises
-    ``ConvergenceError`` naming k, the grid's points and the matvecs.
+    array is formed.  A Lanczos run that fails, a k = 1 square below 1e-12
+    and a norm outside (0, inf) raise ``ConvergenceError``.
     """
     if mode not in ("plain", "weighted"):
         raise PreconditionError(f"unknown probe mode {mode!r}")
@@ -470,6 +469,9 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
             a = diags([w[1:] * e, w * d, w[:-1] * e], [-1, 0, 1],
                       format="csr")
             by_k = _weighted_norms(a, z_arith, grid.n_points)
+        if not all(0 < norm < math.inf for norm in by_k):
+            raise ConvergenceError(f"resolvent norms {by_k} on {grid.n_points}"
+                                   f" points at z = {z}: not positive floats")
         return {(i, j): by_k[i + j] for i in range(2) for j in range(2)}, dist
 
     coarse = GeometricGrid(-8.0, 8.0, base_points)
@@ -486,6 +488,7 @@ def _weighted_norms(a, z, points):
     eye = identity(n, format="csr")
     T = (a - z * eye).tocsc()
     lu = splu(T, permc_spec="NATURAL")  # a tridiagonal LU needs no reordering
+    tol = 1e-12
 
     def inv_h(x):
         return lu.solve(x, trans="H")
@@ -501,8 +504,8 @@ def _weighted_norms(a, z, points):
         try:
             return float(eigsh(LinearOperator((n, n), matvec, dtype=T.dtype),
                                k=1, which="LA", v0=np.ones(n, T.dtype),
-                               tol=1e-12, return_eigenvectors=False)[0])
-        except ArpackNoConvergence as exc:
+                               tol=tol, return_eigenvectors=False)[0])
+        except ArpackError as exc:
             raise ConvergenceError(
                 f"resolvent norm k={k} did not converge on {points} points "
                 f"after {matvecs} matvecs", iterations=matvecs) from exc
@@ -512,15 +515,17 @@ def _weighted_norms(a, z, points):
     norm2 = math.sqrt(top(2, lambda x: inv_h(B.T @ (B @ lu.solve(x)))))
     if z == 0:
         return [norm0, 1.0, norm2]
-    K = z * a.T + np.conj(z) * a - abs(z) ** 2 * eye
+    K = z * a.T + np.conj(z) * a - abs(z) * abs(z) * eye
     pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=T.dtype)
     f_diag, f_up, info = pttrf(-K.diagonal().real, -K.diagonal(1))
     if info == 0:  # K is negative definite
         T_h = T.conj().T
         nu = top(1, lambda x: T @ pttrs(f_diag, f_up, T_h @ x)[0])
-        return [norm0, math.sqrt(1 - 1 / nu), norm2]
-    norm1_sq = 1 + top(1, lambda x: inv_h(K @ lu.solve(x)))
-    return [norm0, math.sqrt(norm1_sq), norm2]
+        norm1_sq = 1 - 1 / nu
+    else:
+        norm1_sq = 1 + top(1, lambda x: inv_h(K @ lu.solve(x)))
+    # 1 -/+ an eigenvalue found to tol: a smaller square has no digit left
+    return [norm0, math.sqrt(norm1_sq) if norm1_sq > tol else math.nan, norm2]
 
 
 # -- CSV writers -------------------------------------------------------------

@@ -6,17 +6,27 @@ import math
 import re
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from degcalc import cli, schrodinger
-from degcalc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK,
+from degcalc.cli import (_KEYS, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK,
                          EXIT_PRECONDITION, RunConfig,
                          load_config, main, run_selftest)
 from degcalc.errors import ConfigError
 
 F = Fraction
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: (section, key) of every key read as a float or a ';'-list of floats
+FLOAT_KEYS = [(section, key) for section, keys in _KEYS.items()
+              for key, (_, default) in keys.items()
+              if all(isinstance(x, float) for x in
+                     (default if isinstance(default, tuple) else [default]))]
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -155,6 +165,23 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.ini")
+
+    def test_float_keys(self):
+        assert sorted(key for _, key in FLOAT_KEYS) == [
+            "cutoffs", "s", "s_max", "s_min", "tolerance", "x_values",
+            "z_imag", "z_real"]
+
+    def test_readme_config_block_is_the_key_table(self):
+        block = README.read_text().split("```ini\n")[1].split("```")[0]
+        lines = (re.sub(r"\s*#.*", "", line) for line in block.splitlines())
+        parser = configparser.ConfigParser()
+        parser.read_string("\n".join(line for line in lines if line))
+        assert {name: set(parser[name]) for name in parser.sections()} \
+            == {name: set(keys) for name, keys in _KEYS.items()}
+        for section, keys in _KEYS.items():
+            for key, (read, default) in keys.items():
+                if key != "command":  # the one key without a default
+                    assert read(parser[section][key], key) == default, key
 
 
 class TestMain:
@@ -305,7 +332,7 @@ class TestMain:
                 return real(A, **kwargs)
             for _ in range(3):
                 A.matvec(kwargs["v0"])
-            raise schrodinger.ArpackNoConvergence(
+            raise ArpackNoConvergence(
                 "ARPACK error -1: No convergence", np.zeros(0),
                 np.zeros((A.shape[0], 0)))
 
@@ -340,6 +367,51 @@ class TestMain:
         code = main(["--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_exit_code(self, tmp_path, capsys, section, key,
+                                        value):
+        cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n"
+                                     f"[{section}]\n{key} = {value}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: key {key!r}: expected a finite number, "
+            f"got {value!r}\n")
+
+    # rho = e^800 leaves the float range, and V(rho) raises
+    # EndpointEvalError, a typed error with no exit code of its own
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_other_typed_error_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n"
+                                     "[grid]\ns_max = 800\n")
+        code = main(["--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: t=") and "use limit()" in err
+
+    # far from the spectrum: plain norms whose complex division overflows;
+    # a weighted k = 1 square that cancels (1e150), |z|^2 past the float
+    # range (1e160) and T^{-1} underflowing to a zero vector (1e200)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("z_real, z_imag, mode", [
+        ("1e308", "1e308", "plain"), ("1e150", "0", "weighted"),
+        ("1e160", "0", "weighted"), ("1e200", "0", "weighted")])
+    def test_resolvent_far_from_the_spectrum(self, tmp_path, capsys, z_real,
+                                             z_imag, mode):
+        cfg = write_config(tmp_path, f"""
+            [run]
+            command = resolvent
+            [resolvent]
+            z_real = {z_real}
+            z_imag = {z_imag}
+            mode = {mode}
+        """)
+        code = main(["--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith(
+            "convergence failure: resolvent norm")
+        assert not (tmp_path / "resolvent.txt").exists()
 
     def test_precondition_exit_code(self, tmp_path, capsys):
         # potential exponents inconsistent with the declared gamma

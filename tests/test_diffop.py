@@ -327,6 +327,19 @@ class TestComposition:
         assert Z.coeffs == {(1, 0): u, (0, 1): CylinderFunction.radial(v)}
         assert Z == DiffOp("lie", {(1, 0): u, (0, 1): v}, w, ps)
 
+    def test_cylinder_function_times_operator(self):
+        # CylinderFunction.__mul__ defers to DiffOp.__rmul__, as
+        # RadialFunction.__mul__ does
+        w = Weight.from_term(1, 1)
+        ps = Weight.from_term(1, F(1, 2))
+        a = CylinderFunction.harmonic(2) + CylinderFunction.const(3)
+        for Z in (DiffOp.X(w, ps), VectorField(a, a, w, ps)):
+            assert a * Z == Z * a
+            assert CylinderFunction.radial(RadialFunction.term(2, 1)) * Z \
+                == RadialFunction.term(2, 1) * Z
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a * object()
+
 
 class TestApply:
     def test_y_on_harmonic(self):
