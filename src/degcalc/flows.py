@@ -6,10 +6,11 @@ done in the flow coordinate u of the b-weight b (``powerfun.to_u``), where
 F(u) = integral_0^u du'/g with g = phi/b.  A constant g = c (c*t on the
 half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
 have a closed form.  For everything else F is a table over segments 0.2 wide
-in u, grown outward from u = 0 only as far as a call needs.  Each segment keeps
-the Chebyshev coefficients of the mean of 1/g from its inner node (16 samples,
-or quad where they do not resolve 1/g), so F is one Clenshaw sum, and Newton
-on the same sum inverts it inside one segment.
+in u, grown outward from u = 0 only as far as a call needs; one evaluation of
+g samples 1/g on all the segments a call adds.  Each segment keeps the
+Chebyshev coefficients of the mean of 1/g from its inner node (16 samples, or
+quad where they do not resolve 1/g), so F is one Clenshaw sum, and Newton on
+the same sum inverts it inside one segment.
 """
 
 from __future__ import annotations
@@ -149,31 +150,48 @@ class Flow:
         g = self._g.at_u(u)
         return 1.0 / g if g else math.inf  # g underflows: 1/g is past floats
 
-    def _grow(self, up):
-        """Add one segment to the upper or lower end of the table of F;
-        False where t at the new node leaves the float range."""
-        us, Fs, errs = self._table_u, self._table_F, self._table_err
+    def _grow(self, up, to=0.0):
+        """Add segments to the upper or lower end of the table of F: at
+        least one, and up to the first node that passes u = to (one for the
+        default to = 0, which both ends have passed).  One evaluation of g
+        samples 1/g on all of them.  Stops where t at the next node leaves
+        the float range; False when no segment was added."""
         end = -1 if up else 0
-        a = us[end]
-        node = a + (TABLE_STEP if up else -TABLE_STEP)
-        if not 0.0 < from_u(self.weight.domain, node) < self._far:
+        nodes = [self._table_u[end]]
+        while len(nodes) == 1 or (nodes[-1] < to if up else nodes[-1] > to):
+            node = nodes[-1] + (TABLE_STEP if up else -TABLE_STEP)
+            if not 0.0 < from_u(self.weight.domain, node) < self._far:
+                break
+            nodes.append(node)
+        if len(nodes) == 1:
             return False
+        inner = np.array(nodes[:-1])[:, None]
+        outer = np.array(nodes[1:])[:, None]
+        means = []  # None where 16 points do not resolve 1/g
         with np.errstate(all="ignore"):
-            inv_g = 1.0 / self._g.at_u(a + (node - a) * _AT)
-            coef, mean = abs(_CHEB @ inv_g), _MEAN @ inv_g
-        if np.isfinite(mean).all() and coef[-2:].max() <= 1e-15 * coef.max():
-            mean = mean.tolist()
-            seg = (node - a) * math.fsum(mean)  # the mean at x = 1
-        else:  # not resolved at 16 points: adaptive quadrature
-            mean = None
-            seg, _ = quad(self._integrand, a, node, epsabs=0.0,
-                          epsrel=QUAD_RTOL, limit=200)
-        F = math.fsum((Fs[end], errs[end], seg))
-        err = (math.fsum((Fs[end], errs[end], seg, -F))
-               if math.isfinite(F) else 0.0)
-        for table, value in ((us, node), (Fs, F), (errs, err),
-                             (self._table_mean, mean)):
-            table.insert(len(table) if up else 0, value)
+            inv_g = 1.0 / self._g.at_u(inner + (outer - inner) * _AT)
+            for row in inv_g:
+                coef, mean = abs(_CHEB @ row), _MEAN @ row
+                fits = (np.isfinite(mean).all()
+                        and coef[-2:].max() <= 1e-15 * coef.max())
+                means.append(mean.tolist() if fits else None)
+        F, err, new = self._table_F[end], self._table_err[end], []
+        for a, node, mean in zip(nodes, nodes[1:], means):
+            if mean is not None:
+                seg = (node - a) * math.fsum(mean)  # the mean at x = 1
+            else:  # adaptive quadrature
+                seg, _ = quad(self._integrand, a, node, epsabs=0.0,
+                              epsrel=QUAD_RTOL, limit=200)
+            total = math.fsum((F, err, seg))
+            err = (math.fsum((F, err, seg, -total))
+                   if math.isfinite(total) else 0.0)
+            F = total
+            new.append((node, F, err, mean))
+        for table, column in zip((self._table_u, self._table_F,
+                                  self._table_err, self._table_mean),
+                                 zip(*(new if up else new[::-1]))):
+            at = len(table) if up else 0
+            table[at:at] = column
         return True
 
     def _F_u(self, u):
@@ -181,8 +199,8 @@ class Flow:
         to it if need be, plus (u - a) times the mean of 1/g over [a, u]."""
         us, Fs = self._table_u, self._table_F
         up = u > 0.0
-        while (us[-1] < u if up else us[0] > u) and self._grow(up):
-            pass
+        if us[-1] < u if up else us[0] > u:
+            self._grow(up, u)
         i = bisect.bisect_right(us, u) - 1 if up else bisect.bisect_left(us, u)
         a, outer = us[i], i + 1 if up else i - 1  # the segment's ends
         mean = self._table_mean[outer] if 0 <= outer < len(us) else None

@@ -17,6 +17,7 @@ down to about 1e-11.  ``grid_points`` in spectrum.csv is N, the fine grid.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -272,6 +273,12 @@ class GeometricGrid:
     def __post_init__(self):
         if not (self.s_min < self.s_max):
             raise PreconditionError("need s_min < s_max")
+        if from_u(HALF_LINE, self.s_min) == 0.0:
+            raise PreconditionError(
+                f"s_min = {self.s_min}: e^s_min underflows to 0")
+        if from_u(HALF_LINE, self.s_max) == math.inf:
+            raise PreconditionError(
+                f"s_max = {self.s_max}: e^s_max is past the float range")
         if self.n_points < 10:
             raise PreconditionError("grid too coarse")
 
@@ -308,10 +315,11 @@ def _assemble(prob, s):
     m[0] = h / 2
     kdiag = np.full(len(rho), 2 / h)
     kdiag[0] = 1 / h + nu
-    kdiag += m * (nu * nu + rho ** 2 * prob.V(rho))
-    sqrt_w = np.sqrt(m) * rho
-    d = kdiag / sqrt_w ** 2
-    e = -1 / h / (sqrt_w[:-1] * sqrt_w[1:])
+    with np.errstate(all="ignore"):  # rho^2 past floats: checked below
+        kdiag += m * (nu * nu + rho ** 2 * prob.V(rho))
+        sqrt_w = np.sqrt(m) * rho
+        d = kdiag / sqrt_w ** 2
+        e = -1 / h / (sqrt_w[:-1] * sqrt_w[1:])
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise PreconditionError("operator not finite on the grid")
     return d, e, rho
@@ -445,10 +453,13 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
 
     Lanczos stops once its residual is 1e-12 of the eigenvalue.  No n x n
     array is formed.  A Lanczos run that fails, a k = 1 square below 1e-12
-    and a norm outside (0, inf) raise ``ConvergenceError``.
+    and a norm outside (0, inf) raise ``ConvergenceError``; a z that is not
+    finite raises ``PreconditionError``.
     """
     if mode not in ("plain", "weighted"):
         raise PreconditionError(f"unknown probe mode {mode!r}")
+    if not cmath.isfinite(z):
+        raise PreconditionError(f"z = {z} is not finite")
     phi, _ = membership_weights(prob)
     z_arith = np.real_if_close(z).item()  # real z keeps the arithmetic real
 

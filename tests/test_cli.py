@@ -16,7 +16,7 @@ from degcalc import cli, schrodinger
 from degcalc.cli import (_KEYS, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK,
                          EXIT_PRECONDITION, RunConfig,
                          load_config, main, run_selftest)
-from degcalc.errors import ConfigError
+from degcalc.errors import ConfigError, EndpointEvalError
 
 F = Fraction
 
@@ -379,16 +379,34 @@ class TestMain:
             f"config error: key {key!r}: expected a finite number, "
             f"got {value!r}\n")
 
-    # rho = e^800 leaves the float range, and V(rho) raises
-    # EndpointEvalError, a typed error with no exit code of its own
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_other_typed_error_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n"
-                                     "[grid]\ns_max = 800\n")
+    # EndpointEvalError is a typed error with no exit code of its own
+    def test_other_typed_error_exit_code(self, tmp_path, capsys,
+                                         monkeypatch):
+        def solve(*args, **kwargs):
+            raise EndpointEvalError("t=0 is not interior; use limit()")
+
+        monkeypatch.setattr(cli, "assemble_and_solve", solve)
+        cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n")
         code = main(["--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_PRECONDITION
-        err = capsys.readouterr().err
-        assert err.startswith("error: t=") and "use limit()" in err
+        assert capsys.readouterr().err == (
+            "error: t=0 is not interior; use limit()\n")
+
+    # e^s past the float range is named by its key; rho^2 past it, at
+    # s_max = 400, is an operator that is not finite.  Any RuntimeWarning
+    # on the way would fail the test.
+    @pytest.mark.parametrize("grid, message", [
+        ("s_max = 800", "s_max = 800.0: e^s_max is past the float range"),
+        ("s_min = -800", "s_min = -800.0: e^s_min underflows to 0"),
+        ("s_max = 400", "operator not finite on the grid")])
+    def test_grid_past_the_float_range(self, tmp_path, capsys, grid,
+                                       message):
+        cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n"
+                                     f"[grid]\n{grid}\n")
+        code = main(["--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            f"precondition violated: {message}\n")
 
     # far from the spectrum: plain norms whose complex division overflows;
     # a weighted k = 1 square that cancels (1e150), |z|^2 past the float

@@ -167,6 +167,31 @@ class TestTableOfF:
             fl.apply(-1.5 + 0.03 * k, math.exp(-2.0 + 0.04 * k))
         assert calls == []
 
+    @pytest.mark.parametrize("x", [1e-16, 1e300])
+    def test_far_F_table_matches_single_segment_growth(self, x):
+        # one call grows the table to u = ln x at once; growing it one
+        # segment at a time gives the same table, bit for bit
+        fl, ref = Flow(Weight(self.PHI)), Flow(Weight(self.PHI))
+        fl.F(x)
+        u, up = math.log(x), x > 1.0
+        while ((ref._table_u[-1] < u if up else ref._table_u[0] > u)
+               and ref._grow(up)):
+            pass
+        assert len(fl._table_u) == len(ref._table_u) > 150
+        for table in ("_table_u", "_table_F", "_table_err", "_table_mean"):
+            assert getattr(fl, table) == getattr(ref, table)
+
+    def test_far_F_evaluates_g_once_per_direction(self, monkeypatch):
+        calls, real = [], RadialFunction.at_u
+        monkeypatch.setattr(
+            RadialFunction, "at_u",
+            lambda g, u: calls.append(np.shape(u)) or real(g, u))
+        fl = Flow(Weight(self.PHI))
+        fl.F(1e-16)
+        fl.F(1e300)
+        # 185 segments down to u = ln 1e-16 ~ -36.8, 3,454 up to ~690.8
+        assert calls == [(185, 16), (3454, 16)]
+
     def test_steep_segments_fall_back_to_quad(self, monkeypatch):
         calls = count_calls(monkeypatch, "quad")
         Flow(Weight(self.STEEP)).apply(0.5, 1.0)

@@ -1,5 +1,6 @@
 """Schrodinger problems: rewrites, membership, spectra, residual decay."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,24 @@ class TestGrid:
     def test_invalid_grid(self):
         with pytest.raises(PreconditionError):
             GeometricGrid(1.0, -1.0, 100)
+
+    @pytest.mark.parametrize("s_min, s_max, key", [
+        (-800.0, 8.0, "s_min"), (-745.2, 8.0, "s_min"),
+        (-math.inf, 8.0, "s_min"), (-8.0, 709.8, "s_max"),
+        (-8.0, 800.0, "s_max"), (-8.0, math.inf, "s_max")])
+    def test_range_past_the_floats(self, s_min, s_max, key):
+        # e^{-745.2} rounds to 0 and e^{709.8} overflows
+        with pytest.raises(PreconditionError, match=f"^{key} = "):
+            GeometricGrid(s_min, s_max, 100)
+
+    @pytest.mark.parametrize("s_min, s_max", [(-745.0, 0.0), (-8.0, 400.0),
+                                              (-8.0, 709.7)])
+    def test_operator_past_the_floats(self, s_min, s_max):
+        # e^s is a float, but rho^2 underflows to 0 or overflows: the
+        # error comes without RuntimeWarnings
+        with pytest.raises(PreconditionError, match="operator not finite"):
+            assemble_and_solve(SchrodingerProblem.hydrogen(),
+                               GeometricGrid(s_min, s_max, 100))
 
 
 class TestSpectra:
@@ -406,6 +425,15 @@ class TestResolventProbe:
         with pytest.raises(PreconditionError):
             resolvent_probe(SchrodingerProblem.oscillator(), -1.0,
                             mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["plain", "weighted"])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                                   complex(math.nan, 0.0),
+                                   complex(-1.0, math.inf)])
+    def test_non_finite_z_rejected(self, z, mode):
+        with pytest.raises(PreconditionError, match="is not finite"):
+            resolvent_probe(SchrodingerProblem.hydrogen(), z, mode=mode,
+                            base_points=60)
 
 
 class TestCsv:
