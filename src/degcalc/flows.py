@@ -63,13 +63,13 @@ def _clenshaw(c, x):
 def completeness_check(phi):
     """True iff the reciprocal weight has divergent integral at both ends.
 
-    Decided exactly from endpoint exponents: F diverges at both ends exactly
-    when g = phi/b stays bounded there, i.e. vanishing order a >= 1 at 0 and,
-    at the far end, growth no faster than t on the half-line or vanishing
-    order at least 1 at t = 1.
+    Decided exactly from the leading exponents: F diverges at both ends
+    exactly when g = phi/b stays bounded there, i.e. vanishing order a >= 1
+    at 0 and, at the far end, growth no faster than t on the half-line or
+    vanishing order at least 1 at t = 1.
     """
     g = phi.profile.divide_term(b_weight(phi.domain))
-    return g.min_p() >= 0 and g.far_exponent() >= 0
+    return g.leading("zero")[0] >= 0 and g.leading("far")[0] >= 0
 
 
 class Flow:

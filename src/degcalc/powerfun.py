@@ -4,16 +4,20 @@ Functions are finite sums  sum_m c_m t^{p_m} (1+t)^{q_m}  on [0, inf]
 (half-line basis) or  sum_m c_m t^{p_m} (1-t)^{q_m}  on [0, 1] (unit-interval
 basis).  Every exponent is an exact ``Fraction``: rationals as written, floats
 at their exact binary value, so equal exponents merge and cancellation is
-exact.  The class is closed under addition, multiplication and d/dt, and
-endpoint limits are decided exactly from the exponents.  This module also
-owns the geometry of the two domains: the flow coordinate u of the b-weight,
-in which every numeric reading of a function is evaluated.
+exact.  The class is closed under addition, multiplication and d/dt.
+
+The basis is not independent (t^p (1+t)^(q+1) = t^p (1+t)^q + t^(p+1)
+(1+t)^q), so ``leading(end)`` is the one endpoint reading: it answers for
+the function, not its terms, and ``limit`` reads it.  ``is_zero`` and ``==``
+stay structural: the ring axioms hold term by term, so the hot paths that
+check them need no series.  This module also owns the geometry of the two
+domains: the flow coordinate u of the b-weight, in which every numeric
+reading of a function is evaluated.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import re
 from collections.abc import Mapping
@@ -59,14 +63,6 @@ def as_coefficient(c):
     if isinstance(c, complex):
         return c.real if c.imag == 0.0 else c
     raise TypeError(f"unsupported coefficient type: {type(c)!r}")
-
-
-def generalized_binomial(q, k):
-    """binom(q, k), exactly, for a rational q and an integer k >= 0."""
-    num = Fraction(1)
-    for i in range(k):
-        num = num * (q - i)
-    return num / math.factorial(k)
 
 
 class RadialFunction:
@@ -218,39 +214,24 @@ class RadialFunction:
         return _wrap({(Q, P): c for (P, Q), c in self._terms.items()},
                      self._den, UNIT_INTERVAL)
 
-    # -- exponent data ----------------------------------------------------
+    # -- endpoint readings ------------------------------------------------
 
-    def min_p(self):
-        """Leading exponent at t = 0 (+inf for the zero function)."""
-        if self.is_zero:
-            return math.inf
-        return Fraction(min(P for P, _ in self._terms), self._den)
-
-    def far_exponent(self):
-        """Leading exponent at the far endpoint (inf or 1), +inf for the zero
-        function.
-
-        For the half-line this is -max(p+q), i.e. positive exponents mean
-        decay; for the unit interval it is min q, with the same reading.
-        """
-        if self.is_zero:
-            return math.inf
-        if self.domain == HALF_LINE:
-            return Fraction(-max(P + Q for P, Q in self._terms), self._den)
-        return Fraction(min(Q for _, Q in self._terms), self._den)
-
-    # -- endpoint limits and continuity ----------------------------------
+    def leading(self, end):
+        """(e, c): the exponent and coefficient of the first term of the
+        series at ``end`` that does not cancel, so f ~ c t^e as t -> 0 for
+        'zero', and for 'far' f ~ c t^-e as t -> inf, f ~ c (1-t)^e as
+        t -> 1.  (inf, 0) for the zero function, however it is written."""
+        E, c = _walk(self, end, math.inf)
+        return (E, c) if E == math.inf else (Fraction(E, self._den), c)
 
     def limit(self, end):
         """Endpoint limit: ``end`` is 'zero' or 'far'.  Returns a finite
         value or +/-inf."""
-        if end == "zero":
-            return _series_limit_at_zero(self)
-        if end == "far":
-            if self.domain == HALF_LINE:
-                return _series_limit_at_zero(self.invert())
-            return _series_limit_at_zero(self.flip())
-        raise ValueError(f"unknown endpoint {end!r}")
+        E, c = _walk(self, end, 0)
+        if E < 0:
+            s = c.real if isinstance(c, complex) else c
+            return math.inf if s > 0 else -math.inf
+        return c if E == 0 else Fraction(0)
 
     def is_continuous(self):
         """True iff both endpoint limits are finite, i.e. the function
@@ -479,24 +460,47 @@ def _rescaled(f, den):
         {(P * k, Q * k): c for (P, Q), c in f._terms.items()}
 
 
-def _series_limit_at_zero(f):
-    """Limit of f at t -> 0+ via the generalized power series of the second
-    basis factor, exactly.
+def _walk(f, end, stop):
+    """(D e, c) of f.leading(end) among the exponents e <= stop, for the
+    denominator D of f; (inf, 0) past them.
 
-    A term c t^p (1 +/- t)^q contributes c binom(q, k) (+/-1)^k at each
-    exponent e = p + k, k = 0, 1, ...  Only e <= 0 can decide the limit, so
-    the ladders p, p+1, ... <= 0 are merged lazily in increasing order and
-    the first exponent whose contributions do not cancel decides it.
+    The far end is t = 0 of f(1/t) resp. f(1-t).  There a term
+    c t^p (1 +/- t)^q contributes c binom(q, k) (+/-1)^k at the exponent
+    p + k, k = 0, 1, ...; the ladders are merged lazily in increasing order,
+    each carrying its binomial, and the first total that does not cancel
+    decides.  For n terms with p in p_lo..p_hi none survives past
+    p_lo + n (p_hi - p_lo + 1) - 1 unless f is zero: in one class of p mod 1
+    the sum is t^a times at most that many distinct (1 +/- t)^g, whose
+    Taylor coefficients binom(g, j) row-reduce to a Vandermonde matrix.
     """
+    if end == "far":
+        f = f.invert() if f.domain == HALF_LINE else f.flip()
+    elif end != "zero":
+        raise ValueError(f"unknown endpoint {end!r}")
+    den = f._den
+    if len(f._terms) < 2:  # no term to cancel: the first rung decides
+        (P, _), c = next(iter(f._terms.items()), ((math.inf, 0), 0))
+        return (P, c) if P <= stop * den else (math.inf, 0)
     sign = 1 if f.domain == HALF_LINE else -1
-    ladders = (range(P, 1, f._den) for P, _ in f._terms)  # D (p + k) <= 0
-    for e, _ in itertools.groupby(heapq.merge(*ladders)):
+    lo, hi = min(P for P, _ in f._terms), max(P for P, _ in f._terms)
+    stop = min(stop * den, lo + len(f._terms) * (hi - lo + den) - den)
+    rungs = [(P, i) for i, (P, _) in enumerate(f._terms)]  # (D e, term)
+    ladder = [(c, Fraction(Q, den), 0, Fraction(1))  # c, q, k, binom(q, k)
+              for (_, Q), c in f._terms.items()]     # times (+/-1)^k
+    heapq.heapify(rungs)
+    while rungs and rungs[0][0] <= stop:
+        e = rungs[0][0]
         contribs = []
-        for (P, Q), c in f._terms.items():
-            k, rem = divmod(e - P, f._den)
-            if k >= 0 and not rem:
-                contribs.append(c * (generalized_binomial(
-                    Fraction(Q, f._den), k) * (sign ** k)))
+        while rungs and rungs[0][0] == e:
+            _, i = heapq.heappop(rungs)
+            c, q, k, b = ladder[i]
+            if k:
+                b = sign * _binomial_step(b, q, k - 1)
+                if not b:  # q is an integer below k: the ladder has ended
+                    continue
+            contribs.append(c * b)
+            ladder[i] = (c, q, k + 1, b)
+            heapq.heappush(rungs, (e + den, i))
         total = sum(contribs, Fraction(0))
         if total == 0:
             continue
@@ -505,11 +509,13 @@ def _series_limit_at_zero(f):
         if not isinstance(total, Fraction) and abs(complex(total)) <= \
                 COEFF_REL_TOL * max(abs(complex(c)) for c in contribs):
             continue
-        if e < 0:
-            s = total.real if isinstance(total, complex) else total
-            return math.inf if s > 0 else -math.inf
-        return total
-    return Fraction(0)
+        return e, total
+    return math.inf, 0
+
+
+def _binomial_step(b, q, k):
+    """binom(q, k + 1) from b = binom(q, k)."""
+    return b * (q - k) / (k + 1)
 
 
 def _num_to_text(x):

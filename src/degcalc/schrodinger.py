@@ -49,8 +49,9 @@ class SchrodingerProblem:
     """Radial problem -Delta + V on R^n restricted to an angular sector.
 
     ``V`` is the full ring potential in the radius t.  Its exponent at 0 must
-    be -2*gamma and its growth at infinity 2*gamma_prime (checked).  ``l`` is
-    the angular momentum sector.
+    be -2*gamma and its growth at infinity 2*gamma_prime (checked), unless it
+    is zero as a function: that is the free case, stored as the zero
+    function.  ``l`` is the angular momentum sector.
     """
 
     n: int
@@ -72,15 +73,18 @@ class SchrodingerProblem:
         except (ValueError, TypeError) as exc:
             raise PreconditionError(
                 f"gamma and gamma_prime must be exponents: {exc}") from exc
-        if not self.V.is_zero:
-            if self.V.min_p() != -2 * g:
-                raise PreconditionError(
-                    f"potential exponent at 0 is {self.V.min_p()}, "
-                    f"expected {-2 * g}")
-            if self.V.far_exponent() != -2 * gp:
-                raise PreconditionError(
-                    f"potential growth at infinity is {-self.V.far_exponent()},"
-                    f" expected {2 * gp}")
+        e0 = self.V.leading("zero")[0]
+        if e0 == math.inf:  # zero as a function: the free case
+            object.__setattr__(self, "V", RadialFunction.zero())
+            return
+        if e0 != -2 * g:
+            raise PreconditionError(
+                f"potential exponent at 0 is {e0}, expected {-2 * g}")
+        e_far = self.V.leading("far")[0]
+        if e_far != -2 * gp:
+            raise PreconditionError(
+                f"potential growth at infinity is {-e_far}, "
+                f"expected {2 * gp}")
 
     @property
     def gamma_tilde(self):

@@ -10,17 +10,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidWeightError, PreconditionError
-from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
+from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction, b_weight
 
 #: iteration cap for the undecidable branch of the infinite-order membership test
 MEMBERSHIP_CAP = 64
 
 #: number of sample points used by the positivity check
 POSITIVITY_SAMPLES = 10_000
+
+#: the b-weight's leading exponents: a weight at least as large is degenerate
+_B_LEADING = {(domain, end): b_weight(domain).leading(end)[0]
+              for domain in (HALF_LINE, UNIT_INTERVAL)
+              for end in ("zero", "far")}
 
 
 class Weight:
@@ -31,7 +37,7 @@ class Weight:
     def __init__(self, profile):
         if not isinstance(profile, RadialFunction):
             raise TypeError("profile must be a RadialFunction")
-        if profile.is_zero:
+        if profile.leading("zero")[0] == math.inf:
             raise InvalidWeightError("zero profile")
         _check_positive(profile)
         object.__setattr__(self, "profile", profile)
@@ -49,14 +55,14 @@ class Weight:
 
     @property
     def a(self):
-        """Endpoint exponent at 0 (min p over terms)."""
-        return self.profile.min_p()
+        """Leading exponent at 0."""
+        return self.profile.leading("zero")[0]
 
     @property
     def a_prime(self):
-        """Intrinsic decay exponent at the far end: -max(p+q) on the
-        half-line, min q on the unit interval."""
-        return self.profile.far_exponent()
+        """Leading exponent at the far end: the decay exponent at infinity
+        on the half-line, the vanishing order at 1 on the unit interval."""
+        return self.profile.leading("far")[0]
 
     @property
     def is_single_term(self):
@@ -116,7 +122,7 @@ def membership_order(f, phi, n):
         if not g.is_continuous():
             return MembershipResult(member_up_to=k - 1, is_member=False,
                                     failure_order=k)
-        if g.is_zero:
+        if g.leading("zero")[0] == math.inf:
             return MembershipResult(member_up_to=limit_k, is_member=True)
         if n == math.inf and _stable_forever(g, phi):
             return MembershipResult(member_up_to=MEMBERSHIP_CAP,
@@ -132,32 +138,31 @@ def membership_order(f, phi, n):
 
 def _stable_forever(g, w):
     """Exponent-shift stability: every future X application keeps the
-    iterate continuous.
+    continuous iterate g continuous.
 
-    At a degenerate endpoint (weight exponent >= 1) a derivative loses one
-    order and the weight restores at least one, so nonnegative exponents stay
-    nonnegative.  At a nondegenerate endpoint the exponents must be
-    nonnegative integers, which the derivative walks down to 0 and kills.
+    At a degenerate end, where the weight vanishes at least like the
+    b-weight, a derivative loses one order and the weight restores at least
+    one, so the nonnegative exponents of g stay nonnegative.  At a
+    nondegenerate end, g and the weight must be power series in the distance
+    to the end (leading exponent >= 0, no fractional exponent), and X keeps
+    g one.
     """
-
-    def end_ok(g_exps, w_exps):
-        if min(w_exps) >= 1:
-            return min(g_exps) >= 0
-        return (all(_is_nonneg_int(e) for e in w_exps)
-                and all(_is_nonneg_int(e) for e in g_exps))
-
-    zero_ok = end_ok([p for (p, _) in g.terms],
-                     [p for (p, _) in w.profile.terms])
-    if w.domain == HALF_LINE:
-        far_ok = w.a_prime >= -1 and g.far_exponent() >= 0
-    else:
-        far_ok = end_ok([q for (_, q) in g.terms],
-                        [q for (_, q) in w.profile.terms])
-    return zero_ok and far_ok
+    for end in ("zero", "far"):
+        a = w.profile.leading(end)[0]
+        if a < _B_LEADING[w.domain, end] and not (
+                a >= 0 and _fraction_free(w.profile, end)
+                and _fraction_free(g, end)):
+            return False
+    return True
 
 
-def _is_nonneg_int(e):
-    return e >= 0 and e.denominator == 1
+def _fraction_free(f, end):
+    """True iff the terms of f with a fractional exponent at ``end`` sum to
+    the zero function."""
+    if end == "far":
+        f = f.invert() if f.domain == HALF_LINE else f.flip()
+    frac = {(p, q): c for (p, q), c in f.terms.items() if p.denominator != 1}
+    return RadialFunction(frac, f.domain).leading("zero")[0] == math.inf
 
 
 @dataclass(frozen=True)
@@ -185,48 +190,33 @@ class StructureFunction:
 def structure_function(psi, phi):
     """The logarithmic derivative of psi along X = phi d/dt.
 
-    For single-term psi the quotient psi'/psi is exact in the ring.  The
-    far-end value on a bounded interval follows the literal formula, whose
-    sign differs from the customary boundary-exponent convention; this is
-    surfaced via ``far_sign_flagged``.
+    Both endpoint values are the quotients of the leading terms of
+    phi psi' and psi there.  For single-term psi the quotient is exact in
+    the ring.  The far-end value on a bounded interval follows the literal
+    formula, whose sign differs from the customary boundary-exponent
+    convention; this is surfaced via ``far_sign_flagged``.
     """
     if psi.domain != phi.domain:
         raise InvalidWeightError("weights live on different domains")
-
-    def log_derivative(prof):
-        # single term c t^p (1 +/- t)^q: psi'/psi = p/t +/- q/(1 +/- t)
-        ((p, q), _), = prof.terms.items()
-        sign = 1 if prof.domain == HALF_LINE else -1
-        return (RadialFunction.term(p, -1, 0, domain=prof.domain)
-                + RadialFunction.term(sign * q, 0, -1, domain=prof.domain))
-
+    prof = psi.profile
+    flux = phi.profile * prof.derivative()
+    values = [_quotient_limit(flux, prof, end) for end in ("zero", "far")]
     flagged = phi.domain == UNIT_INTERVAL
     if psi.is_single_term:
-        ring = phi.profile * log_derivative(psi.profile)
-        return StructureFunction(ring=ring,
-                                 value_at_zero=ring.limit("zero"),
-                                 value_at_far=ring.limit("far"),
+        return StructureFunction(flux.divide_term(prof), *values,
                                  far_sign_flagged=flagged)
-    # numeric closure; endpoint values from the dominant terms
-    prof = psi.profile
+    return StructureFunction(None, *values, numeric_mode=True,
+                             far_sign_flagged=flagged,
+                             _eval=lambda t: flux(t) / prof(t))
 
-    def evaluate(t):
-        return phi.profile(t) * prof.derivative()(t) / prof(t)
 
-    def dominant(best):
-        (p, q) = best
-        return RadialFunction.term(prof.terms[(p, q)], p, q, domain=prof.domain)
-
-    dom0 = dominant(min(prof.terms))
-    if prof.domain == HALF_LINE:
-        domf = dominant(max(prof.terms, key=lambda k: (k[0] + k[1], k[1])))
-    else:
-        domf = dominant(min(prof.terms, key=lambda k: (k[1], k[0])))
-    v0 = (phi.profile * log_derivative(dom0)).limit("zero")
-    vf = (phi.profile * log_derivative(domf)).limit("far")
-    return StructureFunction(ring=None, value_at_zero=v0, value_at_far=vf,
-                             numeric_mode=True, far_sign_flagged=flagged,
-                             _eval=evaluate)
+def _quotient_limit(num, den, end):
+    """The limit of num/den at ``end``, from their leading terms."""
+    (e1, c1), (e2, c2) = num.leading(end), den.leading(end)
+    q = c1 / c2
+    if e1 != e2:
+        return Fraction(0) if e1 > e2 else math.copysign(math.inf, q)
+    return q
 
 
 def weights_equivalent(psi, psi1, phi):

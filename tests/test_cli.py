@@ -125,7 +125,7 @@ class TestConfigParsing:
             potential = -1,-3,0
         """)
         assert cfg.gamma == F(3, 2)
-        assert cfg.potential.min_p() == -3
+        assert cfg.potential.leading("zero") == (-3, -1)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -449,6 +449,85 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(tmp_path),
                      "--verbose"]) == EXIT_OK
         assert "all checks passed" in capsys.readouterr().out
+
+
+class TestPotentialsWrittenOtherwise:
+    """Configs whose terms cancel: the function decides, not its terms."""
+
+    def run(self, tmp_path, text, name):
+        out = tmp_path / name
+        code = main(["--config", write_config(tmp_path, text, f"{name}.ini"),
+                     "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("gamma_prime, expected", [
+        ("1", EXIT_PRECONDITION), ("1/2", EXIT_OK)])
+    def test_linear_growth_written_as_a_difference_of_squares(
+            self, tmp_path, capsys, gamma_prime, expected):
+        # (1+t)^2 - t^2 = 1 + 2t grows like t, so gamma' is 1/2
+        code, _ = self.run(tmp_path, f"""
+            [run]
+            command = membership
+            [problem]
+            gamma = 0
+            gamma_prime = {gamma_prime}
+            potential = 1,0,2; -1,2,0
+        """, "m")
+        assert code == expected
+        out = capsys.readouterr()
+        if expected == EXIT_OK:
+            assert "overall: PASS" in out.out
+        else:
+            assert "potential growth at infinity is 1, expected 2" in out.err
+
+    def test_hydrogen_written_with_a_1_plus_t_factor(self, tmp_path):
+        # -(1+t)/t + 1 = -1/t
+        spectra = []
+        for name, potential in (("plain", "-1,-1,0"),
+                                ("rewritten", "-1,-1,1; 1,0,0")):
+            code, out = self.run(tmp_path, f"""
+                [run]
+                command = spectrum
+                [problem]
+                potential = {potential}
+            """, name)
+            assert code == EXIT_OK
+            rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+            spectra.append([float(row.split(",")[2]) for row in rows])
+        assert len(spectra[1]) == 2
+        assert spectra[1] == pytest.approx(spectra[0], rel=1e-10, abs=0)
+
+    def test_b_weight_written_as_a_difference(self, tmp_path):
+        # t(1+t) - t^2 = t, whose flow is sigma_s(x) = x e^s
+        code, out = self.run(tmp_path, """
+            [run]
+            command = flow
+            [flow]
+            weight = 1,1,1; -1,2,0
+        """, "f")
+        assert code == EXIT_OK
+        rows = (out / "flow.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        for s, x, sigma in (map(float, row.split(",")) for row in rows):
+            assert sigma == pytest.approx(x * math.exp(s), rel=1e-8)
+
+    @pytest.mark.parametrize("command, name", [
+        ("classify", "classify.txt"), ("membership", "membership.txt")])
+    def test_potential_zero_as_a_function_is_free(self, tmp_path, capsys,
+                                                  command, name):
+        # (1+t) - t - 1 = 0 runs as the empty potential does
+        reports = []
+        for tag, potential in (("empty", ""),
+                               ("zero", "1,0,1; -1,1,0; -1,0,0")):
+            code, out = self.run(tmp_path, f"""
+                [run]
+                command = {command}
+                [problem]
+                potential = {potential}
+            """, tag)
+            assert code == EXIT_OK
+            reports.append((out / name).read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestDeepCut:

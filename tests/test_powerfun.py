@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degcalc import powerfun
 from degcalc.errors import DegcalcError, EndpointEvalError
 from degcalc.powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction,
-                              as_exponent, b_weight, from_u,
-                              generalized_binomial, shift_u, to_u)
+                              _binomial_step, as_exponent, b_weight, from_u,
+                              shift_u, to_u)
 
 F = Fraction
 
@@ -73,7 +74,7 @@ class TestArithmetic:
     def test_scalar_product_drops_coefficients_that_underflow(self):
         f = RadialFunction.term(1e-200, 1) * 1e-200
         assert f.is_zero and f == RadialFunction.zero()
-        assert f.far_exponent() == math.inf
+        assert f.leading("far") == (math.inf, 0)
         assert f == RadialFunction.term(1e-200, 1) \
             * RadialFunction.const(1e-200)
 
@@ -141,6 +142,25 @@ class TestLimits:
         assert RadialFunction.term(1, -2 * 10**6).limit("zero") == math.inf
         assert time.perf_counter() - start < 1.0
 
+    def test_limit_walks_no_rung_above_zero(self, monkeypatch):
+        # ten relations t^p (1+t)^(q+1) - t^p (1+t)^q - t^(p+1) (1+t)^q:
+        # 30 terms that sum to the zero function
+        f = rf(*(term for i in range(10) for term in (
+            (1, F(-i, 3), F(i, 7) + 1), (-1, F(-i, 3), F(i, 7)),
+            (-1, F(3 - i, 3), F(i, 7)))))
+        assert len(f.terms) == 30 and not f.is_zero
+        steps = []
+        step = powerfun._binomial_step
+        monkeypatch.setattr(powerfun, "_binomial_step",
+                            lambda b, q, k: steps.append(k) or step(b, q, k))
+        # a term t^p (1+t)^q has floor(-p) rungs p + k <= 0 with k >= 1
+        rungs = sum(math.floor(-p) for p, _ in f.terms if p <= 0)
+        assert f.limit("zero") == 0
+        assert 0 < len(steps) <= rungs
+        steps.clear()
+        assert f.leading("zero") == (math.inf, 0)
+        assert len(steps) > rungs
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_exponent_rejected(self, bad):
         # limit("zero") steps through p, p+1, ... up to 0, which never ends
@@ -179,11 +199,13 @@ class TestCoordinateMaps:
 class TestExponentData:
     def test_min_p_and_far(self):
         f = rf((1, F(1, 2), -1), (2, 2, -4))
-        assert f.min_p() == F(1, 2)
-        assert f.far_exponent() == F(1, 2)  # -max(p+q) = -max(-1/2, -2)
+        assert f.leading("zero") == (F(1, 2), 1)
+        assert f.leading("far") == (F(1, 2), 1)  # 1/t^(1/2) beats 2/t^2
 
     def test_generalized_binomial(self):
-        assert generalized_binomial(F(1, 2), 2) == F(-1, 8)
+        half = F(1, 2)
+        assert _binomial_step(_binomial_step(F(1), half, 0), half, 1) \
+            == F(-1, 8) == generalized_binomial(half, 2)
 
     def test_float_exponents_are_exact(self):
         assert as_exponent(0.5) == F(1, 2)
@@ -382,12 +404,24 @@ def reference(pairs):
     return {key: c for key, c in out.items() if c != 0}
 
 
-def reference_limit_at_zero(terms, domain):
-    """The first nonzero coefficient of the expansion at t = 0 over the
-    exponents e <= 0: +/-inf below e = 0, the value at e = 0, else 0."""
+def generalized_binomial(q, k):
+    """binom(q, k), exactly, for a rational q and an integer k >= 0."""
+    num = math.prod((q - i for i in range(k)), start=F(1))
+    return num / math.factorial(k)
+
+
+def reference_limit_at_zero(terms, domain, stop=0):
+    """(e, c): the first nonzero coefficient c of the expansion at t = 0 and
+    its exponent e, over the exponents e <= stop and below the bound
+    p_lo + n (p_hi - p_lo + 1) - 1 past which only the zero function has
+    none; (inf, 0) if there is none."""
+    if not terms:
+        return math.inf, 0
     sign = 1 if domain == HALF_LINE else -1
+    lo, hi = min(p for p, _ in terms), max(p for p, _ in terms)
+    stop = min(stop, lo + len(terms) * (hi - lo + 1) - 1)
     ladder = sorted({p + k for p, _ in terms
-                     for k in range(math.floor(-p) + 1)})
+                     for k in range(math.floor(stop - p) + 1)})
     for e in ladder:
         total = Fraction(0)
         for (p, q), c in terms.items():
@@ -395,8 +429,14 @@ def reference_limit_at_zero(terms, domain):
             if k >= 0 and k.denominator == 1:
                 total += c * generalized_binomial(q, int(k)) * sign ** int(k)
         if total != 0:
-            return total if e == 0 else math.copysign(math.inf, total)
-    return 0
+            return e, total
+    return math.inf, 0
+
+
+def as_limit(lead):
+    """The endpoint limit that a leading term (e, c) gives."""
+    e, c = lead
+    return c if e == 0 else 0 if e > 0 else math.copysign(math.inf, c)
 
 
 def split_denominator(f):
@@ -429,16 +469,15 @@ class TestIntegerKeys:
         if domain == HALF_LINE:
             far = {(-(p + q), q): c for (p, q), c in ra.items()}
             assert dict(f.invert().terms) == far
-            assert f.far_exponent() == (-max(p + q for p, q in ra)
-                                        if ra else math.inf)
         else:
             far = {(q, p): c for (p, q), c in ra.items()}
             assert dict(f.flip().terms) == far
-            assert f.far_exponent() == min((q for _, q in ra),
-                                           default=math.inf)
-        assert f.min_p() == min((p for p, _ in ra), default=math.inf)
-        assert f.limit("zero") == reference_limit_at_zero(ra, domain)
-        assert f.limit("far") == reference_limit_at_zero(far, domain)
+        assert f.leading("far") == reference_limit_at_zero(far, domain,
+                                                           math.inf)
+        assert f.leading("zero") == reference_limit_at_zero(ra, domain,
+                                                            math.inf)
+        assert f.limit("zero") == as_limit(reference_limit_at_zero(ra, domain))
+        assert f.limit("far") == as_limit(reference_limit_at_zero(far, domain))
 
     @given(key_terms, key_exps, key_exps, domains)
     @settings(max_examples=60, deadline=None)
@@ -448,8 +487,8 @@ class TestIntegerKeys:
         f = RadialFunction(a, domain) * (
             RadialFunction.term(1, 0, q1, domain)
             - RadialFunction.term(1, 0, q2, domain))
-        assert f.limit("zero") == reference_limit_at_zero(dict(f.terms),
-                                                          domain)
+        assert f.limit("zero") == as_limit(
+            reference_limit_at_zero(dict(f.terms), domain))
 
     def test_limit_past_cancelling_exponents_over_thirds(self):
         # t^-1 ((1+t)^(1/3) - (1+t)^(-1/3)) = 2/3 + O(t), stored over D = 3
@@ -464,8 +503,8 @@ class TestIntegerKeys:
         g = split_denominator(f)
         assert f == g and g == f and f.terms == g.terms
         assert f.to_text() == g.to_text()
-        assert (f.min_p(), f.far_exponent(), f.limit("zero"),
-                f.limit("far")) == (g.min_p(), g.far_exponent(),
+        assert (f.leading("zero"), f.leading("far"), f.limit("zero"),
+                f.limit("far")) == (g.leading("zero"), g.leading("far"),
                                     g.limit("zero"), g.limit("far"))
         assert (f - g).is_zero and (f * g - g * f).is_zero
         back = RadialFunction.from_text(g.to_text())

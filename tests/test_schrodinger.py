@@ -50,8 +50,8 @@ class TestProblemValidation:
     def test_prefactored_constructor(self):
         prob = SchrodingerProblem.from_prefactored(
             3, F(1, 2), F(-1, 2), RadialFunction.const(-1))
-        assert prob.V.min_p() == -1
-        assert prob.V.far_exponent() == 1
+        assert prob.V.leading("zero") == (-1, -1)
+        assert prob.V.leading("far") == (1, -1)
 
     def test_tilde_exponents(self):
         h = SchrodingerProblem.hydrogen()
