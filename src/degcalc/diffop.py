@@ -252,7 +252,7 @@ class DiffOp:
                                 domain=self.domain)
 
     def _require_single_terms(self, target):
-        if not (self.phi.is_single_term and self.psi.is_single_term):
+        if not all(w.profile.is_single_term for w in (self.phi, self.psi)):
             raise PreconditionError(
                 f"exact {target} form needs single-term phi and psi")
 

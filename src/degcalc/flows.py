@@ -7,7 +7,7 @@ F(u) = integral_0^u du'/g with g = phi/b.  A constant g = c (c*t on the
 half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
 have a closed form.  For everything else F is a table over segments 0.2 wide
 in u, grown outward from u = 0 only as far as a call needs; one evaluation of
-g samples 1/g on all the segments a call adds.  Each segment keeps the
+g samples 1/g on up to 256 of the segments a call adds.  Each segment keeps the
 Chebyshev coefficients of the mean of 1/g from its inner node (16 samples, or
 quad where they do not resolve 1/g), so F is one Clenshaw sum, and Newton on
 the same sum inverts it inside one segment.
@@ -39,6 +39,8 @@ QUAD_RTOL = 1e-12
 
 #: width in u of one segment of the table of F
 TABLE_STEP = 0.2
+#: segments sampled by one evaluation of g, which bounds its memory
+GROW_CHUNK = 256
 
 #: a segment samples 1/g at a + (node - a) * _AT, the Chebyshev points cos
 #: theta_j moved to [0, 1]; _CHEB maps the values to Chebyshev coefficients
@@ -154,8 +156,8 @@ class Flow:
         """Add segments to the upper or lower end of the table of F: at
         least one, and up to the first node that passes u = to (one for the
         default to = 0, which both ends have passed).  One evaluation of g
-        samples 1/g on all of them.  Stops where t at the next node leaves
-        the float range; False when no segment was added."""
+        samples 1/g on up to GROW_CHUNK of them.  Stops where t at the next
+        node leaves the float range; False when no segment was added."""
         end = -1 if up else 0
         nodes = [self._table_u[end]]
         while len(nodes) == 1 or (nodes[-1] < to if up else nodes[-1] > to):
@@ -165,16 +167,16 @@ class Flow:
             nodes.append(node)
         if len(nodes) == 1:
             return False
-        inner = np.array(nodes[:-1])[:, None]
-        outer = np.array(nodes[1:])[:, None]
+        u = np.array(nodes)[:, None]
         means = []  # None where 16 points do not resolve 1/g
         with np.errstate(all="ignore"):
-            inv_g = 1.0 / self._g.at_u(inner + (outer - inner) * _AT)
-            for row in inv_g:
-                coef, mean = abs(_CHEB @ row), _MEAN @ row
-                fits = (np.isfinite(mean).all()
-                        and coef[-2:].max() <= 1e-15 * coef.max())
-                means.append(mean.tolist() if fits else None)
+            for lo in range(0, len(nodes) - 1, GROW_CHUNK):
+                a, b = u[:-1][lo:lo + GROW_CHUNK], u[1:][lo:lo + GROW_CHUNK]
+                for row in 1.0 / self._g.at_u(a + (b - a) * _AT):
+                    coef, mean = abs(_CHEB @ row), _MEAN @ row
+                    fits = (np.isfinite(mean).all()
+                            and coef[-2:].max() <= 1e-15 * coef.max())
+                    means.append(mean.tolist() if fits else None)
         F, err, new = self._table_F[end], self._table_err[end], []
         for a, node, mean in zip(nodes, nodes[1:], means):
             if mean is not None:

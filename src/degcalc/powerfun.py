@@ -7,12 +7,12 @@ at their exact binary value, so equal exponents merge and cancellation is
 exact.  The class is closed under addition, multiplication and d/dt.
 
 The basis is not independent (t^p (1+t)^(q+1) = t^p (1+t)^q + t^(p+1)
-(1+t)^q), so ``leading(end)`` is the one endpoint reading: it answers for
-the function, not its terms, and ``limit`` reads it.  ``is_zero`` and ``==``
-stay structural: the ring axioms hold term by term, so the hot paths that
-check them need no series.  This module also owns the geometry of the two
-domains: the flow coordinate u of the b-weight, in which every numeric
-reading of a function is evaluated.
+(1+t)^q), so ``leading(end)`` is the one endpoint reading, for the function
+and not its terms; ``limit`` and ``one_term`` (the one term a sum equals,
+if any) read it.  ``is_zero`` and ``==`` stay structural: the ring axioms
+hold term by term, so hot paths need no series.  This module also owns the
+geometry of the two domains: the flow coordinate u of the b-weight, in
+which every numeric reading of a function is evaluated.
 """
 
 from __future__ import annotations
@@ -223,6 +223,19 @@ class RadialFunction:
         t -> 1.  (inf, 0) for the zero function, however it is written."""
         E, c = _walk(self, end, math.inf)
         return (E, c) if E == math.inf else (Fraction(E, self._den), c)
+
+    def one_term(self):
+        """The single term c t^a (1 +/- t)^b that f equals as a function, or
+        f itself when none does; zero() when f is zero as a function.  a
+        and c are read at 0, b at the far end, and f - term must vanish."""
+        if len(self._terms) < 2:
+            return self
+        (a, c), e = self.leading("zero"), self.leading("far")[0]
+        if a == math.inf:
+            return RadialFunction.zero(self.domain)
+        term = RadialFunction.term(
+            c, a, -e - a if self.domain == HALF_LINE else e, self.domain)
+        return term if (self - term).leading("zero")[0] == math.inf else self
 
     def limit(self, end):
         """Endpoint limit: ``end`` is 'zero' or 'far'.  Returns a finite

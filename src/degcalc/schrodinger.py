@@ -48,10 +48,10 @@ IDENTITY_GAMMA_PRIMES = (Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)
 class SchrodingerProblem:
     """Radial problem -Delta + V on R^n restricted to an angular sector.
 
-    ``V`` is the full ring potential in the radius t.  Its exponent at 0 must
-    be -2*gamma and its growth at infinity 2*gamma_prime (checked), unless it
-    is zero as a function: that is the free case, stored as the zero
-    function.  ``l`` is the angular momentum sector.
+    ``V`` is the full ring potential in the radius t, stored as its one term
+    when it equals one as a function.  Its exponent at 0 must be -2*gamma and
+    its growth at infinity 2*gamma_prime (checked), unless it is zero as a
+    function: that is the free case.  ``l`` is the angular momentum sector.
     """
 
     n: int
@@ -73,10 +73,10 @@ class SchrodingerProblem:
         except (ValueError, TypeError) as exc:
             raise PreconditionError(
                 f"gamma and gamma_prime must be exponents: {exc}") from exc
-        e0 = self.V.leading("zero")[0]
-        if e0 == math.inf:  # zero as a function: the free case
-            object.__setattr__(self, "V", RadialFunction.zero())
+        object.__setattr__(self, "V", self.V.one_term())
+        if self.V.is_zero:  # the free case
             return
+        e0 = self.V.leading("zero")[0]
         if e0 != -2 * g:
             raise PreconditionError(
                 f"potential exponent at 0 is {e0}, expected {-2 * g}")

@@ -30,14 +30,15 @@ _B_LEADING = {(domain, end): b_weight(domain).leading(end)[0]
 
 
 class Weight:
-    """A positive ring function with recomputed endpoint exponents."""
+    """A positive ring function, stored as one term if it equals one."""
 
     __slots__ = ("profile",)
 
     def __init__(self, profile):
         if not isinstance(profile, RadialFunction):
             raise TypeError("profile must be a RadialFunction")
-        if profile.leading("zero")[0] == math.inf:
+        profile = profile.one_term()
+        if profile.is_zero:
             raise InvalidWeightError("zero profile")
         _check_positive(profile)
         object.__setattr__(self, "profile", profile)
@@ -63,10 +64,6 @@ class Weight:
         """Leading exponent at the far end: the decay exponent at infinity
         on the half-line, the vanishing order at 1 on the unit interval."""
         return self.profile.leading("far")[0]
-
-    @property
-    def is_single_term(self):
-        return self.profile.is_single_term
 
     def __call__(self, t):
         return self.profile(t)
@@ -202,7 +199,7 @@ def structure_function(psi, phi):
     flux = phi.profile * prof.derivative()
     values = [_quotient_limit(flux, prof, end) for end in ("zero", "far")]
     flagged = phi.domain == UNIT_INTERVAL
-    if psi.is_single_term:
+    if prof.is_single_term:
         return StructureFunction(flux.divide_term(prof), *values,
                                  far_sign_flagged=flagged)
     return StructureFunction(None, *values, numeric_mode=True,

@@ -497,16 +497,41 @@ class TestPotentialsWrittenOtherwise:
         assert len(spectra[1]) == 2
         assert spectra[1] == pytest.approx(spectra[0], rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("command, name", [
+        ("classify", "classify.txt"), ("parametrix", "parametrix.csv")])
+    def test_hydrogen_written_with_a_1_plus_t_factor_runs_as_hydrogen(
+            self, tmp_path, command, name):
+        # -(1+t)/t + 1 = -1/t is stored as -1/t, so the far-field rewrite
+        # sees its pure-power tail
+        outputs = []
+        for tag, potential in (("plain", "-1,-1,0"),
+                               ("rewritten", "-1,-1,1; 1,0,0")):
+            code, out = self.run(tmp_path, f"""
+                [run]
+                command = {command}
+                [problem]
+                potential = {potential}
+            """, tag)
+            assert code == EXIT_OK
+            outputs.append((out / name).read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_b_weight_written_as_a_difference(self, tmp_path):
-        # t(1+t) - t^2 = t, whose flow is sigma_s(x) = x e^s
-        code, out = self.run(tmp_path, """
-            [run]
-            command = flow
-            [flow]
-            weight = 1,1,1; -1,2,0
-        """, "f")
-        assert code == EXIT_OK
-        rows = (out / "flow.csv").read_text().splitlines()[1:]
+        # t(1+t) - t^2 = t, whose flow is sigma_s(x) = x e^s in closed form,
+        # to the byte of the weight written as t
+        csvs = []
+        for tag, weight in (("plain", "1,1,0"),
+                            ("rewritten", "1,1,1; -1,2,0")):
+            code, out = self.run(tmp_path, f"""
+                [run]
+                command = flow
+                [flow]
+                weight = {weight}
+            """, tag)
+            assert code == EXIT_OK
+            csvs.append((out / "flow.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        rows = csvs[1].decode().splitlines()[1:]
         assert len(rows) == 5
         for s, x, sigma in (map(float, row.split(",")) for row in rows):
             assert sigma == pytest.approx(x * math.exp(s), rel=1e-8)

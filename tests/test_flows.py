@@ -14,8 +14,9 @@ from scipy.integrate import quad
 from degcalc import flows
 from degcalc.errors import (InversionError, PreconditionError,
                             PropertyViolationError)
-from degcalc.flows import (Flow, completeness_check, flow_scaling_limit,
-                           power_flow_exponents, write_flow_csv)
+from degcalc.flows import (GROW_CHUNK, Flow, completeness_check,
+                           flow_scaling_limit, power_flow_exponents,
+                           write_flow_csv)
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, to_u
 from degcalc.weights import Weight
 
@@ -189,8 +190,9 @@ class TestTableOfF:
         fl = Flow(Weight(self.PHI))
         fl.F(1e-16)
         fl.F(1e300)
-        # 185 segments down to u = ln 1e-16 ~ -36.8, 3,454 up to ~690.8
-        assert calls == [(185, 16), (3454, 16)]
+        # 185 segments down to u = ln 1e-16 ~ -36.8, 3,454 up to ~690.8,
+        # each direction one _grow that samples at most GROW_CHUNK at once
+        assert calls == [(185, 16)] + [(GROW_CHUNK, 16)] * 13 + [(126, 16)]
 
     def test_steep_segments_fall_back_to_quad(self, monkeypatch):
         calls = count_calls(monkeypatch, "quad")

@@ -202,6 +202,32 @@ class TestExponentData:
         assert f.leading("zero") == (F(1, 2), 1)
         assert f.leading("far") == (F(1, 2), 1)  # 1/t^(1/2) beats 2/t^2
 
+    @pytest.mark.parametrize("written, term, domain", [
+        (((1, 1, 1), (-1, 2, 0)), (1, 1, 0), HALF_LINE),  # t(1+t) - t^2
+        (((-1, -1, 1), (1, 0, 0)), (-1, -1, 0), HALF_LINE),  # -1/t
+        (((1, 0, 1), (-1, 1, 0), (-1, 0, 0)), None, HALF_LINE),  # zero
+        (((1, 1, 0), (1, 2, 0)), (1, 1, 1), HALF_LINE),  # t(1+t)
+        (((3, F(1, 3), 1), (3, F(4, 3), 0)), (3, F(1, 3), 0), UNIT_INTERVAL),
+        (((2.5, 0, 2), (2.5, 1, 1)), (2.5, 0, 1), UNIT_INTERVAL),
+    ])
+    def test_one_term_reads_the_function(self, written, term, domain):
+        f = rf(*written, domain=domain)
+        one = f.one_term()
+        assert one == (rf(term, domain=domain) if term else
+                       RadialFunction.zero(domain))
+
+    @pytest.mark.parametrize("written", [
+        ((1, 1, 0), (2, 2, 0)),  # t + 2t^2
+        ((1, 0, 2), (-1, 2, 0)),  # 1 + 2t
+        ((-1, -1, 1), (1, 0, 0), (1, 2, 0)),  # -1/t + t^2
+        ((1, F(1, 2), 0), (1, 1, 0)),  # t^(1/2) + t: two classes mod 1
+    ])
+    def test_one_term_keeps_a_sum_of_several(self, written):
+        f = rf(*written)
+        assert f.one_term() is f
+        g = rf(written[0])
+        assert g.one_term() is g  # one stored term returns at once
+
     def test_generalized_binomial(self):
         half = F(1, 2)
         assert _binomial_step(_binomial_step(F(1), half, 0), half, 1) \

@@ -15,8 +15,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degcalc.diffop import DiffOp
 from degcalc.errors import InvalidWeightError, PreconditionError
-from degcalc.flows import completeness_check
+from degcalc.flows import Flow, completeness_check
 from degcalc.powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import SchrodingerProblem
 from degcalc.weights import (MEMBERSHIP_CAP, Weight, membership_order,
@@ -104,6 +105,34 @@ def test_completeness_and_structure_values_read_the_function(terms, domain,
                      for pair in (written, rewritten))
         assert (got.value_at_zero, got.value_at_far) == \
             (want.value_at_zero, want.value_at_far)
+
+
+@given(coeffs, exponents(), exponents(), domains, st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_term_weight_is_stored_as_that_term(c, p, q, domain, data):
+    f = T(abs(c), p, q, domain)
+    w = Weight(f)
+    w2 = Weight(f + data.draw(insertions(f, anywhere=False)))
+    assert w2.profile == w.profile  # structurally, not only as functions
+    assert Flow(w2, require_complete=False).mode == \
+        Flow(w, require_complete=False).mode
+    psi = Weight(T(1, F(1, 2), 1, domain))
+
+    def lie(phi):
+        return DiffOp("raw", {(2, 0): 1}, phi, psi).to_lie()
+
+    assert lie(w2) == lie(w)
+    for pair, pair2 in (((psi, w), (psi, w2)), ((w, psi), (w2, psi))):
+        assert structure_function(*pair2).ring == \
+            structure_function(*pair).ring
+
+
+def test_b_weight_written_as_a_difference_has_a_lie_form():
+    # t(1+t) - t^2 = t: X^2 over it has the exact lie form of X^2 over t
+    phi, psi = Weight(T(1, 1, 1) - T(1, 2, 0)), Weight(T(1, 1))
+    op = DiffOp("raw", {(2, 0): 1}, phi, psi).to_lie()
+    assert op == DiffOp("raw", {(2, 0): 1}, Weight(T(1, 1)), psi).to_lie()
+    assert phi.profile == T(1, 1)
 
 
 #: weights, on their domain; t^(3/2) only at finite order, because its

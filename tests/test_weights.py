@@ -109,13 +109,21 @@ class TestStructureFunction:
     def test_multi_term_numeric_mode(self):
         phi = Weight.from_term(1, 1)
         psi = Weight(RadialFunction.term(1, 1, 0)
-                     + RadialFunction.term(1, 2, 0))
+                     + RadialFunction.term(2, 2, 0))
         C = structure_function(psi, phi)
         assert C.numeric_mode
         assert C.value_at_zero == 1
         t = 0.01
-        expected = (t + 2 * t ** 2) / (t + t ** 2)
+        expected = (t + 4 * t ** 2) / (t + 2 * t ** 2)
         assert abs(C(t) - expected) < 1e-12
+        # t + t^2 = t(1+t) is one term as a function: the exact ring path
+        psi = Weight(RadialFunction.term(1, 1, 0)
+                     + RadialFunction.term(1, 2, 0))
+        C = structure_function(psi, phi)
+        assert not C.numeric_mode
+        # t ((1+t) + t) / (t (1+t)), exponents subtracted term by term
+        assert C.ring == (RadialFunction.term(1, 0, 0)
+                          + RadialFunction.term(1, 1, -1))
 
     def test_far_sign_flag_on_interval(self):
         phi = Weight.from_term(1, 1, 1, domain=UNIT_INTERVAL)
