@@ -10,7 +10,7 @@ from .weights import (MembershipResult, StructureFunction, Weight, apply_X,
                       membership_order, structure_function,
                       weights_equivalent)
 from .flows import (Flow, completeness_check, flow_scaling_limit,
-                    power_flow_exponents, write_flow_csv)
+                    power_flow_exponents)
 from .groupoid import (GPhiElement, HPsiElement, KernelFunction, SElement,
                        gphi_compose, hpsi_action, hpsi_chart, hpsi_compose,
                        kernel_conjugate, rho_infinity, rho_zero, s_compose,
@@ -25,7 +25,6 @@ from .schrodinger import (GeometricGrid, MembershipReport,
                           RewriteResult, SchrodingerProblem, SpectralResult,
                           assemble_and_solve, membership_in_diff_s,
                           membership_weights, parametrix_residual,
-                          resolvent_probe, rewrite, verify_identity_r_power,
-                          write_parametrix_csv, write_spectrum_csv)
+                          resolvent_probe, rewrite, verify_identity_r_power)
 
 __version__ = "0.1.0"

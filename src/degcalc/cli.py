@@ -1,4 +1,4 @@
-"""Batch front door: config parsing, command dispatch, CSV outputs.
+"""Batch front door: config parsing, command dispatch, every output file.
 
 Config files are sectioned key=value text (configparser syntax) whose keys,
 readers and defaults are the table ``_KEYS``.  Exponents and coefficients
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import math
 import os
 import sys
@@ -20,15 +21,14 @@ from .diffop import (DiffOp, lie_rinehart_check, op_commutator,
                      random_lie_rinehart_samples)
 from .errors import (ConfigError, ConvergenceError, DegcalcError,
                      InvalidWeightError, InversionError, PreconditionError)
-from .flows import Flow, completeness_check, flow_scaling_limit, write_flow_csv
+from .flows import Flow, completeness_check, flow_scaling_limit
 from .groupoid import GPhiElement, gphi_compose, zeta_cocycle
 from .powerfun import UNIT_INTERVAL, RadialFunction
 from .schrodinger import (N_POINTS_DEFAULT, S_MAX_DEFAULT, S_MIN_DEFAULT,
                           GeometricGrid, SchrodingerProblem,
                           assemble_and_solve, membership_in_diff_s,
                           parametrix_residual, resolvent_probe, rewrite,
-                          verify_identity_r_power, write_parametrix_csv,
-                          write_spectrum_csv)
+                          verify_identity_r_power)
 from .weights import Weight, membership_order
 
 EXIT_OK = 0
@@ -161,6 +161,22 @@ def _report(out, name, lines):
     return EXIT_OK
 
 
+def _write_csv(out, name, header, rows, log):
+    """Write the header and rows to <out>/<name>.csv, floats as %.17g.
+
+    The rows are built by the caller, so a command that fails on a row
+    leaves no file behind.
+    """
+    path = os.path.join(out, f"{name}.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["%.17g" % v if isinstance(v, float) else v
+                          for v in row] for row in rows)
+    log(f"wrote {path}")
+    return EXIT_OK
+
+
 def _cmd_classify(cfg, out, log):
     rw = rewrite(cfg.problem())
     return _report(out, "classify", [
@@ -183,10 +199,8 @@ def _cmd_membership(cfg, out, log):
 
 def _cmd_flow(cfg, out, log):
     flow = Flow(Weight(cfg.weight))
-    path = os.path.join(out, "flow.csv")
-    write_flow_csv(path, flow, cfg.s, cfg.x_values)
-    log(f"wrote {path}")
-    return EXIT_OK
+    rows = [(cfg.s, x, flow.apply(cfg.s, x)) for x in cfg.x_values]
+    return _write_csv(out, "flow", ["s", "x", "sigma_s_x"], rows, log)
 
 
 def _cmd_spectrum(cfg, out, log):
@@ -196,9 +210,12 @@ def _cmd_spectrum(cfg, out, log):
     if not all(b <= cfg.tolerance for b in result.backward_errors):  # NaN too
         raise ConvergenceError(f"eigenpair backward errors "
                                f"{result.backward_errors} above tolerance")
-    path = os.path.join(out, "spectrum.csv")
-    write_spectrum_csv(path, prob, result)
-    log(f"wrote {path}")
+    g = result.grid
+    rows = [(prob.l, idx, lam, res, g.n_points, g.s_min, g.s_max)
+            for idx, (lam, res) in enumerate(zip(result.eigenvalues,
+                                                 result.residuals))]
+    _write_csv(out, "spectrum", ["l", "index", "eigenvalue", "residual",
+                                 "grid_points", "s_min", "s_max"], rows, log)
     for idx, lam in enumerate(result.eigenvalues):
         print(f"l={prob.l} eigenvalue[{idx}] = {lam:.12g}")
     return EXIT_OK
@@ -207,9 +224,8 @@ def _cmd_spectrum(cfg, out, log):
 def _cmd_parametrix(cfg, out, log):
     rep = parametrix_residual(cfg.problem(), orders=cfg.orders,
                               cutoffs=cfg.cutoffs)
-    path = os.path.join(out, "parametrix.csv")
-    write_parametrix_csv(path, rep)
-    log(f"wrote {path}")
+    _write_csv(out, "parametrix", ["N", "K", "residual_ratio"], rep.rows,
+               log)
     for N, K, ratio in rep.rows:
         print(f"N={N} K={K:g} residual_ratio={ratio:.6g}")
     return EXIT_OK

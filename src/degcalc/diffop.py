@@ -723,11 +723,13 @@ class PoweredSymbol:
 
 
 class ParametrixExpansion:
-    """Finite symbol parametrix: terms q_0 ... q_{N-1} and the remainder."""
+    """Finite symbol parametrix: terms q_0 ... q_{N-1} and the remainders
+    E_0 = 1, ..., E_N of their partial sums; ``remainder`` is E_N."""
 
-    def __init__(self, terms, remainder, remainder_order):
+    def __init__(self, terms, remainders, remainder_order):
         self.terms = terms
-        self.remainder = remainder
+        self.remainders = remainders
+        self.remainder = remainders[-1]
         self.remainder_order = remainder_order
 
 
@@ -754,7 +756,8 @@ def parametrix_1d(A, N):
 
     Works in the flow coordinate where X = d/ds.  Returns a
     ParametrixExpansion with ord(q_k) = -m - k and the exact remainder
-    symbol E = 1 - sigma_A # (sum q_k).
+    symbols E_k = 1 - sigma_A # (q_0 + ... + q_{k-1}), each step
+    q_k = q_0 E_k.
     """
     lie = A.normal_form("lie") if A.form != "lie" else A
     sigma = radial_symbol(lie)
@@ -767,21 +770,14 @@ def parametrix_1d(A, N):
         raise PreconditionError(
             "full symbol vanishes for real xi; shift the operator off its "
             "spectrum before building a parametrix")
-    base = sigma.num
-    q0 = PoweredSymbol([RadialFunction.const(1, domain=dom)], base, 1,
-                       domain=dom)
-    one = PoweredSymbol([RadialFunction.const(1, domain=dom)], base, 0,
-                        domain=dom)
-    if N <= 0:
-        return ParametrixExpansion([], one, m)
-    phi = lie.phi
-    terms = [q0]
-    E = one - symbol_sharp(sigma, q0, phi)
-    for _ in range(1, N):
-        qk = q0 * E
-        terms.append(qk)
-        E = E - symbol_sharp(sigma, qk, phi)
-    return ParametrixExpansion(terms, E, m - 1 - N)
+    q0, one = (PoweredSymbol([RadialFunction.const(1, domain=dom)],
+                             sigma.num, power, domain=dom) for power in (1, 0))
+    terms, remainders = [], [one]
+    for _ in range(N):
+        terms.append(q0 * remainders[-1])
+        remainders.append(remainders[-1]
+                          - symbol_sharp(sigma, terms[-1], lie.phi))
+    return ParametrixExpansion(terms, remainders, m - 1 - N if N else m)
 
 
 def _no_real_roots(poly):

@@ -16,7 +16,6 @@ the same sum inverts it inside one segment.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 
 import numpy as np
@@ -27,7 +26,7 @@ from scipy.optimize import brentq
 from .errors import InversionError, PreconditionError, PropertyViolationError
 from .powerfun import (HALF_LINE, as_exponent, b_weight, from_u, shift_u,
                        to_u)
-from .weights import structure_function
+from .weights import scaling_rate
 
 #: flow tolerance, closed-form mode
 TAU_FLOW_CLOSED = 1e-10
@@ -306,17 +305,14 @@ class Flow:
 def flow_scaling_limit(flow, psi, s):
     """lim_{t -> 0} psi(t)/psi(sigma_s(t)).
 
-    Computed in closed form as e^{-lambda*s} with lambda the structure
-    function value at 0, and checked against the numeric ratio at t = 10^{-k}
-    for k = 8, 9, ..., 16: the first finite sample that agrees to 1e-6 is
-    accepted (for phi = t^{3/2} the ratio converges only like t^{1/2}).
-    Disagreement at every sample raises.
+    Computed in closed form as e^{-lambda*s} with lambda the scaling rate at
+    0 (``scaling_rate``, which raises where it diverges), and checked
+    against the numeric ratio at t = 10^{-k} for k = 8, 9, ..., 16: the
+    first finite sample that agrees to 1e-6 is accepted (for phi = t^{3/2}
+    the ratio converges only like t^{1/2}).  Disagreement at every sample
+    raises.
     """
-    lam = structure_function(psi, flow.weight).value_at_zero
-    if not math.isfinite(float(lam)):
-        raise PreconditionError(
-            f"structure function diverges at 0 (lambda = {lam})")
-    closed = math.exp(-float(lam) * s)
+    closed = math.exp(-scaling_rate(psi, flow.weight, "zero") * s)
     if s == 0:
         return 1.0
     tol = 1e-6 * max(1.0, abs(closed))
@@ -332,16 +328,6 @@ def flow_scaling_limit(flow, psi, s):
         raise InversionError("numeric scaling limit could not be sampled")
     raise PropertyViolationError(
         f"scaling limit mismatch: closed form {closed}, numeric {numeric}")
-
-
-def write_flow_csv(path, flow, s, xs):
-    """CSV rows (s, x, sigma_s_x) for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "x", "sigma_s_x"])
-        for x in xs:
-            writer.writerow(["%.17g" % s, "%.17g" % x,
-                             "%.17g" % flow.apply(s, x)])
 
 
 def power_flow_exponents(a, nterms=6):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, CompositionError, PreconditionError
-from .weights import Weight, structure_function
+from .weights import Weight, scaling_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,37 +188,27 @@ def hpsi_compose(g, h):
 
 def hpsi_action(s, g, flow, psi):
     """The flow action on H_psi: interior points move along sigma_s, boundary
-    tangents rescale by e^{-lambda s} with lambda the structure function at 0."""
+    tangents rescale by e^{-lambda s} with lambda the scaling rate at 0."""
     if g.boundary:
-        lam = structure_function(psi, flow.weight).value_at_zero
-        if not math.isfinite(float(lam)):
-            raise PreconditionError(
-                f"structure function diverges at 0 (lambda = {lam})")
-        return HPsiElement.tangent(g.theta1, math.exp(-float(lam) * s) * g.v)
+        lam = scaling_rate(psi, flow.weight, "zero")
+        return HPsiElement.tangent(g.theta1, math.exp(-lam * s) * g.v)
     return HPsiElement.interior(g.theta1, g.theta2, flow.apply(s, g.x))
 
 
-def _boundary_rate(flow, which):
-    """Rate lambda of the boundary extension e^{-lambda t} of a zeta cocycle."""
-    domain = flow.weight.domain
-    if which == "zero":
-        model = Weight.from_term(1, 1, 0, domain=domain)
-        return float(structure_function(model, flow.weight).value_at_zero)
-    model = Weight.from_term(1, -1, 0, domain=domain)
-    return float(structure_function(model, flow.weight).value_at_far)
-
-
 def zeta_cocycle(g, which, flow):
-    """zeta = rho o d / rho o r along the arrow.  At an endpoint it is 1 where
-    rho is 1 and e^{-lambda t} where rho vanishes, lambda the flow's scaling
-    rate there.  Always positive."""
+    """zeta = rho o d / rho o r along the arrow.  At an endpoint it is 1 on a
+    unit arrow and where rho is 1, and e^{-lambda t} where rho vanishes,
+    lambda the flow's scaling rate there (``scaling_rate``, which raises
+    where it diverges).  Always positive."""
     x, t = g.x, g.t
     rho = rho_zero if which == "zero" else rho_infinity
     if x != 0 and x != math.inf:
         return rho(x) / rho(flow.apply(t, x))
-    if rho(x) == 1.0:
+    if rho(x) == 1.0 or t == 0:
         return 1.0
-    return math.exp(-_boundary_rate(flow, which) * t)
+    p, end = (1, "zero") if which == "zero" else (-1, "far")
+    model = Weight.from_term(1, p, 0, domain=flow.weight.domain)
+    return math.exp(-scaling_rate(model, flow.weight, end) * t)
 
 
 class KernelFunction:

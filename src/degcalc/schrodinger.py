@@ -18,7 +18,6 @@ down to about 1e-11.  ``grid_points`` in spectrum.csv is N, the fine grid.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,12 +155,20 @@ def rewrite(prob):
     branch0 = "schr3" if as_exponent(prob.gamma) <= 1 else "schr4"
     label0 = _label(g, g - 1)
 
-    # near infinity, in r = 1/t on the unit-interval ring
+    # near infinity, in r = 1/t on the unit-interval ring: V(1/r) is a sum
+    # of r^p (1+r)^q.  (1+r)^q with q natural expands into pure powers; the
+    # other terms must sum to one pure power, or to zero, as a function.
     Vinv = prob.V.invert()
-    if any(q != 0 for (_, q) in Vinv.terms):
+    natural = {(p, q): c for (p, q), c in Vinv.terms.items()
+               if q.denominator == 1 and q >= 0}
+    tail = (Vinv - RadialFunction(natural)).one_term()
+    for (p, q), c in natural.items():
+        tail = tail + (RadialFunction.term(c, p)
+                       * (1 + RadialFunction.term(1, 1)) ** int(q))
+    if any(q != 0 for (_, q) in tail.terms):
         raise PreconditionError(
             "far-field rewrite needs a pure-power potential tail")
-    Vr = RadialFunction({(p, 0): c for (p, _), c in Vinv.terms.items()},
+    Vr = RadialFunction({(p, 0): c for (p, _), c in tail.terms.items()},
                         domain=UNIT_INTERVAL)
     phi_inf = Weight.from_term(1, 2 + gp, 0, domain=UNIT_INTERVAL)
     c1i = RadialFunction.term(n - 1 + gp, 1 + gp, 0, domain=UNIT_INTERVAL)
@@ -405,13 +412,13 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
     A = rw.op_infinity
     # sample the chart: r in the far-field region (t large), via s uniform
     rs = from_u(UNIT_INTERVAL, np.linspace(-6.0, -1.0, n_grid))
+    remainders = parametrix_1d(A, max(orders, default=0)).remainders
     rows = []
     for N in orders:
-        px = parametrix_1d(A, N)
         for K in cutoffs:
             # a (xi, r) grid, r contiguous: each row is one xi's L2 mean
             xis = np.linspace(K / 2.0, K, 9)
-            vals = np.abs(px.remainder.evaluate(rs, xis[:, None]))
+            vals = np.abs(remainders[N].evaluate(rs, xis[:, None]))
             worst = float(np.max(np.sqrt(np.mean(vals ** 2, axis=1))))
             rows.append((N, float(K), worst))
     return ParametrixResidualReport(tuple(rows))
@@ -541,27 +548,3 @@ def _weighted_norms(a, z, points):
         norm1_sq = 1 + top(1, lambda x: inv_h(K @ lu.solve(x)))
     # 1 -/+ an eigenvalue found to tol: a smaller square has no digit left
     return [norm0, math.sqrt(norm1_sq) if norm1_sq > tol else math.nan, norm2]
-
-
-# -- CSV writers -------------------------------------------------------------
-
-
-def write_spectrum_csv(path, prob, result):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "index", "eigenvalue", "residual",
-                         "grid_points", "s_min", "s_max"])
-        for idx, (lam, res) in enumerate(zip(result.eigenvalues,
-                                             result.residuals)):
-            writer.writerow([prob.l, idx, "%.17g" % lam, "%.17g" % res,
-                             result.grid.n_points,
-                             "%.17g" % result.grid.s_min,
-                             "%.17g" % result.grid.s_max])
-
-
-def write_parametrix_csv(path, report):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "K", "residual_ratio"])
-        for N, K, ratio in report.rows:
-            writer.writerow([N, "%.17g" % K, "%.17g" % ratio])

@@ -207,6 +207,17 @@ def structure_function(psi, phi):
                              _eval=lambda t: flux(t) / prof(t))
 
 
+def scaling_rate(psi, phi, end):
+    """The rate lambda = lim phi psi'/psi at ``end``, the endpoint value of
+    ``structure_function(psi, phi)``, as a float; raises where it diverges."""
+    prof = psi.profile
+    lam = _quotient_limit(phi.profile * prof.derivative(), prof, end)
+    if not math.isfinite(float(lam)):
+        raise PreconditionError(
+            f"scaling rate diverges at {end} (lambda = {lam})")
+    return float(lam)
+
+
 def _quotient_limit(num, den, end):
     """The limit of num/den at ``end``, from their leading terms."""
     (e1, c1), (e2, c2) = num.leading(end), den.leading(end)

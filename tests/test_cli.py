@@ -212,7 +212,9 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(out2)]) == EXIT_OK
         b1 = (out1 / "spectrum.csv").read_bytes()
         assert b1 == (out2 / "spectrum.csv").read_bytes()
-        first = b1.decode().splitlines()[1].split(",")
+        header, first = b1.decode().splitlines()[:2]
+        assert header == "l,index,eigenvalue,residual,grid_points,s_min,s_max"
+        first = first.split(",")
         assert abs(float(first[2]) + 0.25) < 1e-3
 
     @pytest.mark.parametrize("tolerance, expected", [
@@ -255,6 +257,22 @@ class TestMain:
         lines = (tmp_path / "flow.csv").read_text().strip().splitlines()
         assert lines[0] == "s,x,sigma_s_x"
         assert len(lines) == 3
+
+    def test_flow_failing_on_a_row_writes_no_csv(self, tmp_path, capsys):
+        # for t^20/(1+t)^19, F(1) - 1e306 lies where 1/g overflows: the first
+        # row fails, and a file opened before it would hold the header only
+        cfg = write_config(tmp_path, """
+            [run]
+            command = flow
+            [flow]
+            weight = 1,20,-19
+            s = -1e306
+            x_values = 1;1e306
+        """)
+        assert main(["--config", cfg, "--out", str(tmp_path)]) \
+            == EXIT_CONVERGENCE
+        assert "convergence failure" in capsys.readouterr().err
+        assert not (tmp_path / "flow.csv").exists()
 
     def test_flow_past_the_float_range(self, tmp_path):
         # sigma_1000(x) = e^1000 x for the default weight t
@@ -515,6 +533,40 @@ class TestPotentialsWrittenOtherwise:
             assert code == EXIT_OK
             outputs.append((out / name).read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command, name", [
+        ("classify", "classify.txt"), ("parametrix", "parametrix.csv")])
+    def test_far_field_tail_written_with_1_plus_t_factors(
+            self, tmp_path, command, name):
+        # -(1+t)/t + 1 + t^2 and -1/t + (t^2 + t^3)/(1+t) are both -1/t + t^2:
+        # a natural power of 1 + r expands, and the rest sums to r^-2
+        outputs = []
+        for tag, potential in (("plain", "-1,-1,0; 1,2,0"),
+                               ("natural", "-1,-1,1; 1,0,0; 1,2,0"),
+                               ("summed", "-1,-1,0; 1,2,-1; 1,3,-1")):
+            code, out = self.run(tmp_path, f"""
+                [run]
+                command = {command}
+                [problem]
+                gamma_prime = 1
+                potential = {potential}
+            """, tag)
+            assert code == EXIT_OK
+            outputs.append((out / name).read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_far_field_tail_that_is_not_a_pure_power(self, tmp_path, capsys):
+        # t^(1/2) (1+t)^(1/2) is r^-1 (1+r)^(1/2) in r = 1/t
+        code, out = self.run(tmp_path, """
+            [run]
+            command = classify
+            [problem]
+            gamma_prime = 1/2
+            potential = -1,-1,0; 1,1/2,1/2
+        """, "root")
+        assert code == EXIT_PRECONDITION
+        assert "pure-power potential tail" in capsys.readouterr().err
+        assert not (out / "classify.txt").exists()
 
     def test_b_weight_written_as_a_difference(self, tmp_path):
         # t(1+t) - t^2 = t, whose flow is sigma_s(x) = x e^s in closed form,

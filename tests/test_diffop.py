@@ -434,6 +434,17 @@ class TestParametrix:
         assert px.terms == []
         assert px.remainder_order == 2
 
+    def test_remainders_of_every_order(self):
+        w = Weight.from_term(1, 1)
+        V = RadialFunction.term(1, 1, -1) + RadialFunction.const(2)
+        A = DiffOp("lie", {(2, 0): 1, (0, 0): -1 * V}, w, w)
+        px = parametrix_1d(A, 3)
+        assert len(px.remainders) == 4 and px.remainder is px.remainders[3]
+        assert px.remainders[0].evaluate(0.7, 8.0) == 1
+        for N in range(4):
+            assert px.remainders[N].evaluate(0.7, 8.0) == \
+                parametrix_1d(A, N).remainder.evaluate(0.7, 8.0)
+
     def test_remainder_decays_in_xi(self):
         w = Weight.from_term(1, 1)
         V = RadialFunction.term(1, 1, -1) + RadialFunction.const(2)
@@ -495,6 +506,13 @@ class TestParametrix:
         # sigma = -xi^2 + 2 has real zeros
         A = DiffOp("lie", {(2, 0): 1, (0, 0): 2}, w, w)
         with pytest.raises(PreconditionError):
+            parametrix_1d(A, 1)
+
+    def test_vanishing_leading_coefficient_rejected(self):
+        # sigma = -t xi^2 + 1 loses its degree at t = 0
+        w = Weight.from_term(1, 1)
+        A = DiffOp("lie", {(2, 0): RadialFunction.term(1, 1), (0, 0): 1}, w, w)
+        with pytest.raises(PreconditionError, match="not elliptic"):
             parametrix_1d(A, 1)
 
     def test_radial_symbol_rejects_angular_ops(self):

@@ -1,8 +1,6 @@
 """Flows: completeness, closed forms, quadrature fallback, scaling limits."""
 
 import math
-import os
-import types
 from fractions import Fraction
 
 import mpmath
@@ -15,8 +13,7 @@ from degcalc import flows
 from degcalc.errors import (InversionError, PreconditionError,
                             PropertyViolationError)
 from degcalc.flows import (GROW_CHUNK, Flow, completeness_check,
-                           flow_scaling_limit, power_flow_exponents,
-                           write_flow_csv)
+                           flow_scaling_limit, power_flow_exponents)
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, to_u
 from degcalc.weights import Weight
 
@@ -548,15 +545,21 @@ class TestScalingLimit:
                 val = flow_scaling_limit(fl, Weight.from_term(1, b), s)
                 assert val == 1.0
 
+    def test_divergent_rate_rejected(self):
+        # phi psi'/psi = t^{-1/2} for phi = t^{1/2}, psi = t
+        fl = Flow(Weight.from_term(1, F(1, 2)), require_complete=False)
+        for s in (0.5, 0.0):
+            with pytest.raises(PreconditionError, match="diverges at zero"):
+                flow_scaling_limit(fl, Weight.from_term(1, 1), s)
+
     def test_wrong_rate_rejected(self, monkeypatch):
         fl = Flow(Weight.from_term(1, F(3, 2)), require_complete=False)
-        true_rate = flows.structure_function
+        true_rate = flows.scaling_rate
 
-        def wrong_rate(psi, phi):
-            lam = true_rate(psi, phi).value_at_zero + F(1, 100)
-            return types.SimpleNamespace(value_at_zero=lam)
+        def wrong_rate(psi, phi, end):
+            return true_rate(psi, phi, end) + 0.01
 
-        monkeypatch.setattr(flows, "structure_function", wrong_rate)
+        monkeypatch.setattr(flows, "scaling_rate", wrong_rate)
         with pytest.raises(PropertyViolationError):
             flow_scaling_limit(fl, Weight.from_term(1, 1), 0.5)
 
@@ -572,16 +575,6 @@ class TestScalingLimit:
         x = 1e-9
         assert abs(fl1.apply(t, x) / x - math.exp(t)) < 1e-8
         assert abs(fl2.apply(t, x) / x - 1.0) < 1e-6
-
-
-class TestCsv:
-    def test_flow_csv(self, tmp_path):
-        fl = Flow(Weight.from_term(1, 1))
-        path = os.path.join(tmp_path, "flow.csv")
-        write_flow_csv(path, fl, 1.0, [0.5, 2.0])
-        lines = open(path).read().strip().splitlines()
-        assert lines[0] == "s,x,sigma_s_x"
-        assert len(lines) == 3
 
 
 class TestSeriesExponents:

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from degcalc.errors import ChartDomainError, CompositionError
+from degcalc.errors import (ChartDomainError, CompositionError,
+                            PreconditionError)
 from degcalc.flows import Flow
 from degcalc.groupoid import (GPhiElement, HPsiElement, KernelFunction,
                               SElement, gphi_compose, hpsi_action, hpsi_chart,
@@ -156,6 +157,12 @@ class TestHPsiAction:
         g = HPsiElement.tangent(0.0, 1.0)
         assert hpsi_action(1.0, g, numeric_flow, psi).v == 1.0
 
+    def test_divergent_rate_rejected(self):
+        fl = Flow(Weight.from_term(1, F(1, 2)), require_complete=False)
+        with pytest.raises(PreconditionError, match="diverges at zero"):
+            hpsi_action(1.0, HPsiElement.tangent(0.0, 1.0), fl,
+                        Weight.from_term(1, 1))
+
     def test_group_property(self, exp_flow):
         psi = Weight.from_term(1, 2)
         g = HPsiElement.interior(0.1, 0.2, 0.5)
@@ -187,6 +194,16 @@ class TestZeta:
 
     def test_unit_value_one(self, exp_flow):
         assert zeta_cocycle(GPhiElement(2.0, 0.0), "zero", exp_flow) == 1.0
+
+    @pytest.mark.parametrize("a, x, which", [(F(1, 2), 0.0, "zero"),
+                                             (2, math.inf, "infinity")])
+    def test_divergent_rate_at_an_endpoint(self, a, x, which):
+        # phi rho'/rho diverges at the face: t^{-1/2} at 0, -t at infinity
+        fl = Flow(Weight.from_term(1, a), require_complete=False)
+        assert zeta_cocycle(GPhiElement(x, 0.0), which, fl) == 1.0
+        for t in (0.5, -0.5):
+            with pytest.raises(PreconditionError, match="diverges"):
+                zeta_cocycle(GPhiElement(x, t), which, fl)
 
     def test_multiplicativity(self, numeric_flow):
         rng = random.Random(5)

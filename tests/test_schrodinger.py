@@ -10,6 +10,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 from scipy.special import ai_zeros
 
+from degcalc import schrodinger
 from degcalc.diffop import CylinderFunction, DiffOp
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
@@ -17,8 +18,7 @@ from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
                                  assemble_and_solve, membership_in_diff_s,
                                  membership_weights, parametrix_residual,
                                  resolvent_probe, rewrite,
-                                 verify_identity_r_power, write_parametrix_csv,
-                                 write_spectrum_csv)
+                                 verify_identity_r_power)
 from degcalc.weights import Weight
 
 F = Fraction
@@ -339,6 +339,17 @@ class TestParametrixResidual:
         assert byNK[(2, 4.0)] < byNK[(1, 4.0)]
         assert byNK[(2, 4.0)] / byNK[(2, 8.0)] >= 2.0
 
+    def test_one_expansion_for_every_order(self, monkeypatch):
+        calls = []
+        real = schrodinger.parametrix_1d
+        monkeypatch.setattr(schrodinger, "parametrix_1d",
+                            lambda A, N: calls.append(N) or real(A, N))
+        rep = parametrix_residual(SchrodingerProblem.oscillator(),
+                                  orders=(2, 0, 1), cutoffs=(4.0,))
+        assert calls == [2]
+        assert [N for N, _, _ in rep.rows] == [2, 0, 1]
+        assert rep.rows[1][2] == 1.0  # E_0 = 1
+
 
 def shift_invert_eigenvalues(prob, grid, k):
     """Oracle: the solver's extrapolation with both grids' eigenvalues from
@@ -434,24 +445,3 @@ class TestResolventProbe:
         with pytest.raises(PreconditionError, match="is not finite"):
             resolvent_probe(SchrodingerProblem.hydrogen(), z, mode=mode,
                             base_points=60)
-
-
-class TestCsv:
-    def test_spectrum_csv_deterministic(self, tmp_path):
-        prob = SchrodingerProblem.oscillator()
-        grid = GeometricGrid(-4.0, 4.0, 300)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_spectrum_csv(p1, prob, assemble_and_solve(prob, grid, k=2))
-        write_spectrum_csv(p2, prob, assemble_and_solve(prob, grid, k=2))
-        assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
-        assert header == "l,index,eigenvalue,residual,grid_points,s_min,s_max"
-
-    def test_parametrix_csv(self, tmp_path):
-        rep = parametrix_residual(SchrodingerProblem.oscillator(),
-                                  orders=(0, 1), cutoffs=(4.0,))
-        path = tmp_path / "px.csv"
-        write_parametrix_csv(path, rep)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "N,K,residual_ratio"
-        assert len(lines) == 3

@@ -8,7 +8,8 @@ import pytest
 from degcalc.errors import InvalidWeightError, PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.weights import (Weight, apply_X, membership_order,
-                             structure_function, weights_equivalent)
+                             scaling_rate, structure_function,
+                             weights_equivalent)
 
 F = Fraction
 
@@ -24,6 +25,12 @@ class TestWeight:
                + RadialFunction.term(-2, 2, 0))  # t - 2t^2 < 0 for t > 1/2
         with pytest.raises(InvalidWeightError):
             Weight(bad)
+
+    def test_negative_far_tail_rejected(self):
+        # 1 - t/10^9 is positive at every sample, u <= 18, and tends to -inf
+        with pytest.raises(InvalidWeightError,
+                           match="negative at far endpoint"):
+            Weight(RadialFunction.const(1) - RadialFunction.term(F(1, 10**9), 1))
 
     def test_positive_mixed_signs_accepted(self):
         # (1+t)^{-1} + t(1+t)^{-2} - small positive combination
@@ -85,6 +92,12 @@ class TestMembership:
             membership_order(RadialFunction.term(1, 1, -1),
                              Weight.from_term(1, 1), -1)
 
+    def test_undecided_at_the_cap(self):
+        # X^k (1+t)^{-1} stays continuous over t^{3/2} without stabilizing
+        res = membership_order(RadialFunction.term(1, 0, -1),
+                               Weight.from_term(1, F(3, 2)), math.inf)
+        assert not res.decided and not res.is_member
+
     def test_coefficient_beyond_float_range(self):
         f = RadialFunction.term(10**400, 0)
         phi = Weight.from_term(1, 1)
@@ -124,6 +137,16 @@ class TestStructureFunction:
         # t ((1+t) + t) / (t (1+t)), exponents subtracted term by term
         assert C.ring == (RadialFunction.term(1, 0, 0)
                           + RadialFunction.term(1, 1, -1))
+
+    def test_scaling_rate_is_the_endpoint_value(self):
+        phi = Weight.from_term(1, 1)
+        psi = Weight(RadialFunction.term(1, F(1, 2))
+                     + RadialFunction.term(1, 2))
+        C = structure_function(psi, phi)
+        assert scaling_rate(psi, phi, "zero") == C.value_at_zero == F(1, 2)
+        assert scaling_rate(psi, phi, "far") == C.value_at_far == 2
+        with pytest.raises(PreconditionError, match="diverges at zero"):
+            scaling_rate(phi, Weight.from_term(1, F(1, 2)), "zero")
 
     def test_far_sign_flag_on_interval(self):
         phi = Weight.from_term(1, 1, 1, domain=UNIT_INTERVAL)
