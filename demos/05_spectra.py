@@ -30,9 +30,9 @@ def main():
 
     print()
     print("== far-field parametrix residuals (oscillator) ==")
-    rep = parametrix_residual(SchrodingerProblem.oscillator(),
-                              orders=(0, 1, 2), cutoffs=(4.0, 8.0))
-    for N, K, ratio in rep.rows:
+    rows = parametrix_residual(SchrodingerProblem.oscillator(),
+                               orders=(0, 1, 2), cutoffs=(4.0, 8.0))
+    for N, K, ratio in rows:
         print(f"  order N={N}  frequency band [{K/2:g}, {K:g}]  "
               f"residual {ratio:.3e}")
 

@@ -14,15 +14,15 @@ from .flows import (Flow, completeness_check, flow_scaling_limit,
 from .groupoid import (GPhiElement, HPsiElement, KernelFunction, SElement,
                        gphi_compose, hpsi_action, hpsi_chart, hpsi_compose,
                        kernel_conjugate, rho_infinity, rho_zero, s_compose,
-                       write_kernel_csv, zeta_cocycle)
+                       zeta_cocycle)
 from .diffop import (CylinderFunction, DiffOp, ParametrixExpansion,
                      PoweredSymbol, VectorField, is_elliptic,
                      lie_rinehart_check, op_commutator, op_compose,
                      parametrix_1d, principal_symbol, radial_symbol,
                      random_lie_rinehart_samples)
 from .schrodinger import (GeometricGrid, MembershipReport,
-                          ParametrixResidualReport, ResolventProbeReport,
-                          RewriteResult, SchrodingerProblem, SpectralResult,
+                          ResolventProbeReport, RewriteResult,
+                          SchrodingerProblem, SpectralResult,
                           assemble_and_solve, membership_in_diff_s,
                           membership_weights, parametrix_residual,
                           resolvent_probe, rewrite, verify_identity_r_power)

@@ -210,8 +210,7 @@ def _cmd_spectrum(cfg, out, log):
     if not all(b <= cfg.tolerance for b in result.backward_errors):  # NaN too
         raise ConvergenceError(f"eigenpair backward errors "
                                f"{result.backward_errors} above tolerance")
-    g = result.grid
-    rows = [(prob.l, idx, lam, res, g.n_points, g.s_min, g.s_max)
+    rows = [(prob.l, idx, lam, res, grid.n_points, grid.s_min, grid.s_max)
             for idx, (lam, res) in enumerate(zip(result.eigenvalues,
                                                  result.residuals))]
     _write_csv(out, "spectrum", ["l", "index", "eigenvalue", "residual",
@@ -222,19 +221,18 @@ def _cmd_spectrum(cfg, out, log):
 
 
 def _cmd_parametrix(cfg, out, log):
-    rep = parametrix_residual(cfg.problem(), orders=cfg.orders,
-                              cutoffs=cfg.cutoffs)
-    _write_csv(out, "parametrix", ["N", "K", "residual_ratio"], rep.rows,
-               log)
-    for N, K, ratio in rep.rows:
+    rows = parametrix_residual(cfg.problem(), orders=cfg.orders,
+                               cutoffs=cfg.cutoffs)
+    _write_csv(out, "parametrix", ["N", "K", "residual_ratio"], rows, log)
+    for N, K, ratio in rows:
         print(f"N={N} K={K:g} residual_ratio={ratio:.6g}")
     return EXIT_OK
 
 
 def _cmd_resolvent(cfg, out, log):
-    rep = resolvent_probe(cfg.problem(), complex(cfg.z_real, cfg.z_imag),
-                          mode=cfg.mode)
-    lines = [f"z = {rep.z}", f"spectrum distance = {rep.spectrum_distance:.6g}"]
+    z = complex(cfg.z_real, cfg.z_imag)
+    rep = resolvent_probe(cfg.problem(), z, mode=cfg.mode)
+    lines = [f"z = {z}", f"spectrum distance = {rep.spectrum_distance:.6g}"]
     for (i, j), (a, b, r) in sorted(rep.norms.items()):
         lines.append(f"i={i} j={j}: coarse {a:.6g}  fine {b:.6g}  "
                      f"ratio {r:.6g}")
@@ -357,10 +355,10 @@ def run_selftest(log=lambda msg: None):
     check("spectral oracle", spectrum_oracle)
 
     def parametrix_decay():
-        rep = parametrix_residual(SchrodingerProblem.oscillator(),
-                                  orders=(0, 1, 2), cutoffs=(4.0,),
-                                  n_grid=60)
-        vals = [ratio for (_, _, ratio) in rep.rows]
+        rows = parametrix_residual(SchrodingerProblem.oscillator(),
+                                   orders=(0, 1, 2), cutoffs=(4.0,),
+                                   n_grid=60)
+        vals = [ratio for (_, _, ratio) in rows]
         return vals[0] > vals[1] > vals[2]
 
     check("parametrix residual decay", parametrix_decay)

@@ -37,15 +37,12 @@ class CylinderFunction:
         for m, f in modes.items():
             if not isinstance(m, int):
                 raise TypeError("Fourier modes must be integers")
-            if isinstance(f, RadialFunction):
-                if f.domain != domain:
-                    raise DomainMismatchError("mixed base domains")
-                if not f.is_zero:
-                    clean[m] = f
-            else:
-                g = RadialFunction.const(f, domain=domain)
-                if not g.is_zero:
-                    clean[m] = g
+            if not isinstance(f, RadialFunction):
+                raise TypeError("Fourier coefficients must be RadialFunctions")
+            if f.domain != domain:
+                raise DomainMismatchError("mixed base domains")
+            if not f.is_zero:
+                clean[m] = f
         object.__setattr__(self, "modes", clean)
         object.__setattr__(self, "domain", domain)
 

@@ -84,8 +84,7 @@ class Flow:
 
     def __init__(self, weight, mode=None, require_complete=True):
         self.weight = weight
-        self.complete = completeness_check(weight)
-        if require_complete and not self.complete:
+        if require_complete and not completeness_check(weight):
             raise PreconditionError(
                 "weight is not complete; its flow escapes in finite time "
                 "(pass require_complete=False to study it anyway)")

@@ -9,7 +9,6 @@ functions along arrows and conjugate kernels by boundary weights.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -249,14 +248,3 @@ def kernel_conjugate(k, t, t_prime, flow):
     return KernelFunction(k.x0, k.s_values, k.w_values,
                           k.values * factors[:, None])
 
-
-def write_kernel_csv(path, k):
-    """CSV rows (s, angle_offset, value_re, value_im) for heatmap plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "angle_offset", "value_re", "value_im"])
-        for i, s in enumerate(k.s_values):
-            for j, w in enumerate(k.w_values):
-                v = k.values[i, j]
-                writer.writerow(["%.17g" % s, "%.17g" % w,
-                                 "%.17g" % v.real, "%.17g" % v.imag])

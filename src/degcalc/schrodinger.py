@@ -297,17 +297,12 @@ class GeometricGrid:
         """The grid's nodes in s, or n_points nodes on the same interval."""
         return np.linspace(self.s_min, self.s_max, n_points or self.n_points)
 
-    def refined(self):
-        """The grid with twice the points."""
-        return GeometricGrid(self.s_min, self.s_max, self.n_points * 2)
-
 
 @dataclass(frozen=True)
 class SpectralResult:
     eigenvalues: tuple
     residuals: tuple
     backward_errors: tuple
-    grid: GeometricGrid
 
 
 def _assemble(prob, s):
@@ -372,7 +367,7 @@ def assemble_and_solve(prob, grid=None, k=2):
     res, back = _residuals(d, e, lam, vecs)
     return SpectralResult(tuple(float(v) for v in lam_x),
                           tuple(float(r) for r in res),
-                          tuple(float(b) for b in back), grid)
+                          tuple(float(b) for b in back))
 
 
 def _residuals(d, e, lam, vecs):
@@ -394,11 +389,6 @@ def _residuals(d, e, lam, vecs):
 # -- parametrix residual ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParametrixResidualReport:
-    rows: tuple  # (N, K, residual_ratio)
-
-
 def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
                         n_grid=200):
     """Residual decay of the finite parametrix on the far-field sector.
@@ -406,7 +396,8 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
     For each order N the symbol expansion q_0..q_{N-1} of the inverted-radius
     operator is composed against the operator exactly on plane waves
     e^{i xi s}; the reported ratio is the worst relative L2 residual over the
-    octave band [K/2, K] of frequencies.
+    octave band [K/2, K] of frequencies.  Returns the rows
+    (N, K, residual_ratio) as a tuple.
     """
     rw = rewrite(prob)
     A = rw.op_infinity
@@ -421,7 +412,7 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
             vals = np.abs(remainders[N].evaluate(rs, xis[:, None]))
             worst = float(np.max(np.sqrt(np.mean(vals ** 2, axis=1))))
             rows.append((N, float(K), worst))
-    return ParametrixResidualReport(tuple(rows))
+    return tuple(rows)
 
 
 # -- resolvent probe ---------------------------------------------------------
@@ -429,7 +420,6 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
 
 @dataclass(frozen=True)
 class ResolventProbeReport:
-    z: complex
     norms: dict  # (i, j) -> (coarse, fine, ratio)
     spectrum_distance: float
 
@@ -476,7 +466,7 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
 
     def norms_at(grid):
         d, e, rho = _assemble(prob, grid.s_nodes())
-        w = phi(rho) if mode == "weighted" else np.ones(len(rho))
+        w = phi.profile(rho) if mode == "weighted" else np.ones(len(rho))
         sqrt_w = np.sqrt(w)
         lam = eigh_tridiagonal(w * d, sqrt_w[:-1] * e * sqrt_w[1:],
                                eigvals_only=True)
@@ -496,11 +486,10 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
                                    f" points at z = {z}: not positive floats")
         return {(i, j): by_k[i + j] for i in range(2) for j in range(2)}, dist
 
-    coarse = GeometricGrid(-8.0, 8.0, base_points)
-    t1, dist1 = norms_at(coarse)
-    t2, _ = norms_at(coarse.refined())
+    t1, dist1 = norms_at(GeometricGrid(-8.0, 8.0, base_points))
+    t2, _ = norms_at(GeometricGrid(-8.0, 8.0, 2 * base_points))
     norms = {key: (t1[key], t2[key], t2[key] / t1[key]) for key in t1}
-    return ResolventProbeReport(z=z, norms=norms, spectrum_distance=dist1)
+    return ResolventProbeReport(norms=norms, spectrum_distance=dist1)
 
 
 def _weighted_norms(a, z, points):

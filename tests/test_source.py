@@ -1,6 +1,8 @@
 """Source hygiene of the package, read with ``ast``: no module imports a
 name it never uses, and no module-level private function or class goes
-unreferenced, so deleting code cannot leave its imports or helpers behind."""
+unreferenced, so deleting code cannot leave its imports or helpers behind.
+Only ``cli.py`` touches the file system, so every output file is written in
+one place."""
 
 import ast
 from pathlib import Path
@@ -40,6 +42,16 @@ def referenced_names(tree):
             yield node.attr
 
 
+def imported_modules(tree):
+    """The top-level names of the absolute modules that ``tree`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
 def test_every_module_is_checked():
     assert "diffop.py" in MODULES and len(MODULES) >= 8
 
@@ -59,3 +71,13 @@ def test_no_orphaned_private_definitions(name):
     defined = private_definitions(ast.parse((PACKAGE / name).read_text()))
     orphans = sorted(defined - referenced)
     assert not orphans, f"{name} defines private names nothing uses: {orphans}"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "cli.py"))
+def test_only_the_cli_writes_files(name):
+    tree = ast.parse((PACKAGE / name).read_text())
+    file_modules = sorted(set(imported_modules(tree)) & {"csv", "os"})
+    assert not file_modules, f"{name} imports {file_modules}"
+    assert "open" not in {node.id for node in ast.walk(tree)
+                          if isinstance(node, ast.Name)}, f"{name} reads open"

@@ -124,7 +124,7 @@ class TestStructureFunction:
         psi = Weight(RadialFunction.term(1, 1, 0)
                      + RadialFunction.term(2, 2, 0))
         C = structure_function(psi, phi)
-        assert C.numeric_mode
+        assert C.ring is None
         assert C.value_at_zero == 1
         t = 0.01
         expected = (t + 4 * t ** 2) / (t + 2 * t ** 2)
@@ -133,7 +133,7 @@ class TestStructureFunction:
         psi = Weight(RadialFunction.term(1, 1, 0)
                      + RadialFunction.term(1, 2, 0))
         C = structure_function(psi, phi)
-        assert not C.numeric_mode
+        assert C.ring is not None
         # t ((1+t) + t) / (t (1+t)), exponents subtracted term by term
         assert C.ring == (RadialFunction.term(1, 0, 0)
                           + RadialFunction.term(1, 1, -1))
@@ -148,10 +148,12 @@ class TestStructureFunction:
         with pytest.raises(PreconditionError, match="diverges at zero"):
             scaling_rate(phi, Weight.from_term(1, F(1, 2)), "zero")
 
-    def test_far_sign_flag_on_interval(self):
+    def test_literal_far_sign_on_interval(self):
+        # phi = t(1 - t), psi = 1 - t: C = phi psi'/psi = -t, so the literal
+        # far-end value is -1, where the boundary-exponent convention reads +1
         phi = Weight.from_term(1, 1, 1, domain=UNIT_INTERVAL)
         psi = Weight.from_term(1, 0, 1, domain=UNIT_INTERVAL)
-        assert structure_function(psi, phi).far_sign_flagged
+        assert structure_function(psi, phi).value_at_far == -1
 
 
 class TestEquivalence:
