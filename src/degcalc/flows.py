@@ -10,7 +10,8 @@ in u, grown outward from u = 0 only as far as a call needs; one evaluation of
 g samples 1/g on up to 256 of the segments a call adds.  Each segment keeps the
 Chebyshev coefficients of the mean of 1/g from its inner node (16 samples, or
 quad where they do not resolve 1/g), so F is one Clenshaw sum, and Newton on
-the same sum inverts it inside one segment.
+the same sum inverts it inside one segment.  A numeric flow remembers its
+last SIGMA_MEMO values sigma_s(x), so an arrow's range is inverted once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ QUAD_RTOL = 1e-12
 TABLE_STEP = 0.2
 #: segments sampled by one evaluation of g, which bounds its memory
 GROW_CHUNK = 256
+#: numeric sigma_s(x) values one flow remembers: a groupoid arrow asks for
+#: 3 distinct (s, x) in 10 applies (range, composite, cocycles) and repeats
+#: come within one arrow, so on the flows workload 64 keeps all but 21 of
+#: the 4,963 hits an unbounded memo would get
+SIGMA_MEMO = 64
 
 #: a segment samples 1/g at a + (node - a) * _AT, the Chebyshev points cos
 #: theta_j moved to [0, 1]; _CHEB maps the values to Chebyshev coefficients
@@ -112,6 +118,8 @@ class Flow:
         self._table_F = [0.0]
         self._table_err = [0.0]
         self._table_mean = [None]
+        # numeric sigma_s(x) by (s, x), oldest first
+        self._sigma = {}
 
     def _detect_mode(self):
         if not self._g.is_single_term:
@@ -280,7 +288,8 @@ class Flow:
     def apply(self, s, x):
         """sigma_s(x); endpoints are fixed points by continuous extension,
         and a flow that reaches an endpoint (past the float range or past
-        its escape time) stays there."""
+        its escape time) stays there.  A numeric flow returns a remembered
+        sigma_s(x) for an (s, x) among its last SIGMA_MEMO."""
         if x == 0.0 or x == self._far:
             return x
         if not (0.0 < x < self._far):
@@ -291,10 +300,17 @@ class Flow:
             return shift_u(self.weight.domain, x, self._rate * s)
         if self.mode == "closed_form_power":
             return self._power_flow(s, x)
-        y = self.F(x)
-        if not math.isfinite(y):
-            raise InversionError(f"F({x}) = {y} lies past the float range")
-        return from_u(self.weight.domain, self._u_of_F(y + s))
+        sigma = self._sigma.get((s, x))
+        if sigma is None:
+            y = self.F(x)
+            if not math.isfinite(y):
+                raise InversionError(
+                    f"F({x}) = {y} lies past the float range")
+            sigma = from_u(self.weight.domain, self._u_of_F(y + s))
+            if len(self._sigma) >= SIGMA_MEMO:
+                del self._sigma[next(iter(self._sigma))]
+            self._sigma[(s, x)] = sigma
+        return sigma
 
     def __repr__(self):
         w = self.weight.profile.to_text()

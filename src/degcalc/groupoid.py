@@ -198,11 +198,17 @@ def zeta_cocycle(g, which, flow):
     """zeta = rho o d / rho o r along the arrow.  At an endpoint it is 1 on a
     unit arrow and where rho is 1, and e^{-lambda t} where rho vanishes,
     lambda the flow's scaling rate there (``scaling_rate``, which raises
-    where it diverges).  Always positive."""
+    where it diverges).  Always positive; an interior arrow whose target is
+    an endpoint where rho vanishes raises."""
     x, t = g.x, g.t
     rho = rho_zero if which == "zero" else rho_infinity
     if x != 0 and x != math.inf:
-        return rho(x) / rho(flow.apply(t, x))
+        target = flow.apply(t, x)
+        if rho(target) == 0.0:  # rounded to, or reached, the endpoint
+            raise PreconditionError(
+                f"zeta_{which} of the arrow {g}: its target {target} is the "
+                f"endpoint, where rho vanishes")
+        return rho(x) / rho(target)
     if rho(x) == 1.0 or t == 0:
         return 1.0
     p, end = (1, "zero") if which == "zero" else (-1, "far")
@@ -242,7 +248,10 @@ def kernel_conjugate(k, t, t_prime, flow):
         el = GPhiElement(k.x0, float(s))
         z0 = zeta_cocycle(el, "zero", flow)
         zi = zeta_cocycle(el, "infinity", flow)
-        factors[i] = z0 ** t * zi ** t_prime
+        try:
+            factors[i] = z0 ** t * zi ** t_prime
+        except OverflowError:  # a power past the float range is unbounded
+            factors[i] = math.inf
     if not np.all(np.isfinite(factors)):
         raise PreconditionError("conjugation factor unbounded on the chart")
     return KernelFunction(k.x0, k.s_values, k.w_values,

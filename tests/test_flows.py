@@ -1,6 +1,7 @@
 """Flows: completeness, closed forms, quadrature fallback, scaling limits."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -12,8 +13,9 @@ from scipy.integrate import quad
 from degcalc import flows
 from degcalc.errors import (InversionError, PreconditionError,
                             PropertyViolationError)
-from degcalc.flows import (GROW_CHUNK, Flow, completeness_check,
+from degcalc.flows import (GROW_CHUNK, SIGMA_MEMO, Flow, completeness_check,
                            flow_scaling_limit, power_flow_exponents)
+from degcalc.groupoid import GPhiElement, gphi_compose, zeta_cocycle
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, to_u
 from degcalc.weights import Weight
 
@@ -376,6 +378,74 @@ class TestNewtonInversion:
         for y in np.linspace(fl._table_F[0], fl._table_F[-1], 41):
             assert fl.F(fl.F_inverse(y)) == pytest.approx(y, rel=1e-14,
                                                           abs=1e-15)
+
+
+#: the numeric families of the flows workload: t^2/(1+t), the two-term
+#: t/(1+t) + t^2/(1+t)^2, forced-numeric t^2 and the mixed-sign
+#: t - t^2/(2(1+t))
+NUMERIC_FAMILIES = {
+    "quotient": lambda: Flow(Weight(RadialFunction.term(1, 2, -1))),
+    "two_term": lambda: Flow(Weight(RadialFunction.term(1, 1, -1)
+                                    + RadialFunction.term(1, 2, -2))),
+    "power_numeric": lambda: Flow(Weight.from_term(1, 2), mode="numeric",
+                                  require_complete=False),
+    "mixed": lambda: Flow(Weight(RadialFunction.term(1, 1)
+                                 - RadialFunction.term(F(1, 2), 2, -1))),
+}
+
+
+class TestSigmaMemo:
+    """A numeric flow remembers its last SIGMA_MEMO values sigma_s(x)."""
+
+    @pytest.mark.parametrize("family", sorted(NUMERIC_FAMILIES))
+    def test_remembered_values_are_bit_identical(self, family):
+        # more draws than the memo holds, so some are evicted and
+        # recomputed on a table grown in a different order; a draw with
+        # s x >= 0.5 flows backward, which keeps t^2 halfway to its escape
+        # time, as the flows workload does
+        make, rng = NUMERIC_FAMILIES[family], random.Random(25)
+        shared = make()
+        assert shared.mode == "numeric"
+        for _ in range(SIGMA_MEMO + 36):
+            s, x = rng.uniform(-1.5, 1.5), math.exp(rng.uniform(-2.0, 2.0))
+            if s * x >= 0.5:
+                s = -s
+            fresh = make().apply(s, x)
+            assert shared.apply(s, x) == fresh
+            assert shared.apply(s, x) == fresh
+
+    def test_one_arrow_inverts_three_times(self, monkeypatch):
+        # y, the composite's range check, z1, z2 and six cocycles ask for
+        # only sigma_t(x), sigma_s(y) and sigma_{s+t}(x)
+        calls, real = [], Flow._u_of_F
+        monkeypatch.setattr(Flow, "_u_of_F",
+                            lambda fl, y: calls.append(y) or real(fl, y))
+        fl = NUMERIC_FAMILIES["quotient"]()
+        x, t, s = 0.7, 0.4, -1.1
+        h = GPhiElement(x, t)
+        y = fl.apply(t, x)
+        g = GPhiElement(y, s)
+        gh = gphi_compose(g, h, fl)
+        fl.apply(s, y)
+        fl.apply(s + t, x)
+        for which in ("zero", "infinity"):
+            for el in (h, g, gh):
+                zeta_cocycle(el, which, fl)
+        assert len(calls) == 3
+
+    def test_memo_is_bounded(self):
+        fl = NUMERIC_FAMILIES["quotient"]()
+        for k in range(1, SIGMA_MEMO + 11):
+            fl.apply(0.01 * k, 1.0)
+        assert len(fl._sigma) == SIGMA_MEMO
+        assert (0.01, 1.0) not in fl._sigma  # the oldest went first
+
+    def test_failure_is_not_remembered(self):
+        fl = Flow(Weight(RadialFunction.term(1, 20, -19)))
+        for _ in range(2):
+            with pytest.raises(InversionError):
+                fl.apply(-1e306, 1.0)
+        assert fl._sigma == {}
 
 
 class TestEndpointReached:

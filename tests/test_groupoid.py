@@ -232,6 +232,19 @@ class TestZeta:
             with pytest.raises(PreconditionError, match="diverges"):
                 zeta_cocycle(GPhiElement(x, t), which, fl)
 
+    @pytest.mark.parametrize("t, which", [(800.0, "infinity"),
+                                          (-800.0, "zero")])
+    def test_target_at_the_endpoint_rejected(self, exp_flow, t, which):
+        # sigma_{+-800}(1) = e^{+-800} rounds to the endpoint, where rho is
+        # 0; the true quotient is finite, so it is no inf either
+        with pytest.raises(PreconditionError, match=f"zeta_{which}"):
+            zeta_cocycle(GPhiElement(1.0, t), which, exp_flow)
+
+    def test_numeric_target_at_the_endpoint_rejected(self):
+        fl = Flow(Weight(RadialFunction.term(1, 2, -1)), mode="numeric")
+        with pytest.raises(PreconditionError, match="endpoint"):
+            zeta_cocycle(GPhiElement(1.0, 800.0), "infinity", fl)
+
     def test_multiplicativity(self, numeric_flow):
         rng = random.Random(5)
         for _ in range(300):
@@ -280,3 +293,9 @@ class TestKernel:
         k = KernelFunction.constant(0.5, [0.0, -1.0], [0.0])
         with pytest.raises(PreconditionError, match="unbounded"):
             kernel_conjugate(k, math.inf, 0, exp_flow)
+
+    def test_overflowing_factor_rejected(self, exp_flow):
+        # e^1000 is past the float range: unbounded, not an OverflowError
+        k = KernelFunction.constant(0.5, [0.0, -1.0], [0.0])
+        with pytest.raises(PreconditionError, match="unbounded"):
+            kernel_conjugate(k, 1000.0, 0, exp_flow)
