@@ -7,18 +7,15 @@ from .errors import (ChartDomainError, CompositionError, ConfigError,
                      InversionError, PreconditionError, PropertyViolationError)
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 from .weights import (MembershipResult, StructureFunction, Weight, apply_X,
-                      membership_order, structure_function,
-                      weights_equivalent)
+                      membership_order, structure_function)
 from .flows import (Flow, completeness_check, flow_scaling_limit,
                     power_flow_exponents)
-from .groupoid import (GPhiElement, HPsiElement, KernelFunction, SElement,
-                       gphi_compose, hpsi_action, hpsi_chart, hpsi_compose,
-                       kernel_conjugate, rho_infinity, rho_zero, s_compose,
-                       zeta_cocycle)
+from .groupoid import (GPhiElement, HPsiElement, KernelFunction, gphi_compose,
+                       hpsi_action, hpsi_chart, kernel_conjugate,
+                       rho_infinity, rho_zero, zeta_cocycle)
 from .diffop import (CylinderFunction, DiffOp, ParametrixExpansion,
-                     PoweredSymbol, VectorField, is_elliptic,
-                     lie_rinehart_check, op_commutator, op_compose,
-                     parametrix_1d, principal_symbol, radial_symbol,
+                     PoweredSymbol, VectorField, lie_rinehart_check,
+                     op_commutator, op_compose, parametrix_1d, radial_symbol,
                      random_lie_rinehart_samples)
 from .schrodinger import (GeometricGrid, MembershipReport,
                           ResolventProbeReport, RewriteResult,

@@ -18,12 +18,12 @@ import math
 from math import comb
 
 from .errors import DomainMismatchError, PreconditionError
-from .powerfun import HALF_LINE, RadialFunction, from_u
+from .powerfun import HALF_LINE, RadialFunction
 from .weights import Weight, membership_order
 
 import numpy as np
 
-#: interior points, and covariable-circle points, of the sampled closure checks
+#: interior points of the sampled closure check
 CLOSURE_SAMPLES = 64
 
 
@@ -78,18 +78,6 @@ class CylinderFunction:
 
     def radial_part(self):
         return self.modes.get(0, RadialFunction.zero(domain=self.domain))
-
-    def is_real_valued(self):
-        """Conjugate symmetry f_{-m} = conj(f_m) with real mode-0 part."""
-        for m, f in self.modes.items():
-            g = self.modes.get(-m)
-            if g is None:
-                return False
-            for (p, q), c in f.terms.items():
-                d = g.terms.get((p, q))
-                if d is None or complex(d) != complex(c).conjugate():
-                    return False
-        return True
 
     def __add__(self, other):
         other = _as_cylinder(other, self.domain)
@@ -515,53 +503,6 @@ def lie_rinehart_check(phi, psi, samples):
 
 
 # -- symbols ---------------------------------------------------------------
-
-
-def principal_symbol(A):
-    """Top-order symbol in the rescaled covariables (xi_hat, eta_hat).
-
-    Returns a map (i, j) -> CylinderFunction with i + j = order, representing
-    sum c_{ij} (i xi_hat)^i (i eta_hat)^j.
-    """
-    mono = A.to_monomial()
-    ordr = mono.order
-    return {key: c for key, c in mono.coeffs.items() if sum(key) == ordr}
-
-
-def is_elliptic(A):
-    """No zeros of the principal symbol on the unit covariable circle,
-    sampled over the interior (uniform in u) plus both endpoint limits."""
-    sym = principal_symbol(A)
-    if not sym:
-        return False
-    # the t x theta x alpha grid, alpha on the last axis
-    t = from_u(A.domain, np.linspace(-14.0, 14.0, CLOSURE_SAMPLES))
-    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    alphas = np.linspace(0.0, 2.0 * math.pi, CLOSURE_SAMPLES, endpoint=False)
-    i_xi, i_eta = 1j * np.cos(alphas), 1j * np.sin(alphas)
-
-    def sym_min(coeff_at):
-        return np.min(np.abs(sum(c * i_xi ** i * i_eta ** j
-                                 for (i, j), c in coeff_at.items())))
-
-    at = {key: c(t[:, None, None], thetas[:, None])
-          for key, c in sym.items()}
-    if sym_min(at) <= 1e-9:
-        return False
-    # endpoint limits of the radial parts
-    for end in ("zero", "far"):
-        at = {}
-        for key, c in sym.items():
-            val = complex(0)
-            for m, f in c.modes.items():
-                lim = f.limit(end)
-                if not math.isfinite(abs(lim)):
-                    return False
-                val += lim  # worst case theta = 0 alignment; modes add
-            at[key] = val
-        if sym_min(at) <= 1e-9:
-            return False
-    return True
 
 
 def _as_radial(c, domain):

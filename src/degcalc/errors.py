@@ -27,15 +27,11 @@ class PreconditionError(DegcalcError):
 
 
 class CompositionError(DegcalcError):
-    """Groupoid elements are not composable.
+    """Groupoid elements are not composable; carries the mismatch distance."""
 
-    Carries the mismatch distance (or the offending factor name) when known.
-    """
-
-    def __init__(self, message, mismatch=None, factor=None):
+    def __init__(self, message, mismatch):
         super().__init__(message)
         self.mismatch = mismatch
-        self.factor = factor
 
 
 class ChartDomainError(DegcalcError):

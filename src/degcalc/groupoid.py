@@ -1,10 +1,10 @@
 """Concrete groupoids over the compactified half-line.
 
-G_phi is the transformation groupoid of the flow on [0, inf]; S crosses it
-with the pair groupoid of the circle; H_psi deforms the pair groupoid of the
-circle into its tangent bundle over the boundary, glued by psi-rescaled
-exponential charts.  The zeta cocycles are quotients of boundary defining
-functions along arrows and conjugate kernels by boundary weights.
+G_phi is the transformation groupoid of the flow on [0, inf].  H_psi deforms
+the pair groupoid of the circle into its tangent bundle over the boundary; its
+elements come from psi-rescaled exponential charts, and the flow acts on them.
+The zeta cocycles are quotients of boundary defining functions along arrows
+and conjugate kernels by boundary weights.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .weights import Weight, scaling_rate
 
 TWO_PI = 2.0 * math.pi
 
-#: tolerance for angle matching in pair-groupoid composition
+#: tolerance for angle matching in ``HPsiElement.is_unit``
 ANGLE_TOL = 1e-10
 
 
@@ -55,17 +55,11 @@ class GPhiElement:
     x: float
     t: float
 
-    def d(self):
-        return self.x
-
     def r(self, flow):
         return flow.apply(self.t, self.x)
 
     def inverse(self, flow):
         return GPhiElement(flow.apply(self.t, self.x), -self.t)
-
-    def is_unit(self):
-        return self.t == 0
 
 
 def gphi_compose(g, h, flow):
@@ -86,47 +80,11 @@ def _point_distance(p, q):
 
 
 @dataclass(frozen=True)
-class SElement:
-    """Arrow of S = pair(S^1) x G_phi: angles (theta1, theta2) and (x, t)."""
-
-    theta1: float
-    theta2: float
-    x: float
-    t: float
-
-    def d(self):
-        return (self.theta2, self.x)
-
-    def r(self, flow):
-        return (self.theta1, flow.apply(self.t, self.x))
-
-    def inverse(self, flow):
-        return SElement(self.theta2, self.theta1,
-                        flow.apply(self.t, self.x), -self.t)
-
-    def is_unit(self):
-        return self.t == 0 and _angles_match(self.theta1, self.theta2)
-
-
-def s_compose(g, h, flow):
-    if not _angles_match(g.theta2, h.theta1):
-        raise CompositionError(
-            f"angle mismatch: {g.theta2} vs {h.theta1}", factor="pair")
-    target = flow.apply(h.t, h.x)
-    mismatch = _point_distance(g.x, target)
-    if mismatch > flow.tolerance:
-        raise CompositionError(
-            f"base mismatch: {g.x} vs {target}", mismatch=mismatch,
-            factor="flow")
-    return SElement(g.theta1, h.theta2, h.x, g.t + h.t)
-
-
-@dataclass(frozen=True)
 class HPsiElement:
     """Either an interior pair-groupoid arrow at x > 0 or a boundary tangent.
 
     Interior: (theta1, theta2, x).  Boundary: base angle plus tangent
-    coordinate v, composing additively over a fixed base point.
+    coordinate v.
     """
 
     boundary: bool
@@ -169,22 +127,6 @@ def hpsi_chart(w, s, psi, theta1=0.0):
     return HPsiElement.interior(theta1, theta1 + offset, s)
 
 
-def hpsi_compose(g, h):
-    if g.boundary != h.boundary:
-        raise CompositionError("cannot compose boundary with interior")
-    if g.boundary:
-        if not _angles_match(g.theta1, h.theta1):
-            raise CompositionError(
-                f"tangents based at different points: {g.theta1} vs {h.theta1}")
-        return HPsiElement.tangent(g.theta1, g.v + h.v)
-    if abs(g.x - h.x) > ANGLE_TOL:
-        raise CompositionError(f"different fibers: x = {g.x} vs {h.x}")
-    if not _angles_match(g.theta2, h.theta1):
-        raise CompositionError(
-            f"pair mismatch: {g.theta2} vs {h.theta1}")
-    return HPsiElement.interior(g.theta1, h.theta2, g.x)
-
-
 def hpsi_action(s, g, flow, psi):
     """The flow action on H_psi: interior points move along sigma_s, boundary
     tangents rescale by e^{-lambda s} with lambda the scaling rate at 0."""
@@ -198,17 +140,20 @@ def zeta_cocycle(g, which, flow):
     """zeta = rho o d / rho o r along the arrow.  At an endpoint it is 1 on a
     unit arrow and where rho is 1, and e^{-lambda t} where rho vanishes,
     lambda the flow's scaling rate there (``scaling_rate``, which raises
-    where it diverges).  Always positive; an interior arrow whose target is
-    an endpoint where rho vanishes raises."""
+    where it diverges).  Always positive and finite; an interior arrow whose
+    target is at or so near an endpoint where rho vanishes that the quotient
+    overflows raises."""
     x, t = g.x, g.t
     rho = rho_zero if which == "zero" else rho_infinity
     if x != 0 and x != math.inf:
         target = flow.apply(t, x)
-        if rho(target) == 0.0:  # rounded to, or reached, the endpoint
+        den = rho(target)  # 0 at the endpoint, subnormal next to it
+        zeta = rho(x) / den if den else math.inf
+        if not math.isfinite(zeta):
             raise PreconditionError(
-                f"zeta_{which} of the arrow {g}: its target {target} is the "
-                f"endpoint, where rho vanishes")
-        return rho(x) / rho(target)
+                f"zeta_{which} of the arrow {g} is not finite: its target "
+                f"{target} is at or next to the endpoint, where rho vanishes")
+        return zeta
     if rho(x) == 1.0 or t == 0:
         return 1.0
     p, end = (1, "zero") if which == "zero" else (-1, "far")

@@ -108,16 +108,6 @@ class SchrodingerProblem:
         return cls(n=n, gamma=Fraction(-1), gamma_prime=Fraction(1),
                    V=RadialFunction.term(strength, 2), l=l)
 
-    @classmethod
-    def from_prefactored(cls, n, gamma, gamma_prime, V0, l=0):
-        """Build V = rho_0^{-2 gamma} rho_inf^{-2 gamma'} V0 from the smooth
-        factor V0, using the ring realizations rho_0 = t/(1+t),
-        rho_inf = 1/(1+t)."""
-        g = as_exponent(gamma)
-        gp = as_exponent(gamma_prime)
-        pref = RadialFunction.term(1, -2 * g, 2 * g + 2 * gp)
-        return cls(n=n, gamma=g, gamma_prime=gp, V=pref * V0, l=l)
-
 
 @dataclass(frozen=True)
 class RewriteResult:
@@ -312,10 +302,17 @@ def _assemble(prob, s):
     dropped.  The mass is lumped (h, and h/2 at s[0]) and the Friedrichs row
     adds nu to K_00, the natural condition v' = nu v.  Returns the symmetric
     tridiagonal (d, e) of M^{-1/2} K M^{-1/2}, M = diag(m rho^2), and rho at
-    the unknowns.
+    the unknowns.  V ~ c t^e at 0 with e < -2 and c < 0, or with e = -2 and
+    nu^2 + c < 0 (past Hardy's constant), is not bounded below and raises.
     """
+    nu = prob.l + Fraction(prob.n - 2, 2)
+    e, c = prob.V.leading("zero")
+    if e < -2 and c < 0 or e == -2 and nu * nu + c < 0:
+        raise PreconditionError(
+            f"-Delta + V is not bounded below on the sector l = {prob.l}: "
+            f"V ~ {c} t^{e} at 0")
+    nu = float(nu)
     h = (s[-1] - s[0]) / (len(s) - 1)
-    nu = prob.l + (prob.n - 2) / 2.0
     rho = np.exp(s[:-1])
     m = np.full(len(rho), h)
     m[0] = h / 2

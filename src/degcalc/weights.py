@@ -123,7 +123,7 @@ def membership_order(f, phi, n):
                 return MembershipResult(member_up_to=k, is_member=False,
                                         decided=False)
             return MembershipResult(member_up_to=k, is_member=True)
-        g = phi.profile * g.derivative()
+        g = apply_X(phi, g)
         k += 1
 
 
@@ -186,7 +186,7 @@ def structure_function(psi, phi):
     if psi.domain != phi.domain:
         raise InvalidWeightError("weights live on different domains")
     prof = psi.profile
-    flux = phi.profile * prof.derivative()
+    flux = apply_X(phi, prof)
     values = [_quotient_limit(flux, prof, end) for end in ("zero", "far")]
     if prof.is_single_term:
         ring = flux.divide_term(prof)
@@ -198,7 +198,7 @@ def scaling_rate(psi, phi, end):
     """The rate lambda = lim phi psi'/psi at ``end``, the endpoint value of
     ``structure_function(psi, phi)``, as a float; raises where it diverges."""
     prof = psi.profile
-    lam = _quotient_limit(phi.profile * prof.derivative(), prof, end)
+    lam = _quotient_limit(apply_X(phi, prof), prof, end)
     if not math.isfinite(float(lam)):
         raise PreconditionError(
             f"scaling rate diverges at {end} (lambda = {lam})")
@@ -212,27 +212,6 @@ def _quotient_limit(num, den, end):
     if e1 != e2:
         return Fraction(0) if e1 > e2 else math.copysign(math.inf, q)
     return q
-
-
-def weights_equivalent(psi, psi1, phi):
-    """psi ~ psi1 relative to phi: both extended quotients lie in
-    C_phi^(infinity)."""
-
-    def quotient_member(num, den):
-        if den.is_single_term:
-            q = num.divide_term(den)
-            res = membership_order(q, phi, math.inf)
-            if res.decided:
-                return res.is_member
-        return None
-
-    fwd = quotient_member(psi.profile, psi1.profile)
-    bwd = quotient_member(psi1.profile, psi.profile)
-    if fwd is not None and bwd is not None:
-        return fwd and bwd
-    # fallback: for weights with definite power behavior at both ends the
-    # two-sided condition forces equal endpoint exponents
-    return psi.a == psi1.a and psi.a_prime == psi1.a_prime
 
 
 def _check_positive(profile):

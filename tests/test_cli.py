@@ -634,6 +634,49 @@ class TestPotentialsWrittenOtherwise:
         assert reports[0] == reports[1]
 
 
+class TestBoundedBelow:
+    """-Delta + V on R^3, sector l = 0, with V ~ c t^e at 0 and t^2 at
+    infinity: the spectral commands need the operator bounded below."""
+
+    #: name -> (gamma, potential): c < 0 at e = -3, and c = -1/2 at e = -2,
+    #: past Hardy's constant nu^2 = 1/4
+    UNBOUNDED = {"strong": ("3/2", "-1,-3,0; 1,2,0"),
+                 "hardy": ("1", "-1/2,-2,0; 1,2,0")}
+
+    def run(self, tmp_path, command, gamma, potential):
+        out = tmp_path / command
+        cfg = write_config(tmp_path, f"""
+            [run]
+            command = {command}
+            [problem]
+            gamma = {gamma}
+            gamma_prime = 1
+            potential = {potential}
+        """)
+        return main(["--config", cfg, "--out", str(out)]), out
+
+    @pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+    @pytest.mark.parametrize("model", sorted(UNBOUNDED))
+    def test_unbounded_below_rejected(self, tmp_path, capsys, command, model):
+        code, out = self.run(tmp_path, command, *self.UNBOUNDED[model])
+        assert code == EXIT_PRECONDITION
+        assert "not bounded below" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("gamma, potential, expected, rel", [
+        # repulsive t^-3: the lowest eigenvalue on the default grid
+        ("3/2", "1,-3,0; 1,2,0", 4.38497016938, 1e-10),
+        # a = -1/5 above Hardy's constant: 2 (nu_eff + 1), nu_eff^2 = 1/20,
+        # which the boundary row nu misses by 7.2e-4
+        ("1", "-1/5,-2,0; 1,2,0", 2 * (math.sqrt(F(1, 20)) + 1), 1e-3)])
+    def test_bounded_below_still_solved(self, tmp_path, gamma, potential,
+                                        expected, rel):
+        code, out = self.run(tmp_path, "spectrum", gamma, potential)
+        assert code == EXIT_OK
+        row = (out / "spectrum.csv").read_text().splitlines()[1]
+        assert float(row.split(",")[2]) == pytest.approx(expected, rel=rel)
+
+
 class TestDeepCut:
     """Deep cuts s_min: ρ² spans e^{±40} and more on these grids."""
 

@@ -9,9 +9,8 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
 from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
-                            VectorField, is_elliptic,
-                            lie_rinehart_check, op_commutator, op_compose,
-                            parametrix_1d, principal_symbol, radial_symbol,
+                            VectorField, lie_rinehart_check, op_commutator,
+                            op_compose, parametrix_1d, radial_symbol,
                             random_lie_rinehart_samples)
 from degcalc.errors import DomainMismatchError, PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
@@ -116,12 +115,6 @@ class TestCylinderFunction:
         f = CylinderFunction.harmonic(1)
         g = CylinderFunction.harmonic(-1)
         assert (f * g).modes[0] == RadialFunction.const(1)
-
-    def test_real_valued_flag(self):
-        f = CylinderFunction({1: RadialFunction.const(1 + 2j),
-                              -1: RadialFunction.const(1 - 2j)})
-        assert f.is_real_valued()
-        assert not CylinderFunction.harmonic(1).is_real_valued()
 
     def test_mixed_domain_coefficients_rejected(self):
         w = Weight.from_term(1, 1)
@@ -388,26 +381,21 @@ class TestLieRinehart:
 
 
 class TestSymbols:
-    def test_sum_of_squares_elliptic(self):
-        w = Weight.from_term(1, 1)
-        ps = Weight.from_term(1, 1)
-        A = DiffOp("lie", {(2, 0): -1, (0, 2): -1}, w, ps)
-        assert is_elliptic(A)
-
-    def test_hyperbolic_not_elliptic(self):
-        w = Weight.from_term(1, 1)
-        ps = Weight.from_term(1, 1)
-        A = DiffOp("lie", {(2, 0): 1, (0, 2): -1}, w, ps)
-        assert not is_elliptic(A)
+    @staticmethod
+    def top_order(A):
+        """The monomial coefficients c_ij with i + j = order."""
+        mono = A.to_monomial()
+        return {key: c for key, c in mono.coeffs.items()
+                if sum(key) == mono.order}
 
     def test_symbol_multiplicative_at_top_order(self):
         w = Weight.from_term(1, 1)
         ps = Weight.from_term(1, 1)
         A = DiffOp("lie", {(1, 0): RadialFunction.term(1, 0, -1)}, w, ps)
         B = DiffOp("lie", {(0, 1): RadialFunction.term(1, 1, -1)}, w, ps)
-        sab = principal_symbol(op_compose(A, B))
-        sa = principal_symbol(A.to_raw())
-        sb = principal_symbol(B.to_raw())
+        sab = self.top_order(op_compose(A, B))
+        sa = self.top_order(A.to_raw())
+        sb = self.top_order(B.to_raw())
         ((ka, ca),) = sa.items()
         ((kb, cb),) = sb.items()
         assert sab == {(ka[0] + kb[0], ka[1] + kb[1]): ca * cb}

@@ -11,9 +11,9 @@ from degcalc.errors import (ChartDomainError, CompositionError,
                             PreconditionError)
 from degcalc.flows import Flow
 from degcalc.groupoid import (GPhiElement, HPsiElement, KernelFunction,
-                              SElement, gphi_compose, hpsi_action, hpsi_chart,
-                              hpsi_compose, kernel_conjugate, rho_infinity,
-                              rho_zero, s_compose, zeta_cocycle)
+                              gphi_compose, hpsi_action, hpsi_chart,
+                              kernel_conjugate, rho_infinity, rho_zero,
+                              zeta_cocycle)
 from degcalc.powerfun import RadialFunction
 from degcalc.weights import Weight
 
@@ -68,38 +68,6 @@ class TestGPhi:
             assert abs(lhs.t - rhs.t) < 1e-10 and lhs.x == rhs.x
 
 
-class TestS:
-    def test_compose_example(self, exp_flow):
-        g = SElement(0.1, 0.5, 4.0, math.log(3))
-        h = SElement(0.5, 0.9, 2.0, math.log(2))
-        gh = s_compose(g, h, exp_flow)
-        assert (gh.theta1, gh.theta2, gh.x) == (0.1, 0.9, 2.0)
-        assert abs(gh.t - math.log(6)) < 1e-14
-
-    def test_angle_mismatch_names_factor(self, exp_flow):
-        g = SElement(0.1, 0.5, 4.0, math.log(3))
-        h = SElement(0.6, 0.9, 2.0, math.log(2))
-        with pytest.raises(CompositionError) as exc:
-            s_compose(g, h, exp_flow)
-        assert exc.value.factor == "pair"
-
-    def test_base_mismatch_names_factor(self, exp_flow):
-        g = SElement(0.1, 0.5, 5.0, 0.1)
-        h = SElement(0.5, 0.9, 2.0, 0.0)
-        with pytest.raises(CompositionError, match="base mismatch") as exc:
-            s_compose(g, h, exp_flow)
-        assert exc.value.factor == "flow"
-        assert exc.value.mismatch == pytest.approx(3.0)
-
-    def test_dr_compatibility(self, exp_flow):
-        g = SElement(0.1, 0.5, 4.0, math.log(3))
-        h = SElement(0.5, 0.9, 2.0, math.log(2))
-        gh = s_compose(g, h, exp_flow)
-        assert gh.d() == h.d()
-        r1, r2 = gh.r(exp_flow), g.r(exp_flow)
-        assert r1[0] == r2[0] and abs(r1[1] - r2[1]) < 1e-12
-
-
 class TestHPsiChart:
     def test_boundary_image(self):
         psi = Weight.from_term(1, F(1, 2))
@@ -140,36 +108,6 @@ class TestHPsiChart:
             el = hpsi_chart(w, s, psi)
             sep = el.theta2 - el.theta1
             assert abs(sep / psi.profile(s) - w) < 1e-6
-
-
-class TestHPsiCompose:
-    def test_boundary_addition(self):
-        a = HPsiElement.tangent(0.2, 0.3)
-        b = HPsiElement.tangent(0.2, -0.1)
-        assert hpsi_compose(a, b).v == pytest.approx(0.2)
-
-    def test_boundary_base_mismatch(self):
-        a = HPsiElement.tangent(0.2, 0.3)
-        b = HPsiElement.tangent(0.5, -0.1)
-        with pytest.raises(CompositionError):
-            hpsi_compose(a, b)
-
-    @pytest.mark.parametrize("a, b, message", [
-        (HPsiElement.tangent(0.2, 0.3), HPsiElement.interior(0.2, 0.4, 0.5),
-         "boundary with interior"),
-        (HPsiElement.interior(0.1, 0.4, 0.5),
-         HPsiElement.interior(0.4, 0.8, 0.6), "different fibers"),
-        (HPsiElement.interior(0.1, 0.4, 0.5),
-         HPsiElement.interior(0.5, 0.8, 0.5), "pair mismatch")])
-    def test_interior_guards(self, a, b, message):
-        with pytest.raises(CompositionError, match=message):
-            hpsi_compose(a, b)
-
-    def test_interior_pair_law(self):
-        a = HPsiElement.interior(0.1, 0.4, 0.5)
-        b = HPsiElement.interior(0.4, 0.8, 0.5)
-        c = hpsi_compose(a, b)
-        assert (c.theta1, c.theta2, c.x) == (0.1, 0.8, 0.5)
 
 
 class TestHPsiAction:
@@ -239,6 +177,15 @@ class TestZeta:
         # 0; the true quotient is finite, so it is no inf either
         with pytest.raises(PreconditionError, match=f"zeta_{which}"):
             zeta_cocycle(GPhiElement(1.0, t), which, exp_flow)
+
+    def test_quotient_past_the_float_range_rejected(self, exp_flow):
+        # sigma_t(1) = e^t: rho_0 of it is normal at t = -700, subnormal at
+        # -713, where 1/rho_0 overflows, and rounds to 0 at -746
+        z = zeta_cocycle(GPhiElement(1.0, -700.0), "zero", exp_flow)
+        assert z == pytest.approx(math.exp(700.0), rel=1e-12)
+        for t in (-713.0, -746.0):
+            with pytest.raises(PreconditionError, match="not finite"):
+                zeta_cocycle(GPhiElement(1.0, t), "zero", exp_flow)
 
     def test_numeric_target_at_the_endpoint_rejected(self):
         fl = Flow(Weight(RadialFunction.term(1, 2, -1)), mode="numeric")

@@ -47,12 +47,6 @@ class TestProblemValidation:
         with pytest.raises(PreconditionError):
             SchrodingerProblem(3, gamma, gamma_prime, RadialFunction.zero())
 
-    def test_prefactored_constructor(self):
-        prob = SchrodingerProblem.from_prefactored(
-            3, F(1, 2), F(-1, 2), RadialFunction.const(-1))
-        assert prob.V.leading("zero") == (-1, -1)
-        assert prob.V.leading("far") == (1, -1)
-
     def test_tilde_exponents(self):
         h = SchrodingerProblem.hydrogen()
         assert h.gamma_tilde == 1 and h.gamma_prime_tilde == 0
@@ -268,6 +262,48 @@ class TestSpectra:
     def test_k_below_one(self, k):
         with pytest.raises(PreconditionError):
             assemble_and_solve(SchrodingerProblem.oscillator(), k=k)
+
+
+def inverse_square(n, gamma, c, e, l=0):
+    """-Delta + V on R^n in the sector l, V = c t^e + t^2."""
+    return SchrodingerProblem(n, gamma, 1, RadialFunction.term(c, e, 0)
+                              + RadialFunction.term(1, 2, 0), l=l)
+
+
+class TestBoundedBelow:
+    """V ~ c t^e at 0: the spectral solvers reject e < -2 with c < 0, and
+    e = -2 with nu^2 + c < 0, nu = l + (n - 2)/2, compared exactly."""
+
+    UNBOUNDED = {
+        "strong": inverse_square(3, F(3, 2), -1, -3),
+        "hardy": inverse_square(3, 1, F(-1, 2), -2),
+        # nu = 0: any attraction at t^-2 is past Hardy's constant
+        "hardy_n2": inverse_square(2, 1, F(-1, 100), -2),
+        # nu = 1: one part in a thousand past nu^2
+        "hardy_n4": inverse_square(4, 1, F(-1001, 1000), -2)}
+    BOUNDED = {
+        "repulsive": inverse_square(3, F(3, 2), 1, -3),
+        # nu^2 + c = 0 exactly: Hardy's constant itself
+        "critical": inverse_square(3, 1, F(-1, 4), -2),
+        "critical_n4": inverse_square(4, 1, -1, -2),
+        # l = 1 lifts nu to 3/2
+        "sector_l1": inverse_square(3, 1, F(-1, 2), -2, l=1)}
+
+    @pytest.mark.parametrize("model", sorted(UNBOUNDED))
+    def test_spectrum_rejected(self, model):
+        with pytest.raises(PreconditionError, match="not bounded below"):
+            assemble_and_solve(self.UNBOUNDED[model], k=1)
+
+    @pytest.mark.parametrize("model", sorted(UNBOUNDED))
+    def test_resolvent_rejected(self, model):
+        with pytest.raises(PreconditionError, match="not bounded below"):
+            resolvent_probe(self.UNBOUNDED[model], -1.0, base_points=60)
+
+    @pytest.mark.parametrize("model", sorted(BOUNDED))
+    def test_bounded_below_assembled(self, model):
+        d, e, rho = _assemble(self.BOUNDED[model], np.linspace(-1.0, 1.0, 11))
+        assert len(d) == 10 and np.all(np.isfinite(d))
+        assert np.all(np.isfinite(e))
 
 
 def linear_potential():

@@ -1,18 +1,26 @@
 """Source hygiene of the package, read with ``ast``: no module imports a
 name it never uses, and no module-level private function or class goes
 unreferenced, so deleting code cannot leave its imports or helpers behind.
-Only ``cli.py`` touches the file system, so every output file is written in
-one place."""
+Every exported name has a reader besides the unit tests, so the public API
+is what the commands, demos and benchmark use.  Only ``cli.py`` touches the
+file system, so every output file is written in one place."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "degcalc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "degcalc"
 #: ``__init__.py`` imports the public names in order to export them
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
+#: where an exported name must be read: the package, the demos, the
+#: benchmark and the acceptance gate
+READERS = ([PACKAGE / name for name in MODULES]
+           + sorted((ROOT / "demos").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 
 
 def imported_names(tree):
@@ -40,6 +48,15 @@ def referenced_names(tree):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+
+
+def references_by_owner(tree):
+    """(owner, name) for each name that ``tree`` reads, where ``owner`` is
+    the module-level function or class that the reference sits in, if any."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for ref in referenced_names(top):
+            yield owner, ref
 
 
 def imported_modules(tree):
@@ -71,6 +88,25 @@ def test_no_orphaned_private_definitions(name):
     defined = private_definitions(ast.parse((PACKAGE / name).read_text()))
     orphans = sorted(defined - referenced)
     assert not orphans, f"{name} defines private names nothing uses: {orphans}"
+
+
+def test_every_export_has_a_reader():
+    """A reference counts unless it sits in the name's own definition or in
+    that of another export without a reader, so a chain of exports that
+    only the unit tests call is unread as a whole."""
+    exports = set(imported_names(ast.parse(
+        (PACKAGE / "__init__.py").read_text())))
+    refs = [(owner, name) for path in READERS
+            for owner, name in references_by_owner(ast.parse(path.read_text()))
+            if owner != name]
+    unread = set()
+    while True:
+        read = {name for owner, name in refs if owner not in unread}
+        if exports - read == unread:
+            break
+        unread = exports - read
+    assert not unread, f"exported names only the unit tests read: " \
+        f"{sorted(unread)}"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")

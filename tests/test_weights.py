@@ -8,8 +8,7 @@ import pytest
 from degcalc.errors import InvalidWeightError, PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.weights import (Weight, apply_X, membership_order,
-                             scaling_rate, structure_function,
-                             weights_equivalent)
+                             scaling_rate, structure_function)
 
 F = Fraction
 
@@ -50,6 +49,14 @@ class TestApplyX:
         w = Weight.from_term(1, F(1, 2))
         f = RadialFunction.term(1, F(1, 2))
         assert apply_X(w, f, 2).is_zero
+
+    def test_zero_order_is_identity(self):
+        f = RadialFunction.term(3, F(1, 2), -1)
+        assert apply_X(Weight.from_term(1, 1), f, 0) is f
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            apply_X(Weight.from_term(1, 1), RadialFunction.term(1, 1), -1)
 
 
 class TestMembership:
@@ -154,25 +161,3 @@ class TestStructureFunction:
         phi = Weight.from_term(1, 1, 1, domain=UNIT_INTERVAL)
         psi = Weight.from_term(1, 0, 1, domain=UNIT_INTERVAL)
         assert structure_function(psi, phi).value_at_far == -1
-
-
-class TestEquivalence:
-    def test_equivalent_weights(self):
-        phi = Weight.from_term(1, 1)
-        psi = Weight.from_term(1, F(1, 2))
-        # psi1 = t^{1/2} (2 + t/(1+t)): same endpoint behavior at 0 and inf
-        psi1 = Weight(RadialFunction.term(2, F(1, 2), 0)
-                      + RadialFunction.term(1, F(3, 2), -1))
-        assert weights_equivalent(psi, psi1, phi)
-
-    def test_different_far_decay_inequivalent(self):
-        phi = Weight.from_term(1, 1)
-        psi = Weight.from_term(1, F(1, 2))
-        psi1 = Weight(RadialFunction.term(1, F(1, 2), -1))
-        assert not weights_equivalent(psi, psi1, phi)
-
-    def test_inequivalent_weights(self):
-        phi = Weight.from_term(1, 1)
-        psi = Weight.from_term(1, F(1, 2))
-        psi1 = Weight.from_term(1, 1)
-        assert not weights_equivalent(psi, psi1, phi)
