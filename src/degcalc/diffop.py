@@ -210,43 +210,19 @@ class DiffOp:
 
     # -- form conversions ------------------------------------------------
 
-    def _basis(self, form, i, j):
-        """Raw terms {(k, l): b} of the basis operator at (i, j) of ``form``.
-
-        Monomial: phi^i psi^j dt^i dtheta^j.  Lie: X^i Y^j, that is X applied
-        i times from the left to Y^j = psi^j dtheta^j, each time by
-        X o b dt^k dtheta^j = phi b' dt^k dtheta^j + phi b dt^{k+1} dtheta^j.
-        """
-        prof = self.phi.profile
-        if form == "monomial":
-            return {(i, j): prof ** i * self.psi.profile ** j}
-        terms = {(0, j): self.psi.profile ** j}
-        for _ in range(i):
-            nxt = {}
-            for (k, l), b in terms.items():
-                _raw_add(nxt, k, l, prof * b.derivative())
-                _raw_add(nxt, k + 1, l, prof * b)
-            terms = nxt
-        return terms
-
-    def _over_basis(self, i, j, b):
-        """The raw coefficient b divided by phi^i psi^j."""
-        den = self._basis("monomial", i, j)[(i, j)]
-        return CylinderFunction({m: f.divide_term(den)
-                                 for m, f in b.modes.items()},
-                                domain=self.domain)
-
     def _require_single_terms(self, target):
         if not all(w.profile.is_single_term for w in (self.phi, self.psi)):
             raise PreconditionError(
                 f"exact {target} form needs single-term phi and psi")
 
-    def to_raw(self):
+    def to_raw(self, basis=None):
+        """Raw form; ``basis`` shares the powers of a conversion through it."""
         if self.form == "raw":
             return self
+        basis = basis or _Basis(self)
         raw = {}
         for (i, j), c in self.coeffs.items():
-            for (k, l), b in self._basis(self.form, i, j).items():
+            for (k, l), b in basis[self.form, i, j].items():
                 _raw_add(raw, k, l, c * b)
         return DiffOp("raw", raw, self.phi, self.psi)
 
@@ -254,9 +230,9 @@ class DiffOp:
         if self.form == "monomial":
             return self
         self._require_single_terms("monomial")
-        raw = self.to_raw().coeffs
-        return DiffOp("monomial", {(i, j): self._over_basis(i, j, b)
-                                   for (i, j), b in raw.items()},
+        basis = _Basis(self)
+        return DiffOp("monomial", {(i, j): basis.divide(i, j, b) for (i, j), b
+                                   in self.to_raw(basis).coeffs.items()},
                       self.phi, self.psi)
 
     def to_lie(self):
@@ -264,13 +240,14 @@ class DiffOp:
         if self.form == "lie":
             return self
         self._require_single_terms("lie")
-        remaining = dict(self.to_raw().coeffs)
+        basis = _Basis(self)
+        remaining = dict(self.to_raw(basis).coeffs)
         lie = {}
         while remaining:
             (i, j) = max(remaining, key=lambda k: (k[0] + k[1], k[0]))
-            c = lie[(i, j)] = self._over_basis(i, j, remaining[(i, j)])
+            c = lie[(i, j)] = basis.divide(i, j, remaining[(i, j)])
             # subtract c * X^i Y^j; the top raw term cancels exactly
-            for (k, l), b in self._basis("lie", i, j).items():
+            for (k, l), b in basis["lie", i, j].items():
                 _raw_add(remaining, k, l, -(c * b))
             if (i, j) in remaining:
                 raise PreconditionError(
@@ -370,6 +347,44 @@ def _raw_add(raw, i, j, c):
         raw[key] = new
 
 
+class _Basis(dict):
+    """Raw terms {(k, l): b} of the basis operators, for one conversion.
+
+    Keys ("monomial", i, j): phi^i psi^j dt^i dtheta^j.  ("lie", i, j):
+    X^i Y^j = X o X^{i-1} Y^j, down to Y^j = psi^j dtheta^j, by X o b dt^k
+    dtheta^l = phi b' dt^k dtheta^l + phi b dt^{k+1} dtheta^l.  ("phi", i)
+    and ("psi", j): the powers, phi^i = phi^{i-1} phi as ``**`` forms them.
+    Each entry is formed once, from the one below it.
+    """
+
+    def __init__(self, op):
+        one = RadialFunction.const(1, domain=op.domain)
+        super().__init__({("phi", 0): one, ("phi", 1): op.phi.profile,
+                          ("psi", 0): one, ("psi", 1): op.psi.profile})
+
+    def __missing__(self, key):
+        if len(key) == 2:
+            val = self[key[0], key[1] - 1] * self[key[0], 1]
+        elif key[0] == "monomial":
+            val = {key[1:]: self["phi", key[1]] * self["psi", key[2]]}
+        elif key[1] == 0:
+            val = {(0, key[2]): self["psi", key[2]]}
+        else:
+            val, prof = {}, self["phi", 1]
+            for (k, l), b in self["lie", key[1] - 1, key[2]].items():
+                _raw_add(val, k, l, prof * b.derivative())
+                _raw_add(val, k + 1, l, prof * b)
+        self[key] = val
+        return val
+
+    def divide(self, i, j, b):
+        """The raw coefficient b divided by phi^i psi^j."""
+        den = self["monomial", i, j][i, j]
+        return CylinderFunction({m: f.divide_term(den)
+                                 for m, f in b.modes.items()},
+                                domain=b.domain)
+
+
 def check_weight_admissible(phi):
     """phi' must lie in C_phi^(infinity); raise otherwise."""
     res = membership_order(phi.profile.derivative(), phi, math.inf)
@@ -380,12 +395,13 @@ def check_weight_admissible(phi):
     return phi
 
 
-def op_compose(A, B):
-    """Exact composition by Leibniz expansion of the raw forms.
+def _leibniz(A, B, top):
+    """A o B from the raw forms; without the terms m = l = 0 unless ``top``.
 
     b1 dt^{i1} dtheta^{j1} o b2 dt^{i2} dtheta^{j2} is the sum over m <= i1,
     l <= j1 of C(i1, m) C(j1, l) b1 (dt^m dtheta^l b2) dt^{i1-m+i2}
     dtheta^{j1-l+j2}; dtheta passes through the radial-in-t derivatives.
+    A weight of 1 multiplies nothing.
     """
     if not A._same_weights(B):
         raise PreconditionError("operators built over different weights")
@@ -394,20 +410,32 @@ def op_compose(A, B):
     for (i1, j1), b1 in a.items():
         for (i2, j2), b2 in b.items():
             for m in range(i1 + 1):
-                for l in range(j1 + 1):
+                for l in range(0 if top or m else 1, j1 + 1):
                     g = b2
                     for _ in range(l):
                         g = g.d_theta()
                     for _ in range(m):
                         g = g.d_t()
+                    w = comb(i1, m) * comb(j1, l)
                     _raw_add(raw, i1 - m + i2, j1 - l + j2,
-                             b1 * g * (comb(i1, m) * comb(j1, l)))
+                             b1 * g if w == 1 else b1 * g * w)
     return DiffOp("raw", raw, A.phi, A.psi)
 
 
+def op_compose(A, B):
+    """Exact composition by Leibniz expansion of the raw forms."""
+    return _leibniz(A, B, top=True)
+
+
 def op_commutator(A, B):
+    """A o B - B o A without the terms m = l = 0 of either side.
+
+    Each pair's term b1 b2 dt^{i1+i2} dtheta^{j1+j2} of A o B meets the term
+    b2 b1 of B o A at the same place, and cylinder functions commute, so the
+    two cancel exactly and neither is formed.
+    """
     a, b = A.to_raw(), B.to_raw()
-    return op_compose(a, b) - op_compose(b, a)
+    return _leibniz(a, b, top=False) - _leibniz(b, a, top=False)
 
 
 # -- Lie-Rinehart axioms ---------------------------------------------------
@@ -425,10 +453,7 @@ class VectorField(DiffOp):
 
 def _bracket(Z, W):
     """[Z, W] of first-order fields, in lie form (it has order <= 1)."""
-    C = op_commutator(Z, W).to_lie()
-    if C.order > 1:
-        raise PreconditionError("bracket left first-order fields")
-    return C
+    return op_commutator(Z, W).to_lie()
 
 
 def random_lie_rinehart_samples(phi, psi, count, seed=0):
@@ -537,13 +562,14 @@ def _poly_sub(a, b):
 
 
 def _poly_mul(a, b):
+    """Each slot of the product starts from its first product: 0 + p is p."""
     if not a or not b:
         return []
-    out = [RadialFunction.zero(domain=a[0].domain)
-           for _ in range(len(a) + len(b) - 1)]
+    out = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
+            p = ca * cb
+            out[i + j] = p if out[i + j] is None else out[i + j] + p
     return out
 
 

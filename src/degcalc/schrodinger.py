@@ -8,11 +8,13 @@ the exact membership test.
 Eigenvalues come from linear finite elements in s = ln(rho).  On the sector
 l, with nu = l + (n-2)/2, the half-density w = rho^{(n-1)/2} u = e^{s/2} v
 turns -Delta + V into the pencil -v'' + nu^2 v + rho^2 V v = lam rho^2 v.
-For nu < 1 the origin is limit circle, and the Friedrichs extension is the
-natural condition v' = nu v at s_min (Neumann for nu = 0); s_max is a
-Dirichlet end.  Each eigenvalue is extrapolated from the grid's N points and
-a half grid, which cancels the h^2 error term: the error falls like h^4
-down to about 1e-11.  ``grid_points`` in spectrum.csv is N, the fine grid.
+A term c t^-2 of V at 0 moves nu to nu_eff = sqrt(nu^2 + c).  For nu_eff < 1
+the origin is limit circle, and the Friedrichs extension is the natural
+condition v' = nu_eff v at s_min (Neumann for nu_eff = 0, Hardy's critical
+c = -nu^2 included); s_max is a Dirichlet end.  Each eigenvalue is
+extrapolated from the grid's N points and a half grid, which cancels the h^2
+error term: the error falls like h^4 down to about 1e-11.  ``grid_points``
+in spectrum.csv is N, the fine grid.
 """
 
 from __future__ import annotations
@@ -300,14 +302,16 @@ def _assemble(prob, s):
 
     ``s`` holds uniform nodes; the last one is the Dirichlet end and is
     dropped.  The mass is lumped (h, and h/2 at s[0]) and the Friedrichs row
-    adds nu to K_00, the natural condition v' = nu v.  Returns the symmetric
-    tridiagonal (d, e) of M^{-1/2} K M^{-1/2}, M = diag(m rho^2), and rho at
-    the unknowns.  V ~ c t^e at 0 with e < -2 and c < 0, or with e = -2 and
-    nu^2 + c < 0 (past Hardy's constant), is not bounded below and raises.
+    adds nu_eff to K_00, the natural condition v' = nu_eff v, where
+    nu_eff^2 = nu^2 + c for V ~ c t^-2 at 0 and nu^2 otherwise.  Returns the
+    symmetric tridiagonal (d, e) of M^{-1/2} K M^{-1/2}, M = diag(m rho^2),
+    and rho at the unknowns.  V ~ c t^e at 0 with e < -2 and c < 0, or with
+    nu_eff^2 < 0 (past Hardy's constant), is not bounded below and raises.
     """
     nu = prob.l + Fraction(prob.n - 2, 2)
     e, c = prob.V.leading("zero")
-    if e < -2 and c < 0 or e == -2 and nu * nu + c < 0:
+    nu_eff2 = nu * nu + c if e == -2 else nu * nu
+    if e < -2 and c < 0 or nu_eff2 < 0:
         raise PreconditionError(
             f"-Delta + V is not bounded below on the sector l = {prob.l}: "
             f"V ~ {c} t^{e} at 0")
@@ -317,7 +321,7 @@ def _assemble(prob, s):
     m = np.full(len(rho), h)
     m[0] = h / 2
     kdiag = np.full(len(rho), 2 / h)
-    kdiag[0] = 1 / h + nu
+    kdiag[0] = 1 / h + math.sqrt(nu_eff2)
     with np.errstate(all="ignore"):  # rho^2 past floats: checked below
         kdiag += m * (nu * nu + rho ** 2 * prob.V(rho))
         sqrt_w = np.sqrt(m) * rho

@@ -667,8 +667,8 @@ class TestBoundedBelow:
         # repulsive t^-3: the lowest eigenvalue on the default grid
         ("3/2", "1,-3,0; 1,2,0", 4.38497016938, 1e-10),
         # a = -1/5 above Hardy's constant: 2 (nu_eff + 1), nu_eff^2 = 1/20,
-        # which the boundary row nu misses by 7.2e-4
-        ("1", "-1/5,-2,0; 1,2,0", 2 * (math.sqrt(F(1, 20)) + 1), 1e-3)])
+        # which a boundary row from nu in place of nu_eff misses by 7.2e-4
+        ("1", "-1/5,-2,0; 1,2,0", 2 * (math.sqrt(F(1, 20)) + 1), 1e-9)])
     def test_bounded_below_still_solved(self, tmp_path, gamma, potential,
                                         expected, rel):
         code, out = self.run(tmp_path, "spectrum", gamma, potential)

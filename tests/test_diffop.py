@@ -262,6 +262,60 @@ class TestComposition:
             B = DiffOp("lie", {(0, 1): v}, w, ps)
             assert op_commutator(A, B).order <= 1
 
+    @staticmethod
+    def random_operator(rng, phi, psi, angular):
+        """A lie-form operator of order <= 3 with multi-term Fraction
+        coefficients on mode 0 and, if ``angular``, terms on modes +-1.
+        Angular operators keep every coefficient dyadic, so the complex
+        factors of d_theta multiply them exactly in floating point."""
+        dens = (1, 2, 4) if angular else (1, 2, 3, 5, 7)
+
+        def term():
+            return RadialFunction.term(
+                F(rng.choice([k for k in range(-9, 10) if k]),
+                  rng.choice(dens)), F(rng.randint(0, 4), 2),
+                -rng.randint(0, 2))
+
+        keys = [(i, j) for i in range(4) for j in range(4 - i)]
+        coeffs = {}
+        for key in rng.sample(keys, rng.randint(1, 3)):
+            modes = {0: sum((term() for _ in range(rng.randint(1, 3))),
+                            RadialFunction.zero())}
+            for m in rng.sample([-1, 1], rng.randint(1, 2) * angular):
+                modes[m] = term()
+            coeffs[key] = CylinderFunction(modes)
+        return DiffOp("lie", coeffs, phi, psi)
+
+    def test_commutator_is_the_full_expansion(self):
+        # the commutator skips the products b1 b2 that cancel; the full
+        # A o B - B o A forms them
+        rng = random.Random(27)
+        for k in range(60):
+            phi = Weight.from_term(*rng.choice(PHI_TERMS))
+            psi = Weight.from_term(*rng.choice(PSI_TERMS[:2]))
+            A, B = (self.random_operator(rng, phi, psi, k % 2) for _ in "AB")
+            assert op_commutator(A, B) == op_compose(A, B) - op_compose(B, A)
+            if not k % 2:
+                assert A.to_raw().to_lie().coeffs == A.coeffs
+                assert A.to_monomial().to_lie().coeffs == A.coeffs
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_conversions_match_composing_x(self, n):
+        psi = Weight.from_term(*PSI_TERMS[1])
+        for term in PHI_TERMS:
+            phi = Weight.from_term(*term)
+            X = DiffOp.X(phi, psi)
+            for j in range(3):
+                lie = DiffOp("lie", {(n, j): 1}, phi, psi)
+                brute = DiffOp("lie", {(0, j): 1}, phi, psi).to_raw()
+                for _ in range(n):
+                    brute = op_compose(X, brute)
+                raw = lie.to_raw()
+                assert raw.coeffs == brute.coeffs
+                assert lie.to_monomial().to_raw().coeffs == brute.coeffs
+                assert raw.to_lie().coeffs == lie.coeffs
+                assert raw.to_monomial().to_lie().coeffs == lie.coeffs
+
     def test_ux_vx_bracket_formula(self):
         w = Weight.from_term(1, 1)
         u = RadialFunction.term(1, 1, -1)

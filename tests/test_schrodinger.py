@@ -306,6 +306,57 @@ class TestBoundedBelow:
         assert np.all(np.isfinite(e))
 
 
+def with_inverse_square(model, n, l, a):
+    """Hydrogen or the oscillator on R^n, sector l, plus a t^-2 at 0."""
+    if model == "hydrogen":
+        return SchrodingerProblem(n, 1, F(-1, 2), RadialFunction.term(-1, -1)
+                                  + RadialFunction.term(a, -2), l=l)
+    return inverse_square(n, 1, a, -2, l=l)
+
+
+def nu_eff_cells():
+    for n in (2, 3, 4):
+        for l in (0, 1):
+            for a in (F(-1, 5), F(1, 10), F(-1, 2)):
+                nu = l + F(n - 2, 2)
+                if 0 < nu * nu + a < 1:
+                    yield n, l, a
+
+
+class TestFriedrichsRow:
+    """A term a t^-2 at 0 moves the boundary row to nu_eff = sqrt(nu^2 + a):
+    the spectra are those of the model with nu_eff in place of nu."""
+
+    #: the cut and the grid every cell below is held on
+    GRIDS = {"hydrogen": GeometricGrid(-20.0, 12.0, 8000),
+             "oscillator": GeometricGrid(-20.0, 4.0, 8000)}
+
+    @staticmethod
+    def closed_form(model, nu_eff, k):
+        if model == "hydrogen":
+            return [-1 / (4 * (j + nu_eff + 0.5) ** 2) for j in range(k)]
+        return [2 * (2 * j + nu_eff + 1) for j in range(k)]
+
+    @pytest.mark.parametrize("n, l, a", list(nu_eff_cells()))
+    @pytest.mark.parametrize("model", ["hydrogen", "oscillator"])
+    def test_closed_forms(self, model, n, l, a):
+        nu_eff = math.sqrt((l + F(n - 2, 2)) ** 2 + a)
+        prob = with_inverse_square(model, n, l, a)
+        assert worst_error(prob, self.closed_form(model, nu_eff, 2),
+                           self.GRIDS[model]) < 1e-8
+
+    def test_critical_hardy_constant(self):
+        # a = -nu^2 on R^3: nu_eff = 0, the Neumann row of the nu = 0 cell
+        prob = with_inverse_square("hydrogen", 3, 0, F(-1, 4))
+        assert worst_error(prob, self.closed_form("hydrogen", 0.0, 2),
+                           self.GRIDS["hydrogen"]) < 1e-7
+
+    def test_repulsive_cubic_unchanged(self):
+        prob = inverse_square(3, F(3, 2), 1, -3)
+        lam = assemble_and_solve(prob, self.GRIDS["oscillator"], k=1)
+        assert lam.eigenvalues[0] == pytest.approx(4.38497016873, rel=1e-10)
+
+
 def linear_potential():
     """V = rho on R^3, l = 0: the eigenvalues are minus the Airy zeros."""
     return SchrodingerProblem(3, F(-1, 2), F(1, 2), RadialFunction.term(1, 1))
