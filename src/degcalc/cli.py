@@ -263,12 +263,12 @@ def run_selftest(log=lambda msg: None):
         if not ok:
             failures.append(name)
 
-    def ring_roundtrip():
-        f = (RadialFunction.term(Fraction(3, 2), Fraction(1, 3), -2)
-             + RadialFunction.term(-1, 0, Fraction(-1, 2)))
-        return RadialFunction.from_text(f.to_text()) == f
+    def ring_one_term():
+        # t(1+t) - t^2 stores two terms and equals the one term t
+        f = RadialFunction.term(1, 1, 1) - RadialFunction.term(1, 2)
+        return f.one_term() == RadialFunction.term(1, 1)
 
-    check("ring text round-trip", ring_roundtrip)
+    check("ring one-term reading", ring_one_term)
 
     def membership_family():
         for a in (1, Fraction(3, 2), 2):

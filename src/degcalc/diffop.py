@@ -123,11 +123,6 @@ class CylinderFunction:
                                  for m, f in self.modes.items() if m != 0},
                                 domain=self.domain)
 
-    def __call__(self, t, theta):
-        """The value at (t, theta): floats, or numpy arrays that broadcast."""
-        return sum(f(t) * np.exp(1j * m * theta)
-                   for m, f in self.modes.items())
-
     def __eq__(self, other):
         if not isinstance(other, CylinderFunction):
             return NotImplemented
@@ -254,21 +249,6 @@ class DiffOp:
                     "triangular elimination failed to cancel the top term")
         return DiffOp("lie", lie, self.phi, self.psi)
 
-    def normal_form(self, target):
-        """Exact rewriting into the requested normal form.
-
-        Requires phi' to lie in the infinite-order membership class of phi,
-        which keeps every recurrence coefficient in the ring.
-        """
-        check_weight_admissible(self.phi)
-        if target == "lie":
-            return self.to_lie()
-        if target == "monomial":
-            return self.to_monomial()
-        if target == "raw":
-            return self.to_raw()
-        raise ValueError(f"unknown target {target!r}")
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other, negate=False):
@@ -392,7 +372,6 @@ def check_weight_admissible(phi):
         raise PreconditionError(
             "phi' does not lie in the infinite-order class of phi; "
             "normal forms would leave the ring")
-    return phi
 
 
 def _leibniz(A, B, top):
@@ -721,10 +700,12 @@ def parametrix_1d(A, N):
     Works in the flow coordinate where X = d/ds.  Returns a
     ParametrixExpansion with ord(q_k) = -m - k and the exact remainder
     symbols E_k = 1 - sigma_A # (q_0 + ... + q_{k-1}), each step
-    q_k = q_0 E_k.
+    q_k = q_0 E_k.  An operator in another form needs an admissible phi
+    (``check_weight_admissible``) before it is rewritten in lie form.
     """
-    lie = A.normal_form("lie") if A.form != "lie" else A
-    sigma = radial_symbol(lie)
+    if A.form != "lie":
+        check_weight_admissible(A.phi)
+    sigma = radial_symbol(A)
     m = len(sigma.num) - 1
     lead = sigma.num[-1] if sigma.num else None
     if lead is None or not _nonvanishing_on_closure(lead):
@@ -740,7 +721,7 @@ def parametrix_1d(A, N):
     for _ in range(N):
         terms.append(q0 * remainders[-1])
         remainders.append(remainders[-1]
-                          - symbol_sharp(sigma, terms[-1], lie.phi))
+                          - symbol_sharp(sigma, terms[-1], A.phi))
     return ParametrixExpansion(terms, remainders, m - 1 - N if N else m)
 
 

@@ -45,10 +45,6 @@ class InversionError(DegcalcError):
 class ConvergenceError(DegcalcError):
     """An iterative solver failed to converge."""
 
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 class PropertyViolationError(DegcalcError):
     """Two independent computations of the same quantity disagree beyond tolerance."""

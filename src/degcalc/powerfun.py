@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -316,7 +315,7 @@ class RadialFunction:
 
     def to_text(self):
         """One ``coeff * t^p * (1+t)^q`` triple per line; exponents
-        round-trip exactly."""
+        print exactly."""
         if self.is_zero:
             return "0"
         factor = "(1+t)" if self.domain == HALF_LINE else "(1-t)"
@@ -326,31 +325,6 @@ class RadialFunction:
             lines.append(f"{_num_to_text(c)} * t^{Fraction(P, self._den)}"
                          f" * {factor}^{Fraction(Q, self._den)}")
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text):
-        text = text.strip()
-        if text == "0" or not text:
-            return cls.zero()
-        pat = re.compile(
-            r"^\s*(?P<c>\S+)\s*\*\s*t\^(?P<p>\S+)\s*\*\s*"
-            r"\((?P<factor>1\+t|1-t)\)\^(?P<q>\S+)\s*$")
-        pairs = []
-        domain = None
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            m = pat.match(line)
-            if m is None:
-                raise ValueError(f"unparseable term line: {line!r}")
-            dom = HALF_LINE if m.group("factor") == "1+t" else UNIT_INTERVAL
-            if domain is None:
-                domain = dom
-            elif domain != dom:
-                raise ValueError("mixed basis factors in serialized function")
-            p, q, c = (_num_from_text(m.group(g)) for g in "pqc")
-            pairs.append(((p, q), c))
-        return _wrap(*_stored(pairs, domain or HALF_LINE))
 
 
 # -- the flow coordinate u of the b-weight ----------------------------------
@@ -537,12 +511,3 @@ def _num_to_text(x):
     if isinstance(x, complex):
         return f"({x.real!r}{x.imag:+}j)"
     return repr(x)
-
-
-def _num_from_text(s):
-    s = s.strip()
-    if s.startswith("(") and s.endswith("j)"):
-        return complex(s[1:-1] + "j")
-    if "/" in s or ("." not in s and "e" not in s and "E" not in s):
-        return Fraction(s)
-    return float(s)

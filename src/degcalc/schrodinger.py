@@ -520,7 +520,7 @@ def _weighted_norms(a, z, points):
         except ArpackError as exc:
             raise ConvergenceError(
                 f"resolvent norm k={k} did not converge on {points} points "
-                f"after {matvecs} matvecs", iterations=matvecs) from exc
+                f"after {matvecs} matvecs") from exc
 
     B = a @ a
     norm0 = math.sqrt(top(0, lambda x: inv_h(lu.solve(x))))

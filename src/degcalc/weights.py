@@ -1,9 +1,10 @@
 """Weights, the weighted derivation X = phi*d/dt, and decidable membership.
 
 A weight is a ring function that is strictly positive in the interior.  Its
-endpoint exponents control everything: the vanishing order ``a`` at 0 and the
-decay order ``a_prime`` at the far end (intrinsic decay exponent at infinity
-for the half-line, vanishing order at 1 for the unit interval).
+endpoint exponents control everything: ``profile.leading("zero")[0]`` is the
+vanishing order at 0 and ``profile.leading("far")[0]`` the order at the far
+end (the decay exponent at infinity for the half-line, the vanishing order at
+1 for the unit interval).
 """
 
 from __future__ import annotations
@@ -53,17 +54,6 @@ class Weight:
     @property
     def domain(self):
         return self.profile.domain
-
-    @property
-    def a(self):
-        """Leading exponent at 0."""
-        return self.profile.leading("zero")[0]
-
-    @property
-    def a_prime(self):
-        """Leading exponent at the far end: the decay exponent at infinity
-        on the half-line, the vanishing order at 1 on the unit interval."""
-        return self.profile.leading("far")[0]
 
     def __eq__(self, other):
         if not isinstance(other, Weight):

@@ -9,8 +9,9 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
 from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
-                            VectorField, lie_rinehart_check, op_commutator,
-                            op_compose, parametrix_1d, radial_symbol,
+                            VectorField, check_weight_admissible,
+                            lie_rinehart_check, op_commutator, op_compose,
+                            parametrix_1d, radial_symbol,
                             random_lie_rinehart_samples)
 from degcalc.errors import DomainMismatchError, PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
@@ -178,7 +179,7 @@ class TestNormalForm:
         op = DiffOp("lie", {(2, 0): RadialFunction.term(F(1, 2), 1, -2),
                             (1, 1): 1, (0, 1): RadialFunction.term(2, 0, -1)},
                     w, ps)
-        mono = op.normal_form("monomial")
+        mono = op.to_monomial()
         for _ in range(10):
             m = rng.randint(-2, 2)
             f = CylinderFunction(
@@ -214,10 +215,8 @@ class TestNormalForm:
 
     def test_inadmissible_weight_rejected(self):
         # phi = t^{1/2}: phi' = t^{-1/2}/2 is unbounded at 0
-        w = Weight.from_term(1, F(1, 2))
-        op = DiffOp("lie", {(2, 0): 1}, w, w)
         with pytest.raises(PreconditionError):
-            op.normal_form("monomial")
+            check_weight_admissible(Weight.from_term(1, F(1, 2)))
 
 
 class TestComposition:
@@ -561,6 +560,15 @@ class TestParametrix:
         A = DiffOp("lie", {(2, 0): RadialFunction.term(1, 1), (0, 0): 1}, w, w)
         with pytest.raises(PreconditionError, match="not elliptic"):
             parametrix_1d(A, 1)
+
+    def test_inadmissible_weight_rejected_off_lie_form(self):
+        # phi = t^{1/2} fails the admissibility guard, which runs only when
+        # the operator is not already in lie form
+        w = Weight.from_term(1, F(1, 2))
+        A = DiffOp("lie", {(2, 0): 1, (0, 0): -1}, w, Weight.from_term(1, 1))
+        assert parametrix_1d(A, 1).terms
+        with pytest.raises(PreconditionError, match="infinite-order class"):
+            parametrix_1d(A.to_raw(), 1)
 
     def test_radial_symbol_rejects_angular_ops(self):
         w = Weight.from_term(1, 1)

@@ -97,7 +97,8 @@ def test_completeness_and_structure_values_read_the_function(terms, domain,
         T(1, 1, 0, domain), T(2, 2, -1, domain), T(1, F(1, 2), 1, domain)))))
     w = Weight(prof)
     w2 = Weight(prof + data.draw(insertions(prof, (1, 2), anywhere=False)))
-    assert (w2.a, w2.a_prime) == (w.a, w.a_prime)
+    assert all(w2.profile.leading(end)[0] == w.profile.leading(end)[0]
+               for end in ("zero", "far"))
     assert completeness_check(w2) == completeness_check(w)
     for written, rewritten in (((w, other), (w2, other)),
                                ((other, w), (other, w2))):

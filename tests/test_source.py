@@ -1,11 +1,13 @@
 """Source hygiene of the package, read with ``ast``: no module imports a
 name it never uses, and no module-level private function or class goes
 unreferenced, so deleting code cannot leave its imports or helpers behind.
-Every exported name has a reader besides the unit tests, so the public API
-is what the commands, demos and benchmark use.  Only ``cli.py`` touches the
+Every exported name, and every public method or property of an exported
+class, has a reader besides the unit tests, so the public API is what the
+commands, demos and benchmark use.  Only ``cli.py`` touches the
 file system, so every output file is written in one place."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,55 @@ def test_every_export_has_a_reader():
         unread = exports - read
     assert not unread, f"exported names only the unit tests read: " \
         f"{sorted(unread)}"
+
+
+#: public members that only the unit tests read, each with its reason
+KEPT_MEMBERS = {
+    "CylinderFunction.harmonic": "the tests build angular functions with it",
+    "Flow.F_inverse": "the tests reach inside apply, which returns early at 0 "
+                      "and at the power branch's base point",
+    "GPhiElement.inverse": "the test of the inverse law",
+    "HPsiElement.is_unit": "the test of the unit law",
+    "DiffOp.order": "the tests of the commutator's and the top term's order",
+    "PoweredSymbol.order": "the tests of the parametrix orders; the fix of "
+                           "ParametrixExpansion.remainder_order reads it",
+}
+
+
+def public_members(tree, classes):
+    """(class, member, definition) for each public method or property of
+    the classes in ``classes`` that ``tree`` defines."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield node.name, item.name, item
+
+
+def attribute_reads(tree):
+    """How often ``tree`` reads each name as an attribute."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
+def test_every_public_member_has_a_reader():
+    """Each public method or property of an exported class is read as an
+    attribute in ``READERS`` outside its own definition, unless kept above;
+    a kept member that gains a reader or goes comes off the list."""
+    exports = set(imported_names(ast.parse(
+        (PACKAGE / "__init__.py").read_text())))
+    trees = {path: ast.parse(path.read_text()) for path in READERS}
+    reads = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    members = [(f"{cls}.{name}", name, definition) for module in MODULES
+               for cls, name, definition in public_members(
+                   trees[PACKAGE / module], exports)]
+    unread = {key for key, name, definition in members
+              if reads[name] == attribute_reads(definition)[name]}
+    assert unread == set(KEPT_MEMBERS), \
+        f"public members only the unit tests read: " \
+        f"{sorted(unread - set(KEPT_MEMBERS))}; kept members with a " \
+        f"reader or gone: {sorted(set(KEPT_MEMBERS) - unread)}"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")

@@ -16,8 +16,8 @@ F = Fraction
 class TestWeight:
     def test_exponents(self):
         w = Weight(RadialFunction.term(1, 2, -3))
-        assert w.a == 2
-        assert w.a_prime == 1  # -(2 - 3)
+        assert w.profile.leading("zero")[0] == 2
+        assert w.profile.leading("far")[0] == 1  # -(2 - 3)
 
     def test_positivity_rejects_sign_change(self):
         bad = (RadialFunction.term(1, 1, 0)
