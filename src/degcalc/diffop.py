@@ -9,7 +9,10 @@ Operators come in three coefficient forms:
 Raw form is the computational workhorse (exact Leibniz composition); lie and
 monomial are the two normal forms.  A lie term reaches raw form by one
 recurrence, X applied i times from the left to Y^j = psi^j dtheta^j, and
-``op_compose``'s general Leibniz rule is an independent oracle for it.
+``op_compose``'s general Leibniz rule is an independent oracle for it.  The
+raw terms of X^i Y^j and the monomials phi^i psi^j belong to the weight pair,
+not to one operator: every conversion over (phi, psi) reads one table of
+them, kept on phi and freed with it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from math import comb
 
 from .errors import DomainMismatchError, PreconditionError
 from .powerfun import HALF_LINE, RadialFunction
-from .weights import Weight, membership_order
+from .weights import Weight
 
 import numpy as np
 
@@ -201,7 +204,17 @@ class DiffOp:
         return cls("lie", {(0, 1): 1}, phi, psi)
 
     def _same_weights(self, other):
-        return (self.phi == other.phi and self.psi == other.psi)
+        return ((self.phi is other.phi or self.phi == other.phi)
+                and (self.psi is other.psi or self.psi == other.psi))
+
+    def _basis(self):
+        """The basis table of (phi, psi): on phi, keyed by psi's exact value,
+        so equal weights built apart share it."""
+        tables = self.phi._bases
+        key = self.psi.profile.to_text()
+        if key not in tables:
+            tables[key] = _Basis(self.phi, self.psi)
+        return tables[key]
 
     # -- form conversions ------------------------------------------------
 
@@ -210,11 +223,10 @@ class DiffOp:
             raise PreconditionError(
                 f"exact {target} form needs single-term phi and psi")
 
-    def to_raw(self, basis=None):
-        """Raw form; ``basis`` shares the powers of a conversion through it."""
+    def to_raw(self):
         if self.form == "raw":
             return self
-        basis = basis or _Basis(self)
+        basis = self._basis()
         raw = {}
         for (i, j), c in self.coeffs.items():
             for (k, l), b in basis[self.form, i, j].items():
@@ -225,9 +237,9 @@ class DiffOp:
         if self.form == "monomial":
             return self
         self._require_single_terms("monomial")
-        basis = _Basis(self)
+        basis = self._basis()
         return DiffOp("monomial", {(i, j): basis.divide(i, j, b) for (i, j), b
-                                   in self.to_raw(basis).coeffs.items()},
+                                   in self.to_raw().coeffs.items()},
                       self.phi, self.psi)
 
     def to_lie(self):
@@ -235,8 +247,8 @@ class DiffOp:
         if self.form == "lie":
             return self
         self._require_single_terms("lie")
-        basis = _Basis(self)
-        remaining = dict(self.to_raw(basis).coeffs)
+        basis = self._basis()
+        remaining = dict(self.to_raw().coeffs)
         lie = {}
         while remaining:
             (i, j) = max(remaining, key=lambda k: (k[0] + k[1], k[0]))
@@ -328,19 +340,20 @@ def _raw_add(raw, i, j, c):
 
 
 class _Basis(dict):
-    """Raw terms {(k, l): b} of the basis operators, for one conversion.
+    """Raw terms {(k, l): b} of the basis operators, for one weight pair.
 
     Keys ("monomial", i, j): phi^i psi^j dt^i dtheta^j.  ("lie", i, j):
     X^i Y^j = X o X^{i-1} Y^j, down to Y^j = psi^j dtheta^j, by X o b dt^k
     dtheta^l = phi b' dt^k dtheta^l + phi b dt^{k+1} dtheta^l.  ("phi", i)
     and ("psi", j): the powers, phi^i = phi^{i-1} phi as ``**`` forms them.
-    Each entry is formed once, from the one below it.
+    Each entry is formed once, from the one below it, and never mutated, so
+    it is the same in whatever order the entries are asked for.
     """
 
-    def __init__(self, op):
-        one = RadialFunction.const(1, domain=op.domain)
-        super().__init__({("phi", 0): one, ("phi", 1): op.phi.profile,
-                          ("psi", 0): one, ("psi", 1): op.psi.profile})
+    def __init__(self, phi, psi):
+        one = RadialFunction.const(1, domain=phi.domain)
+        super().__init__({("phi", 0): one, ("phi", 1): phi.profile,
+                          ("psi", 0): one, ("psi", 1): psi.profile})
 
     def __missing__(self, key):
         if len(key) == 2:
@@ -363,15 +376,6 @@ class _Basis(dict):
         return CylinderFunction({m: f.divide_term(den)
                                  for m, f in b.modes.items()},
                                 domain=b.domain)
-
-
-def check_weight_admissible(phi):
-    """phi' must lie in C_phi^(infinity); raise otherwise."""
-    res = membership_order(phi.profile.derivative(), phi, math.inf)
-    if not res.is_member:
-        raise PreconditionError(
-            "phi' does not lie in the infinite-order class of phi; "
-            "normal forms would leave the ring")
 
 
 def _leibniz(A, B, top):
@@ -679,7 +683,7 @@ class ParametrixExpansion:
 def symbol_sharp(sigma, q, phi):
     """Asymptotic composition sigma # q = sum_alpha (1/alpha!) d_xi^alpha sigma
     * D_s^alpha q.  Finite because sigma is polynomial in xi: alpha runs up
-    to its degree."""
+    to its degree.  A factor 1/alpha! of 1 multiplies nothing."""
     out = None
     dsig = sigma
     dq = q
@@ -689,7 +693,7 @@ def symbol_sharp(sigma, q, phi):
             dsig = dsig.d_xi()
             dq = dq.D_s(phi)
             fact *= alpha
-        term = dsig * dq * (1.0 / fact)
+        term = dsig * dq if fact == 1 else dsig * dq * (1.0 / fact)
         out = term if out is None else out + term
     return out
 
@@ -700,11 +704,9 @@ def parametrix_1d(A, N):
     Works in the flow coordinate where X = d/ds.  Returns a
     ParametrixExpansion with ord(q_k) = -m - k and the exact remainder
     symbols E_k = 1 - sigma_A # (q_0 + ... + q_{k-1}), each step
-    q_k = q_0 E_k.  An operator in another form needs an admissible phi
-    (``check_weight_admissible``) before it is rewritten in lie form.
+    q_k = q_0 E_k.  An operator in another form is read through its lie
+    form, so every form of one operator has one parametrix.
     """
-    if A.form != "lie":
-        check_weight_admissible(A.phi)
     sigma = radial_symbol(A)
     m = len(sigma.num) - 1
     lead = sigma.num[-1] if sigma.num else None

@@ -31,9 +31,14 @@ _B_LEADING = {(domain, end): b_weight(domain).leading(end)[0]
 
 
 class Weight:
-    """A positive ring function, stored as one term if it equals one."""
+    """A positive ring function, stored as one term if it equals one.
 
-    __slots__ = ("profile",)
+    ``_bases`` holds the operator basis tables of the weight pairs with this
+    weight as phi, keyed by psi's exact value (``diffop._Basis``); they are
+    freed with the weight.
+    """
+
+    __slots__ = ("profile", "_bases")
 
     def __init__(self, profile):
         if not isinstance(profile, RadialFunction):
@@ -43,6 +48,7 @@ class Weight:
             raise InvalidWeightError("zero profile")
         _check_positive(profile)
         object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "_bases", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")

@@ -1,5 +1,6 @@
 """Operator algebra: normal forms, composition, symbols, parametrices."""
 
+import gc
 import random
 from fractions import Fraction
 from math import comb
@@ -9,10 +10,9 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
 from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
-                            VectorField, check_weight_admissible,
-                            lie_rinehart_check, op_commutator, op_compose,
-                            parametrix_1d, radial_symbol,
-                            random_lie_rinehart_samples)
+                            VectorField, _Basis, lie_rinehart_check,
+                            op_commutator, op_compose, parametrix_1d,
+                            radial_symbol, random_lie_rinehart_samples)
 from degcalc.errors import DomainMismatchError, PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import SchrodingerProblem, rewrite
@@ -213,10 +213,98 @@ class TestNormalForm:
             with pytest.raises(PreconditionError):
                 op.to_lie()
 
-    def test_inadmissible_weight_rejected(self):
-        # phi = t^{1/2}: phi' = t^{-1/2}/2 is unbounded at 0
-        with pytest.raises(PreconditionError):
-            check_weight_admissible(Weight.from_term(1, F(1, 2)))
+
+def entry_texts(basis):
+    """Every entry of a basis table as text, to catch a mutated entry."""
+    return {key: val.to_text() if isinstance(val, RadialFunction)
+            else sorted((k, b.to_text()) for k, b in val.items())
+            for key, val in basis.items()}
+
+
+class TestBasisTable:
+    """The basis table of a weight pair is shared by every conversion over
+    it, kept on phi and keyed by psi's value."""
+
+    def test_shared_table_equals_fresh_table(self):
+        def ops():
+            phi = Weight.from_term(F(3, 2), 2, -1)
+            psi = Weight.from_term(1, F(1, 2))
+            return (DiffOp("monomial", {(3, 0): 1, (1, 1): 2}, phi, psi),
+                    DiffOp("lie", {(7, 0): 1, (2, 2): F(1, 3)}, phi, psi))
+
+        convert = [(0, "to_lie"), (1, "to_raw"), (1, "to_monomial"),
+                   (1, "to_lie")]
+        forward, backward = ops(), ops()
+        results = {
+            "X^3 first": [getattr(forward[k], name)() for k, name in convert],
+            "X^7 first": [getattr(backward[k], name)()
+                          for k, name in convert[::-1]][::-1],
+            "fresh": [getattr(ops()[k], name)() for k, name in convert]}
+        assert len(forward[0].phi._bases) == 1
+        want = results.pop("fresh")
+        for got in results.values():
+            for a, b in zip(got, want):
+                assert a.form == b.form and a.to_text() == b.to_text()
+                assert a.coeffs == b.coeffs
+
+    def test_entries_are_never_mutated(self):
+        phi, psi = Weight.from_term(2, 1), Weight.from_term(1, F(1, 2))
+        A = DiffOp("lie", {(3, 1): RadialFunction.term(F(1, 2), 1, -1),
+                           (0, 2): 3}, phi, psi)
+        raw = A.to_raw()
+        (basis,) = phi._bases.values()
+        before = entry_texts(basis)
+        assert ("lie", 3, 1) in before
+        mono, lie = A.to_monomial(), (raw * 2).to_lie()
+        bracket = op_commutator(raw, lie)
+        assert raw + mono == A * 2 and raw - lie == A * -1
+        assert op_compose(A, mono).to_lie() == op_compose(raw, A)
+        assert bracket.to_lie() == bracket.to_monomial() == bracket
+        assert A.apply(CylinderFunction.harmonic(1)) == \
+            mono.apply(CylinderFunction.harmonic(1))
+        after = entry_texts(basis)
+        assert {key: after[key] for key in before} == before
+
+    def test_each_entry_is_formed_once(self, monkeypatch):
+        formed = []
+        missing = _Basis.__missing__
+
+        def counted(self, key):
+            formed.append(key)
+            return missing(self, key)
+
+        monkeypatch.setattr(_Basis, "__missing__", counted)
+        phi, psi = Weight.from_term(1, F(3, 2)), Weight.from_term(1, 1)
+        DiffOp("lie", {(10, 0): 1}, phi, psi).to_raw().to_monomial().to_lie()
+        assert len(formed) == len(set(formed))
+        assert {("lie", i, 0) for i in range(11)} <= set(formed)
+        formed.clear()
+        DiffOp("lie", {(10, 0): 1}, phi, Weight.from_term(1, 1)).to_raw() \
+            .to_monomial().to_lie()
+        assert formed == []
+
+    def test_default_psi_keeps_one_table(self):
+        phi = Weight.from_term(1, 1)
+        for n in range(1, 6):
+            op = DiffOp("lie", {(n, 0): 1}, phi)
+            assert op.psi is not DiffOp.X(phi).psi
+            op.to_raw().to_lie()
+        assert len(phi._bases) == 1
+        DiffOp.X(phi, Weight.from_term(1, F(1, 2))).to_raw()
+        assert len(phi._bases) == 2
+
+    def test_tables_are_freed_with_their_weights(self):
+        def tables():
+            gc.collect()
+            return sum(type(o) is _Basis for o in gc.get_objects())
+
+        before = tables()
+        phi, psi = Weight.from_term(1, 2, -1), Weight.from_term(1, 1)
+        ops = [DiffOp("lie", {(n, 1): 1}, phi, psi).to_monomial()
+               for n in range(4)]
+        assert tables() == before + 1
+        del phi, psi, ops
+        assert tables() == before
 
 
 class TestComposition:
@@ -561,14 +649,20 @@ class TestParametrix:
         with pytest.raises(PreconditionError, match="not elliptic"):
             parametrix_1d(A, 1)
 
-    def test_inadmissible_weight_rejected_off_lie_form(self):
-        # phi = t^{1/2} fails the admissibility guard, which runs only when
-        # the operator is not already in lie form
+    def test_every_form_has_one_parametrix(self):
+        # phi = t^{1/2} has phi' unbounded at 0, yet X^2 - 1 converts from
+        # raw form back to lie form exactly, so its parametrix is the same
         w = Weight.from_term(1, F(1, 2))
         A = DiffOp("lie", {(2, 0): 1, (0, 0): -1}, w, Weight.from_term(1, 1))
-        assert parametrix_1d(A, 1).terms
-        with pytest.raises(PreconditionError, match="infinite-order class"):
-            parametrix_1d(A.to_raw(), 1)
+        assert A.to_raw().to_lie() == A
+
+        def texts(px):
+            return [([c.to_text() for c in s.num], s.power)
+                    for s in px.terms + px.remainders]
+
+        for N in (1, 3):
+            assert texts(parametrix_1d(A.to_raw(), N)) == \
+                texts(parametrix_1d(A, N))
 
     def test_radial_symbol_rejects_angular_ops(self):
         w = Weight.from_term(1, 1)

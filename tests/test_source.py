@@ -4,7 +4,9 @@ unreferenced, so deleting code cannot leave its imports or helpers behind.
 Every exported name, and every public method or property of an exported
 class, has a reader besides the unit tests, so the public API is what the
 commands, demos and benchmark use.  Only ``cli.py`` touches the
-file system, so every output file is written in one place."""
+file system, so every output file is written in one place.  No function
+changes module state, so every cache lives on the object it serves and dies
+with it."""
 
 import ast
 from collections import Counter
@@ -168,3 +170,77 @@ def test_only_the_cli_writes_files(name):
     assert not file_modules, f"{name} imports {file_modules}"
     assert "open" not in {node.id for node in ast.walk(tree)
                           if isinstance(node, ast.Name)}, f"{name} reads open"
+
+
+#: method calls that change a list, dict or set in place
+MUTATING_METHODS = {"append", "extend", "insert", "add", "discard", "remove",
+                    "update", "setdefault", "pop", "popitem", "clear"}
+
+
+def module_names(tree):
+    """The names that the statements at the top of a module bind."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name
+        else:
+            yield from (node.id for node in ast.walk(top)
+                        if isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Store))
+    yield from imported_names(tree)
+
+
+def local_names(function):
+    """The names that ``function`` binds itself: its arguments and stores."""
+    args = function.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs + [
+            args.vararg, args.kwarg]:
+        if arg is not None:
+            yield arg.arg
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def module_state_changes(tree):
+    """(function, line, what) for each ``global`` statement in a function,
+    and each subscript store or delete, or mutating method call, on a
+    module-level name that the function does not bind itself."""
+    shared = set(module_names(tree))
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(function, "name", "<lambda>")
+        outer = shared - set(local_names(function))
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                yield name, node.lineno, f"global {', '.join(node.names)}"
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, (ast.Store, ast.Del))
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in outer):
+                yield name, node.lineno, f"stores into {node.value.id}[...]"
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATING_METHODS
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in outer):
+                yield name, node.lineno, \
+                    f"calls {node.func.value.id}.{node.func.attr}"
+
+
+def test_the_guard_sees_module_state_changes():
+    tree = ast.parse("CACHE = {}\nSEEN = []\nN = 0\n"
+                     "def f(k, v):\n    CACHE[k] = v\n    del CACHE[k]\n"
+                     "    SEEN.append(k)\n    global N\n"
+                     "def g(CACHE):\n    CACHE[1] = 2\n    local = {}\n"
+                     "    local[1] = SEEN[0]\n")
+    assert sorted(module_state_changes(tree)) == [
+        ("f", 5, "stores into CACHE[...]"), ("f", 6, "stores into CACHE[...]"),
+        ("f", 7, "calls SEEN.append"), ("f", 8, "global N")]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_function_changes_module_state(name):
+    changes = list(module_state_changes(ast.parse(
+        (PACKAGE / name).read_text())))
+    assert not changes, f"{name} changes module state: {changes}"
