@@ -3,8 +3,8 @@ power-law degeneracies at 0 and infinity."""
 
 from .errors import (ChartDomainError, CompositionError, ConfigError,
                      ConvergenceError, DegcalcError, DomainMismatchError,
-                     EndpointEvalError, ExponentError, InvalidWeightError,
-                     InversionError, PreconditionError, PropertyViolationError)
+                     EndpointEvalError, ExponentError, PreconditionError,
+                     PropertyViolationError)
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 from .weights import (MembershipResult, StructureFunction, Weight, apply_X,
                       membership_order, structure_function)

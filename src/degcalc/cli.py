@@ -20,7 +20,7 @@ from functools import partial
 from .diffop import (DiffOp, lie_rinehart_check, op_commutator, op_compose,
                      random_lie_rinehart_samples)
 from .errors import (ConfigError, ConvergenceError, DegcalcError,
-                     InvalidWeightError, InversionError, PreconditionError)
+                     PreconditionError)
 from .flows import Flow, completeness_check, flow_scaling_limit
 from .groupoid import GPhiElement, gphi_compose, zeta_cocycle
 from .powerfun import UNIT_INTERVAL, RadialFunction
@@ -43,10 +43,13 @@ def _word(text, key):
 
 
 def _parsed(parse, what, text, key):
-    """``parse(text)``, or a ConfigError naming the key."""
+    """``parse(text)``, or a ConfigError naming the key; a value past the
+    float range is malformed too, since the numeric layers read floats."""
     try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError):
+        v = parse(text)
+        float(v)
+        return v
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"key {key!r}: expected {what}, got {text!r}")
 
 
@@ -380,9 +383,7 @@ _DISPATCH = {
 _EXITS = {
     ConfigError: (EXIT_CONFIG, "config error"),
     ConvergenceError: (EXIT_CONVERGENCE, "convergence failure"),
-    InversionError: (EXIT_CONVERGENCE, "convergence failure"),
     PreconditionError: (EXIT_PRECONDITION, "precondition violated"),
-    InvalidWeightError: (EXIT_PRECONDITION, "precondition violated"),
     DegcalcError: (EXIT_PRECONDITION, "error"),
 }
 

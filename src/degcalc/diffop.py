@@ -290,12 +290,7 @@ class DiffOp:
         raw = self.to_raw()
         out = CylinderFunction.zero(self.domain)
         for (i, j), b in raw.coeffs.items():
-            g = f
-            for _ in range(j):
-                g = g.d_theta()
-            for _ in range(i):
-                g = g.d_t()
-            out = out + b * g
+            out = out + b * _partial(f, i, j)
         return out
 
     def __eq__(self, other):
@@ -378,6 +373,15 @@ class _Basis(dict):
                                 domain=b.domain)
 
 
+def _partial(f, i, j):
+    """dt^i dtheta^j f of a cylinder function, the dtheta steps first."""
+    for _ in range(j):
+        f = f.d_theta()
+    for _ in range(i):
+        f = f.d_t()
+    return f
+
+
 def _leibniz(A, B, top):
     """A o B from the raw forms; without the terms m = l = 0 unless ``top``.
 
@@ -394,11 +398,7 @@ def _leibniz(A, B, top):
         for (i2, j2), b2 in b.items():
             for m in range(i1 + 1):
                 for l in range(0 if top or m else 1, j1 + 1):
-                    g = b2
-                    for _ in range(l):
-                        g = g.d_theta()
-                    for _ in range(m):
-                        g = g.d_t()
+                    g = _partial(b2, m, l)
                     w = comb(i1, m) * comb(j1, l)
                     _raw_add(raw, i1 - m + i2, j1 - l + j2,
                              b1 * g if w == 1 else b1 * g * w)
@@ -513,14 +513,6 @@ def lie_rinehart_check(phi, psi, samples):
 # -- symbols ---------------------------------------------------------------
 
 
-def _as_radial(c, domain):
-    if isinstance(c, RadialFunction):
-        if c.domain != domain:
-            raise DomainMismatchError("mixed base domains")
-        return c
-    return RadialFunction.const(c, domain=domain)
-
-
 def _trim_poly(poly):
     while poly and poly[-1].is_zero:
         poly.pop()
@@ -578,13 +570,12 @@ def radial_symbol(A):
     lie = A.to_lie()
     if not lie.is_radial:
         raise PreconditionError("radial symbol needs a radial operator")
-    dom = A.domain
     mmax = max((i for (i, _) in lie.coeffs), default=0)
-    poly = [RadialFunction.zero(domain=dom)] * (mmax + 1)
+    poly = [RadialFunction.zero(domain=A.domain)] * (mmax + 1)
     for (i, _), c in lie.coeffs.items():
         poly[i] = c.radial_part() * (1j ** i)
     poly = _trim_poly(poly)
-    return PoweredSymbol(poly, poly, 0, domain=dom)
+    return PoweredSymbol(poly, poly, 0)
 
 
 class PoweredSymbol:
@@ -594,16 +585,15 @@ class PoweredSymbol:
     of the full symbol, so pinning the base keeps every operation polynomial
     instead of compounding unreduced quotients.  A polynomial symbol (power
     0) stays at power 0 under d_xi and D_s, so for an operator of order m
-    the remainder E_N has power (m + 1) N.
+    the remainder E_N has power (m + 1) N.  ``num`` is copied and trimmed.
     """
 
-    __slots__ = ("num", "base", "power", "domain")
+    __slots__ = ("num", "base", "power")
 
-    def __init__(self, num, base, power, domain=HALF_LINE):
-        self.num = _trim_poly([_as_radial(c, domain) for c in num])
-        self.base = [_as_radial(c, domain) for c in base]
+    def __init__(self, num, base, power):
+        self.num = _trim_poly(list(num))
+        self.base = base
         self.power = int(power)
-        self.domain = domain
 
     @property
     def is_zero(self):
@@ -627,29 +617,29 @@ class PoweredSymbol:
 
     def __add__(self, other):
         a, b, r = self._align(other)
-        return PoweredSymbol(_poly_add(a, b), self.base, r, self.domain)
+        return PoweredSymbol(_poly_add(a, b), self.base, r)
 
     def __sub__(self, other):
         a, b, r = self._align(other)
-        return PoweredSymbol(_poly_sub(a, b), self.base, r, self.domain)
+        return PoweredSymbol(_poly_sub(a, b), self.base, r)
 
     def __mul__(self, other):
         if isinstance(other, PoweredSymbol):
             return PoweredSymbol(_poly_mul(self.num, other.num), self.base,
-                                 self.power + other.power, self.domain)
+                                 self.power + other.power)
         return PoweredSymbol([c * other for c in self.num], self.base,
-                             self.power, self.domain)
+                             self.power)
 
     __rmul__ = __mul__
 
     def _derive(self, d):
         """The quotient rule for a derivation ``d`` of coefficient lists."""
         if self.power == 0:
-            return PoweredSymbol(d(self.num), self.base, 0, self.domain)
+            return PoweredSymbol(d(self.num), self.base, 0)
         num = _poly_sub(_poly_mul(d(self.num), self.base),
                         _poly_mul(self.num,
                                   [c * self.power for c in d(self.base)]))
-        return PoweredSymbol(num, self.base, self.power + 1, self.domain)
+        return PoweredSymbol(num, self.base, self.power + 1)
 
     def d_xi(self):
         return self._derive(_poly_dxi)
@@ -712,13 +702,12 @@ def parametrix_1d(A, N):
     lead = sigma.num[-1] if sigma.num else None
     if lead is None or not _nonvanishing_on_closure(lead):
         raise PreconditionError("operator is not elliptic on its radial sector")
-    dom = A.domain
     if not _no_real_roots(sigma.num):
         raise PreconditionError(
             "full symbol vanishes for real xi; shift the operator off its "
             "spectrum before building a parametrix")
-    q0, one = (PoweredSymbol([RadialFunction.const(1, domain=dom)],
-                             sigma.num, power, domain=dom) for power in (1, 0))
+    q0, one = (PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
+                             sigma.num, power) for power in (1, 0))
     terms, remainders = [], [one]
     for _ in range(N):
         terms.append(q0 * remainders[-1])

@@ -17,13 +17,10 @@ class EndpointEvalError(DegcalcError):
     """Pointwise evaluation requested at a domain endpoint; use the limit instead."""
 
 
-class InvalidWeightError(DegcalcError):
-    """A candidate weight fails positivity or a required membership condition."""
-
-
 class PreconditionError(DegcalcError):
-    """A mathematical precondition is violated (non-complete weight, non-elliptic
-    operator, unbounded reduced potential, ...)."""
+    """A mathematical precondition is violated (a weight that is not positive
+    or not real, non-complete weight, non-elliptic operator, unbounded
+    reduced potential, ...)."""
 
 
 class CompositionError(DegcalcError):
@@ -38,12 +35,9 @@ class ChartDomainError(DegcalcError):
     """Input outside the window of a deformation chart."""
 
 
-class InversionError(DegcalcError):
-    """Numeric inversion of a monotone map failed to bracket; carries diagnostics."""
-
-
 class ConvergenceError(DegcalcError):
-    """An iterative solver failed to converge."""
+    """An iterative solver failed to converge, or a numeric inversion of a
+    flow's monotone map found no point to return."""
 
 
 class PropertyViolationError(DegcalcError):

@@ -24,7 +24,8 @@ from numpy.polynomial.chebyshev import chebdiv, chebint
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import InversionError, PreconditionError, PropertyViolationError
+from .errors import (ConvergenceError, PreconditionError,
+                     PropertyViolationError)
 from .powerfun import (HALF_LINE, as_exponent, b_weight, from_u, shift_u,
                        to_u)
 from .weights import scaling_rate
@@ -237,7 +238,7 @@ class Flow:
         hi = min(bisect.bisect_right(Fs, y), len(Fs) - 1)
         lo = hi - 1
         if not math.isfinite(Fs[lo] - Fs[hi]):
-            raise InversionError(
+            raise ConvergenceError(
                 f"F = {y} lies in a segment where 1/g overflows")
         inner, outer = (lo, hi) if us[lo] >= 0.0 else (hi, lo)
         mean = self._table_mean[outer]
@@ -304,7 +305,7 @@ class Flow:
         if sigma is None:
             y = self.F(x)
             if not math.isfinite(y):
-                raise InversionError(
+                raise ConvergenceError(
                     f"F({x}) = {y} lies past the float range")
             sigma = from_u(self.weight.domain, self._u_of_F(y + s))
             if len(self._sigma) >= SIGMA_MEMO:
@@ -340,7 +341,7 @@ def flow_scaling_limit(flow, psi, s):
             if abs(numeric - closed) <= tol:
                 return closed
     if numeric is None:
-        raise InversionError("numeric scaling limit could not be sampled")
+        raise ConvergenceError("numeric scaling limit could not be sampled")
     raise PropertyViolationError(
         f"scaling limit mismatch: closed form {closed}, numeric {numeric}")
 

@@ -34,8 +34,6 @@ def _angles_match(a, b):
 
 def rho_zero(x):
     """Boundary defining function of the 0 face: min(t, 1)."""
-    if x == math.inf:
-        return 1.0
     return min(float(x), 1.0)
 
 
@@ -43,8 +41,6 @@ def rho_infinity(x):
     """Boundary defining function of the infinity face: min(1, 1/t)."""
     if x == 0:
         return 1.0
-    if x == math.inf:
-        return 0.0
     return min(1.0, 1.0 / float(x))
 
 
@@ -74,9 +70,7 @@ def gphi_compose(g, h, flow):
 
 
 def _point_distance(p, q):
-    if p == math.inf or q == math.inf:
-        return 0.0 if p == q else math.inf
-    return abs(float(p) - float(q))
+    return 0.0 if p == q else abs(float(p) - float(q))
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,12 @@ IDENTITY_GAMMA_PRIMES = (Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)
 class SchrodingerProblem:
     """Radial problem -Delta + V on R^n restricted to an angular sector.
 
-    ``V`` is the full ring potential in the radius t, stored as its one term
-    when it equals one as a function.  Its exponent at 0 must be -2*gamma and
-    its growth at infinity 2*gamma_prime (checked), unless it is zero as a
-    function: that is the free case.  ``l`` is the angular momentum sector.
+    ``gamma`` and ``gamma_prime`` are stored as the exact Fractions of
+    ``as_exponent``.  ``V`` is the full ring potential in the radius t,
+    stored as its one term when it equals one as a function.  Its exponent
+    at 0 must be -2*gamma and its growth at infinity 2*gamma_prime
+    (checked), unless it is zero as a function: that is the free case.
+    ``l`` is the angular momentum sector.
     """
 
     n: int
@@ -74,6 +76,8 @@ class SchrodingerProblem:
         except (ValueError, TypeError) as exc:
             raise PreconditionError(
                 f"gamma and gamma_prime must be exponents: {exc}") from exc
+        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma_prime", gp)
         object.__setattr__(self, "V", self.V.one_term())
         if self.V.is_zero:  # the free case
             return
@@ -89,11 +93,11 @@ class SchrodingerProblem:
 
     @property
     def gamma_tilde(self):
-        return max(as_exponent(self.gamma), Fraction(1))
+        return max(self.gamma, Fraction(1))
 
     @property
     def gamma_prime_tilde(self):
-        return max(as_exponent(self.gamma_prime), Fraction(0))
+        return max(self.gamma_prime, Fraction(0))
 
     @property
     def angular_eigenvalue(self):
@@ -121,10 +125,6 @@ class RewriteResult:
     branch_infinity: str
 
 
-def _label(a, b):
-    return f"c_{{{as_exponent(a)},{as_exponent(b)}}}"
-
-
 def rewrite(prob):
     """Exact symbolic rewrites of the prefactored operator near both faces.
 
@@ -144,8 +144,8 @@ def rewrite(prob):
     c0 = (RadialFunction.term(Lam, 2 * g - 2)
           + RadialFunction.term(1, 2 * g) * prob.V)
     op0 = DiffOp("lie", {(2, 0): -1, (1, 0): c1, (0, 0): c0}, phi0)
-    branch0 = "schr3" if as_exponent(prob.gamma) <= 1 else "schr4"
-    label0 = _label(g, g - 1)
+    branch0 = "schr3" if prob.gamma <= 1 else "schr4"
+    label0 = f"c_{{{g},{g - 1}}}"
 
     # near infinity, in r = 1/t on the unit-interval ring: V(1/r) is a sum
     # of r^p (1+r)^q.  (1+r)^q with q natural expands into pure powers; the
@@ -167,8 +167,8 @@ def rewrite(prob):
     c0i = (RadialFunction.term(Lam, 2 * gp + 2, 0, domain=UNIT_INTERVAL)
            + RadialFunction.term(1, 2 * gp, 0, domain=UNIT_INTERVAL) * Vr)
     opi = DiffOp("lie", {(2, 0): -1, (1, 0): c1i, (0, 0): c0i}, phi_inf)
-    branchi = "schr5" if as_exponent(prob.gamma_prime) <= 0 else "schr6"
-    labeli = _label(2 + gp, 1 + gp)
+    branchi = "schr5" if prob.gamma_prime <= 0 else "schr6"
+    labeli = f"c_{{{2 + gp},{1 + gp}}}"
     return RewriteResult(op0, opi, label0, labeli, branch0, branchi)
 
 
@@ -223,21 +223,18 @@ def membership_in_diff_s(prob, corrupt=None):
     """Coefficient-by-coefficient verification that the prefactored operator
     lies in the weighted operator algebra.
 
-    The operator rho_0^{2g~} rho_inf^{2g'~} (-Delta + V) is brought to
-    monomial normal form over the cylinder and each coefficient is run
-    through the infinite-order membership test against phi.  ``corrupt``
-    optionally injects t^{-1/2} into the named (i, j) coefficient as a
-    negative control.
+    The operator phi^2 (-Delta + V) = rho_0^{2g~} rho_inf^{2g'~} (-Delta + V),
+    whose angular part is -psi^2 d_theta^2, is brought to monomial normal
+    form over the cylinder and each coefficient is run through the
+    infinite-order membership test against phi.  ``corrupt`` optionally
+    injects t^{-1/2} into the named (i, j) coefficient as a negative control.
     """
     phi, psi = membership_weights(prob)
-    g = prob.gamma_tilde
-    gp = prob.gamma_prime_tilde
-    n = prob.n
-    pref = RadialFunction.term(1, 2 * g, -2 * g - 2 * gp)
+    pref = phi.profile ** 2
     raw = {
         (2, 0): -1 * pref,
-        (1, 0): pref * RadialFunction.term(-(n - 1), -1),
-        (0, 2): -1 * pref * RadialFunction.term(1, -2),
+        (1, 0): pref * RadialFunction.term(-(prob.n - 1), -1),
+        (0, 2): -1 * psi.profile ** 2,
         (0, 0): pref * prob.V,
     }
     if corrupt is not None:

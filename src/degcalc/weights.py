@@ -10,12 +10,12 @@ end (the decay exponent at infinity for the half-line, the vanishing order at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidWeightError, PreconditionError
+from .errors import PreconditionError
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction, b_weight
 
 #: iteration cap for the undecidable branch of the infinite-order membership test
@@ -45,7 +45,7 @@ class Weight:
             raise TypeError("profile must be a RadialFunction")
         profile = profile.one_term()
         if profile.is_zero:
-            raise InvalidWeightError("zero profile")
+            raise PreconditionError("zero profile")
         _check_positive(profile)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "_bases", {})
@@ -157,17 +157,12 @@ class StructureFunction:
     """C = phi * psi' / psi with its endpoint values.
 
     ``ring`` is the exact ring representation when psi is a single term,
-    otherwise None; calling C evaluates ``ring``, or else the numeric
-    quotient.
+    otherwise None.
     """
 
     ring: RadialFunction | None
     value_at_zero: object
     value_at_far: object
-    _eval: object = field(repr=False, compare=False)
-
-    def __call__(self, t):
-        return self._eval(t)
 
 
 def structure_function(psi, phi):
@@ -180,14 +175,12 @@ def structure_function(psi, phi):
     convention.
     """
     if psi.domain != phi.domain:
-        raise InvalidWeightError("weights live on different domains")
+        raise PreconditionError("weights live on different domains")
     prof = psi.profile
     flux = apply_X(phi, prof)
-    values = [_quotient_limit(flux, prof, end) for end in ("zero", "far")]
-    if prof.is_single_term:
-        ring = flux.divide_term(prof)
-        return StructureFunction(ring, *values, ring)
-    return StructureFunction(None, *values, lambda t: flux(t) / prof(t))
+    ring = flux.divide_term(prof) if prof.is_single_term else None
+    return StructureFunction(ring, *(_quotient_limit(flux, prof, end)
+                                     for end in ("zero", "far")))
 
 
 def scaling_rate(psi, phi, end):
@@ -213,14 +206,14 @@ def _quotient_limit(num, den, end):
 def _check_positive(profile):
     coeffs = list(profile.terms.values())
     if any(isinstance(c, complex) for c in coeffs):
-        raise InvalidWeightError("weights must be real")
+        raise PreconditionError("weights must be real")
     if all(c > 0 for c in coeffs):
         return
     # dense sampling over the interior, uniform in u, plus endpoint dominance
     u = np.linspace(-18.0, 18.0, POSITIVITY_SAMPLES)
     if np.any(profile.at_u(u) <= 0):
-        raise InvalidWeightError("weight profile is not positive on the interior")
+        raise PreconditionError("weight profile is not positive on the interior")
     for end in ("zero", "far"):
-        v = profile.limit(end)
-        if isinstance(v, complex) or v < 0:
-            raise InvalidWeightError(f"weight profile negative at {end} endpoint")
+        if profile.limit(end) < 0:
+            raise PreconditionError(
+                f"weight profile negative at {end} endpoint")

@@ -22,11 +22,27 @@ F = Fraction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-#: (section, key) of every key read as a float or a ';'-list of floats
-FLOAT_KEYS = [(section, key) for section, keys in _KEYS.items()
-              for key, (_, default) in keys.items()
-              if all(isinstance(x, float) for x in
-                     (default if isinstance(default, tuple) else [default]))]
+
+def keys_read_as(kind):
+    """(section, key) of every key read as a ``kind`` or a ';'-list of them,
+    told by its default."""
+    return [(section, key) for section, keys in _KEYS.items()
+            for key, (_, default) in keys.items()
+            if all(type(x) is kind for x in
+                   (default if isinstance(default, tuple) else [default]))]
+
+
+FLOAT_KEYS = keys_read_as(float)
+
+#: (section, key, line) of every number a config reads, {} marking it: the
+#: float keys, the exponents, and each field of the two term lists
+NUMBER_FIELDS = ([(s, k, k + " = {}") for s, k in FLOAT_KEYS]
+                 + [("problem", k, k + " = {}")
+                    for k in ("gamma", "gamma_prime")]
+                 + [(s, k, k + " = " + ",".join("{}" if j == i else "1"
+                                                for j in range(3)))
+                    for s, k in (("problem", "potential"), ("flow", "weight"))
+                    for i in range(3)])
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -386,16 +402,36 @@ class TestMain:
         assert code == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
-    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    # 1e400 is an exact Fraction, but the flows and solvers read floats
+    @pytest.mark.parametrize("value",
+                             ["nan", "inf", "-inf", "1e400", "-1e400"])
+    @pytest.mark.parametrize("section, key, line", NUMBER_FIELDS,
+                             ids=[line for _, _, line in NUMBER_FIELDS])
     def test_non_finite_float_exit_code(self, tmp_path, capsys, section, key,
-                                        value):
+                                        line, value):
         cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n"
-                                     f"[{section}]\n{key} = {value}\n")
+                                     f"[{section}]\n{line.format(value)}\n")
         assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: key {key!r}: expected a finite number, "
             f"got {value!r}\n")
+
+    @pytest.mark.parametrize("section, key", keys_read_as(int))
+    def test_integer_past_the_float_range_exit_code(self, tmp_path, capsys,
+                                                    section, key):
+        value = "1" + "0" * 400
+        cfg = write_config(tmp_path, "[run]\ncommand = spectrum\n"
+                                     f"[{section}]\n{key} = {value}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: key {key!r}: expected an integer, "
+            f"got {value!r}\n")
+
+    def test_exit_rows_are_distinct(self):
+        # a second class on an existing (code, prefix) row is a second name
+        # for one outcome
+        rows = list(cli._EXITS.values())
+        assert len(set(rows)) == len(rows)
 
     @pytest.mark.parametrize("section, line, message", [
         ("grid", "points = 5", "key 'points': must be >= 10, got 5"),

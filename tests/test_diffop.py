@@ -621,7 +621,7 @@ class TestParametrix:
             # sigma = xi^2 + 3i r^2 xi + 1, so d_xi sigma = 2 xi + 3i r^2
             assert dxi.evaluate(0.25, xi) == pytest.approx(2 * xi + 0.1875j)
         q0 = PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
-                           sigma.num, 1, domain=A.domain)
+                           sigma.num, 1)
         assert q0.d_xi().power == q0.D_s(A.phi).power == 2
 
     @pytest.mark.parametrize("name", sorted(FAR_FIELD))

@@ -11,7 +11,7 @@ from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 
 from degcalc import flows
-from degcalc.errors import (InversionError, PreconditionError,
+from degcalc.errors import (ConvergenceError, PreconditionError,
                             PropertyViolationError)
 from degcalc.flows import (GROW_CHUNK, SIGMA_MEMO, Flow, completeness_check,
                            flow_scaling_limit, power_flow_exponents)
@@ -279,14 +279,14 @@ class TestTableOfF:
         assert Flow(w).apply(1.0, 1e-15) == pytest.approx(1e-15, rel=1e-13,
                                                           abs=0)
         for x in (1e-17, 1e-20):
-            with pytest.raises(InversionError):
+            with pytest.raises(ConvergenceError):
                 Flow(w).apply(1.0, x)
 
     def test_inverse_where_the_integrand_overflows(self):
         # F = -1.7e308 is reached near u = -37.5, where 1/g ~ 19|F| is
         # past the float range
         fl = Flow(Weight(RadialFunction.term(1, 20, -19)))
-        with pytest.raises(InversionError):
+        with pytest.raises(ConvergenceError):
             fl.apply(-1.7e308, 1.0)
 
 
@@ -443,7 +443,7 @@ class TestSigmaMemo:
     def test_failure_is_not_remembered(self):
         fl = Flow(Weight(RadialFunction.term(1, 20, -19)))
         for _ in range(2):
-            with pytest.raises(InversionError):
+            with pytest.raises(ConvergenceError):
                 fl.apply(-1e306, 1.0)
         assert fl._sigma == {}
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degcalc.diffop import DiffOp
-from degcalc.errors import InvalidWeightError, PreconditionError
+from degcalc.errors import PreconditionError
 from degcalc.flows import Flow, completeness_check
 from degcalc.powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import SchrodingerProblem
@@ -195,7 +195,7 @@ def test_zero_profile_rejected_however_written():
         for prof in (RadialFunction.zero(domain), relation(1, 0, 0, domain),
                      relation(2, F(1, 3), F(-2, 7), domain)
                      + relation(-1, 1, 0, domain)):
-            with pytest.raises(InvalidWeightError, match="zero profile"):
+            with pytest.raises(PreconditionError, match="zero profile"):
                 Weight(prof)
 
 

@@ -23,6 +23,8 @@ from degcalc.weights import Weight
 
 F = Fraction
 
+EXPONENT_GRID = (-1, F(-1, 2), 0, F(1, 3), F(1, 2), F(3, 4), 1, F(3, 2), 2)
+
 
 class TestProblemValidation:
     def test_exponent_mismatch_at_zero(self):
@@ -46,6 +48,18 @@ class TestProblemValidation:
                                                           gamma_prime):
         with pytest.raises(PreconditionError):
             SchrodingerProblem(3, gamma, gamma_prime, RadialFunction.zero())
+
+    @pytest.mark.parametrize("gamma, gamma_prime", [
+        ("3/4", "3/2"), (0.75, 1.5), (F(3, 4), F(3, 2))])
+    def test_exponents_stored_exact(self, gamma, gamma_prime):
+        prob = SchrodingerProblem(3, gamma, gamma_prime,
+                                  RadialFunction.term(1, F(-3, 2))
+                                  + RadialFunction.term(1, 3))
+        assert (type(prob.gamma), type(prob.gamma_prime)) == (F, F)
+        assert (prob.gamma, prob.gamma_prime) == (F(3, 4), F(3, 2))
+        rw = rewrite(prob)
+        assert (rw.label_zero, rw.label_infinity) == ("c_{1,0}", "c_{7/2,5/2}")
+        assert (rw.branch_zero, rw.branch_infinity) == ("schr3", "schr6")
 
     def test_tilde_exponents(self):
         h = SchrodingerProblem.hydrogen()
@@ -153,6 +167,17 @@ class TestMembership:
         phi, psi = membership_weights(SchrodingerProblem.oscillator())
         assert phi.profile == RadialFunction.term(1, 1, -2)
         assert psi.profile == RadialFunction.term(1, 0, -2)
+
+    @pytest.mark.parametrize("gamma_prime", EXPONENT_GRID)
+    @pytest.mark.parametrize("gamma", EXPONENT_GRID)
+    def test_weights_square_to_the_prefactors(self, gamma, gamma_prime):
+        # phi^2 = rho_0^{2g~} rho_inf^{2g'~} and psi^2 = phi^2 t^-2, exactly
+        prob = SchrodingerProblem(3, gamma, gamma_prime, RadialFunction.zero())
+        g, gp = max(gamma, 1), max(gamma_prime, 0)
+        phi2 = RadialFunction.term(1, 2 * g, -2 * g - 2 * gp)
+        phi, psi = membership_weights(prob)
+        assert phi.profile ** 2 == phi2
+        assert psi.profile ** 2 == phi2 * RadialFunction.term(1, -2)
 
     @pytest.mark.parametrize("prob", [SchrodingerProblem.hydrogen(),
                                       SchrodingerProblem.oscillator()])
