@@ -6,12 +6,13 @@ done in the flow coordinate u of the b-weight b (``powerfun.to_u``), where
 F(u) = integral_0^u du'/g with g = phi/b.  A constant g = c (c*t on the
 half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
 have a closed form.  For everything else F is a table over segments 0.2 wide
-in u, grown outward from u = 0 only as far as a call needs; one evaluation of
-g samples 1/g on up to 256 of the segments a call adds.  Each segment keeps the
-Chebyshev coefficients of the mean of 1/g from its inner node (16 samples, or
-quad where they do not resolve 1/g), so F is one Clenshaw sum, and Newton on
-the same sum inverts it inside one segment.  A numeric flow remembers its
-last SIGMA_MEMO values sigma_s(x), so an arrow's range is inverted once.
+in u, grown outward from u = 0 only as far as a call needs (an inversion off
+the table asks for a reach that doubles on each pass), up to 256 segments per
+evaluation of g and per stacked product.  Each segment keeps the Chebyshev
+coefficients of the mean of 1/g from its inner node (16 samples, or quad where
+they do not resolve 1/g), so F is one Clenshaw sum, and Newton on the same sum
+inverts it inside one segment.  A numeric flow remembers its last SIGMA_MEMO
+values sigma_s(x), so an arrow's range is inverted once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ QUAD_RTOL = 1e-12
 
 #: width in u of one segment of the table of F
 TABLE_STEP = 0.2
-#: segments sampled by one evaluation of g, which bounds its memory
+#: segments per evaluation of g and per stacked product M @ rows[..., None]
+#: of sample rows, one gemv per row as M @ row (a gemm rows @ M.T rounds apart)
 GROW_CHUNK = 256
 #: numeric sigma_s(x) values one flow remembers: a groupoid arrow asks for
 #: 3 distinct (s, x) in 10 applies (range, composite, cocycles) and repeats
@@ -162,9 +164,9 @@ class Flow:
     def _grow(self, up, to=0.0):
         """Add segments to the upper or lower end of the table of F: at
         least one, and up to the first node that passes u = to (one for the
-        default to = 0, which both ends have passed).  One evaluation of g
-        samples 1/g on up to GROW_CHUNK of them.  Stops where t at the next
-        node leaves the float range; False when no segment was added."""
+        default to = 0, which both ends have passed), GROW_CHUNK at most
+        per evaluation of g and per stacked product.  Stops where t at the
+        next node leaves the float range; False when none was added."""
         end = -1 if up else 0
         nodes = [self._table_u[end]]
         while len(nodes) == 1 or (nodes[-1] < to if up else nodes[-1] > to):
@@ -179,11 +181,12 @@ class Flow:
         with np.errstate(all="ignore"):
             for lo in range(0, len(nodes) - 1, GROW_CHUNK):
                 a, b = u[:-1][lo:lo + GROW_CHUNK], u[1:][lo:lo + GROW_CHUNK]
-                for row in 1.0 / self._g.at_u(a + (b - a) * _AT):
-                    coef, mean = abs(_CHEB @ row), _MEAN @ row
-                    fits = (np.isfinite(mean).all()
-                            and coef[-2:].max() <= 1e-15 * coef.max())
-                    means.append(mean.tolist() if fits else None)
+                cols = (1.0 / self._g.at_u(a + (b - a) * _AT))[..., None]
+                coef, mean = abs(_CHEB @ cols)[..., 0], (_MEAN @ cols)[..., 0]
+                fits = (np.isfinite(mean).all(1)
+                        & (coef[:, -2:].max(1) <= 1e-15 * coef.max(1)))
+                means += [m if ok else None
+                          for m, ok in zip(mean.tolist(), fits)]
         F, err, new = self._table_F[end], self._table_err[end], []
         for a, node, mean in zip(nodes, nodes[1:], means):
             if mean is not None:
@@ -225,14 +228,16 @@ class Flow:
     def _u_of_F(self, y):
         """The u with F(u) = y inside its table segment; -inf or inf where y
         lies beyond the table, whose ends are the last u with t inside the
-        float range.  On a segment with an interpolant, safeguarded Newton
-        solves (u - a) m(x) = y - F(a) for the segment's mean m of 1/g from
-        its inner node a, whose derivative in u is m + (x + 1) m'; a segment
-        resolved by quad is left to brentq on F."""
+        float range, grown by a reach that doubles from one segment on each
+        pass while y lies past it.  On a segment with an interpolant,
+        safeguarded Newton solves (u - a) m(x) = y - F(a) for the segment's
+        mean m of 1/g from its inner node a, whose derivative in u is
+        m + (x + 1) m'; a segment resolved by quad is left to brentq on F."""
         us, Fs = self._table_u, self._table_F
-        up = y > 0.0
-        while (y > Fs[-1] if up else y < Fs[0]) and self._grow(up):
-            pass
+        up, reach = y > 0.0, TABLE_STEP
+        while ((y > Fs[-1] if up else y < Fs[0])
+               and self._grow(up, us[-1] + reach if up else us[0] - reach)):
+            reach *= 2
         if not Fs[0] <= y <= Fs[-1]:
             return math.copysign(math.inf, y)
         hi = min(bisect.bisect_right(Fs, y), len(Fs) - 1)

@@ -193,6 +193,64 @@ class TestTableOfF:
         # each direction one _grow that samples at most GROW_CHUNK at once
         assert calls == [(185, 16)] + [(GROW_CHUNK, 16)] * 13 + [(126, 16)]
 
+    #: far inversions: 258 segments down to u ~ -51.6; the whole upper table
+    #: to u ~ 709.6 (the image is past the float range); 65 quad segments
+    #: down to u = -13; 2,052 segments up to u ~ 410.4, 160 of them quad
+    FAR_APPLIES = pytest.mark.parametrize(
+        "phi, s", [(PHI, -40.0), (PHI, 1000.0), (STEEP, -1e100),
+                   (STEEP, 5.9e4)],
+        ids=["phi-down", "phi-up", "steep-down", "steep-up"])
+
+    @FAR_APPLIES
+    def test_far_apply_table_matches_single_segment_growth(self, phi, s):
+        # the inversion grows the table by a doubling reach in chunks; one
+        # segment at a time to the same ends gives the same table, bit for
+        # bit, quad segments included
+        fl, ref = Flow(Weight(phi)), Flow(Weight(phi))
+        fl.apply(s, 1.0)
+        while ref._table_u[-1] < fl._table_u[-1] and ref._grow(True):
+            pass
+        while ref._table_u[0] > fl._table_u[0] and ref._grow(False):
+            pass
+        assert len(fl._table_u) > 60
+        for table in ("_table_u", "_table_F", "_table_err", "_table_mean"):
+            assert getattr(fl, table) == getattr(ref, table)
+
+    def test_inversion_off_the_table_grows_in_few_calls(self, monkeypatch):
+        # the image of 1 lies past the float range: the table is grown to
+        # its end, 3,548 segments, by a reach that doubles on each pass
+        calls, real = [], Flow._grow
+        monkeypatch.setattr(
+            Flow, "_grow",
+            lambda fl, *a: calls.append(a) or real(fl, *a))
+        fl = Flow(Weight(RadialFunction.term(1, 2, -1)))
+        assert fl.apply(1000.0, 1.0) == math.inf
+        assert len(fl._table_u) == 3549
+        assert len(calls) <= 15
+
+    @FAR_APPLIES
+    def test_stacked_products_match_per_row_products(self, phi, s):
+        # one stacked product per chunk runs one gemv per row, so it equals
+        # the per-row matvec bit for bit (rows @ M.T, a gemm, does not);
+        # every stored mean is that matvec where the per-row fit test passes
+        fl = Flow(Weight(phi))
+        fl.apply(s, 1.0)
+        us, zero = fl._table_u, fl._table_u.index(0.0)
+        # each segment's inner node, nearer u = 0, and its outer node
+        a = np.array(us[1:zero + 1] + us[zero:-1])[:, None]
+        b = np.array(us[:zero] + us[zero + 1:])[:, None]
+        with np.errstate(all="ignore"):
+            rows = 1.0 / fl._g.at_u(a + (b - a) * flows._AT)
+        for M in (flows._CHEB, flows._MEAN):
+            stacked = (M @ rows[..., None])[..., 0]
+            assert np.array_equal(stacked, [M @ row for row in rows])
+        means = fl._table_mean[:zero] + fl._table_mean[zero + 1:]
+        for row, mean in zip(rows, means, strict=True):
+            coef, want = abs(flows._CHEB @ row), flows._MEAN @ row
+            fits = (np.isfinite(want).all()
+                    and coef[-2:].max() <= 1e-15 * coef.max())
+            assert mean == (want.tolist() if fits else None)
+
     def test_steep_segments_fall_back_to_quad(self, monkeypatch):
         calls = count_calls(monkeypatch, "quad")
         Flow(Weight(self.STEEP)).apply(0.5, 1.0)
