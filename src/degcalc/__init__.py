@@ -22,6 +22,6 @@ from .schrodinger import (GeometricGrid, MembershipReport,
                           SchrodingerProblem, SpectralResult,
                           assemble_and_solve, membership_in_diff_s,
                           membership_weights, parametrix_residual,
-                          resolvent_probe, rewrite, verify_identity_r_power)
+                          resolvent_probe, rewrite)
 
 __version__ = "0.1.0"

@@ -27,8 +27,7 @@ from .powerfun import UNIT_INTERVAL, RadialFunction
 from .schrodinger import (N_POINTS_DEFAULT, S_MAX_DEFAULT, S_MIN_DEFAULT,
                           GeometricGrid, SchrodingerProblem,
                           assemble_and_solve, membership_in_diff_s,
-                          parametrix_residual, resolvent_probe, rewrite,
-                          verify_identity_r_power)
+                          parametrix_residual, resolvent_probe, rewrite)
 from .weights import Weight, membership_order
 
 EXIT_OK = 0
@@ -63,24 +62,29 @@ def _integer(text, key, minimum):
     return v
 
 
-def _floatval(text, key):
+def _floatval(text, key, positive=False):
     v = _parsed(float, "a number", text, key)
-    if math.isfinite(v):
+    if math.isfinite(v) and (v > 0 or not positive):
         return v
-    raise ConfigError(f"key {key!r}: expected a finite number, got {text!r}")
+    what = "a number > 0" if math.isfinite(v) else "a finite number"
+    raise ConfigError(f"key {key!r}: expected {what}, got {text!r}")
 
 
 def _list(read):
-    """A reader of ';'-separated values, each read by ``read``."""
-    return lambda text, key: tuple(read(chunk.strip(), key)
-                                   for chunk in text.split(";")
-                                   if chunk.strip())
+    """A reader of one or more ';'-separated values, each read by ``read``."""
+    def read_list(text, key):
+        values = [read(chunk, key)
+                  for chunk in filter(None, map(str.strip, text.split(";")))]
+        if not values:
+            raise ConfigError(f"key {key!r}: expected at least one value")
+        return tuple(values)
+    return read_list
 
 
 def _terms(text, key):
     """Parse 'coeff,p,q; coeff,p,q; ...' into a ring function."""
     out = RadialFunction.zero()
-    for chunk in _list(_word)(text, key):
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         parts = chunk.split(",")
         if len(parts) != 3:
             raise ConfigError(f"key {key!r}: each term needs 3 fields "
@@ -108,7 +112,8 @@ _KEYS = {
              "s": (_floatval, 1.0),
              "x_values": (_list(_floatval), (0.1, 0.5, 1.0, 2.0, 10.0))},
     "parametrix": {"orders": (_list(partial(_integer, minimum=0)), (0, 1, 2)),
-                   "cutoffs": (_list(_floatval), (4.0, 8.0))},
+                   "cutoffs": (_list(partial(_floatval, positive=True)),
+                               (4.0, 8.0))},
     "resolvent": {"z_real": (_floatval, -1.0),
                   "z_imag": (_floatval, 0.0),
                   "mode": (_word, "plain")},
@@ -335,9 +340,8 @@ def run_selftest(log=lambda msg: None):
     check("commutator expansion", commutator_expansion)
 
     def rewrite_checks():
-        hyd = SchrodingerProblem.hydrogen()
-        rw = rewrite(hyd)
-        return (rw.branch_zero == "schr3" and verify_identity_r_power())
+        rw = rewrite(SchrodingerProblem.hydrogen())
+        return (rw.branch_zero, rw.branch_infinity) == ("schr3", "schr5")
 
     check("rewrite branches", rewrite_checks)
 

@@ -692,9 +692,10 @@ def parametrix_1d(A, N):
     """N-term symbolic parametrix of an elliptic radial operator.
 
     Works in the flow coordinate where X = d/ds.  Returns a
-    ParametrixExpansion with ord(q_k) = -m - k and the exact remainder
-    symbols E_k = 1 - sigma_A # (q_0 + ... + q_{k-1}), each step
-    q_k = q_0 E_k.  An operator in another form is read through its lie
+    ParametrixExpansion with ord(q_k) <= -m - k (a bound: hydrogen's and
+    the oscillator's q_0, q_1, q_2 have orders -2, -4, -5 at m = 2) and the
+    exact remainder symbols E_k = 1 - sigma_A # (q_0 + ... + q_{k-1}), each
+    step q_k = q_0 E_k.  An operator in another form is read through its lie
     form, so every form of one operator has one parametrix.
     """
     sigma = radial_symbol(A)

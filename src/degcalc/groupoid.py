@@ -136,7 +136,9 @@ def zeta_cocycle(g, which, flow):
     lambda the flow's scaling rate there (``scaling_rate``, which raises
     where it diverges).  Always positive and finite; an interior arrow whose
     target is at or so near an endpoint where rho vanishes that the quotient
-    overflows raises."""
+    overflows raises.  ``which`` is 'zero' or 'infinity'."""
+    if which not in ("zero", "infinity"):
+        raise ValueError(f"unknown endpoint {which!r}")
     x, t = g.x, g.t
     rho = rho_zero if which == "zero" else rho_infinity
     if x != 0 and x != math.inf:

@@ -1,9 +1,11 @@
 """Radial Schrodinger operators with power-law potentials.
 
 The potential behaves like t^{-2*gamma} at the origin and t^{2*gamma_prime}
-at infinity.  After multiplying by the boundary-defining prefactor the
-operator lands in the weighted calculus, whose coefficients are verified by
-the exact membership test.
+at infinity.  In the b-field B = x d_x of the face coordinate x = t^sigma
+(sigma = 1 at 0, -1 at infinity) both faces state one operator, the b-form
+t^2 (-Delta + V) = -B^2 - sigma (n-2) B + Lam + t^2 V with Lam = l(l+n-2).
+``rewrite`` prefactors it into the weighted calculus, whose coefficients
+the exact membership test verifies.
 
 Eigenvalues come from linear finite elements in s = ln(rho).  On the sector
 l, with nu = l + (n-2)/2, the half-density w = rho^{(n-1)/2} u = e^{s/2} v
@@ -40,9 +42,6 @@ from .weights import Weight, membership_order
 S_MIN_DEFAULT = -12.0
 S_MAX_DEFAULT = 12.0
 N_POINTS_DEFAULT = 4000
-
-#: the gamma' values at which verify_identity_r_power checks its identity
-IDENTITY_GAMMA_PRIMES = (Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)
 
 
 @dataclass(frozen=True)
@@ -128,28 +127,14 @@ class RewriteResult:
 def rewrite(prob):
     """Exact symbolic rewrites of the prefactored operator near both faces.
 
-    Near 0 the operator rho^{2 gamma~}(-Delta + V) is expressed in powers of
-    X = rho^{gamma~} d_rho (the b-field rho*d_rho when gamma <= 1); near
-    infinity the inverted radius r = 1/rho is used with X = r^{2+gamma'~} d_r.
-    The angular Laplacian is carried as the scalar -l(l+n-2).
+    With k = gamma~ - 1 at 0 and k = gamma'~ + 1 at infinity, x^{2k} times
+    the module's b-form is -X^2 + (k - sigma (n-2)) x^k X + Lam x^{2k}
+    + x^{2k+2 sigma} V in X = x^{k+1} d_x = x^k B: the calculus c_{k+1,k}
+    of the weight x^{k+1}.  Near infinity V(1/r) must expand into pure
+    powers of r.
     """
-    n = prob.n
-    Lam = prob.angular_eigenvalue
-    g = prob.gamma_tilde
-    gp = prob.gamma_prime_tilde
-
-    # near 0, in the radius t, weight t^{gamma~}
-    phi0 = Weight.from_term(1, g)
-    c1 = RadialFunction.term(-(n - 1 - g), g - 1)
-    c0 = (RadialFunction.term(Lam, 2 * g - 2)
-          + RadialFunction.term(1, 2 * g) * prob.V)
-    op0 = DiffOp("lie", {(2, 0): -1, (1, 0): c1, (0, 0): c0}, phi0)
-    branch0 = "schr3" if prob.gamma <= 1 else "schr4"
-    label0 = f"c_{{{g},{g - 1}}}"
-
-    # near infinity, in r = 1/t on the unit-interval ring: V(1/r) is a sum
-    # of r^p (1+r)^q.  (1+r)^q with q natural expands into pure powers; the
-    # other terms must sum to one pure power, or to zero, as a function.
+    # V(1/r) is a sum of r^p (1+r)^q: (1+r)^q with q natural expands into
+    # pure powers, and the rest must sum to one pure power or 0 as a function
     Vinv = prob.V.invert()
     natural = {(p, q): c for (p, q), c in Vinv.terms.items()
                if q.denominator == 1 and q >= 0}
@@ -162,34 +147,22 @@ def rewrite(prob):
             "far-field rewrite needs a pure-power potential tail")
     Vr = RadialFunction({(p, 0): c for (p, _), c in tail.terms.items()},
                         domain=UNIT_INTERVAL)
-    phi_inf = Weight.from_term(1, 2 + gp, 0, domain=UNIT_INTERVAL)
-    c1i = RadialFunction.term(n - 1 + gp, 1 + gp, 0, domain=UNIT_INTERVAL)
-    c0i = (RadialFunction.term(Lam, 2 * gp + 2, 0, domain=UNIT_INTERVAL)
-           + RadialFunction.term(1, 2 * gp, 0, domain=UNIT_INTERVAL) * Vr)
-    opi = DiffOp("lie", {(2, 0): -1, (1, 0): c1i, (0, 0): c0i}, phi_inf)
-    branchi = "schr5" if prob.gamma_prime <= 0 else "schr6"
-    labeli = f"c_{{{2 + gp},{1 + gp}}}"
-    return RewriteResult(op0, opi, label0, labeli, branch0, branchi)
-
-
-def verify_identity_r_power():
-    """Exact check of (r^{2+g} d_r)^2 = r^{2g}(r^2 d_r)^2 + g r^{2g+3} d_r
-    for g in IDENTITY_GAMMA_PRIMES."""
-    for gp in IDENTITY_GAMMA_PRIMES:
-        phi = Weight.from_term(1, 2 + gp, 0, domain=UNIT_INTERVAL)
-        lhs = DiffOp("lie", {(2, 0): 1}, phi).to_raw()
-        # right side assembled directly in raw form
-        sq = {
-            (2, 0): RadialFunction.term(1, 2 * gp + 4, 0,
-                                        domain=UNIT_INTERVAL),
-            (1, 0): RadialFunction.term(2, 2 * gp + 3, 0,
-                                        domain=UNIT_INTERVAL)
-            + RadialFunction.term(gp, 2 * gp + 3, 0, domain=UNIT_INTERVAL),
-        }
-        rhs = DiffOp("raw", sq, phi)
-        if lhs != rhs:
-            return False
-    return True
+    ops, labels = [], []
+    for sigma, k, V, domain in (
+            (1, prob.gamma_tilde - 1, prob.V, HALF_LINE),
+            (-1, prob.gamma_prime_tilde + 1, Vr, UNIT_INTERVAL)):
+        def x(c, p):
+            return RadialFunction.term(c, p, 0, domain=domain)
+        ops.append(DiffOp("lie", {
+            (2, 0): -1,
+            (1, 0): x(k - sigma * (prob.n - 2), k),
+            (0, 0): x(prob.angular_eigenvalue, 2 * k)
+            + x(1, 2 * k + 2 * sigma) * V,
+        }, Weight.from_term(1, k + 1, 0, domain=domain)))
+        labels.append(f"c_{{{k + 1},{k}}}")
+    return RewriteResult(*ops, *labels,
+                         "schr3" if prob.gamma <= 1 else "schr4",
+                         "schr5" if prob.gamma_prime <= 0 else "schr6")
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from degcalc.groupoid import GPhiElement, gphi_compose, zeta_cocycle
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
                                  assemble_and_solve, membership_in_diff_s,
-                                 parametrix_residual, rewrite,
-                                 verify_identity_r_power)
+                                 parametrix_residual, rewrite)
 from degcalc.weights import Weight, membership_order, structure_function
+from test_schrodinger import statements_disagree
 
 F = Fraction
 
@@ -185,7 +185,13 @@ def test_06_schrodinger_rewrites():
     }, phi_inf)
     ok &= rwh.op_infinity == direct_inf
 
-    ok &= verify_identity_r_power()
+    # both faces, the membership operator and the solver's rows state one
+    # operator
+    for tied in (SchrodingerProblem(3, F(3, 2), F(-3, 2),
+                                    RadialFunction.term(-1, -3)),
+                 SchrodingerProblem.hydrogen(),
+                 SchrodingerProblem.oscillator(n=4, l=1)):
+        ok &= statements_disagree(tied) == []
     report(6, "singular-potential rewrites and boundary coincidences", ok)
 
 

@@ -174,6 +174,36 @@ class TestConfigParsing:
             parse("[run]\ncommand = classify\n"
                   "[problem]\npotential = -1,-1\n")
 
+    @pytest.mark.parametrize("section, line", [
+        ("flow", "x_values ="), ("flow", "x_values = ; "),
+        ("parametrix", "orders ="), ("parametrix", "cutoffs = ;")])
+    def test_empty_list_rejected(self, tmp_path, capsys, section, line):
+        # an empty list used to write a CSV with only its header, exit 0
+        cfg = write_config(tmp_path, f"[run]\ncommand = parametrix\n"
+                                     f"[{section}]\n{line}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        key = line.split()[0]
+        assert capsys.readouterr().err == (
+            f"config error: key {key!r}: expected at least one value\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_empty_term_list_is_the_zero_function(self):
+        cfg = parse("[run]\ncommand = classify\n[problem]\npotential =\n")
+        assert cfg.potential.is_zero
+
+    @pytest.mark.parametrize("cutoffs, bad", [
+        ("0;-4", "0"), ("4; -8", "-8"), ("1e-400", "1e-400")])
+    def test_non_positive_cutoff_rejected(self, tmp_path, capsys, cutoffs,
+                                          bad):
+        # the band [K/2, K] is empty or reversed: K = 0 used to print
+        # residual_ratio=1 and K = -4 residual_ratio=0, both with exit 0
+        cfg = write_config(tmp_path, "[run]\ncommand = parametrix\n"
+                                     f"[parametrix]\ncutoffs = {cutoffs}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: key 'cutoffs': expected a number > 0, "
+            f"got {bad!r}\n")
+
     def test_grid_order_enforced(self):
         with pytest.raises(ConfigError):
             parse("[run]\ncommand = spectrum\n[grid]\ns_min = 5\ns_max = -5\n")
@@ -519,7 +549,11 @@ class TestMain:
         def solve(*args, **kwargs):
             raise ConvergenceError("no eigenpairs")
 
-        monkeypatch.setattr(cli, "verify_identity_r_power", lambda: False)
+        def rewrite(prob):  # hydrogen's far face read as the other branch
+            return dataclasses.replace(schrodinger.rewrite(prob),
+                                       branch_infinity="schr6")
+
+        monkeypatch.setattr(cli, "rewrite", rewrite)
         monkeypatch.setattr(cli, "assemble_and_solve", solve)
         cfg = write_config(tmp_path, "[run]\ncommand = selftest\n")
         assert main(["--config", cfg, "--out", str(tmp_path),

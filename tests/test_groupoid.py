@@ -192,6 +192,13 @@ class TestZeta:
         with pytest.raises(PreconditionError, match="endpoint"):
             zeta_cocycle(GPhiElement(1.0, 800.0), "infinity", fl)
 
+    @pytest.mark.parametrize("which", ["zeros", "far", "", "Zero"])
+    def test_unknown_endpoint_rejected(self, exp_flow, which):
+        # "zeros" used to read as infinity and return its cocycle, 1.0
+        for x in (0.0, 1.0):
+            with pytest.raises(ValueError, match="unknown endpoint"):
+                zeta_cocycle(GPhiElement(x, 0.5), which, exp_flow)
+
     def test_multiplicativity(self, numeric_flow):
         rng = random.Random(5)
         for _ in range(300):

@@ -17,8 +17,7 @@ from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
                                  assemble_and_solve, membership_in_diff_s,
                                  membership_weights, parametrix_residual,
-                                 resolvent_probe, rewrite,
-                                 verify_identity_r_power)
+                                 resolvent_probe, rewrite)
 from degcalc.weights import Weight
 
 F = Fraction
@@ -100,44 +99,6 @@ class TestRewrite:
         }, Weight.from_term(1, 3, 0, domain=UNIT_INTERVAL))
         assert rw.op_infinity == expected
 
-    def test_gamma_one_branch_coincidence(self):
-        # gamma = 1 sits on the boundary between the two zero-face formulas:
-        # the strong-singularity formula with gamma~ = gamma reproduces the
-        # b-field formula exactly.
-        n, Lam = 3, 0
-        V = RadialFunction.term(-1, -2)
-        prob = SchrodingerProblem(n, 1, F(-1), V)
-        rw = rewrite(prob)
-        g = F(1)
-        phi = Weight.from_term(1, g)
-        strong = DiffOp("lie", {
-            (2, 0): -1,
-            (1, 0): RadialFunction.term(-(n - 1 - g), g - 1),
-            (0, 0): RadialFunction.term(Lam, 2 * g - 2)
-            + RadialFunction.term(1, 2 * g) * V,
-        }, phi)
-        assert rw.op_zero == strong
-
-    def test_gamma_prime_zero_branch_coincidence(self):
-        prob = SchrodingerProblem.hydrogen()
-        rw = rewrite(prob)
-        # gamma'~ = 0: the far formula degenerates to X = r^2 d_r = -rho d_rho
-        gp = F(0)
-        n = 3
-        phi = Weight.from_term(1, 2 + gp, 0, domain=UNIT_INTERVAL)
-        Vr = RadialFunction.term(-1, 1, 0, domain=UNIT_INTERVAL)
-        degen = DiffOp("lie", {
-            (2, 0): -1,
-            (1, 0): RadialFunction.term(n - 1 + gp, 1 + gp, 0,
-                                        domain=UNIT_INTERVAL),
-            (0, 0): RadialFunction.term(1, 2 * gp, 0,
-                                        domain=UNIT_INTERVAL) * Vr,
-        }, phi)
-        assert rw.op_infinity == degen
-
-    def test_r_power_identity(self):
-        assert verify_identity_r_power()
-
     def test_mixed_tail_rejected(self):
         # tail involves (1+t) factors, so the far-field face has no
         # pure-power expansion
@@ -160,6 +121,93 @@ class TestRewrite:
             direct = t ** 2 * (-fpp - (n - 1) / t * fp
                                + (Lam / t ** 2 - 1.0 / t) * f(t))
             assert abs(complex(out(t)) - direct) < 1e-10 * (1 + abs(direct))
+
+
+#: (n, l, gamma, gamma') with V = t^{-2 gamma} + 2/3 t^{2 gamma'}: gamma +
+#: gamma' > 0, so the first term leads at 0 and the second at infinity
+TYING_GRID = [(n, l, g, gp) for n in (2, 3, 4) for l in (0, 1, 2)
+              for g in (F(1, 2), 1, F(3, 2), 2)
+              for gp in (F(-1, 3), 0, F(1, 3), 1)]
+
+
+def _radial(op, key):
+    return op.coeffs.get(key, CylinderFunction.zero(op.domain)).radial_part()
+
+
+def statements_disagree(prob):
+    """The statements of the prefactored operator that disagree with the
+    radial operator -d_t^2 - (n-1)/t d_t + Lam/t^2 + V, or with one another:
+
+    - ``op_zero``: its raw form times (1+t)^{-2 g~ - 2 g'~} is phi^2 times
+      the radial operator, phi the membership weight, as functions;
+    - ``op_infinity``: on r^{5/7} it is r^{2 g'~} times the radial operator,
+      at t = 1/r in {1.5, 3, 11}, to 1e-11;
+    - ``membership``: the verdicts' coefficients are the monomial form of
+      op_zero's scaled raw map with Lam phi^2/t^2 written as -psi^2 d_theta^2;
+    - ``_assemble`` (gamma <= 1): its interior rows are 2/h + h (nu^2 +
+      rho^2 V) with nu^2 + rho^2 V = (c_1/2)^2 + c_0(rho) read off op_zero.
+    """
+    n, Lam = prob.n, prob.angular_eigenvalue
+    g, gp = prob.gamma_tilde, prob.gamma_prime_tilde
+    rw = rewrite(prob)
+    phi, psi = membership_weights(prob)
+    phi2 = phi.profile ** 2
+    unit = RadialFunction.term(1, 0, -2 * g - 2 * gp)
+    raw = {key: c.radial_part() * unit
+           for key, c in rw.op_zero.to_raw().coeffs.items()}
+    radial = {(2, 0): -1 * phi2,
+              (1, 0): phi2 * RadialFunction.term(-(n - 1), -1),
+              (0, 0): phi2 * (RadialFunction.term(Lam, -2) + prob.V)}
+    zero = RadialFunction.zero()
+    bad = []
+    if any((raw.get(key, zero) - radial.get(key, zero)).leading("zero")[0]
+           != math.inf for key in raw.keys() | radial.keys()):
+        bad.append("op_zero")
+
+    a = F(5, 7)
+    f = RadialFunction.term(1, a, 0, domain=UNIT_INTERVAL)
+    out = rw.op_infinity.apply(CylinderFunction.radial(f)).radial_part()
+    for t in (1.5, 3.0, 11.0):
+        # f = t^-a: -f'' - (n-1)/t f' = a (n - 2 - a) t^{-a-2}
+        direct = float(t ** (-2 * gp)) * (
+            a * (n - 2 - a) * t ** (-a - 2)
+            + (Lam / t ** 2 + prob.V(t)) * t ** -a)
+        if abs(complex(out(1 / t)) - direct) > 1e-11 * abs(direct):
+            bad.append("op_infinity")
+            break
+
+    raw[(0, 0)] = raw.get((0, 0), zero) - phi2 * RadialFunction.term(Lam, -2)
+    raw[(0, 2)] = -1 * psi.profile ** 2
+    mono = DiffOp("raw", raw, phi, psi).to_monomial().coeffs
+    verdicts = membership_in_diff_s(prob).verdicts
+    if ([(v.key, v.coefficient) for v in verdicts]
+            != [(key, mono[key].radial_part().to_text())
+                for key in sorted(mono)]):
+        bad.append("membership")
+
+    if prob.gamma <= 1:
+        s = np.linspace(-4.0, 4.0, 17)
+        h = s[1] - s[0]
+        d, _, rho = _assemble(prob, s)
+        c1 = _radial(rw.op_zero, (1, 0))(rho[1:])
+        c0 = _radial(rw.op_zero, (0, 0))(rho[1:])
+        if not np.allclose(d[1:] * h * rho[1:] ** 2,
+                           2 / h + h * ((c1 / 2) ** 2 + c0),
+                           rtol=1e-12, atol=0):
+            bad.append("_assemble")
+    return bad
+
+
+class TestOneStatement:
+    """rewrite's two faces, the membership operator and the solver's rows
+    are one operator."""
+
+    @pytest.mark.parametrize("n, l, gamma, gamma_prime", TYING_GRID)
+    def test_statements_agree(self, n, l, gamma, gamma_prime):
+        V = (RadialFunction.term(1, -2 * gamma)
+             + RadialFunction.term(F(2, 3), 2 * gamma_prime))
+        prob = SchrodingerProblem(n, gamma, gamma_prime, V, l)
+        assert statements_disagree(prob) == []
 
 
 class TestMembership:
