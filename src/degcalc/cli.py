@@ -107,7 +107,7 @@ _KEYS = {
              "s_max": (_floatval, S_MAX_DEFAULT),
              "points": (partial(_integer, minimum=10), N_POINTS_DEFAULT)},
     "solve": {"num_eigs": (partial(_integer, minimum=1), 2),
-              "tolerance": (_floatval, 1e-8)},
+              "tolerance": (partial(_floatval, positive=True), 1e-8)},
     "flow": {"weight": (_terms, RadialFunction.term(1, 1)),
              "s": (_floatval, 1.0),
              "x_values": (_list(_floatval), (0.1, 0.5, 1.0, 2.0, 10.0))},
@@ -142,8 +142,6 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.s_min < self.s_max:
             raise ConfigError("grid: need s_min < s_max")
-        if self.tolerance <= 0:
-            raise ConfigError("solve: tolerance must be > 0")
         if self.mode not in ("plain", "weighted"):
             raise ConfigError(f"resolvent: unknown mode {self.mode!r}")
 

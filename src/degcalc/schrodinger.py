@@ -29,8 +29,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse import diags, identity
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .diffop import DiffOp, parametrix_1d
 from .errors import ConvergenceError, PreconditionError
@@ -341,19 +340,25 @@ def assemble_and_solve(prob, grid=None, k=2):
                           tuple(float(b) for b in back))
 
 
+def _tridiagonal_product(lo, dg, up, x):
+    """The tridiagonal with sub-, main and superdiagonal lo, dg, up times x
+    (or times each column of x, with the bands as columns)."""
+    y = dg * x
+    y[:-1] += up * x[1:]
+    y[1:] += lo * x[:-1]
+    return y
+
+
 def _residuals(d, e, lam, vecs):
     """||A v - lam v|| / ||v|| and the componentwise backward error
     ||A v - lam v|| / || |A| |v| + |lam| |v| || for each column v of vecs;
     the second is scale free, so its rounding floor does not grow with
     ||A|| ~ e^{-2 s_min} / h^2."""
-    av = d[:, None] * vecs
-    av[:-1] += e[:, None] * vecs[1:]
-    av[1:] += e[:, None] * vecs[:-1]
+    e, abs_e = e[:, None], np.abs(e)[:, None]
+    av = _tridiagonal_product(e, d[:, None], e, vecs)
     r = np.linalg.norm(av - lam * vecs, axis=0)
-    v = np.abs(vecs)
-    bound = (np.abs(d)[:, None] + np.abs(lam)) * v
-    bound[:-1] += np.abs(e)[:, None] * v[1:]
-    bound[1:] += np.abs(e)[:, None] * v[:-1]
+    bound = _tridiagonal_product(abs_e, np.abs(d)[:, None] + np.abs(lam),
+                                 abs_e, np.abs(vecs))
     return r / np.linalg.norm(vecs, axis=0), r / np.linalg.norm(bound, axis=0)
 
 
@@ -403,12 +408,17 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     reported ratio between resolutions is a boundedness proxy.  The factors
     commute, so a norm depends on k = i + j alone: (0, 1) equals (1, 0).
     With W = diag(phi) (W = I in plain mode) phi*A is similar to the
-    symmetric tridiagonal W^{1/2} A W^{1/2}, whose eigenvalues lam give the
-    distance from z to the spectrum.  A is symmetric, hence normal, and its
+    symmetric tridiagonal S = W^{1/2} A W^{1/2}, whose eigenvalues lam give
+    the distance from z to the spectrum.  For real z one LDL^T factorization
+    of S - z (``_below_spectrum``) decides whether every lam exceeds z; then
+    |lam^k / (lam - z)|, k <= 2, has no interior maximum on (z, inf), and
+    only lam_min and lam_max are found, by bisection (LAPACK stebz).  Any
+    other z takes every eigenvalue.  A is symmetric, hence normal, and its
     norms are max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
     those of M_k = (phi A)^k T^{-1}, T = phi*A - z, each the root of a top
     eigenvalue found by Lanczos (``eigsh``) on an operator that applies
-    O(n) tridiagonal products and solves with one sparse LU of T:
+    O(n) tridiagonal products and solves with one LU of T (LAPACK gttrf and
+    gttrs):
 
     - k = 0: T^{-H} T^{-1};
     - k = 2: T^{-H} B^T B T^{-1} with B = (phi A)^2;
@@ -439,8 +449,15 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
         d, e, rho = _assemble(prob, grid.s_nodes())
         w = phi.profile(rho) if mode == "weighted" else np.ones(len(rho))
         sqrt_w = np.sqrt(w)
-        lam = eigh_tridiagonal(w * d, sqrt_w[:-1] * e * sqrt_w[1:],
-                               eigvals_only=True)
+        sd, se = w * d, sqrt_w[:-1] * e * sqrt_w[1:]
+        if (not isinstance(z_arith, complex)
+                and _below_spectrum(sd, se, z_arith)):
+            # |lam^k / (lam - z)|, k <= 2, peaks at the spectrum's ends
+            lam = np.concatenate([eigh_tridiagonal(
+                sd, se, eigvals_only=True, select="i", select_range=(i, i),
+                lapack_driver="stebz", tol=1e-300) for i in (0, len(sd) - 1)])
+        else:
+            lam = eigh_tridiagonal(sd, se, eigvals_only=True)
         dist = float(np.min(np.abs(lam - z_arith)))
         if dist < 0.1:
             raise PreconditionError(
@@ -449,9 +466,8 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
             by_k = [float(np.max(np.abs(lam ** k / (lam - z_arith))))
                     for k in range(3)]
         else:
-            a = diags([w[1:] * e, w * d, w[:-1] * e], [-1, 0, 1],
-                      format="csr")
-            by_k = _weighted_norms(a, z_arith, grid.n_points)
+            by_k = _weighted_norms(w[1:] * e, sd, w[:-1] * e, z_arith,
+                                   grid.n_points)
         if not all(0 < norm < math.inf for norm in by_k):
             raise ConvergenceError(f"resolvent norms {by_k} on {grid.n_points}"
                                    f" points at z = {z}: not positive floats")
@@ -463,17 +479,34 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     return ResolventProbeReport(norms=norms, spectrum_distance=dist1)
 
 
-def _weighted_norms(a, z, points):
-    """||a^k (a - z)^{-1}|| for k = 0, 1, 2 and a sparse tridiagonal a (see
-    resolvent_probe); ``points`` is the grid's, for error messages."""
-    n = a.shape[0]
-    eye = identity(n, format="csr")
-    T = (a - z * eye).tocsc()
-    lu = splu(T, permc_spec="NATURAL")  # a tridiagonal LU needs no reordering
+def _below_spectrum(d, e, x):
+    """Whether x lies below every eigenvalue of the symmetric tridiagonal
+    (d, e): by Sylvester's law of inertia, exactly when the LDL^T
+    factorization of (d, e) - x (LAPACK pttrf) has only positive pivots,
+    the count bisection makes."""
+    pttrf, = get_lapack_funcs(("pttrf",), (d,))
+    return pttrf(d - x, e)[2] == 0
+
+
+def _weighted_norms(lo, dg, up, z, points):
+    """||a^k (a - z)^{-1}|| for k = 0, 1, 2 and the real tridiagonal a with
+    sub-, main and superdiagonal lo, dg, up (see resolvent_probe);
+    ``points`` is the grid's, for error messages."""
+    n = len(dg)
+    dtype = np.result_type(dg, z)
+    gttrf, gttrs, pttrf, pttrs = get_lapack_funcs(
+        ("gttrf", "gttrs", "pttrf", "pttrs"), dtype=dtype)
+    lu = gttrf(lo, dg - z, up)[:5]
     tol = 1e-12
 
-    def inv_h(x):
-        return lu.solve(x, trans="H")
+    def solve(x, trans="N"):  # T^{-1} x, or T^{-H} x for trans="C"
+        return gttrs(*lu, x, trans=trans)[0]
+
+    def a(x):
+        return _tridiagonal_product(lo, dg, up, x)
+
+    def a_t(x):
+        return _tridiagonal_product(up, dg, lo, x)
 
     def top(k, op):
         matvecs = 0
@@ -484,27 +517,29 @@ def _weighted_norms(a, z, points):
             return op(x)
 
         try:
-            return float(eigsh(LinearOperator((n, n), matvec, dtype=T.dtype),
-                               k=1, which="LA", v0=np.ones(n, T.dtype),
+            return float(eigsh(LinearOperator((n, n), matvec, dtype=dtype),
+                               k=1, which="LA", v0=np.ones(n, dtype),
                                tol=tol, return_eigenvectors=False)[0])
         except ArpackError as exc:
             raise ConvergenceError(
                 f"resolvent norm k={k} did not converge on {points} points "
                 f"after {matvecs} matvecs") from exc
 
-    B = a @ a
-    norm0 = math.sqrt(top(0, lambda x: inv_h(lu.solve(x))))
-    norm2 = math.sqrt(top(2, lambda x: inv_h(B.T @ (B @ lu.solve(x)))))
+    norm0 = math.sqrt(top(0, lambda x: solve(solve(x), "C")))
+    norm2 = math.sqrt(top(2, lambda x: solve(a_t(a_t(a(a(solve(x))))), "C")))
     if z == 0:
         return [norm0, 1.0, norm2]
-    K = z * a.T + np.conj(z) * a - abs(z) * abs(z) * eye
-    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=T.dtype)
-    f_diag, f_up, info = pttrf(-K.diagonal().real, -K.diagonal(1))
-    if info == 0:  # K is negative definite
-        T_h = T.conj().T
-        nu = top(1, lambda x: T @ pttrs(f_diag, f_up, T_h @ x)[0])
-        norm1_sq = 1 - 1 / nu
+    # K's diagonal and superdiagonal; its subdiagonal is the conjugate
+    k_dg = 2 * z.real * dg - abs(z) * abs(z)
+    k_up = z * lo + np.conj(z) * up
+    f_diag, f_up, info = pttrf(-k_dg, -k_up)
+    if info == 0:  # K is negative definite: nu of T (-K)^{-1} T^H
+        def op(x):
+            y = pttrs(f_diag, f_up, a_t(x) - np.conj(z) * x)[0]
+            return a(y) - z * y
+        norm1_sq = 1 - 1 / top(1, op)
     else:
-        norm1_sq = 1 + top(1, lambda x: inv_h(K @ lu.solve(x)))
+        norm1_sq = 1 + top(1, lambda x: solve(_tridiagonal_product(
+            np.conj(k_up), k_dg, k_up, solve(x)), "C"))
     # 1 -/+ an eigenvalue found to tol: a smaller square has no digit left
     return [norm0, math.sqrt(norm1_sq) if norm1_sq > tol else math.nan, norm2]

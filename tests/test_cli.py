@@ -465,7 +465,8 @@ class TestMain:
 
     @pytest.mark.parametrize("section, line, message", [
         ("grid", "points = 5", "key 'points': must be >= 10, got 5"),
-        ("solve", "tolerance = 0", "solve: tolerance must be > 0"),
+        ("solve", "tolerance = 0",
+         "key 'tolerance': expected a number > 0, got '0'"),
         ("resolvent", "mode = foo", "resolvent: unknown mode 'foo'")])
     def test_value_out_of_range_exit_code(self, tmp_path, capsys, section,
                                           line, message):
@@ -525,6 +526,90 @@ class TestMain:
         assert capsys.readouterr().err.startswith(
             "convergence failure: resolvent norm")
         assert not (tmp_path / "resolvent.txt").exists()
+
+    # far below the spectrum: the ends-only path prints what every
+    # eigenvalue printed; weighted, the k = 1 square cancels (1e150) or
+    # T^{-1} underflows to a zero vector (1e200, 1e308)
+    @pytest.mark.parametrize("z_real, mode, code, expected", [
+        (z, "plain", EXIT_OK, f"z = (-1e+{p}+0j)\n"
+         f"spectrum distance = 1e+{p}\n"
+         f"i=0 j=0: coarse 1e-{p}  fine 1e-{p}  ratio 1\n"
+         f"i=0 j=1: coarse 1.08682e-{p - 10}  fine 4.56847e-{p - 10}  "
+         "ratio 4.20351\n"
+         f"i=1 j=0: coarse 1.08682e-{p - 10}  fine 4.56847e-{p - 10}  "
+         "ratio 4.20351\n"
+         f"i=1 j=1: coarse 1.18118e-{p - 20}  fine 2.08709e-{p - 21}  "
+         "ratio 17.6695\n")
+        for z, p in (("-1e150", 150), ("-1e200", 200), ("-1e308", 308))] + [
+        ("-1e150", "weighted", EXIT_CONVERGENCE,
+         rf"convergence failure: resolvent norms \[{NUMBER}, nan, {NUMBER}\]"
+         r" on 300 points at z = \(-1e\+150\+0j\): not positive floats\n"),
+        ("-1e200", "weighted", EXIT_CONVERGENCE,
+         "convergence failure: resolvent norm k=0 did not converge on 300 "
+         "points after 1 matvecs\n"),
+        ("-1e308", "weighted", EXIT_CONVERGENCE,
+         "convergence failure: resolvent norm k=0 did not converge on 300 "
+         "points after 1 matvecs\n")])
+    def test_resolvent_far_below_the_spectrum(self, tmp_path, capsys, z_real,
+                                              mode, code, expected):
+        cfg = write_config(tmp_path, "[run]\ncommand = resolvent\n"
+                           f"[resolvent]\nz_real = {z_real}\nmode = {mode}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert out == expected and not err
+            assert (tmp_path / "resolvent.txt").read_text() == expected
+        else:
+            assert not out and re.fullmatch(expected, err)
+            assert not (tmp_path / "resolvent.txt").exists()
+
+    # real z below the ground state: the ends-only path prints the report
+    # that every eigenvalue prints, in both modes
+    @pytest.mark.parametrize("mode", ["plain", "weighted"])
+    @pytest.mark.parametrize("model", sorted(DEEP_MODELS))
+    def test_ends_only_matches_every_eigenvalue(self, tmp_path, monkeypatch,
+                                                model, mode):
+        gamma, gamma_prime, potential, _ = DEEP_MODELS[model]
+        real = schrodinger._below_spectrum
+        verdicts = []
+
+        def recorded(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        cells = 0
+        for n in (2, 3, 4):
+            for l in (0, 1, 2):
+                # hydrogen's ground state is -1/(n - 1 + 2l)^2, and the
+                # oscillator's n + 2l lies above every z here
+                ground = (-1 / (n - 1 + 2 * l) ** 2 if model == "hydrogen"
+                          else n + 2 * l)
+                for z in (z for z in (-0.5, -1, -2) if z < ground):
+                    cfg = write_config(tmp_path, f"""
+                        [run]
+                        command = resolvent
+                        [problem]
+                        n = {n}
+                        l = {l}
+                        gamma = {gamma}
+                        gamma_prime = {gamma_prime}
+                        potential = {potential}
+                        [resolvent]
+                        z_real = {z}
+                        mode = {mode}
+                    """)
+                    reports = []
+                    for below in (recorded, lambda *args: False):
+                        monkeypatch.setattr(schrodinger, "_below_spectrum",
+                                            below)
+                        assert main(["--config", cfg, "--out",
+                                     str(tmp_path)]) == EXIT_OK
+                        reports.append(
+                            (tmp_path / "resolvent.txt").read_text())
+                    assert reports[0] == reports[1], (n, l, z)
+                    cells += 1
+        assert cells == (25 if model == "hydrogen" else 27)
+        assert len(verdicts) == 2 * cells and all(verdicts)
 
     def test_precondition_exit_code(self, tmp_path, capsys):
         # potential exponents inconsistent with the declared gamma

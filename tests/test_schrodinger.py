@@ -15,7 +15,7 @@ from degcalc.diffop import CylinderFunction, DiffOp
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
-                                 assemble_and_solve, membership_in_diff_s,
+                                 _below_spectrum, assemble_and_solve, membership_in_diff_s,
                                  membership_weights, parametrix_residual,
                                  resolvent_probe, rewrite)
 from degcalc.weights import Weight
@@ -552,32 +552,69 @@ def dense_resolvent_norms(prob, z, mode, npts):
     return norms, dist
 
 
+#: (id, problem) of the dense-oracle cells
+ORACLE_PROBLEMS = (("hydrogen", SchrodingerProblem.hydrogen()),
+                   ("oscillator", SchrodingerProblem.oscillator()),
+                   ("hydrogen_n2", SchrodingerProblem.hydrogen(n=2)))
+
+
 class TestResolventProbe:
-    @pytest.mark.parametrize("mode", ["plain", "weighted"])
-    @pytest.mark.parametrize("z", [complex(-2.0), complex(-1.0, 1.0)],
-                             ids=["real_z", "complex_z"])
     # weighted (0, 1): at real z, K = z((phi A)^T + phi A) - z^2 is negative
     # definite for hydrogen on R^3 and the oscillator (norm below 1) and
     # indefinite for hydrogen on R^2 (nu = 0, norm 1.39); complex z is
-    # indefinite on all three, and on the oscillator Lanczos runs longest
-    @pytest.mark.parametrize("prob", [SchrodingerProblem.hydrogen(),
-                                      SchrodingerProblem.oscillator(),
-                                      SchrodingerProblem.hydrogen(n=2)],
-                             ids=["hydrogen", "oscillator", "hydrogen_n2"])
-    def test_matches_dense_oracle(self, prob, z, mode):
+    # indefinite on all three, and on the oscillator Lanczos runs longest.
+    # Real z = -2 lies below each spectrum (only its two ends are found);
+    # the last two cells put a real z inside it, where every eigenvalue is
+    # found: 5 between the oscillator's 3 and 7, and 1.1 between phi*A's
+    # two lowest, 0.70 and 1.47 (1.49 on the fine grid).  Those come from
+    # LAPACK sterf, whose error is absolute: about 2.3e-10 at A's 6.84 on
+    # 60 points, where the diagonal reaches 2.8e8, so the plain cell at
+    # z = 5 is held to 1e-9 (its distance is 1.2e-10 off; bisection and the
+    # dense solve agree to 1e-14).
+    @pytest.mark.parametrize("prob, z, mode, rel", [
+        pytest.param(prob, z, mode, 1e-10, id=f"{name}-{z_id}-{mode}")
+        for name, prob in ORACLE_PROBLEMS
+        for z_id, z in (("real_z", complex(-2.0)),
+                        ("complex_z", complex(-1.0, 1.0)))
+        for mode in ("plain", "weighted")] + [
+        pytest.param(SchrodingerProblem.oscillator(), 5.0, "plain", 1e-9,
+                     id="oscillator-real_z_inside-plain"),
+        pytest.param(SchrodingerProblem.oscillator(), 1.1, "weighted", 1e-10,
+                     id="oscillator-real_z_inside-weighted")])
+    def test_matches_dense_oracle(self, prob, z, mode, rel):
         rep = resolvent_probe(prob, z, mode=mode, base_points=60)
         coarse, dist = dense_resolvent_norms(prob, z, mode, 60)
         fine, _ = dense_resolvent_norms(prob, z, mode, 120)
-        assert rep.spectrum_distance == pytest.approx(dist, rel=1e-10)
+        assert rep.spectrum_distance == pytest.approx(dist, rel=rel)
         for key, (c, f, ratio) in rep.norms.items():
-            assert c == pytest.approx(coarse[key], rel=1e-10)
-            assert f == pytest.approx(fine[key], rel=1e-10)
+            assert c == pytest.approx(coarse[key], rel=rel)
+            assert f == pytest.approx(fine[key], rel=rel)
             assert ratio == f / c
         # the factors commute: (0, 1) and (1, 0) are one number
         assert rep.norms[(0, 1)] == rep.norms[(1, 0)]
         if mode == "plain":  # A is normal: ||(A - z)^{-1}|| = 1/dist
             assert rep.norms[(0, 0)][0] == pytest.approx(
                 1.0 / rep.spectrum_distance, rel=1e-12)
+
+    # the certificate against a dense eigensolve: it holds just below the
+    # lowest eigenvalue and fails just above it, on A and on phi*A's
+    # symmetric form, whose diagonals reach 2.5e10 at 600 points
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["plain", "weighted"])
+    @pytest.mark.parametrize("points", [300, 600])
+    @pytest.mark.parametrize("prob", [SchrodingerProblem.hydrogen(),
+                                      SchrodingerProblem.oscillator()],
+                             ids=["hydrogen", "oscillator"])
+    def test_below_spectrum_certificate(self, prob, points, weighted):
+        d, e, rho = _assemble(prob, GeometricGrid(-8.0, 8.0, points).s_nodes())
+        w = (membership_weights(prob)[0].profile(rho) if weighted
+             else np.ones(len(rho)))
+        sqrt_w = np.sqrt(w)
+        d, e = w * d, sqrt_w[:-1] * e * sqrt_w[1:]
+        lam_min = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
+                                     + np.diag(e, -1))[0]
+        assert _below_spectrum(d, e, lam_min - 1e-9 * abs(lam_min))
+        assert not _below_spectrum(d, e, lam_min + 1e-9 * abs(lam_min))
 
     def test_plain_bound(self):
         rep = resolvent_probe(SchrodingerProblem.oscillator(), -1.0,
