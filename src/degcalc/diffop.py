@@ -152,9 +152,13 @@ def _as_cylinder(c, domain):
 
 
 class DiffOp:
-    """A differential operator on the cylinder in one of the three forms."""
+    """A differential operator on the cylinder in one of the three forms.
 
-    __slots__ = ("form", "coeffs", "phi", "psi")
+    ``_parametrix`` holds the parametrix recursion built so far
+    (``parametrix_1d``); it is freed with the operator.
+    """
+
+    __slots__ = ("form", "coeffs", "phi", "psi", "_parametrix")
 
     def __init__(self, form, coeffs, phi, psi=None):
         if form not in ("raw", "lie", "monomial"):
@@ -172,6 +176,7 @@ class DiffOp:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "_parametrix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -697,24 +702,36 @@ def parametrix_1d(A, N):
     exact remainder symbols E_k = 1 - sigma_A # (q_0 + ... + q_{k-1}), each
     step q_k = q_0 E_k.  An operator in another form is read through its lie
     form, so every form of one operator has one parametrix.
+
+    The recursion lives on the operator and is freed with it: the terms and
+    remainders built so far are kept once the operator passes the checks,
+    and a higher order extends them, so it reuses the lower ones.  An
+    operator that fails a check keeps nothing and raises on every call.
     """
-    sigma = radial_symbol(A)
+    if N < 0:
+        raise PreconditionError(f"parametrix order must be >= 0, got {N}")
+    if A._parametrix is None:
+        sigma = radial_symbol(A)
+        lead = sigma.num[-1] if sigma.num else None
+        if lead is None or not _nonvanishing_on_closure(lead):
+            raise PreconditionError(
+                "operator is not elliptic on its radial sector")
+        if not _no_real_roots(sigma.num):
+            raise PreconditionError(
+                "full symbol vanishes for real xi; shift the operator off "
+                "its spectrum before building a parametrix")
+        q0, one = (PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
+                                 sigma.num, power) for power in (1, 0))
+        object.__setattr__(A, "_parametrix", (sigma, q0, [], [one]))
+    sigma, q0, terms, remainders = A._parametrix
+    while len(terms) < N:
+        q = q0 * remainders[-1]
+        E = remainders[-1] - symbol_sharp(sigma, q, A.phi)
+        terms.append(q)
+        remainders.append(E)
     m = len(sigma.num) - 1
-    lead = sigma.num[-1] if sigma.num else None
-    if lead is None or not _nonvanishing_on_closure(lead):
-        raise PreconditionError("operator is not elliptic on its radial sector")
-    if not _no_real_roots(sigma.num):
-        raise PreconditionError(
-            "full symbol vanishes for real xi; shift the operator off its "
-            "spectrum before building a parametrix")
-    q0, one = (PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
-                             sigma.num, power) for power in (1, 0))
-    terms, remainders = [], [one]
-    for _ in range(N):
-        terms.append(q0 * remainders[-1])
-        remainders.append(remainders[-1]
-                          - symbol_sharp(sigma, terms[-1], A.phi))
-    return ParametrixExpansion(terms, remainders, m - 1 - N if N else m)
+    return ParametrixExpansion(terms[:N], remainders[:N + 1],
+                               m - 1 - N if N else m)
 
 
 def _no_real_roots(poly):

@@ -380,14 +380,15 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
     # sample the chart: r in the far-field region (t large), via s uniform
     rs = from_u(UNIT_INTERVAL, np.linspace(-6.0, -1.0, n_grid))
     remainders = parametrix_1d(A, max(orders, default=0)).remainders
+    # every band's 9 frequencies stacked: a (xi, r) grid, r contiguous, so
+    # each row is one xi's L2 mean and each band one block of 9 rows
+    xis = np.array([np.linspace(K / 2.0, K, 9) for K in cutoffs]).reshape(-1)
     rows = []
     for N in orders:
-        for K in cutoffs:
-            # a (xi, r) grid, r contiguous: each row is one xi's L2 mean
-            xis = np.linspace(K / 2.0, K, 9)
-            vals = np.abs(remainders[N].evaluate(rs, xis[:, None]))
-            worst = float(np.max(np.sqrt(np.mean(vals ** 2, axis=1))))
-            rows.append((N, float(K), worst))
+        vals = np.abs(remainders[N].evaluate(rs, xis[:, None]))
+        means = np.sqrt(np.mean(vals ** 2, axis=1)).reshape(len(cutoffs), 9)
+        rows.extend((N, float(K), float(np.max(band)))
+                    for K, band in zip(cutoffs, means))
     return tuple(rows)
 
 

@@ -579,6 +579,57 @@ class TestParametrix:
             assert px.remainders[N].evaluate(0.7, 8.0) == \
                 parametrix_1d(A, N).remainder.evaluate(0.7, 8.0)
 
+    def test_orders_in_any_order_match_fresh_builds(self):
+        # one operator keeps its recursion; each request must still equal
+        # the expansion of a separately built equal operator
+        name = "hydrogen Z=2 n=2 l=1"
+        A = far_field_op(name)
+        for N in (3, 1, 2, 0):
+            px, fresh = parametrix_1d(A, N), parametrix_1d(far_field_op(name),
+                                                           N)
+            assert len(px.terms) == N and len(px.remainders) == N + 1
+            assert px.remainder is px.remainders[-1]
+            assert px.remainder_order == fresh.remainder_order
+            for got, want in zip(px.terms + px.remainders,
+                                 fresh.terms + fresh.remainders,
+                                 strict=True):
+                assert got.num == want.num and got.power == want.power
+
+    def test_higher_order_reuses_lower_ones(self, monkeypatch):
+        products = []
+        real = RadialFunction.__mul__
+        monkeypatch.setattr(RadialFunction, "__mul__",
+                            lambda f, g: products.append(1) or real(f, g))
+
+        def count(A, N):
+            products.clear()
+            parametrix_1d(A, N)
+            return len(products)
+
+        A = far_field_op("oscillator n=3 l=0")
+        step = count(A, 1)
+        assert count(A, 3) + step == \
+            count(far_field_op("oscillator n=3 l=0"), 3)
+        for N in (3, 2, 0):
+            assert count(A, N) == 0
+
+    def test_failed_check_stores_nothing(self):
+        A = rewrite(SchrodingerProblem.oscillator()).op_zero
+        for _ in range(2):
+            with pytest.raises(PreconditionError,
+                               match="full symbol vanishes for real xi"):
+                parametrix_1d(A, 1)
+        assert A._parametrix is None
+
+    def test_negative_order_rejected(self):
+        A = far_field_op("oscillator n=3 l=0")
+        with pytest.raises(PreconditionError, match="order"):
+            parametrix_1d(A, -1)
+        parametrix_1d(A, 2)
+        # a kept recursion must not read -1 as a slice from the end
+        with pytest.raises(PreconditionError, match="order"):
+            parametrix_1d(A, -1)
+
     def test_remainder_decays_in_xi(self):
         w = Weight.from_term(1, 1)
         V = RadialFunction.term(1, 1, -1) + RadialFunction.const(2)
