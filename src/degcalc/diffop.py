@@ -36,7 +36,6 @@ class CylinderFunction:
     __slots__ = ("modes", "domain")
 
     def __init__(self, modes, domain=HALF_LINE):
-        clean = {}
         for m, f in modes.items():
             if not isinstance(m, int):
                 raise TypeError("Fourier modes must be integers")
@@ -44,10 +43,7 @@ class CylinderFunction:
                 raise TypeError("Fourier coefficients must be RadialFunctions")
             if f.domain != domain:
                 raise DomainMismatchError("mixed base domains")
-            if not f.is_zero:
-                clean[m] = f
-        object.__setattr__(self, "modes", clean)
-        object.__setattr__(self, "domain", domain)
+        _cylinder(modes, domain, out=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("CylinderFunction is immutable")
@@ -56,15 +52,15 @@ class CylinderFunction:
     def radial(cls, f):
         if not isinstance(f, RadialFunction):
             raise TypeError("expected a RadialFunction")
-        return cls({0: f}, domain=f.domain)
+        return _cylinder({0: f}, f.domain)
 
     @classmethod
     def const(cls, c, domain=HALF_LINE):
-        return cls({0: RadialFunction.const(c, domain=domain)}, domain=domain)
+        return _cylinder({0: RadialFunction.const(c, domain=domain)}, domain)
 
     @classmethod
     def zero(cls, domain=HALF_LINE):
-        return cls({}, domain=domain)
+        return _cylinder({}, domain)
 
     @classmethod
     def harmonic(cls, m, domain=HALF_LINE):
@@ -87,44 +83,40 @@ class CylinderFunction:
         merged = dict(self.modes)
         for m, f in other.modes.items():
             merged[m] = merged[m] + f if m in merged else f
-        return CylinderFunction(merged, domain=self.domain)
+        return _cylinder(merged, self.domain)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CylinderFunction({m: -f for m, f in self.modes.items()},
-                                domain=self.domain)
+        return _cylinder({m: -f for m, f in self.modes.items()}, self.domain)
 
     def __sub__(self, other):
         return self + (-_as_cylinder(other, self.domain))
 
     def __mul__(self, other):
+        if isinstance(other, (RadialFunction, CylinderFunction)):
+            other = _as_cylinder(other, self.domain)
+            merged = {}
+            for m1, f1 in self.modes.items():
+                for m2, f2 in other.modes.items():
+                    m = m1 + m2
+                    prod = f1 * f2
+                    merged[m] = merged[m] + prod if m in merged else prod
+            return _cylinder(merged, self.domain)
         if isinstance(other, (int, float, complex)) or hasattr(other, "numerator"):
-            return CylinderFunction({m: f * other
-                                     for m, f in self.modes.items()},
-                                    domain=self.domain)
-        if not isinstance(other, (RadialFunction, CylinderFunction)):
-            return NotImplemented  # an operator's __rmul__ takes over
-        other = _as_cylinder(other, self.domain)
-        merged = {}
-        for m1, f1 in self.modes.items():
-            for m2, f2 in other.modes.items():
-                m = m1 + m2
-                prod = f1 * f2
-                merged[m] = merged[m] + prod if m in merged else prod
-        return CylinderFunction(merged, domain=self.domain)
+            return _cylinder({m: f * other for m, f in self.modes.items()},
+                             self.domain)
+        return NotImplemented  # an operator's __rmul__ takes over
 
     __rmul__ = __mul__
 
     def d_t(self):
-        return CylinderFunction({m: f.derivative()
-                                 for m, f in self.modes.items()},
-                                domain=self.domain)
+        return _cylinder({m: f.derivative() for m, f in self.modes.items()},
+                         self.domain)
 
     def d_theta(self):
-        return CylinderFunction({m: f * (1j * m)
-                                 for m, f in self.modes.items() if m != 0},
-                                domain=self.domain)
+        return _cylinder({m: f * (1j * m) for m, f in self.modes.items()
+                          if m != 0}, self.domain)
 
     def __eq__(self, other):
         if not isinstance(other, CylinderFunction):
@@ -139,6 +131,16 @@ class CylinderFunction:
         parts = [f"e^{{{m}i theta}}*({f.to_text()})"
                  for m, f in sorted(self.modes.items())]
         return "CylinderFunction(" + " + ".join(parts) + ")"
+
+
+def _cylinder(modes, domain, out=None):
+    """A new cylinder function, or ``out`` given these fields, from modes
+    already checked: the zero ones are dropped, nothing is validated again."""
+    out = CylinderFunction.__new__(CylinderFunction) if out is None else out
+    object.__setattr__(out, "modes", {m: f for m, f in modes.items()
+                                      if not f.is_zero})
+    object.__setattr__(out, "domain", domain)
+    return out
 
 
 def _as_cylinder(c, domain):
@@ -167,16 +169,8 @@ class DiffOp:
             psi = Weight.from_term(1, 1, 0, domain=phi.domain)
         if phi.domain != psi.domain:
             raise DomainMismatchError("phi and psi on different domains")
-        clean = {}
-        for (i, j), c in coeffs.items():
-            cf = _as_cylinder(c, phi.domain)
-            if not cf.is_zero:
-                clean[(int(i), int(j))] = cf
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "_parametrix", None)
+        _op(form, {(int(i), int(j)): _as_cylinder(c, phi.domain)
+                   for (i, j), c in coeffs.items()}, phi, psi, out=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -208,9 +202,10 @@ class DiffOp:
     def Y(cls, phi, psi):
         return cls("lie", {(0, 1): 1}, phi, psi)
 
-    def _same_weights(self, other):
-        return ((self.phi is other.phi or self.phi == other.phi)
-                and (self.psi is other.psi or self.psi == other.psi))
+    def _over(self, phi, psi):
+        """Whether the operator is built over phi and psi, by value."""
+        return ((self.phi is phi or self.phi == phi)
+                and (self.psi is psi or self.psi == psi))
 
     def _basis(self):
         """The basis table of (phi, psi): on phi, keyed by psi's exact value,
@@ -236,16 +231,16 @@ class DiffOp:
         for (i, j), c in self.coeffs.items():
             for (k, l), b in basis[self.form, i, j].items():
                 _raw_add(raw, k, l, c * b)
-        return DiffOp("raw", raw, self.phi, self.psi)
+        return _op("raw", raw, self.phi, self.psi)
 
     def to_monomial(self):
         if self.form == "monomial":
             return self
         self._require_single_terms("monomial")
         basis = self._basis()
-        return DiffOp("monomial", {(i, j): basis.divide(i, j, b) for (i, j), b
-                                   in self.to_raw().coeffs.items()},
-                      self.phi, self.psi)
+        return _op("monomial", {(i, j): basis.divide(i, j, b) for (i, j), b
+                                in self.to_raw().coeffs.items()},
+                   self.phi, self.psi)
 
     def to_lie(self):
         """Triangular elimination from the highest (i + j, i) raw term."""
@@ -264,20 +259,20 @@ class DiffOp:
             if (i, j) in remaining:
                 raise PreconditionError(
                     "triangular elimination failed to cancel the top term")
-        return DiffOp("lie", lie, self.phi, self.psi)
+        return _op("lie", lie, self.phi, self.psi)
 
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other, negate=False):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        if not self._same_weights(other):
+        if not self._over(other.phi, other.psi):
             raise PreconditionError("operators built over different weights")
         a, b = self.to_raw(), other.to_raw()
         merged = dict(a.coeffs)
         for key, c in b.coeffs.items():
             _raw_add(merged, key[0], key[1], -c if negate else c)
-        return DiffOp("raw", merged, self.phi, self.psi)
+        return _op("raw", merged, self.phi, self.psi)
 
     def __sub__(self, other):
         return self.__add__(other, negate=True)
@@ -301,7 +296,7 @@ class DiffOp:
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        if not self._same_weights(other):
+        if not self._over(other.phi, other.psi):
             return False
         return self.to_raw().coeffs == other.to_raw().coeffs
 
@@ -327,6 +322,19 @@ class DiffOp:
 
     def __repr__(self):
         return f"DiffOp({self.form}: {self.to_text()})"
+
+
+def _op(form, coeffs, phi, psi, out=None):
+    """A new operator, or ``out`` given these fields, from coefficients
+    already checked: the zero ones are dropped, nothing is validated again."""
+    out = DiffOp.__new__(DiffOp) if out is None else out
+    object.__setattr__(out, "form", form)
+    object.__setattr__(out, "coeffs", {k: c for k, c in coeffs.items()
+                                       if not c.is_zero})
+    object.__setattr__(out, "phi", phi)
+    object.__setattr__(out, "psi", psi)
+    object.__setattr__(out, "_parametrix", None)
+    return out
 
 
 def _raw_add(raw, i, j, c):
@@ -373,9 +381,8 @@ class _Basis(dict):
     def divide(self, i, j, b):
         """The raw coefficient b divided by phi^i psi^j."""
         den = self["monomial", i, j][i, j]
-        return CylinderFunction({m: f.divide_term(den)
-                                 for m, f in b.modes.items()},
-                                domain=b.domain)
+        return _cylinder({m: f.divide_term(den) for m, f in b.modes.items()},
+                         b.domain)
 
 
 def _partial(f, i, j):
@@ -395,7 +402,7 @@ def _leibniz(A, B, top):
     dtheta^{j1-l+j2}; dtheta passes through the radial-in-t derivatives.
     A weight of 1 multiplies nothing.
     """
-    if not A._same_weights(B):
+    if not A._over(B.phi, B.psi):
         raise PreconditionError("operators built over different weights")
     a, b = A.to_raw().coeffs, B.to_raw().coeffs
     raw = {}
@@ -407,7 +414,7 @@ def _leibniz(A, B, top):
                     w = comb(i1, m) * comb(j1, l)
                     _raw_add(raw, i1 - m + i2, j1 - l + j2,
                              b1 * g if w == 1 else b1 * g * w)
-    return DiffOp("raw", raw, A.phi, A.psi)
+    return _op("raw", raw, A.phi, A.psi)
 
 
 def op_compose(A, B):
@@ -481,9 +488,11 @@ def random_lie_rinehart_samples(phi, psi, count, seed=0):
 def lie_rinehart_check(phi, psi, samples):
     """Verify the Lie-Rinehart axioms exactly on sample data.
 
-    ``samples`` is a list of dicts with keys Z, W, U (VectorFields) and
-    a, f (CylinderFunctions).  Each axiom is checked by exact symbolic
-    equality; the report maps axiom name to (passed, counterexample count).
+    ``samples`` is a list of dicts with keys Z, W, U (VectorFields over
+    phi and psi) and a, f (CylinderFunctions).  Each axiom is checked by
+    exact symbolic equality; the report maps axiom name to (passed,
+    counterexample count).  A field built over other weights raises
+    PreconditionError.
     """
     results = {}
 
@@ -492,7 +501,11 @@ def lie_rinehart_check(phi, psi, samples):
         results[name] = (fails == 0, fails)
 
     jacobi, leibniz, module_act, module_br, derivation = [], [], [], [], []
-    for s in samples:
+    for n, s in enumerate(samples):
+        for name in ("Z", "W", "U"):
+            if not s[name]._over(phi, psi):
+                raise PreconditionError(f"sample {n}: field {name} is built "
+                                        "over other weights than phi, psi")
         Z, W, U = s["Z"], s["W"], s["U"]
         a, f = s["a"], s["f"]
         ZW, Za, Zf = _bracket(Z, W), Z.apply(a), Z.apply(f)

@@ -4,7 +4,10 @@ Functions are finite sums  sum_m c_m t^{p_m} (1+t)^{q_m}  on [0, inf]
 (half-line basis) or  sum_m c_m t^{p_m} (1-t)^{q_m}  on [0, 1] (unit-interval
 basis).  Every exponent is an exact ``Fraction``: rationals as written, floats
 at their exact binary value, so equal exponents merge and cancellation is
-exact.  The class is closed under addition, multiplication and d/dt.
+exact.  A coefficient is exact (an int or a ``Fraction``), a float or a
+complex; the exact ones stay exact under every operation, and where one meets
+a float or a complex it is read as ``Fraction`` arithmetic reads it.  The
+class is closed under addition, multiplication and d/dt.
 
 The basis is not independent (t^p (1+t)^(q+1) = t^p (1+t)^q + t^(p+1)
 (1+t)^q), so ``leading(end)`` is the one endpoint reading, for the function
@@ -21,6 +24,7 @@ import heapq
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -52,28 +56,35 @@ def as_exponent(x):
     raise TypeError(f"unsupported exponent type: {type(x)!r}")
 
 
-def as_coefficient(c):
+def _ratio(c):
+    """A coefficient as stored, (n, d): an int or a Fraction as n/d in lowest
+    terms, a float or a complex as (c, 1), a complex with no imaginary part
+    as its real part."""
     if isinstance(c, bool):
         raise TypeError("bool is not a valid coefficient")
     if isinstance(c, (int, Fraction)):
-        return Fraction(c)
+        return c.numerator, c.denominator
     if isinstance(c, float):
-        return c
+        return c, 1
     if isinstance(c, complex):
-        return c.real if c.imag == 0.0 else c
+        return (c.real if c.imag == 0.0 else c), 1
     raise TypeError(f"unsupported coefficient type: {type(c)!r}")
 
 
 class RadialFunction:
     """A finite real-exponent power sum, exact under ring operations.
 
-    ``terms`` maps (p, q) exponent pairs to nonzero coefficients, stored as
-    integers (Dp, Dq) over one denominator D per function, so ring operations
-    add and hash ints.  Instances are immutable by convention; every
-    operation returns a fresh object.
+    ``terms`` maps (p, q) exponent pairs to nonzero coefficients.  The
+    exponents are stored as integers (Dp, Dq) over one denominator D per
+    function, and the exact coefficients as integers over one coefficient
+    denominator, divided by their gcd after every operation, so ring
+    operations add, multiply and hash ints and equal functions store equal
+    numerators.  Float and complex coefficients are stored as they are.
+    Instances are immutable by convention; every operation returns a fresh
+    object.
     """
 
-    __slots__ = ("domain", "_terms", "_den", "_floats")
+    __slots__ = ("domain", "_terms", "_den", "_cden", "_floats")
 
     def __init__(self, terms=None, domain=HALF_LINE):
         _wrap(*_stored(dict(terms or {}).items(), domain), out=self)
@@ -124,16 +135,17 @@ class RadialFunction:
             return NotImplemented
         self._require_same_domain(other)
         a, b, den = _common(self, other)
-        merged = dict(a)
-        for key, c in b.items():
-            _accumulate(merged, key, c)
-        return _wrap(merged, den, self.domain)
+        cden = math.lcm(self._cden, other._cden)
+        merged = _scaled(a, cden // self._cden)
+        for key, c in _scaled(b, cden // other._cden).items():
+            _accumulate(merged, key, c, cden)
+        return _wrap(merged, den, cden, self.domain)
 
     __radd__ = __add__
 
     def __neg__(self):
         return _wrap({k: -c for k, c in self._terms.items()}, self._den,
-                     self.domain)
+                     self._cden, self.domain)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RadialFunction) else -1 * other)
@@ -143,21 +155,24 @@ class RadialFunction:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction, complex)):
-            other = as_coefficient(other)
+            s, ds = _ratio(other)
+            d, cden = self._cden, self._cden * ds
             merged = {}
-            if other != 0:  # an inf coefficient times 0 stays 0, not nan
+            if s != 0:  # an inf coefficient times 0 stays 0, not nan
                 for key, c in self._terms.items():
-                    _accumulate(merged, key, c * other)
-            return _wrap(merged, self._den, self.domain)
+                    _accumulate(merged, key, _times(c, d, s, ds), cden)
+            return _wrap(merged, self._den, cden, self.domain)
         if not isinstance(other, RadialFunction):
             return NotImplemented
         self._require_same_domain(other)
         a, b, den = _common(self, other)
+        d1, d2 = self._cden, other._cden
         merged = {}
         for (P1, Q1), c1 in a.items():
             for (P2, Q2), c2 in b.items():
-                _accumulate(merged, (P1 + P2, Q1 + Q2), c1 * c2)
-        return _wrap(merged, den, self.domain)
+                _accumulate(merged, (P1 + P2, Q1 + Q2),
+                            _times(c1, d1, c2, d2), d1 * d2)
+        return _wrap(merged, den, d1 * d2, self.domain)
 
     __rmul__ = __mul__
 
@@ -176,22 +191,29 @@ class RadialFunction:
             raise ValueError("divisor must be a single term")
         a, b, den = _common(self, other)
         ((P0, Q0), c0), = b.items()
+        d, d0 = self._cden, other._cden
+        exact = type(c0) is int  # then c/d : c0/d0 is c d0 sgn(c0) / d |c0|
+        k, cden = (d0 if c0 > 0 else -d0, d * abs(c0)) if exact else (1, d)
         merged = {}
         for (P, Q), c in a.items():
-            _accumulate(merged, (P - P0, Q - Q0), c / c0)
-        return _wrap(merged, den, self.domain)
+            _accumulate(merged, (P - P0, Q - Q0), c * k if exact and
+                        type(c) is int else _mixed(c, d, c0, d0, truediv),
+                        cden)
+        return _wrap(merged, den, cden, self.domain)
 
     def derivative(self):
         """Exact d/dt in the ring."""
         sign = 1 if self.domain == HALF_LINE else -1
-        den = self._den
+        den, d = self._den, self._cden
         merged = {}
-        for (P, Q), c in self._terms.items():
+        for (P, Q), c in self._terms.items():  # (P/den) c and sign (Q/den) c
             if P:
-                _accumulate(merged, (P - den, Q), Fraction(P, den) * c)
+                _accumulate(merged, (P - den, Q), _times(P, den, c, d),
+                            den * d)
             if Q:
-                _accumulate(merged, (P, Q - den), sign * Fraction(Q, den) * c)
-        return _wrap(merged, den, self.domain)
+                _accumulate(merged, (P, Q - den),
+                            _times(sign * Q, den, c, d), den * d)
+        return _wrap(merged, den, den * d, self.domain)
 
     # -- coordinate changes ----------------------------------------------
 
@@ -203,7 +225,7 @@ class RadialFunction:
         if self.domain != HALF_LINE:
             raise DomainMismatchError("invert is a half-line operation")
         return _wrap({(-(P + Q), Q): c for (P, Q), c in self._terms.items()},
-                     self._den, HALF_LINE)
+                     self._den, self._cden, HALF_LINE)
 
     def flip(self):
         """The function t -> f(1-t) on the unit interval (swap the basis
@@ -211,7 +233,7 @@ class RadialFunction:
         if self.domain != UNIT_INTERVAL:
             raise DomainMismatchError("flip is a unit-interval operation")
         return _wrap({(Q, P): c for (P, Q), c in self._terms.items()},
-                     self._den, UNIT_INTERVAL)
+                     self._den, self._cden, UNIT_INTERVAL)
 
     # -- endpoint readings ------------------------------------------------
 
@@ -276,7 +298,9 @@ class RadialFunction:
         try:
             floats = self._floats
         except AttributeError:  # the float exponents, converted once
+            d = self._cden
             floats = tuple((P / self._den, Q / self._den,
+                            c / d if type(c) is int else
                             c if isinstance(c, complex) else float(c))
                            for (P, Q), c in self._terms.items())
             object.__setattr__(self, "_floats", floats)
@@ -304,7 +328,11 @@ class RadialFunction:
         if not isinstance(other, RadialFunction):
             return NotImplemented
         a, b, _ = _common(self, other)
-        return self.domain == other.domain and a == b
+        d, e = self._cden, other._cden
+        return self.domain == other.domain and a.keys() == b.keys() and all(
+            x * e == y * d if type(x) is type(y) is int else
+            x is y or _read(x, d) == _read(y, e)
+            for x, y in zip(a.values(), map(b.__getitem__, a)))
 
     __hash__ = None
 
@@ -321,7 +349,7 @@ class RadialFunction:
         factor = "(1+t)" if self.domain == HALF_LINE else "(1-t)"
         lines = []
         for P, Q in sorted(self._terms):
-            c = self._terms[P, Q]
+            c = _read(self._terms[P, Q], self._cden)
             lines.append(f"{_num_to_text(c)} * t^{Fraction(P, self._den)}"
                          f" * {factor}^{Fraction(Q, self._den)}")
         return "\n".join(lines)
@@ -393,19 +421,47 @@ class _Terms(Mapping):
 
     def __getitem__(self, key):
         P, Q = (Fraction(x) * self._f._den for x in key)
-        return self._f._terms[P, Q]  # an integral Fraction finds its int
+        # an integral Fraction finds its int
+        return _read(self._f._terms[P, Q], self._f._cden)
 
     def __repr__(self):
         return repr(dict(self.items()))
 
 
-def _accumulate(merged, key, c):
-    """Add c at key, keeping every stored coefficient nonzero."""
+def _read(c, d):
+    """A stored coefficient as the ring reads it: Fraction(c, d) for an exact
+    numerator c over d, c itself for a float or a complex."""
+    return Fraction(c, d) if type(c) is int else c
+
+
+def _mixed(x, dx, y, dy, op):
+    """x op y of stored coefficients x over dx and y over dy, as Fraction
+    mixes them: an exact n over d enters as n / d, or complex(n / d) against
+    a complex, and on the right it makes a left x float(x) or complex(x)."""
+    if type(x) is int:
+        return op(complex(x / dx) if isinstance(y, complex) else x / dx, y)
+    if type(y) is int:
+        if isinstance(x, complex):
+            return op(complex(x), complex(y / dy))
+        return op(float(x), y / dy)
+    return op(x, y)
+
+
+def _times(x, dx, y, dy):
+    """x y of stored coefficients x over dx and y over dy, over dx dy."""
+    return x * y if (type(x) is int) == (type(y) is int) else \
+        _mixed(x, dx, y, dy, mul)
+
+
+def _accumulate(merged, key, c, d):
+    """Add c at key, keeping every stored coefficient nonzero; the exact
+    numerators are over d."""
     if c == 0:
         return
     old = merged.get(key)
     if old is not None:
-        c = old + c
+        c = old + c if (type(old) is int) == (type(c) is int) else \
+            _mixed(old, d, c, d, add)
         if c == 0:
             del merged[key]
             return
@@ -413,31 +469,45 @@ def _accumulate(merged, key, c):
 
 
 def _stored(pairs, domain):
-    """Stored fields (terms {(P, Q): c}, D, domain) of ((p, q), c) pairs."""
+    """Stored fields (terms {(P, Q): c}, D, coefficient denominator, domain)
+    of ((p, q), c) pairs."""
     if domain not in (HALF_LINE, UNIT_INTERVAL):
         raise ValueError(f"unknown domain {domain!r}")
-    items = [(as_exponent(p), as_exponent(q), as_coefficient(c))
+    items = [(as_exponent(p), as_exponent(q), *_ratio(c))
              for (p, q), c in pairs]
-    den = math.lcm(*(x.denominator for p, q, _ in items for x in (p, q)))
+    den = math.lcm(*(x.denominator for p, q, *_ in items for x in (p, q)))
+    cden = math.lcm(*(d for *_, d in items))
     merged = {}
-    for p, q, c in items:
+    for p, q, n, d in items:
         _accumulate(merged, (p.numerator * (den // p.denominator),
-                             q.numerator * (den // q.denominator)), c)
-    return merged, den, domain
+                             q.numerator * (den // q.denominator)),
+                    n * (cden // d) if type(n) is int else n, cden)
+    return merged, den, cden, domain
 
 
-def _wrap(terms, den, domain, out=None):
-    """A new function with these stored fields, or ``out`` given them."""
+def _wrap(terms, den, cden, domain, out=None):
+    """A new function with these stored fields, or ``out`` given them; the
+    exact numerators and their denominator cden are divided by their gcd."""
+    if cden != 1:
+        ints = [c for c in terms.values() if type(c) is int]
+        g = math.gcd(cden, *ints)
+        if ints and g != 1:
+            terms = {k: c // g if type(c) is int else c
+                     for k, c in terms.items()}
+        cden //= g
     out = RadialFunction.__new__(RadialFunction) if out is None else out
     object.__setattr__(out, "domain", domain)
     object.__setattr__(out, "_terms", terms)
     object.__setattr__(out, "_den", den)
+    object.__setattr__(out, "_cden", cden)
     return out
 
 
 def _common(f, g):
     """The terms of f and g over their common denominator, and that."""
-    den = f._den if f._den == g._den else math.lcm(f._den, g._den)
+    if f._den == g._den:
+        return f._terms, g._terms, f._den
+    den = math.lcm(f._den, g._den)
     return _rescaled(f, den), _rescaled(g, den), den
 
 
@@ -445,6 +515,12 @@ def _rescaled(f, den):
     k = den // f._den
     return f._terms if k == 1 else \
         {(P * k, Q * k): c for (P, Q), c in f._terms.items()}
+
+
+def _scaled(terms, k):
+    """A copy of the terms with each exact numerator times k."""
+    return dict(terms) if k == 1 else \
+        {key: c * k if type(c) is int else c for key, c in terms.items()}
 
 
 def _walk(f, end, stop):
@@ -464,16 +540,18 @@ def _walk(f, end, stop):
         f = f.invert() if f.domain == HALF_LINE else f.flip()
     elif end != "zero":
         raise ValueError(f"unknown endpoint {end!r}")
-    den = f._den
+    den, cden = f._den, f._cden
     if len(f._terms) < 2:  # no term to cancel: the first rung decides
-        (P, _), c = next(iter(f._terms.items()), ((math.inf, 0), 0))
-        return (P, c) if P <= stop * den else (math.inf, 0)
+        for (P, _), c in f._terms.items():
+            if P <= stop * den:
+                return P, _read(c, cden)
+        return math.inf, 0
     sign = 1 if f.domain == HALF_LINE else -1
     lo, hi = min(P for P, _ in f._terms), max(P for P, _ in f._terms)
     stop = min(stop * den, lo + len(f._terms) * (hi - lo + den) - den)
     rungs = [(P, i) for i, (P, _) in enumerate(f._terms)]  # (D e, term)
-    ladder = [(c, Fraction(Q, den), 0, Fraction(1))  # c, q, k, binom(q, k)
-              for (_, Q), c in f._terms.items()]     # times (+/-1)^k
+    ladder = [(_read(c, cden), Fraction(Q, den), 0, Fraction(1))
+              for (_, Q), c in f._terms.items()]  # c, q, k, binom(q, k) (+/-1)^k
     heapq.heapify(rungs)
     while rungs and rungs[0][0] <= stop:
         e = rungs[0][0]

@@ -520,6 +520,23 @@ class TestLieRinehart:
         report = lie_rinehart_check(phi, psi, [sample])
         assert all(ok for ok, _ in report.values())
 
+    def test_fields_must_be_built_over_the_given_weights(self):
+        phi = Weight.from_term(1, 1)
+        psi = Weight.from_term(1, F(1, 2))
+        samples = random_lie_rinehart_samples(phi, psi, 2, seed=3)
+        # equal weights built apart pass: the weights compare by value
+        assert lie_rinehart_check(Weight.from_term(1, 1),
+                                  Weight.from_term(1, F(1, 2)), samples)
+        with pytest.raises(PreconditionError, match="sample 0: field Z"):
+            lie_rinehart_check(None, None, samples)
+        other = Weight.from_term(2, 1)
+        samples[1]["W"] = VectorField(CylinderFunction.const(1),
+                                      CylinderFunction.zero(), other, psi)
+        with pytest.raises(PreconditionError, match="sample 1: field W"):
+            lie_rinehart_check(phi, psi, samples)
+        with pytest.raises(PreconditionError, match="sample 0: field Z"):
+            lie_rinehart_check(phi, phi, samples)
+
 
 class TestSymbols:
     @staticmethod

@@ -569,3 +569,190 @@ class TestIntegerKeys:
         assert f.terms.get((F(2, 3), math.e)) is None
         with pytest.raises(TypeError):
             f.terms[(0, 0)] = 1
+
+
+# -- exact coefficients as integers against a Fraction-coefficient reference ---
+# Each function stores its exact coefficients as integers over one coefficient
+# denominator.  The reference below keeps every coefficient a Fraction, a float
+# or a complex and runs the ring's loops in their order, so the two must agree
+# on the value, the type and the repr of every coefficient, also where an
+# exact coefficient meets a float or a complex and wherever float sums round.
+# Numerators and denominators past 2**53 make an exact coefficient that is
+# read as float(N) / D instead of N / D show.
+
+def ref_coefficient(c):
+    """A coefficient as the Fraction reference stores it."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    return c.real if isinstance(c, complex) and c.imag == 0.0 else c
+
+
+def ref_accumulate(merged, key, c):
+    if c == 0:
+        return
+    old = merged.get(key)
+    if old is not None:
+        c = old + c
+        if c == 0:
+            del merged[key]
+            return
+    merged[key] = c
+
+
+def ref_function(pairs):
+    merged = {}
+    for (p, q), c in pairs:
+        ref_accumulate(merged, (as_exponent(p), as_exponent(q)),
+                       ref_coefficient(c))
+    return merged
+
+
+def ref_add(a, b):
+    merged = dict(a)
+    for key, c in b.items():
+        ref_accumulate(merged, key, c)
+    return merged
+
+
+def ref_mul(a, b):
+    merged = {}
+    for (p1, q1), c1 in a.items():
+        for (p2, q2), c2 in b.items():
+            ref_accumulate(merged, (p1 + p2, q1 + q2), c1 * c2)
+    return merged
+
+
+def ref_scale(a, s):
+    s, merged = ref_coefficient(s), {}
+    if s != 0:
+        for key, c in a.items():
+            ref_accumulate(merged, key, c * s)
+    return merged
+
+
+def ref_derivative(a, domain):
+    sign, merged = 1 if domain == HALF_LINE else -1, {}
+    for (p, q), c in a.items():
+        if p:
+            ref_accumulate(merged, (p - 1, q), p * c)
+        if q:
+            ref_accumulate(merged, (p, q - 1), sign * q * c)
+    return merged
+
+
+def ref_divide_term(a, b):
+    ((p0, q0), c0), = b.items()
+    merged = {}
+    for (p, q), c in a.items():
+        ref_accumulate(merged, (p - p0, q - q0), c / c0)
+    return merged
+
+
+def stored(f):
+    """Each coefficient of f in stored order: its key, repr and type."""
+    return [(key, repr(c), type(c)) for key, c in f.terms.items()]
+
+
+def expected(ref):
+    return [(key, repr(c), type(c)) for key, c in ref.items()]
+
+
+big = st.integers(-2 ** 70, 2 ** 70)
+exact_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((2, 3, 7, 9))),
+    st.builds(Fraction, big, st.integers(1, 2 ** 70)))
+float_coeffs = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, 0.1, 1e300)))
+mixed_coeffs = st.one_of(exact_coeffs, float_coeffs,
+                         st.builds(complex, float_coeffs, float_coeffs))
+# few exponents, so that products collide and sum three and more terms
+mixed_exps = st.one_of(st.integers(0, 2), st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from((2, 3, 7))))
+mixed_terms = st.dictionaries(st.tuples(mixed_exps, mixed_exps),
+                              mixed_coeffs, max_size=5)
+scalars = st.one_of(mixed_coeffs, st.sampled_from((0, F(0), 0j, 1e-320)))
+
+
+class TestExactCoefficients:
+    @given(mixed_terms, mixed_terms, scalars, domains)
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_the_fraction_reference(self, a, b, s, domain):
+        f, g = RadialFunction(a, domain), RadialFunction(b, domain)
+        ra, rb = ref_function(a.items()), ref_function(b.items())
+        neg = {key: -c for key, c in rb.items()}
+        cases = [(f, ra), (g, rb), (f + g, ref_add(ra, rb)),
+                 (f - g, ref_add(ra, neg)), (-g, neg),
+                 (f * g, ref_mul(ra, rb)), (g * f, ref_mul(rb, ra)),
+                 (f * s, ref_scale(ra, s)), (s * g, ref_scale(rb, s)),
+                 (f.derivative(), ref_derivative(ra, domain))]
+        for key, c in rb.items():
+            one = RadialFunction({key: c}, domain)
+            cases.append((f.divide_term(one), ref_divide_term(ra, {key: c})))
+        if domain == HALF_LINE:
+            cases.append((f.invert(), {(-(p + q), q): c
+                                       for (p, q), c in ra.items()}))
+        else:
+            cases.append((f.flip(), {(q, p): c for (p, q), c in ra.items()}))
+        for got, want in cases:
+            assert stored(got) == expected(want)
+        assert (f == g) == (ra == rb)
+        assert (f * g == g * f) == (ref_mul(ra, rb) == ref_mul(rb, ra))
+        assert ((f + g) - g == f) == (ref_add(ref_add(ra, rb), neg) == ra)
+
+    def test_equal_exact_functions_store_equal_fields(self):
+        f = RadialFunction.term(F(1, 3), 1) * 3
+        g = RadialFunction.term(1, 1)
+        fields = ("_terms", "_den", "_cden")
+        assert [getattr(f, x) for x in fields] == \
+            [getattr(g, x) for x in fields] == [{(1, 0): 1}, 1, 1]
+        assert type(f._terms[1, 0]) is int
+        h = RadialFunction.term(F(1, 2), 1) + RadialFunction.term(F(1, 6), 2)
+        assert (h * 6)._terms == {(1, 0): 3, (2, 0): 1} and \
+            (h * 6)._cden == 1
+        assert (h - RadialFunction.term(F(1, 6), 2))._cden == 2
+
+    def test_exact_and_float_coefficients_compare_by_value(self):
+        half = RadialFunction.term(F(1, 2), 1)
+        assert half == RadialFunction.term(0.5, 1)
+        assert RadialFunction.term(0.5, 1) == half
+        assert half == RadialFunction.term(0.5 + 0j, 1)
+        # the numerator 1 over 2 is not the float 1.0
+        assert half != RadialFunction.term(1.0, 1)
+        assert half + RadialFunction.term(0.25, 2) == \
+            RadialFunction.term(0.5, 1) + RadialFunction.term(F(1, 4), 2)
+
+    def test_denominator_is_reduced_not_multiplied(self):
+        # X^10 over phi = (3/2) t^2 / (1+t): every raw coefficient is stored
+        # over the least common denominator of its reduced coefficients,
+        # which divides (3/2)^10's 2^10, though each product multiplies the
+        # denominators of its factors before the reduction
+        from degcalc.diffop import DiffOp
+        from degcalc.weights import Weight
+        phi = Weight(RadialFunction.term(F(3, 2), 2, -1))
+        raw = DiffOp("lie", {(10, 0): 1}, phi, phi).to_raw()
+        functions = [f for c in raw.coeffs.values() for f in c.modes.values()]
+        assert len(functions) == 10
+        for f in functions:
+            assert f._cden == math.lcm(*(c.denominator
+                                         for c in f.terms.values()))
+            assert 2 ** 10 % f._cden == 0
+
+    def test_exact_operations_call_nothing_in_fractions(self):
+        import cProfile
+        import fractions
+        import pstats
+        f = RadialFunction({(F(1, 2), -1): F(2, 3), (2, F(1, 3)): -5,
+                            (1, 0): F(7, 4)})
+        g = RadialFunction({(F(1, 3), 0): F(-3, 5), (0, -2): F(1, 7)})
+        one = RadialFunction.term(F(-4, 9), F(2, 7), 1)
+        profile = cProfile.Profile()
+        profile.enable()
+        results = [f + g, f - g, f * g, g * f, f.derivative(),
+                   g.derivative(), f.divide_term(one), (f * g).derivative()]
+        profile.disable()
+        assert all(not h.is_zero for h in results)
+        called = [name for (path, _, name) in pstats.Stats(profile).stats
+                  if path == fractions.__file__]
+        assert not called, f"exact ring operations called {called}"

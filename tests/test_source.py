@@ -3,10 +3,10 @@ name it never uses, and no module-level private function or class goes
 unreferenced, so deleting code cannot leave its imports or helpers behind.
 Every exported name, and every public method or property of an exported
 class, has a reader besides the unit tests, so the public API is what the
-commands, demos and benchmark use.  Only ``cli.py`` touches the
-file system, so every output file is written in one place.  No function
-changes module state, so every cache lives on the object it serves and dies
-with it."""
+commands, demos and benchmark use.  Only ``powerfun.py`` reads the
+stored form of a ring function.  Only ``cli.py`` touches the file system,
+so every output file is written in one place.  No function changes module
+state, so every cache lives on the object it serves and dies with it."""
 
 import ast
 from collections import Counter
@@ -160,6 +160,26 @@ def test_every_public_member_has_a_reader():
         f"public members only the unit tests read: " \
         f"{sorted(unread - set(KEPT_MEMBERS))}; kept members with a " \
         f"reader or gone: {sorted(set(KEPT_MEMBERS) - unread)}"
+
+
+def test_only_powerfun_reads_the_stored_ring_form():
+    """The private fields of ``RadialFunction`` (its integer exponents and
+    coefficient numerators and their denominators) are read only in
+    ``powerfun.py``, so its representation can change in one module."""
+    tree = ast.parse((PACKAGE / "powerfun.py").read_text())
+    slots, = (ast.literal_eval(item.value) for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and node.name == "RadialFunction"
+              for item in node.body if isinstance(item, ast.Assign)
+              and item.targets[0].id == "__slots__")
+    private = {name for name in slots if name.startswith("_")}
+    assert {"_terms", "_den", "_cden"} <= private
+    readers = {path.name: sorted(private & set(attribute_reads(
+        ast.parse(path.read_text())))) for path in READERS
+        if path != PACKAGE / "powerfun.py"}
+    assert not any(readers.values()), \
+        f"RadialFunction's stored form read outside powerfun.py: " \
+        f"{ {name: r for name, r in readers.items() if r} }"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")
