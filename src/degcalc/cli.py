@@ -390,14 +390,16 @@ _EXITS = {
 }
 
 
+#: the command line, built once: ``main`` only parses with it
+_PARSER = argparse.ArgumentParser(
+    prog="degcalc", description="Weighted operator calculus batch runner")
+_PARSER.add_argument("--config", required=True, help="path to the config file")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--verbose", action="store_true")
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
-        prog="degcalc",
-        description="Weighted operator calculus batch runner")
-    ap.add_argument("--config", required=True, help="path to the config file")
-    ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--verbose", action="store_true")
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     def log(msg):
         if args.verbose:

@@ -59,14 +59,16 @@ def as_exponent(x):
 def _ratio(c):
     """A coefficient as stored, (n, d): an int or a Fraction as n/d in lowest
     terms, a float or a complex as (c, 1), a complex with no imaginary part
-    as its real part."""
+    as its real part.  A float or complex subclass, such as a numpy scalar,
+    is stored as the plain float or complex of the same value."""
     if isinstance(c, bool):
         raise TypeError("bool is not a valid coefficient")
     if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
     if isinstance(c, float):
-        return c, 1
+        return float(c), 1
     if isinstance(c, complex):
+        c = complex(c)
         return (c.real if c.imag == 0.0 else c), 1
     raise TypeError(f"unsupported coefficient type: {type(c)!r}")
 
@@ -424,6 +426,16 @@ class _Terms(Mapping):
         # an integral Fraction finds its int
         return _read(self._f._terms[P, Q], self._f._cden)
 
+    def items(self):
+        d, cden = self._f._den, self._f._cden
+        return {(Fraction(P, d), Fraction(Q, d)): _read(c, cden)
+                for (P, Q), c in self._f._terms.items()}.items()
+
+    def values(self):
+        cden = self._f._cden
+        return {key: _read(c, cden)
+                for key, c in self._f._terms.items()}.values()
+
     def __repr__(self):
         return repr(dict(self.items()))
 
@@ -473,8 +485,7 @@ def _stored(pairs, domain):
     of ((p, q), c) pairs."""
     if domain not in (HALF_LINE, UNIT_INTERVAL):
         raise ValueError(f"unknown domain {domain!r}")
-    items = [(as_exponent(p), as_exponent(q), *_ratio(c))
-             for (p, q), c in pairs]
+    items = [(_exponent(p), _exponent(q), *_ratio(c)) for (p, q), c in pairs]
     den = math.lcm(*(x.denominator for p, q, *_ in items for x in (p, q)))
     cden = math.lcm(*(d for *_, d in items))
     merged = {}
@@ -483,6 +494,11 @@ def _stored(pairs, domain):
                              q.numerator * (den // q.denominator)),
                     n * (cden // d) if type(n) is int else n, cden)
     return merged, den, cden, domain
+
+
+def _exponent(x):
+    """as_exponent(x), with an int or a Fraction taken as it is."""
+    return x if type(x) in (int, Fraction) else as_exponent(x)
 
 
 def _wrap(terms, den, cden, domain, out=None):
@@ -535,6 +551,12 @@ def _walk(f, end, stop):
     p_lo + n (p_hi - p_lo + 1) - 1 unless f is zero: in one class of p mod 1
     the sum is t^a times at most that many distinct (1 +/- t)^g, whose
     Taylor coefficients binom(g, j) row-reduce to a Vandermonde matrix.
+
+    A rung of exact coefficients sums integer numerators over one common
+    denominator and builds one Fraction, the total it returns.  A rung with
+    a float or a complex coefficient sums Fraction products from
+    Fraction(0) in the order of the terms, as Fraction arithmetic mixes
+    them, and skips a total within float noise of 0.
     """
     if end == "far":
         f = f.invert() if f.domain == HALF_LINE else f.flip()
@@ -550,28 +572,32 @@ def _walk(f, end, stop):
     lo, hi = min(P for P, _ in f._terms), max(P for P, _ in f._terms)
     stop = min(stop * den, lo + len(f._terms) * (hi - lo + den) - den)
     rungs = [(P, i) for i, (P, _) in enumerate(f._terms)]  # (D e, term)
-    ladder = [(_read(c, cden), Fraction(Q, den), 0, Fraction(1))
-              for (_, Q), c in f._terms.items()]  # c, q, k, binom(q, k) (+/-1)^k
+    # c over cden, q as (Q, D), k, binom(q, k) (+/-1)^k as (n, d)
+    ladder = [(c, (Q, den), 0, (1, 1)) for (_, Q), c in f._terms.items()]
     heapq.heapify(rungs)
     while rungs and rungs[0][0] <= stop:
         e = rungs[0][0]
-        contribs = []
+        rung = []
         while rungs and rungs[0][0] == e:
             _, i = heapq.heappop(rungs)
             c, q, k, b = ladder[i]
             if k:
-                b = sign * _binomial_step(b, q, k - 1)
-                if not b:  # q is an integer below k: the ladder has ended
+                n, d = _binomial_step(b, q, k - 1)
+                if not n:  # q is an integer below k: the ladder has ended
                     continue
-            contribs.append(c * b)
+                b = sign * n, d
+            rung.append((c, *b))
             ladder[i] = (c, q, k + 1, b)
             heapq.heappush(rungs, (e + den, i))
-        total = sum(contribs, Fraction(0))
-        if total == 0:
+        if all(type(c) is int for c, _, _ in rung):
+            common = math.lcm(*(d for _, _, d in rung))
+            total = sum(c * n * (common // d) for c, n, d in rung)
+            if total:
+                return e, Fraction(total, common * cden)
             continue
-        # float cancellation noise; an exact total has none, and its
-        # contributions may lie beyond the float range
-        if not isinstance(total, Fraction) and abs(complex(total)) <= \
+        contribs = [_read(c, cden) * Fraction(n, d) for c, n, d in rung]
+        total = sum(contribs, Fraction(0))
+        if total == 0 or abs(complex(total)) <= \
                 COEFF_REL_TOL * max(abs(complex(c)) for c in contribs):
             continue
         return e, total
@@ -579,8 +605,12 @@ def _walk(f, end, stop):
 
 
 def _binomial_step(b, q, k):
-    """binom(q, k + 1) from b = binom(q, k)."""
-    return b * (q - k) / (k + 1)
+    """binom(q, k + 1) from b = binom(q, k), for q = Q / D: b and the
+    result are pairs (n, d) of ints in lowest terms, q is the pair (Q, D)."""
+    (n, d), (Q, D) = b, q
+    n, d = n * (Q - k * D), d * D * (k + 1)
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def _num_to_text(x):

@@ -275,7 +275,8 @@ def _assemble(prob, s):
     nu_eff^2 = nu^2 + c for V ~ c t^-2 at 0 and nu^2 otherwise.  Returns the
     symmetric tridiagonal (d, e) of M^{-1/2} K M^{-1/2}, M = diag(m rho^2),
     and rho at the unknowns.  V ~ c t^e at 0 with e < -2 and c < 0, or with
-    nu_eff^2 < 0 (past Hardy's constant), is not bounded below and raises.
+    nu_eff^2 < 0 (past Hardy's constant), is not bounded below and raises,
+    and so does a V that grows at infinity (gamma' > 0) with c < 0 there.
     """
     nu = prob.l + Fraction(prob.n - 2, 2)
     e, c = prob.V.leading("zero")
@@ -284,6 +285,11 @@ def _assemble(prob, s):
         raise PreconditionError(
             f"-Delta + V is not bounded below on the sector l = {prob.l}: "
             f"V ~ {c} t^{e} at 0")
+    if prob.gamma_prime > 0:
+        e, c = prob.V.leading("far")
+        if c < 0:
+            raise PreconditionError(f"-Delta + V is not bounded below at "
+                                    f"infinity: V ~ {c} t^{-e} there")
     nu = float(nu)
     h = (s[-1] - s[0]) / (len(s) - 1)
     rho = np.exp(s[:-1])

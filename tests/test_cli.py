@@ -793,10 +793,11 @@ class TestBoundedBelow:
     """-Delta + V on R^3, sector l = 0, with V ~ c t^e at 0 and t^2 at
     infinity: the spectral commands need the operator bounded below."""
 
-    #: name -> (gamma, potential): c < 0 at e = -3, and c = -1/2 at e = -2,
-    #: past Hardy's constant nu^2 = 1/4
+    #: name -> (gamma, potential): c < 0 at e = -3, c = -1/2 at e = -2,
+    #: past Hardy's constant nu^2 = 1/4, and V = -t^2, which grows to -inf
     UNBOUNDED = {"strong": ("3/2", "-1,-3,0; 1,2,0"),
-                 "hardy": ("1", "-1/2,-2,0; 1,2,0")}
+                 "hardy": ("1", "-1/2,-2,0; 1,2,0"),
+                 "far": ("-1", "-1,2,0")}
 
     def run(self, tmp_path, command, gamma, potential):
         out = tmp_path / command
@@ -817,6 +818,17 @@ class TestBoundedBelow:
         assert code == EXIT_PRECONDITION
         assert "not bounded below" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+    def test_unbounded_at_infinity_names_the_end(self, tmp_path, capsys,
+                                                 command):
+        # a grid would report eigenvalues near -e^(2 s_max), -158,845 at
+        # s_max = 6, that are no spectrum of -Delta + V
+        code, out = self.run(tmp_path, command, *self.UNBOUNDED["far"])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "precondition violated: -Delta + V is not bounded below at "
+            "infinity: V ~ -1 t^2 there\n")
 
     @pytest.mark.parametrize("gamma, potential, expected, rel", [
         # repulsive t^-3: the lowest eigenvalue on the default grid
@@ -914,6 +926,50 @@ class TestDeepCut:
 class TestSelftest:
     def test_all_checks_pass(self):
         assert run_selftest() == []
+
+
+class TestCommandLine:
+    """The arguments of ``main``: usage, help and exit status as argparse
+    gives them, and nothing of one call carried into the next."""
+
+    USAGE = "usage: degcalc [-h] --config CONFIG [--out OUT] [--verbose]"
+
+    def test_missing_config_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == self.USAGE
+        assert err[-1] == "degcalc: error: the following arguments are " \
+                          "required: --config"
+
+    def test_help_exits_0(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == self.USAGE
+        assert "Weighted operator calculus batch runner" in out
+
+    def test_verbose_is_read_per_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[run]\ncommand = flow\n")
+        args = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(args + ["--verbose"]) == EXIT_OK
+        assert "wrote " in capsys.readouterr().err
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        import argparse
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built an ArgumentParser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        cfg = write_config(tmp_path, "[run]\ncommand = classify\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
 
 
 #: classify.txt and membership.txt of the default configs.  Both come from

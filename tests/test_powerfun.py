@@ -238,9 +238,10 @@ class TestExponentData:
         assert g.one_term() is g  # one stored term returns at once
 
     def test_generalized_binomial(self):
-        half = F(1, 2)
-        assert _binomial_step(_binomial_step(F(1), half, 0), half, 1) \
-            == F(-1, 8) == generalized_binomial(half, 2)
+        half = (1, 2)
+        assert _binomial_step(_binomial_step((1, 1), half, 0), half, 1) \
+            == (-1, 8)
+        assert F(-1, 8) == generalized_binomial(F(1, 2), 2)
 
     def test_float_exponents_are_exact(self):
         assert as_exponent(0.5) == F(1, 2)
@@ -570,6 +571,23 @@ class TestIntegerKeys:
         with pytest.raises(TypeError):
             f.terms[(0, 0)] = 1
 
+    def test_terms_items_and_values_read_as_getitem(self):
+        f = RadialFunction({(F(1, 2), -1): F(3, 4), (2, 0): 0.5,
+                            (0, F(1, 3)): 1 + 2j, (1, 1): -2})
+        view = f.terms
+        read = {key: view[key] for key in view}
+        assert list(view.items()) == list(read.items())
+        assert [(repr(c), type(c)) for c in view.values()] == \
+            [(repr(c), type(c)) for c in read.values()]
+        assert repr(view) == repr(read)
+        # the items stay a set of pairs
+        items = view.items()
+        assert items == read.items() == set(read.items())
+        assert ((F(2), F(0)), 0.5) in items and ((2, 0), 1) not in items
+        assert items & {((1, 1), -2), ((9, 9), 1)} == {((1, 1), -2)}
+        assert items - read.items() == set() and len(items | items) == 4
+        assert view == read and dict(view) == read
+
 
 # -- exact coefficients as integers against a Fraction-coefficient reference ---
 # Each function stores its exact coefficients as integers over one coefficient
@@ -648,6 +666,41 @@ def ref_divide_term(a, b):
     return merged
 
 
+def ref_walk(terms, domain, stop=math.inf):
+    """(e, c) at t = 0 of a Fraction-keyed reference function, as a ladder of
+    Fraction products c binom(q, k) (+/-1)^k summed from Fraction(0) in the
+    order of the terms, float noise skipped at the ring's tolerance; the
+    exponents beyond the bound of ``reference_limit_at_zero`` are not read."""
+    if len(terms) < 2:
+        return next(((p, c) for (p, _), c in terms.items() if p <= stop),
+                    (math.inf, 0))
+    sign = 1 if domain == HALF_LINE else -1
+    lo, hi = min(p for p, _ in terms), max(p for p, _ in terms)
+    stop = min(stop, lo + len(terms) * (hi - lo + 1) - 1)
+    for e in sorted({p + k for p, _ in terms
+                     for k in range(math.floor(stop - p) + 1)}):
+        contribs = []
+        for (p, q), c in terms.items():
+            k = e - p
+            if k >= 0 and k.denominator == 1:
+                b = generalized_binomial(q, int(k)) * sign ** int(k)
+                if b:
+                    contribs.append(c * b)
+        total = sum(contribs, Fraction(0))
+        if total == 0 or not isinstance(total, Fraction) and \
+                abs(complex(total)) <= powerfun.COEFF_REL_TOL * max(
+                    abs(complex(c)) for c in contribs):
+            continue
+        return e, total
+    return math.inf, 0
+
+
+def typed(x):
+    """The repr and type of x, or of each entry of a tuple x."""
+    return [typed(y) for y in x] if isinstance(x, tuple) else (repr(x),
+                                                               type(x))
+
+
 def stored(f):
     """Each coefficient of f in stored order: its key, repr and type."""
     return [(key, repr(c), type(c)) for key, c in f.terms.items()]
@@ -673,6 +726,22 @@ mixed_exps = st.one_of(st.integers(0, 2), st.builds(
 mixed_terms = st.dictionaries(st.tuples(mixed_exps, mixed_exps),
                               mixed_coeffs, max_size=5)
 scalars = st.one_of(mixed_coeffs, st.sampled_from((0, F(0), 0j, 1e-320)))
+# integer p, so that the terms' ladders meet on shared rungs, and q with odd
+# denominators, so that the binomials are not dyadic.  Each pair
+# c t^p (1 +/- t)^q1 - c t^p (1 +/- t)^q2 cancels on its first rung, so the
+# rungs past it, where the binomials enter, are read too.
+ladder_keys = st.tuples(st.integers(-1, 1), st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from((1, 3, 7))))
+ladder_coeffs = st.one_of(
+    mixed_coeffs, exact_coeffs.filter(bool), st.floats(-10, 10).filter(bool),
+    st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)))
+ladder_pairs = st.lists(st.tuples(ladder_keys, ladder_keys, ladder_coeffs),
+                        min_size=1, max_size=3)
+ladder_terms = st.builds(
+    lambda pairs, extra: {**extra, **{
+        key: v for (p, q1), (_, q2), c in pairs if q1 != q2
+        for key, v in (((p, q1), c), ((p, q2), -c))}},
+    ladder_pairs, st.dictionaries(ladder_keys, ladder_coeffs, max_size=3))
 
 
 class TestExactCoefficients:
@@ -700,6 +769,34 @@ class TestExactCoefficients:
         assert (f == g) == (ra == rb)
         assert (f * g == g * f) == (ref_mul(ra, rb) == ref_mul(rb, ra))
         assert ((f + g) - g == f) == (ref_add(ref_add(ra, rb), neg) == ra)
+
+    @given(ladder_terms, domains)
+    @settings(max_examples=150, deadline=None)
+    def test_endpoint_readings_match_the_fraction_reference(self, a, domain):
+        f = RadialFunction(a, domain)
+        ra = ref_function(a.items())
+        far = {(-(p + q), q) if domain == HALF_LINE else (q, p): c
+               for (p, q), c in ra.items()}
+        for end, terms in (("zero", ra), ("far", far)):
+            want = ref_walk(terms, domain)
+            assert typed(f.leading(end)) == typed(want)
+            e, c = ref_walk(terms, domain, 0)
+            s = c.real if isinstance(c, complex) else c
+            limit = (c if e == 0 else Fraction(0)) if e >= 0 else \
+                math.inf if s > 0 else -math.inf
+            assert typed(f.limit(end)) == typed(limit)
+
+    def test_numpy_scalar_coefficients_are_stored_as_plain_numbers(self):
+        term = RadialFunction.term(1, 1)
+        text = "2.0 * t^1 * (1+t)^0"
+        assert (term * np.float64(2.0)).to_text() == \
+            (np.float64(2.0) * term).to_text() == text
+        assert RadialFunction.term(np.float64(2.0), 1).to_text() == text
+        for c in (np.complex128(1 - 2j), np.complex128(3.0)):
+            g = RadialFunction.term(c, 1)
+            assert [type(x) for x in g.terms.values()] == \
+                [type(ref_coefficient(complex(c)))]
+            assert g.to_text() == RadialFunction.term(complex(c), 1).to_text()
 
     def test_equal_exact_functions_store_equal_fields(self):
         f = RadialFunction.term(F(1, 3), 1) * 3
