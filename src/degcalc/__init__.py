@@ -1,10 +1,9 @@
 """Exact symbolic and numeric calculus for differential operators with
 power-law degeneracies at 0 and infinity."""
 
-from .errors import (ChartDomainError, CompositionError, ConfigError,
-                     ConvergenceError, DegcalcError, DomainMismatchError,
-                     EndpointEvalError, ExponentError, PreconditionError,
-                     PropertyViolationError)
+from .errors import (CompositionError, ConfigError, ConvergenceError,
+                     DegcalcError, DomainMismatchError, EndpointEvalError,
+                     ExponentError, PreconditionError, PropertyViolationError)
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 from .weights import (MembershipResult, StructureFunction, Weight, apply_X,
                       membership_order, structure_function)

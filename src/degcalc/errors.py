@@ -20,7 +20,7 @@ class EndpointEvalError(DegcalcError):
 class PreconditionError(DegcalcError):
     """A mathematical precondition is violated (a weight that is not positive
     or not real, non-complete weight, non-elliptic operator, unbounded
-    reduced potential, ...)."""
+    reduced potential, a point outside a deformation chart's window, ...)."""
 
 
 class CompositionError(DegcalcError):
@@ -29,10 +29,6 @@ class CompositionError(DegcalcError):
     def __init__(self, message, mismatch):
         super().__init__(message)
         self.mismatch = mismatch
-
-
-class ChartDomainError(DegcalcError):
-    """Input outside the window of a deformation chart."""
 
 
 class ConvergenceError(DegcalcError):

@@ -14,22 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, CompositionError, PreconditionError
+from .errors import CompositionError, PreconditionError
 from .weights import Weight, scaling_rate
-
-TWO_PI = 2.0 * math.pi
 
 #: tolerance for angle matching in ``HPsiElement.is_unit``
 ANGLE_TOL = 1e-10
-
-
-def _canonical_angle(theta):
-    return float(theta) % TWO_PI
-
-
-def _angles_match(a, b):
-    d = abs(_canonical_angle(a) - _canonical_angle(b))
-    return min(d, TWO_PI - d) <= ANGLE_TOL
 
 
 def rho_zero(x):
@@ -61,16 +50,12 @@ class GPhiElement:
 def gphi_compose(g, h, flow):
     """(y, s)(x, t) = (x, s + t), defined when y = sigma_t(x)."""
     target = h.r(flow)
-    mismatch = _point_distance(g.x, target)
+    mismatch = 0.0 if g.x == target else abs(float(g.x) - float(target))
     if mismatch > flow.tolerance:
         raise CompositionError(
             f"not composable: source {g.x} != target {target}",
             mismatch=mismatch)
     return GPhiElement(h.x, g.t + h.t)
-
-
-def _point_distance(p, q):
-    return 0.0 if p == q else abs(float(p) - float(q))
 
 
 @dataclass(frozen=True)
@@ -100,7 +85,8 @@ class HPsiElement:
     def is_unit(self):
         if self.boundary:
             return self.v == 0
-        return _angles_match(self.theta1, self.theta2)
+        return abs(math.remainder(self.theta1 - self.theta2,
+                                  math.tau)) <= ANGLE_TOL
 
 
 def hpsi_chart(w, s, psi, theta1=0.0):
@@ -111,12 +97,12 @@ def hpsi_chart(w, s, psi, theta1=0.0):
     inside the injectivity window of the circle exponential.
     """
     if s < 0:
-        raise ChartDomainError("chart needs s >= 0")
+        raise PreconditionError("chart needs s >= 0")
     if s == 0:
         return HPsiElement.tangent(theta1, w)
     offset = psi.profile(s) * w
     if abs(offset) >= math.pi:
-        raise ChartDomainError(
+        raise PreconditionError(
             f"angle offset {offset} outside the chart window (-pi, pi)")
     return HPsiElement.interior(theta1, theta1 + offset, s)
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, mul, truediv
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,7 +113,10 @@ class RadialFunction:
     @property
     def terms(self):
         """The terms as a read-only mapping {(p, q): c}, Fraction exponents."""
-        return _Terms(self)
+        d, cden = self._den, self._cden
+        return MappingProxyType({
+            (Fraction(P, d), Fraction(Q, d)): _read(c, cden)
+            for (P, Q), c in self._terms.items()})
 
     @property
     def is_zero(self):
@@ -407,38 +410,6 @@ def _exp(u):
 
 
 # -- internals ------------------------------------------------------------
-
-class _Terms(Mapping):
-    """Read-only {(p, q): c} view of a function's integer keys (P, Q)."""
-
-    def __init__(self, f):
-        self._f = f
-
-    def __len__(self):
-        return len(self._f._terms)
-
-    def __iter__(self):
-        d = self._f._den
-        return ((Fraction(P, d), Fraction(Q, d)) for P, Q in self._f._terms)
-
-    def __getitem__(self, key):
-        P, Q = (Fraction(x) * self._f._den for x in key)
-        # an integral Fraction finds its int
-        return _read(self._f._terms[P, Q], self._f._cden)
-
-    def items(self):
-        d, cden = self._f._den, self._f._cden
-        return {(Fraction(P, d), Fraction(Q, d)): _read(c, cden)
-                for (P, Q), c in self._f._terms.items()}.items()
-
-    def values(self):
-        cden = self._f._cden
-        return {key: _read(c, cden)
-                for key, c in self._f._terms.items()}.values()
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
 
 def _read(c, d):
     """A stored coefficient as the ring reads it: Fraction(c, d) for an exact

@@ -17,6 +17,11 @@ c = -nu^2 included); s_max is a Dirichlet end.  Each eigenvalue is
 extrapolated from the grid's N points and a half grid, which cancels the h^2
 error term: the error falls like h^4 down to about 1e-11.  ``grid_points``
 in spectrum.csv is N, the fine grid.
+
+The far face sets the threshold of the essential spectrum, Sigma = lim V at
+infinity: 0 for gamma' < 0 and for V = 0, the far constant for gamma' = 0,
+and +inf for gamma' > 0.  Only what lies below Sigma is an eigenvalue; the
+truncated grid's states above it are box states.
 """
 
 from __future__ import annotations
@@ -318,7 +323,9 @@ def assemble_and_solve(prob, grid=None, k=2):
     inverse iteration at their own eigenvalue (LAPACK gtsv), which brings
     their backward error on deep cuts from up to 6e-4 to rounding; a zero
     pivot raises ConvergenceError.  Residuals and backward errors are those
-    of the refined fine-grid eigenpairs.
+    of the refined fine-grid eigenpairs.  Fewer than k extrapolated
+    eigenvalues below the threshold Sigma (see the module docstring) raise
+    PreconditionError.
     """
     grid = grid or GeometricGrid()
     n_half = (grid.n_points + 1) // 2
@@ -340,6 +347,12 @@ def assemble_and_solve(prob, grid=None, k=2):
         vecs[:, j] = x / np.linalg.norm(x)
     ratio = ((grid.n_points - 1) / (n_half - 1)) ** 2
     lam_x = lam + (lam - lam_half) / (ratio - 1)
+    sigma = prob.V.limit("far")
+    below = int(np.sum(lam_x < float(sigma)))
+    if below < k:
+        raise PreconditionError(
+            f"only {below} of the {k} lowest eigenvalues lie below the "
+            f"essential spectrum, which starts at {sigma}")
     res, back = _residuals(d, e, lam, vecs)
     return SpectralResult(tuple(float(v) for v in lam_x),
                           tuple(float(r) for r in res),
@@ -415,13 +428,17 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     reported ratio between resolutions is a boundedness proxy.  The factors
     commute, so a norm depends on k = i + j alone: (0, 1) equals (1, 0).
     With W = diag(phi) (W = I in plain mode) phi*A is similar to the
-    symmetric tridiagonal S = W^{1/2} A W^{1/2}, whose eigenvalues lam give
-    the distance from z to the spectrum.  For real z one LDL^T factorization
-    of S - z (``_below_spectrum``) decides whether every lam exceeds z; then
-    |lam^k / (lam - z)|, k <= 2, has no interior maximum on (z, inf), and
-    only lam_min and lam_max are found, by bisection (LAPACK stebz).  Any
-    other z takes every eigenvalue.  A is symmetric, hence normal, and its
-    norms are max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
+    symmetric tridiagonal S = W^{1/2} A W^{1/2}; a z within 0.1 of one of
+    its eigenvalues lam raises.  The reported distance from z to the
+    spectrum is the smaller of its distances to the lam and to [Sigma, inf),
+    the essential spectrum (see the module docstring); no lam >= Sigma is
+    nearer than that interval, so the grid's box states never decide it.
+    For real z one LDL^T factorization of S - z (``_below_spectrum``)
+    decides whether every lam exceeds z; then |lam^k / (lam - z)|, k <= 2,
+    has no interior maximum on (z, inf), and only lam_min and lam_max are
+    found, by bisection (LAPACK stebz).  Any other z takes every
+    eigenvalue.  A is symmetric, hence normal, and its norms are
+    max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
     those of M_k = (phi A)^k T^{-1}, T = phi*A - z, each the root of a top
     eigenvalue found by Lanczos (``eigsh``) on an operator that applies
     O(n) tridiagonal products and solves with one LU of T (LAPACK gttrf and
@@ -483,7 +500,10 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     t1, dist1 = norms_at(GeometricGrid(-8.0, 8.0, base_points))
     t2, _ = norms_at(GeometricGrid(-8.0, 8.0, 2 * base_points))
     norms = {key: (t1[key], t2[key], t2[key] / t1[key]) for key in t1}
-    return ResolventProbeReport(norms=norms, spectrum_distance=dist1)
+    sigma = float(prob.V.limit("far"))
+    to_essential = abs(complex(z) - sigma) if z.real < sigma else abs(z.imag)
+    return ResolventProbeReport(norms=norms,
+                                spectrum_distance=min(dist1, to_essential))
 
 
 def _below_spectrum(d, e, x):

@@ -844,6 +844,30 @@ class TestBoundedBelow:
         assert float(row.split(",")[2]) == pytest.approx(expected, rel=rel)
 
 
+class TestEssentialThreshold:
+    """The free operator on R^3 (V = 0): the essential spectrum starts at
+    Sigma = 0 and there is no eigenvalue below it."""
+
+    def test_spectrum_rejects_box_states(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, """
+            [run]
+            command = spectrum
+            [problem]
+            gamma = 0
+            gamma_prime = 0
+            potential =
+            [solve]
+            num_eigs = 3
+        """)
+        code = main(["--config", cfg, "--out", str(out)])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "precondition violated: only 0 of the 3 lowest eigenvalues lie "
+            "below the essential spectrum, which starts at 0\n")
+        assert not any(out.iterdir())
+
+
 class TestDeepCut:
     """Deep cuts s_min: ρ² spans e^{±40} and more on these grids."""
 

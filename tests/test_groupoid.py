@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from degcalc.errors import (ChartDomainError, CompositionError,
-                            PreconditionError)
+from degcalc.errors import CompositionError, PreconditionError
 from degcalc.flows import Flow
 from degcalc.groupoid import (GPhiElement, HPsiElement, KernelFunction,
                               gphi_compose, hpsi_action, hpsi_chart,
@@ -86,18 +85,25 @@ class TestHPsiChart:
         for s in (0.0, 0.2, 0.9):
             assert hpsi_chart(0.0, s, psi).is_unit()
 
+    @pytest.mark.parametrize("theta1, theta2, unit", [
+        (0.7, 0.7 + 2 * math.pi, True), (-math.pi, math.pi, True),
+        (0.7, 0.7 - 4 * math.pi + 5e-11, True), (0.7, 0.7 + 1e-9, False),
+        (0.0, math.pi, False)])
+    def test_unit_across_the_wrap(self, theta1, theta2, unit):
+        assert HPsiElement.interior(theta1, theta2, 1.0).is_unit() == unit
+
     @pytest.mark.parametrize("x", [0.0, -0.5])
     def test_interior_needs_positive_x(self, x):
         with pytest.raises(ValueError, match="x > 0"):
             HPsiElement.interior(0.1, 0.2, x)
 
     def test_negative_s_rejected(self):
-        with pytest.raises(ChartDomainError, match="s >= 0"):
+        with pytest.raises(PreconditionError, match="s >= 0"):
             hpsi_chart(0.3, -0.1, Weight.from_term(1, 1))
 
     def test_window_enforced(self):
         psi = Weight.from_term(1, 0)  # constant weight, offset = w
-        with pytest.raises(ChartDomainError):
+        with pytest.raises(PreconditionError):
             hpsi_chart(4.0, 0.5, psi)
 
     def test_chart_continuity_rate(self):

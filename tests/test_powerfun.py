@@ -579,7 +579,7 @@ class TestIntegerKeys:
         assert list(view.items()) == list(read.items())
         assert [(repr(c), type(c)) for c in view.values()] == \
             [(repr(c), type(c)) for c in read.values()]
-        assert repr(view) == repr(read)
+        assert repr(view) == f"mappingproxy({read!r})"
         # the items stay a set of pairs
         items = view.items()
         assert items == read.items() == set(read.items())

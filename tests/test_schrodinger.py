@@ -11,7 +11,8 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import ai_zeros
 
 from degcalc import schrodinger
-from degcalc.diffop import CylinderFunction, DiffOp
+from degcalc.diffop import (CylinderFunction, DiffOp, parametrix_1d,
+                            radial_symbol)
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
@@ -98,6 +99,20 @@ class TestRewrite:
             (0, 0): RadialFunction.const(1, domain=UNIT_INTERVAL),
         }, Weight.from_term(1, 3, 0, domain=UNIT_INTERVAL))
         assert rw.op_infinity == expected
+
+    # hydrogen's far face at l >= 1: the full symbol xi^2 + i(n-1) r xi
+    # + Lam r^2 - r vanishes at (r, xi) = (1/Lam, 0), the turning point at
+    # energy 0, yet parametrix_1d builds, since none of its 32 sampled radii
+    # is 1/Lam; an exact root test would reject it
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="the sampled root test misses r = 1/Lam")
+    @pytest.mark.parametrize("n, l, root", [(3, 1, F(1, 2)), (4, 1, F(1, 3)),
+                                            (3, 2, F(1, 6))])
+    def test_hydrogen_far_face_root_rejected(self, n, l, root):
+        A = rewrite(SchrodingerProblem.hydrogen(n=n, l=l)).op_infinity
+        assert abs(radial_symbol(A).evaluate(float(root), 0.0)) < 1e-15
+        with pytest.raises(PreconditionError, match="vanishes for real xi"):
+            parametrix_1d(A, 1)
 
     def test_mixed_tail_rejected(self):
         # tail involves (1+t) factors, so the far-field face has no
@@ -428,6 +443,53 @@ class TestFriedrichsRow:
         prob = inverse_square(3, F(3, 2), 1, -3)
         lam = assemble_and_solve(prob, self.GRIDS["oscillator"], k=1)
         assert lam.eigenvalues[0] == pytest.approx(4.38497016873, rel=1e-10)
+
+
+class TestEssentialThreshold:
+    """Sigma = lim V at infinity starts the essential spectrum: only what
+    lies below it is an eigenvalue, and the resolvent's distance to the
+    spectrum counts [Sigma, inf)."""
+
+    FREE = SchrodingerProblem(3, 0, 0, RadialFunction.zero())
+
+    def test_free_operator_has_no_eigenvalue(self):
+        # the grid's box states j^2 pi^2 / rho_max^2 lie above Sigma = 0
+        with pytest.raises(PreconditionError, match=(
+                "^only 0 of the 3 lowest eigenvalues lie below the "
+                "essential spectrum, which starts at 0$")):
+            assemble_and_solve(self.FREE, k=3)
+
+    @pytest.mark.parametrize("c", [F(1, 2), 1, 2])
+    def test_coulomb_below_a_constant_threshold(self, c):
+        # V = c - 1/t: Sigma = c, and the levels c - 1/(4 m^2) below it
+        prob = SchrodingerProblem(3, F(1, 2), 0, RadialFunction.term(c, 0)
+                                  + RadialFunction.term(-1, -1))
+        res = assemble_and_solve(prob, k=3)
+        for m, lam in enumerate(res.eigenvalues, start=1):
+            assert abs(lam - (c - 1 / (4 * m * m))) < 1e-9
+
+    def test_levels_accumulate_at_the_predicted_ratio(self):
+        # V = -2/(t(1+t)) ~ -2 t^-2 at infinity: the far b-face has
+        # nu_inf^2 = 1/4 - 2 = -7/4, and infinitely many levels below 0
+        # with ratios tending to e^(-2 pi / |nu_inf|)
+        prob = SchrodingerProblem(3, F(1, 2), -1,
+                                  RadialFunction.term(-2, -1, -1))
+        lam = assemble_and_solve(prob, k=4).eigenvalues
+        ratios = [b / a for a, b in zip(lam, lam[1:])]
+        limit = math.exp(-2 * math.pi / math.sqrt(7 / 4))
+        assert all(abs(r / limit - 1) < 0.01 for r in ratios[1:])
+
+    @pytest.mark.parametrize("z, distance", [(-1.0, 1.0), (-3 + 4j, 5.0),
+                                             (2 + 0.5j, 0.5)])
+    def test_resolvent_distance_to_the_threshold(self, z, distance):
+        rep = resolvent_probe(self.FREE, z, base_points=60)
+        assert rep.spectrum_distance == distance
+
+    def test_resolvent_distance_to_a_level(self):
+        # hydrogen's ground state -1/4 is nearer to z = -1 than Sigma = 0
+        rep = resolvent_probe(SchrodingerProblem.hydrogen(), -1.0,
+                              base_points=300)
+        assert rep.spectrum_distance == pytest.approx(0.75, abs=1e-4)
 
 
 def linear_potential():
