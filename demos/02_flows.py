@@ -2,8 +2,8 @@
 
 For phi = t the flow is plain exponential scaling.  For phi = t^a with
 a > 1 the flow freezes the origin to first order and can reach infinity in
-finite time (incompleteness).  The closed forms are cross-checked against
-adaptive quadrature of dt/phi(t).
+finite time (incompleteness).  The closed form for phi = t is printed next to
+its value 2e, and the numeric flow of t^2/(1+t) next to its group law.
 """
 
 import math
@@ -20,9 +20,9 @@ def main():
     print("phi = t:       sigma_1(2) =", lin.apply(1.0, 2.0),
           " (= 2e =", 2 * math.e, ")")
 
-    quad = Flow(Weight.from_term(1, 2), require_complete=False)
-    print("phi = t^2:     sigma_{1/2}(1/2) =", quad.apply(0.5, 0.5))
-    print("phi = t^2:     escape: sigma_2(1) =", quad.apply(2.0, 1.0))
+    square = Flow(Weight.from_term(1, 2), require_complete=False)
+    print("phi = t^2:     sigma_{1/2}(1/2) =", square.apply(0.5, 0.5))
+    print("phi = t^2:     escape: sigma_2(1) =", square.apply(2.0, 1.0))
     print("completeness of t^2 on the half-line:",
           completeness_check(Weight.from_term(1, 2)))
 

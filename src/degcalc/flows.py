@@ -9,10 +9,12 @@ have a closed form.  For everything else F is a table over segments 0.2 wide
 in u, grown outward from u = 0 only as far as a call needs (an inversion off
 the table asks for a reach that doubles on each pass), up to 256 segments per
 evaluation of g and per stacked product.  Each segment keeps the Chebyshev
-coefficients of the mean of 1/g from its inner node (16 samples, or quad where
-they do not resolve 1/g), so F is one Clenshaw sum, and Newton on the same sum
-inverts it inside one segment.  A numeric flow remembers its last SIGMA_MEMO
-values sigma_s(x), so an arrow's range is inverted once.
+coefficients of the mean of 1/g from its inner node, fitted to 16 samples; a
+segment whose fit leaves a tail above the samples' own rounding noise is
+halved, so F is one Clenshaw sum on every segment, and Newton on the same sum
+inverts it inside one segment.  The table ends where 1/g leaves the float
+range.  A numeric flow remembers its last SIGMA_MEMO values sigma_s(x), so an
+arrow's range is inverted once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebdiv, chebint
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (ConvergenceError, PreconditionError,
                      PropertyViolationError)
@@ -36,14 +36,14 @@ TAU_FLOW_CLOSED = 1e-10
 #: flow tolerance, numeric mode
 TAU_FLOW_NUMERIC = 1e-8
 
-#: quadrature relative tolerance for F
-QUAD_RTOL = 1e-12
-
 #: width in u of one segment of the table of F
 TABLE_STEP = 0.2
 #: segments per evaluation of g and per stacked product M @ rows[..., None]
 #: of sample rows, one gemv per row as M @ row (a gemm rows @ M.T rounds apart)
 GROW_CHUNK = 256
+#: halvings of a segment whose 16 samples do not resolve 1/g, after which
+#: its fit is taken as it is, or where 1/g leaves the float range
+HALVINGS = 6
 #: numeric sigma_s(x) values one flow remembers: a groupoid arrow asks for
 #: 3 distinct (s, x) in 10 applies (range, composite, cocycles) and repeats
 #: come within one arrow, so on the flows workload 64 keeps all but 21 of
@@ -116,7 +116,8 @@ class Flow:
         self._far = from_u(weight.domain, math.inf)
         # the table of F, grown from (0, 0): nodes u, F(u) as the rounded
         # value plus its rounding error, so long sums keep digits, and the
-        # mean of 1/g over the segment inward of each node (None: quad)
+        # mean of 1/g over the segment inward of each node (None: none, at
+        # u = 0 and past the node where 1/g leaves the float range)
         self._table_u = [0.0]
         self._table_F = [0.0]
         self._table_err = [0.0]
@@ -157,17 +158,59 @@ class Flow:
 
     # -- numeric mode: F and its inverse in u -----------------------------
 
-    def _integrand(self, u):
-        g = self._g.at_u(u)
-        return 1.0 / g if g else math.inf  # g underflows: 1/g is past floats
+    def _fit(self, inner, outer, depth=0):
+        """(outer node, mean, integral) for each segment from a node of
+        ``inner`` to the same place in ``outer``, in order.  mean holds the
+        Chebyshev coefficients of the mean of 1/g from the inner node,
+        fitted to 16 samples, GROW_CHUNK segments per evaluation of g and
+        per stacked product; the integral of 1/g is the width times the mean
+        at x = 1.  A fit passes when its last two coefficients lie within
+        1e-15 of its largest or within twice the samples' rounding noise; a
+        segment whose fit fails is halved, up to HALVINGS times, and then
+        taken as fitted.  A segment where 1/g leaves the float range is
+        halved as deep, and its last part ends the list with mean None and
+        integral +/-inf."""
+        out = []
+        for lo in range(0, len(inner), GROW_CHUNK):
+            ins, outs = inner[lo:lo + GROW_CHUNK], outer[lo:lo + GROW_CHUNK]
+            a, b = np.array(ins)[:, None], np.array(outs)[:, None]
+            u = a + (b - a) * _AT
+            with np.errstate(all="ignore"):
+                g = self._g.at_u(u)
+                cols = (1.0 / g)[..., None]
+                coef, mean = abs(_CHEB @ cols)[..., 0], (_MEAN @ cols)[..., 0]
+                finite = np.isfinite(mean).all(1)
+                tail = coef[:, -2:].max(1)
+                fits = finite & (tail <= 1e-15 * coef.max(1))
+                if depth == HALVINGS:
+                    fits = finite
+                elif not fits.all():  # g's relative rounding, carried to 1/g
+                    rest = ~fits
+                    noise = (self._g.at_u_error(u[rest]) / abs(g[rest])
+                             * abs(cols[rest, :, 0])).max(1)
+                    fits[rest] = finite[rest] & (tail[rest] <= 2.0 * noise)
+            for x, y, m, ok in zip(ins, outs, mean.tolist(), fits.tolist()):
+                if ok:
+                    out.append((y, m, (y - x) * math.fsum(m)))
+                    continue
+                if depth == HALVINGS:  # 1/g leaves the float range here
+                    return out + [(y, None, (y - x) * math.inf)]
+                mid = 0.5 * (x + y)
+                out += self._fit([x, mid], [mid, y], depth + 1)
+                if out[-1][1] is None:
+                    return out
+        return out
 
     def _grow(self, up, to=0.0):
         """Add segments to the upper or lower end of the table of F: at
         least one, and up to the first node that passes u = to (one for the
-        default to = 0, which both ends have passed), GROW_CHUNK at most
-        per evaluation of g and per stacked product.  Stops where t at the
-        next node leaves the float range; False when none was added."""
+        default to = 0, which both ends have passed), each fitted and, where
+        16 samples do not resolve 1/g, halved (``_fit``).  Stops where t at
+        the next node leaves the float range, or after the segment where 1/g
+        does, whose outer node has F = +/-inf; False when none was added."""
         end = -1 if up else 0
+        if not math.isfinite(self._table_F[end]):
+            return False
         nodes = [self._table_u[end]]
         while len(nodes) == 1 or (nodes[-1] < to if up else nodes[-1] > to):
             node = nodes[-1] + (TABLE_STEP if up else -TABLE_STEP)
@@ -176,24 +219,8 @@ class Flow:
             nodes.append(node)
         if len(nodes) == 1:
             return False
-        u = np.array(nodes)[:, None]
-        means = []  # None where 16 points do not resolve 1/g
-        with np.errstate(all="ignore"):
-            for lo in range(0, len(nodes) - 1, GROW_CHUNK):
-                a, b = u[:-1][lo:lo + GROW_CHUNK], u[1:][lo:lo + GROW_CHUNK]
-                cols = (1.0 / self._g.at_u(a + (b - a) * _AT))[..., None]
-                coef, mean = abs(_CHEB @ cols)[..., 0], (_MEAN @ cols)[..., 0]
-                fits = (np.isfinite(mean).all(1)
-                        & (coef[:, -2:].max(1) <= 1e-15 * coef.max(1)))
-                means += [m if ok else None
-                          for m, ok in zip(mean.tolist(), fits)]
         F, err, new = self._table_F[end], self._table_err[end], []
-        for a, node, mean in zip(nodes, nodes[1:], means):
-            if mean is not None:
-                seg = (node - a) * math.fsum(mean)  # the mean at x = 1
-            else:  # adaptive quadrature
-                seg, _ = quad(self._integrand, a, node, epsabs=0.0,
-                              epsrel=QUAD_RTOL, limit=200)
+        for node, mean, seg in self._fit(nodes[:-1], nodes[1:]):
             total = math.fsum((F, err, seg))
             err = (math.fsum((F, err, seg, -total))
                    if math.isfinite(total) else 0.0)
@@ -208,7 +235,8 @@ class Flow:
 
     def _F_u(self, u):
         """F at u: the table value at the inner node a of u's segment, grown
-        to it if need be, plus (u - a) times the mean of 1/g over [a, u]."""
+        to it if need be, plus (u - a) times the mean of 1/g over [a, u];
+        past the table's last fitted segment, [a, u] is fitted on its own."""
         us, Fs = self._table_u, self._table_F
         up = u > 0.0
         if us[-1] < u if up else us[0] > u:
@@ -220,19 +248,19 @@ class Flow:
         if mean is not None:  # the mean at x = 2(u - a)/(node - a) - 1
             x = 2.0 * (u - a) / (us[outer] - a) - 1.0
             rest = (u - a) * _clenshaw(mean, x)[0]
-        elif u != a:  # unresolved, or past the float-range node
-            rest, _ = quad(self._integrand, a, u, epsabs=0.0,
-                           epsrel=QUAD_RTOL, limit=200)
+        elif u != a and math.isfinite(Fs[i]):  # where 1/g leaves the float
+            # range, or t is still a float past the table's last node
+            rest = math.fsum(seg for *_, seg in self._fit([a], [u]))
         return math.fsum((Fs[i], self._table_err[i], rest))
 
     def _u_of_F(self, y):
         """The u with F(u) = y inside its table segment; -inf or inf where y
         lies beyond the table, whose ends are the last u with t inside the
-        float range, grown by a reach that doubles from one segment on each
-        pass while y lies past it.  On a segment with an interpolant,
-        safeguarded Newton solves (u - a) m(x) = y - F(a) for the segment's
-        mean m of 1/g from its inner node a, whose derivative in u is
-        m + (x + 1) m'; a segment resolved by quad is left to brentq on F."""
+        float range or the node where 1/g leaves it, grown by a reach that
+        doubles from one segment on each pass while y lies past it.  A y
+        equal to a node's F is that node; inside a segment, safeguarded
+        Newton solves (u - a) m(x) = y - F(a) for the segment's mean m of
+        1/g from its inner node a, whose derivative in u is m + (x + 1) m'."""
         us, Fs = self._table_u, self._table_F
         up, reach = y > 0.0, TABLE_STEP
         while ((y > Fs[-1] if up else y < Fs[0])
@@ -245,11 +273,10 @@ class Flow:
         if not math.isfinite(Fs[lo] - Fs[hi]):
             raise ConvergenceError(
                 f"F = {y} lies in a segment where 1/g overflows")
+        if y in (Fs[lo], Fs[hi]):
+            return us[lo] if y == Fs[lo] else us[hi]
         inner, outer = (lo, hi) if us[lo] >= 0.0 else (hi, lo)
         mean = self._table_mean[outer]
-        if mean is None:
-            return brentq(lambda u: self._F_u(u) - y, us[lo], us[hi],
-                          xtol=1e-14, rtol=8.9e-16)
         a, width = us[inner], us[outer] - us[inner]
         rest = math.fsum((y, -Fs[inner], -self._table_err[inner]))
         u_lo, u_hi, dF = us[lo], us[hi], Fs[hi] - Fs[lo]
@@ -360,3 +387,17 @@ def power_flow_exponents(a, nterms=6):
     """
     a = as_exponent(a)
     return [1 + m * (a - 1) for m in range(nterms)]
+
+
+def __getattr__(name):
+    """``flows.quad`` and ``flows.brentq``: scipy's ``quad`` and ``brentq``,
+    imported on first access.  Nothing in degcalc calls either; they exist
+    only for the benchmark's tracer, which looks both up by name
+    (``perfbench/tracing.py``, ``SCIPY_ENTRY_POINTS``)."""
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

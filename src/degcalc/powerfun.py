@@ -126,6 +126,13 @@ class RadialFunction:
     def is_single_term(self):
         return len(self._terms) == 1
 
+    @property
+    def has_positive_coefficients(self):
+        """True iff every coefficient is real and positive, read from the
+        stored numerators, whose denominator is positive."""
+        return all(type(c) is not complex and c > 0
+                   for c in self._terms.values())
+
     def _require_same_domain(self, other):
         if self.domain != other.domain:
             raise DomainMismatchError(
@@ -294,21 +301,8 @@ class RadialFunction:
         only where it leaves the float range itself.  Floats stay in
         ``math``: numpy on a single float is several times slower."""
         xp = np if isinstance(u, np.ndarray) else math
-        pos = (u + abs(u)) / 2  # max(u, 0), and max(-u, 0) = pos - u
-        tail = xp.log1p(xp.exp(-abs(u)))  # ln(1 + e^u) = max(u, 0) + tail
-        if self.domain == HALF_LINE:
-            ln_t, ln_base = u, pos + tail
-        else:  # ln t = -ln(1 + e^-u), ln(1 - t) = -ln(1 + e^u)
-            ln_t, ln_base = u - pos - tail, -pos - tail
-        try:
-            floats = self._floats
-        except AttributeError:  # the float exponents, converted once
-            d = self._cden
-            floats = tuple((P / self._den, Q / self._den,
-                            c / d if type(c) is int else
-                            c if isinstance(c, complex) else float(c))
-                           for (P, Q), c in self._terms.items())
-            object.__setattr__(self, "_floats", floats)
+        ln_t, ln_base = _logs(self.domain, u, xp)
+        floats = self._float_terms()
         if xp is math:
             total = 0.0
             for p, q, c in floats:
@@ -326,6 +320,33 @@ class RadialFunction:
                               for p, q, _ in floats], axis=0)
             total[nan] = np.array([c for *_, c in floats])[lead] * np.inf
         return total
+
+    def at_u_error(self, u):
+        """A bound on the rounding error of ``at_u(u)`` for a numpy array u
+        that is itself rounded: a term c e^E, E = p ln t + q ln(1 -/+ t), is
+        off by |c| e^E (1 + |p| (|ln t| + |u|) + |q| (|ln(1 -/+ t)| + |u|))
+        units of 2^-53, because E is rounded before ``exp`` and u's own
+        rounding by |u| 2^-53 moves both logarithms by at most that much."""
+        ln_t, ln_base = _logs(self.domain, u, np)
+        total = np.zeros(u.shape)
+        for p, q, c in self._float_terms():
+            digits = 1.0 + abs(p) * (abs(ln_t) + abs(u)) \
+                + abs(q) * (abs(ln_base) + abs(u))
+            total = total + abs(c) * _exp(p * ln_t + q * ln_base) * digits
+        return total * 2.0 ** -53
+
+    def _float_terms(self):
+        """(p, q, c) per term as floats, converted once."""
+        try:
+            return self._floats
+        except AttributeError:
+            d = self._cden
+            floats = tuple((P / self._den, Q / self._den,
+                            c / d if type(c) is int else
+                            c if isinstance(c, complex) else float(c))
+                           for (P, Q), c in self._terms.items())
+            object.__setattr__(self, "_floats", floats)
+            return floats
 
     # -- comparison and display ------------------------------------------
 
@@ -407,6 +428,17 @@ def _exp(u):
         return math.exp(u)
     except OverflowError:
         return math.inf
+
+
+def _logs(domain, u, xp):
+    """(ln t, ln(1 -/+ t)) at t = from_u(domain, u), both from u, with xp
+    ``math`` for a float u and ``np`` for an array."""
+    pos = (u + abs(u)) / 2  # max(u, 0), and max(-u, 0) = pos - u
+    tail = xp.log1p(xp.exp(-abs(u)))  # ln(1 + e^u) = max(u, 0) + tail
+    if domain == HALF_LINE:
+        return u, pos + tail
+    # ln t = -ln(1 + e^-u), ln(1 - t) = -ln(1 + e^u)
+    return u - pos - tail, -pos - tail
 
 
 # -- internals ------------------------------------------------------------

@@ -204,11 +204,10 @@ def _quotient_limit(num, den, end):
 
 
 def _check_positive(profile):
-    coeffs = list(profile.terms.values())
-    if any(isinstance(c, complex) for c in coeffs):
-        raise PreconditionError("weights must be real")
-    if all(c > 0 for c in coeffs):
+    if profile.has_positive_coefficients:
         return
+    if any(isinstance(c, complex) for c in profile.terms.values()):
+        raise PreconditionError("weights must be real")
     # dense sampling over the interior, uniform in u, plus endpoint dominance
     u = np.linspace(-18.0, 18.0, POSITIVITY_SAMPLES)
     if np.any(profile.at_u(u) <= 0):

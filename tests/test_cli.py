@@ -3,7 +3,10 @@
 import configparser
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -305,15 +308,15 @@ class TestMain:
         assert len(lines) == 3
 
     def test_flow_failing_on_a_row_writes_no_csv(self, tmp_path, capsys):
-        # for t^20/(1+t)^19, F(1) - 1e306 lies where 1/g overflows: the first
+        # for t^20/(1+t)^19, F(1e-17) lies past the float range: the first
         # row fails, and a file opened before it would hold the header only
         cfg = write_config(tmp_path, """
             [run]
             command = flow
             [flow]
             weight = 1,20,-19
-            s = -1e306
-            x_values = 1;1e306
+            s = 1
+            x_values = 1e-17;1
         """)
         assert main(["--config", cfg, "--out", str(tmp_path)]) \
             == EXIT_CONVERGENCE
@@ -945,6 +948,32 @@ class TestDeepCut:
         assert code == EXIT_OK and len(eigs) == 3
         for lam, ref in zip(eigs, exact):
             assert abs(lam - ref) <= 6e-6 * abs(ref)
+
+
+def test_commands_load_neither_integrate_nor_optimize(tmp_path):
+    """In a fresh interpreter, importing degcalc and running classify,
+    membership, spectrum, a weighted resolvent and a numeric flow leaves
+    scipy.integrate and scipy.optimize unloaded."""
+    configs = [
+        "[run]\ncommand = classify\n", "[run]\ncommand = membership\n",
+        "[run]\ncommand = spectrum\n",
+        OSCILLATOR_RESOLVENT.format(z_real=-1, mode="weighted"),
+        "[run]\ncommand = flow\n[flow]\nweight = 1,2,-1\n"]
+    paths = [write_config(tmp_path, text, f"run{i}.ini")
+             for i, text in enumerate(configs)]
+    script = (
+        "import sys\nimport degcalc\nfrom degcalc import cli\n"
+        "print([cli.main(['--config', c, '--out', sys.argv[1]])"
+        " for c in sys.argv[2:]])\n"
+        "print(sorted({'scipy.integrate', 'scipy.optimize'}"
+        " & set(sys.modules)))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out"), *paths],
+        capture_output=True, text=True, timeout=300, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.splitlines()[-2:] == [str([EXIT_OK] * 5), "[]"]
+    assert (tmp_path / "out" / "flow.csv").exists()
 
 
 class TestSelftest:

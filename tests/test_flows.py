@@ -1,4 +1,4 @@
-"""Flows: completeness, closed forms, quadrature fallback, scaling limits."""
+"""Flows: completeness, closed forms, the table of F, scaling limits."""
 
 import math
 import random
@@ -7,14 +7,17 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 
 from degcalc import flows
 from degcalc.errors import (ConvergenceError, PreconditionError,
                             PropertyViolationError)
-from degcalc.flows import (GROW_CHUNK, SIGMA_MEMO, Flow, completeness_check,
-                           flow_scaling_limit, power_flow_exponents)
+from degcalc.flows import (GROW_CHUNK, HALVINGS, SIGMA_MEMO, TABLE_STEP, Flow,
+                           completeness_check, flow_scaling_limit,
+                           power_flow_exponents)
 from degcalc.groupoid import GPhiElement, gphi_compose, zeta_cocycle
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, to_u
 from degcalc.weights import Weight
@@ -125,12 +128,14 @@ class TestNumericMode:
             assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
-def count_calls(monkeypatch, name):
-    """The list of the calls flows makes to its scipy ``name`` from now
-    on."""
-    calls, real = [], getattr(flows, name)
-    monkeypatch.setattr(flows, name,
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
+def scipy_calls(monkeypatch):
+    """The list of the calls anything makes to scipy's ``quad`` and
+    ``brentq`` from now on, as (name, arguments)."""
+    calls = []
+    for owner, name in ((scipy.integrate, "quad"), (scipy.optimize, "brentq")):
+        monkeypatch.setattr(
+            owner, name, lambda *a, name=name, real=getattr(owner, name), **k:
+            calls.append((name, a)) or real(*a, **k))
     return calls
 
 
@@ -143,13 +148,12 @@ def steep_F(u):
 
 class TestTableOfF:
     """Numeric F is a table of Chebyshev segments grown from u = 0 only as
-    far as a call needs, with quadrature where 16 points do not resolve
-    1/g."""
+    far as a call needs, halved where 16 points do not resolve 1/g."""
 
     #: phi = t + t^2/(1+t) = t(1+2t)/(1+t), F(x) = ln x - ln((1+2x)/3)/2
     PHI = RadialFunction.term(1, 1) + RadialFunction.term(1, 2, -1)
     #: phi = t^20/(1+t)^19: 1/g = (1 + e^{-u})^19 is too steep for 16
-    #: points below u ~ 0.7
+    #: points on a segment 0.2 wide below u = 0.2
     STEEP = RadialFunction.term(1, 20, -19)
 
     def test_first_apply_grows_only_what_it_needs(self):
@@ -159,8 +163,8 @@ class TestTableOfF:
         fl.apply(0.7, 0.5)
         assert len(fl._table_u) <= 8
 
-    def test_applies_make_no_quad_calls(self, monkeypatch):
-        calls = count_calls(monkeypatch, "quad")
+    def test_applies_make_no_scipy_calls(self, monkeypatch):
+        calls = scipy_calls(monkeypatch)
         fl = Flow(Weight(self.PHI))
         fl.apply(0.7, 0.5)
         for k in range(100):
@@ -194,8 +198,9 @@ class TestTableOfF:
         assert calls == [(185, 16)] + [(GROW_CHUNK, 16)] * 13 + [(126, 16)]
 
     #: far inversions: 258 segments down to u ~ -51.6; the whole upper table
-    #: to u ~ 709.6 (the image is past the float range); 65 quad segments
-    #: down to u = -13; 2,052 segments up to u ~ 410.4, 160 of them quad
+    #: to u ~ 709.6 (the image is past the float range); 65 segments down to
+    #: u = -13, each halved once; 2,052 segments up to u ~ 410.4, the first
+    #: halved once
     FAR_APPLIES = pytest.mark.parametrize(
         "phi, s", [(PHI, -40.0), (PHI, 1000.0), (STEEP, -1e100),
                    (STEEP, 5.9e4)],
@@ -205,7 +210,7 @@ class TestTableOfF:
     def test_far_apply_table_matches_single_segment_growth(self, phi, s):
         # the inversion grows the table by a doubling reach in chunks; one
         # segment at a time to the same ends gives the same table, bit for
-        # bit, quad segments included
+        # bit, halved segments included
         fl, ref = Flow(Weight(phi)), Flow(Weight(phi))
         fl.apply(s, 1.0)
         while ref._table_u[-1] < fl._table_u[-1] and ref._grow(True):
@@ -232,35 +237,51 @@ class TestTableOfF:
     def test_stacked_products_match_per_row_products(self, phi, s):
         # one stacked product per chunk runs one gemv per row, so it equals
         # the per-row matvec bit for bit (rows @ M.T, a gemm, does not);
-        # every stored mean is that matvec where the per-row fit test passes
+        # every stored mean is that matvec, and its fit passes: the last two
+        # Chebyshev coefficients lie within 1e-15 of the largest, or within
+        # twice the largest rounding noise of the samples, unless halving
+        # stopped at TABLE_STEP / 2^HALVINGS
         fl = Flow(Weight(phi))
         fl.apply(s, 1.0)
         us, zero = fl._table_u, fl._table_u.index(0.0)
         # each segment's inner node, nearer u = 0, and its outer node
         a = np.array(us[1:zero + 1] + us[zero:-1])[:, None]
         b = np.array(us[:zero] + us[zero + 1:])[:, None]
+        u = a + (b - a) * flows._AT
         with np.errstate(all="ignore"):
-            rows = 1.0 / fl._g.at_u(a + (b - a) * flows._AT)
+            g = fl._g.at_u(u)
+            rows = 1.0 / g
+            noise = (fl._g.at_u_error(u) / abs(g) * abs(rows)).max(1)
         for M in (flows._CHEB, flows._MEAN):
             stacked = (M @ rows[..., None])[..., 0]
             assert np.array_equal(stacked, [M @ row for row in rows])
         means = fl._table_mean[:zero] + fl._table_mean[zero + 1:]
-        for row, mean in zip(rows, means, strict=True):
-            coef, want = abs(flows._CHEB @ row), flows._MEAN @ row
-            fits = (np.isfinite(want).all()
-                    and coef[-2:].max() <= 1e-15 * coef.max())
-            assert mean == (want.tolist() if fits else None)
+        deepest = TABLE_STEP / 2 ** HALVINGS
+        for row, mean, n, width in zip(rows, means, noise, abs(b - a)[:, 0],
+                                       strict=True):
+            coef = abs(flows._CHEB @ row)
+            assert mean == (flows._MEAN @ row).tolist()
+            assert (coef[-2:].max() <= max(1e-15 * coef.max(), 2 * n)
+                    or width == pytest.approx(deepest))
 
-    def test_steep_segments_fall_back_to_quad(self, monkeypatch):
-        calls = count_calls(monkeypatch, "quad")
-        Flow(Weight(self.STEEP)).apply(0.5, 1.0)
-        assert calls
+    def test_steep_segments_are_halved(self, monkeypatch):
+        # 1/g = (1 + e^{-u})^19 changes by up to e^{3.8} over 0.2: every
+        # segment from u = -1 to 0.2 is halved once, those above stay whole,
+        # and nothing calls scipy
+        calls = scipy_calls(monkeypatch)
+        fl = Flow(Weight(self.STEEP))
+        fl.apply(0.5, math.exp(-1.0))
+        fl.F(math.exp(1.0))
+        assert np.diff(fl._table_u) == pytest.approx(
+            [TABLE_STEP / 2] * 12 + [TABLE_STEP] * 4)
+        assert fl._table_mean.count(None) == 1  # the node u = 0
+        assert calls == []
 
     def test_steep_sigma_matches_mpmath(self):
         # F(u) = u + sum_k C(19,k)(1 - e^{-ku})/k increases with F' >= 1,
-        # so the image lies within |s| of u; the points mix Chebyshev and
-        # quad segments, and keep |F| small enough that rounding F(x) + s
-        # does not dominate
+        # so the image lies within |s| of u; the points mix whole and halved
+        # segments, and keep |F| small enough that rounding F(x) + s does
+        # not dominate
         fl = Flow(Weight(self.STEEP))
         with mpmath.workdps(40):
             for u in (-0.4, 0.0, 0.4, 0.8, 1.2):
@@ -276,21 +297,36 @@ class TestTableOfF:
                     assert fl.apply(s, x) == pytest.approx(
                         float(mpmath.exp(lo)), rel=1e-12, abs=0)
 
-    def test_steep_far_image_by_brentq(self, monkeypatch):
-        """sigma_10(10) lands in a segment quad resolved (41 of the 47 the
-        call grows have no interpolant), so this test keeps the brentq
-        branch of the inversion exercised.  F(10) ~ 5.87e4 is rounded before
-        s is added, which costs up to ~1e-11 (ulp(F) g(sigma))."""
-        calls = count_calls(monkeypatch, "brentq")
+    def test_steep_far_image_by_newton(self, monkeypatch):
+        """sigma_10(10) lies near u = 9.1, where the 16 samples of each
+        segment used to fail the strict tail test on rounding noise alone;
+        Newton inverts it there, without brentq.  F(10) ~ 5.87e4 is rounded
+        before s is added, which costs up to ~1e-11 (ulp(F) g(sigma))."""
+        calls = scipy_calls(monkeypatch)
         fl = Flow(Weight(self.STEEP))
         got = fl.apply(10.0, 10.0)
-        assert calls
+        assert calls == []
         with mpmath.workdps(50):
             u = mpmath.log(10.0)
             target = steep_F(u) + 10
             root = mpmath.findroot(lambda v: steep_F(v) - target,
                                    (u, u + 10), solver="illinois")
             assert got == pytest.approx(float(mpmath.exp(root)), rel=1e-11,
+                                        abs=0)
+
+    def test_image_next_to_the_overflow(self):
+        # F(1) - 1e306 is reached near u = -37.2387, in the whole segment
+        # [-37.4, -37.2] where 1/g overflows below u ~ -37.36: the halves
+        # before the overflow are fitted, and the image is a root of F
+        fl = Flow(Weight(self.STEEP))
+        got = fl.apply(-1e306, 1.0)
+        with mpmath.workdps(60):
+            target = steep_F(0) - mpmath.mpf(1e306)
+            lo, hi = mpmath.mpf(-37.3), mpmath.mpf(-37.2)
+            for _ in range(120):  # bisection
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if steep_F(mid) < target else (lo, mid)
+            assert got == pytest.approx(float(mpmath.exp(lo)), rel=1e-13,
                                         abs=0)
 
     @pytest.mark.parametrize("x", [1e-12, 1e-6, 0.3, 1 + 1e-9, 5.0, 1e6,
@@ -348,6 +384,16 @@ class TestTableOfF:
             fl.apply(-1.7e308, 1.0)
 
 
+def test_scipy_names_only_for_the_tracer():
+    # the benchmark's tracer looks up flows.quad and flows.brentq by name;
+    # each access imports scipy's function and binds nothing in flows
+    assert flows.quad is scipy.integrate.quad
+    assert flows.brentq is scipy.optimize.brentq
+    assert not {"quad", "brentq"} & set(vars(flows))
+    with pytest.raises(AttributeError):
+        flows.QUAD_RTOL
+
+
 #: points e^{+-30} for the inversion oracles, and flow times
 FAR_POINTS = (math.exp(-30.0), math.exp(30.0))
 FLOW_TIMES = (0.1, 1.0, 10.0, -0.1, -1.0, -10.0)
@@ -401,7 +447,7 @@ class TestNewtonInversion:
     @pytest.mark.parametrize("x", FAR_POINTS, ids=["e-30", "e30"])
     def test_matches_mpmath_root(self, monkeypatch, phi, F_exact, x):
         # dF/du >= 0.9 for both, so sigma_s lies within 1.2|s| of u
-        calls = count_calls(monkeypatch, "brentq")
+        calls = scipy_calls(monkeypatch)
         fl = Flow(Weight(phi))
         with mpmath.workdps(50):
             u = mpmath.log(x)
@@ -498,11 +544,14 @@ class TestSigmaMemo:
         assert len(fl._sigma) == SIGMA_MEMO
         assert (0.01, 1.0) not in fl._sigma  # the oldest went first
 
-    def test_failure_is_not_remembered(self):
+    @pytest.mark.parametrize("s, x", [(1.0, 1e-17), (-1.7e308, 1.0)],
+                             ids=["F(x)-past-floats", "target-past-floats"])
+    def test_failure_is_not_remembered(self, s, x):
+        # F(1e-17) and F(1) - 1.7e308 both lie past the float range
         fl = Flow(Weight(RadialFunction.term(1, 20, -19)))
         for _ in range(2):
             with pytest.raises(ConvergenceError):
-                fl.apply(-1e306, 1.0)
+                fl.apply(s, x)
         assert fl._sigma == {}
 
 

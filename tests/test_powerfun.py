@@ -299,6 +299,27 @@ class TestFlowCoordinate:
             want = f(from_u(domain, u))
             assert abs(f.at_u(u) - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
+    def test_at_u_error_bounds_the_rounding(self, domain):
+        # the exact value at u and at u's neighbours u (1 +/- 2^-53) lies
+        # within at_u_error(u) of at_u(u), also where |p ln t| is large
+        f = rf((2, F(1, 2), -1), (-1, 2, F(3, 2)), (F(1, 3), 3, 0),
+               domain=domain)
+        u = np.array([-300.0, -40.0, -6.0, -0.3, 0.0, 1.2, 6.0, 30.0])
+        got, bound = f.at_u(u), f.at_u_error(u)
+        sign = 1 if domain == HALF_LINE else -1
+        with mpmath.workdps(50):
+            for x, value, err in zip(u.tolist(), got, bound):
+                for v in (x, x * (1 + 2.0 ** -53), x * (1 - 2.0 ** -53)):
+                    v = mpmath.mpf(v)
+                    t = mpmath.exp(v) if domain == HALF_LINE else \
+                        1 / (1 + mpmath.exp(-v))
+                    base = 1 + sign * t
+                    exact = (2 * mpmath.sqrt(t) / base
+                             - t ** 2 * base * mpmath.sqrt(base) + t ** 3 / 3)
+                    assert abs(value - exact) <= err
+        assert (bound > 0).all() and (bound <= 1e-12 * abs(got)).all()
+
     def test_at_u_keeps_the_far_factor(self):
         # t rounds to 1 at u = 40, but 1 - t = 1/(1 + e^u) does not
         f = rf((1, 1, 1), domain=UNIT_INTERVAL)
@@ -785,6 +806,19 @@ class TestExactCoefficients:
             limit = (c if e == 0 else Fraction(0)) if e >= 0 else \
                 math.inf if s > 0 else -math.inf
             assert typed(f.limit(end)) == typed(limit)
+
+    def test_has_positive_coefficients(self):
+        # exact, float and complex coefficients; a complex with no
+        # imaginary part is stored as its real part
+        for c in (F(1, 3), 2, 0.5, complex(2.0, 0.0)):
+            f = RadialFunction.term(c, 1) + RadialFunction.term(F(7, 2), 2, -1)
+            assert f.has_positive_coefficients
+        for c in (F(-1, 3), -2, -0.5, complex(2.0, 1e-300), 1j):
+            f = RadialFunction.term(c, 1) + RadialFunction.term(F(7, 2), 2, -1)
+            assert not f.has_positive_coefficients
+        # the sum's sign is not the question: t - t^2/(2(1+t)) is positive
+        assert not (RadialFunction.term(1, 1) - RadialFunction.term(
+            F(1, 2), 2, -1)).has_positive_coefficients
 
     def test_numpy_scalar_coefficients_are_stored_as_plain_numbers(self):
         term = RadialFunction.term(1, 1)

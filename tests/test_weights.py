@@ -31,6 +31,20 @@ class TestWeight:
                            match="negative at far endpoint"):
             Weight(RadialFunction.const(1) - RadialFunction.term(F(1, 10**9), 1))
 
+    def test_positive_coefficients_read_no_terms(self, monkeypatch):
+        # a weight whose coefficients are all positive is accepted from the
+        # stored numerators; complex coefficients are still refused
+        def refuse(self):
+            raise AssertionError("read terms")
+
+        prof = (RadialFunction.term(F(1, 3), 1)
+                + RadialFunction.term(0.5, 2, -1))
+        with monkeypatch.context() as patch:
+            patch.setattr(RadialFunction, "terms", property(refuse))
+            Weight(prof)
+        with pytest.raises(PreconditionError, match="must be real"):
+            Weight(RadialFunction.term(1 + 1j, 1))
+
     def test_positive_mixed_signs_accepted(self):
         # (1+t)^{-1} + t(1+t)^{-2} - small positive combination
         prof = (RadialFunction.term(1, 0, -1)
