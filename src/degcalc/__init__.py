@@ -2,8 +2,8 @@
 power-law degeneracies at 0 and infinity."""
 
 from .errors import (CompositionError, ConfigError, ConvergenceError,
-                     DegcalcError, DomainMismatchError, EndpointEvalError,
-                     ExponentError, PreconditionError, PropertyViolationError)
+                     DegcalcError, EndpointEvalError, ExponentError,
+                     PreconditionError)
 from .powerfun import HALF_LINE, UNIT_INTERVAL, RadialFunction
 from .weights import (MembershipResult, StructureFunction, Weight, apply_X,
                       membership_order, structure_function)

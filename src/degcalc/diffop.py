@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from math import comb
 
-from .errors import DomainMismatchError, PreconditionError
+from .errors import PreconditionError
 from .powerfun import HALF_LINE, RadialFunction
 from .weights import Weight
 
@@ -42,7 +42,7 @@ class CylinderFunction:
             if not isinstance(f, RadialFunction):
                 raise TypeError("Fourier coefficients must be RadialFunctions")
             if f.domain != domain:
-                raise DomainMismatchError("mixed base domains")
+                raise PreconditionError("mixed base domains")
         _cylinder(modes, domain, out=self)
 
     def __setattr__(self, name, value):
@@ -148,7 +148,7 @@ def _as_cylinder(c, domain):
         c = CylinderFunction.radial(c)
     if isinstance(c, CylinderFunction):
         if c.domain != domain:
-            raise DomainMismatchError("mixed base domains")
+            raise PreconditionError("mixed base domains")
         return c
     return CylinderFunction.const(c, domain=domain)
 
@@ -168,7 +168,7 @@ class DiffOp:
         if psi is None:
             psi = Weight.from_term(1, 1, 0, domain=phi.domain)
         if phi.domain != psi.domain:
-            raise DomainMismatchError("phi and psi on different domains")
+            raise PreconditionError("phi and psi on different domains")
         _op(form, {(int(i), int(j)): _as_cylinder(c, phi.domain)
                    for (i, j), c in coeffs.items()}, phi, psi, out=self)
 

@@ -5,10 +5,6 @@ class DegcalcError(Exception):
     """Base class for all package errors."""
 
 
-class DomainMismatchError(DegcalcError):
-    """Operands live on different base domains (half-line vs unit interval)."""
-
-
 class ExponentError(DegcalcError, ValueError):
     """An exponent is nan or +/-inf, on which endpoint limits never end."""
 
@@ -20,7 +16,9 @@ class EndpointEvalError(DegcalcError):
 class PreconditionError(DegcalcError):
     """A mathematical precondition is violated (a weight that is not positive
     or not real, non-complete weight, non-elliptic operator, unbounded
-    reduced potential, a point outside a deformation chart's window, ...)."""
+    reduced potential, a point outside a deformation chart's window,
+    operands on different domains, a closed form contradicted by its
+    numeric check, ...)."""
 
 
 class CompositionError(DegcalcError):
@@ -34,10 +32,6 @@ class CompositionError(DegcalcError):
 class ConvergenceError(DegcalcError):
     """An iterative solver failed to converge, or a numeric inversion of a
     flow's monotone map found no point to return."""
-
-
-class PropertyViolationError(DegcalcError):
-    """Two independent computations of the same quantity disagree beyond tolerance."""
 
 
 class ConfigError(DegcalcError):

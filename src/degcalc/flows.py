@@ -25,8 +25,7 @@ import math
 import numpy as np
 from numpy.polynomial.chebyshev import chebdiv, chebint
 
-from .errors import (ConvergenceError, PreconditionError,
-                     PropertyViolationError)
+from .errors import ConvergenceError, PreconditionError
 from .powerfun import (HALF_LINE, as_exponent, b_weight, from_u, shift_u,
                        to_u)
 from .weights import scaling_rate
@@ -374,7 +373,7 @@ def flow_scaling_limit(flow, psi, s):
                 return closed
     if numeric is None:
         raise ConvergenceError("numeric scaling limit could not be sampled")
-    raise PropertyViolationError(
+    raise PreconditionError(
         f"scaling limit mismatch: closed form {closed}, numeric {numeric}")
 
 

@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainMismatchError, EndpointEvalError, ExponentError
+from .errors import EndpointEvalError, ExponentError, PreconditionError
 
 HALF_LINE = "half_line"       # basis t^p (1+t)^q on [0, inf]
 UNIT_INTERVAL = "unit_interval"  # basis t^p (1-t)^q on [0, 1]
@@ -135,7 +135,7 @@ class RadialFunction:
 
     def _require_same_domain(self, other):
         if self.domain != other.domain:
-            raise DomainMismatchError(
+            raise PreconditionError(
                 f"domain mismatch: {self.domain} vs {other.domain}")
 
     # -- ring structure ---------------------------------------------------
@@ -235,7 +235,7 @@ class RadialFunction:
         t^p (1+t)^q at 1/r equals r^{-(p+q)} (1+r)^q, so this stays exact.
         """
         if self.domain != HALF_LINE:
-            raise DomainMismatchError("invert is a half-line operation")
+            raise PreconditionError("invert is a half-line operation")
         return _wrap({(-(P + Q), Q): c for (P, Q), c in self._terms.items()},
                      self._den, self._cden, HALF_LINE)
 
@@ -243,7 +243,7 @@ class RadialFunction:
         """The function t -> f(1-t) on the unit interval (swap the basis
         factors)."""
         if self.domain != UNIT_INTERVAL:
-            raise DomainMismatchError("flip is a unit-interval operation")
+            raise PreconditionError("flip is a unit-interval operation")
         return _wrap({(Q, P): c for (P, Q), c in self._terms.items()},
                      self._den, self._cden, UNIT_INTERVAL)
 

@@ -428,17 +428,17 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     reported ratio between resolutions is a boundedness proxy.  The factors
     commute, so a norm depends on k = i + j alone: (0, 1) equals (1, 0).
     With W = diag(phi) (W = I in plain mode) phi*A is similar to the
-    symmetric tridiagonal S = W^{1/2} A W^{1/2}; a z within 0.1 of one of
-    its eigenvalues lam raises.  The reported distance from z to the
-    spectrum is the smaller of its distances to the lam and to [Sigma, inf),
-    the essential spectrum (see the module docstring); no lam >= Sigma is
-    nearer than that interval, so the grid's box states never decide it.
-    For real z one LDL^T factorization of S - z (``_below_spectrum``)
-    decides whether every lam exceeds z; then |lam^k / (lam - z)|, k <= 2,
-    has no interior maximum on (z, inf), and only lam_min and lam_max are
-    found, by bisection (LAPACK stebz).  Any other z takes every
-    eigenvalue.  A is symmetric, hence normal, and its norms are
-    max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
+    symmetric tridiagonal S = W^{1/2} A W^{1/2}, whose eigenvalues are lam.
+    lam_min and lam_max are found by bisection (LAPACK stebz).  A real z
+    below lam_min keeps them, since |lam^k / (lam - z)|, k <= 2, has no
+    interior maximum on (z, inf); any other z takes every eigenvalue.  The
+    distance from z to the spectrum is the smaller of its distances to the
+    lam and to [Sigma, inf), the essential spectrum (see the module
+    docstring); no lam >= Sigma is nearer than that interval, so the grid's
+    box states never decide it.  The coarse grid's distance is reported,
+    and a distance below 0.1 on either grid raises, so a real z in
+    [Sigma, inf) always does.  A is symmetric, hence normal, and its norms
+    are max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
     those of M_k = (phi A)^k T^{-1}, T = phi*A - z, each the root of a top
     eigenvalue found by Lanczos (``eigsh``) on an operator that applies
     O(n) tridiagonal products and solves with one LU of T (LAPACK gttrf and
@@ -468,57 +468,44 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
         raise PreconditionError(f"z = {z} is not finite")
     phi, _ = membership_weights(prob)
     z_arith = np.real_if_close(z).item()  # real z keeps the arithmetic real
+    sigma = prob.V.limit("far")
+    to_essential = (abs(complex(z) - float(sigma)) if z.real < sigma
+                    else abs(z.imag))
 
     def norms_at(grid):
         d, e, rho = _assemble(prob, grid.s_nodes())
         w = phi.profile(rho) if mode == "weighted" else np.ones(len(rho))
         sqrt_w = np.sqrt(w)
         sd, se = w * d, sqrt_w[:-1] * e * sqrt_w[1:]
-        if (not isinstance(z_arith, complex)
-                and _below_spectrum(sd, se, z_arith)):
-            # |lam^k / (lam - z)|, k <= 2, peaks at the spectrum's ends
-            lam = np.concatenate([eigh_tridiagonal(
-                sd, se, eigvals_only=True, select="i", select_range=(i, i),
-                lapack_driver="stebz", tol=1e-300) for i in (0, len(sd) - 1)])
-        else:
+        lam = np.concatenate([eigh_tridiagonal(
+            sd, se, eigvals_only=True, select="i", select_range=(i, i),
+            lapack_driver="stebz", tol=1e-300) for i in (0, len(sd) - 1)])
+        if isinstance(z_arith, complex) or z_arith >= lam[0]:
             lam = eigh_tridiagonal(sd, se, eigvals_only=True)
-        dist = float(np.min(np.abs(lam - z_arith)))
+        dist = min(float(np.min(np.abs(lam - z_arith))), to_essential)
         if dist < 0.1:
-            raise PreconditionError(
-                f"z = {z} is within 0.1 of the computed spectrum")
+            raise PreconditionError(f"z = {z} is within 0.1 of the " + (
+                "computed spectrum" if dist < to_essential else
+                f"essential spectrum, which starts at {sigma}"))
         if mode == "plain":
             by_k = [float(np.max(np.abs(lam ** k / (lam - z_arith))))
                     for k in range(3)]
         else:
-            by_k = _weighted_norms(w[1:] * e, sd, w[:-1] * e, z_arith,
-                                   grid.n_points)
+            by_k = _weighted_norms(w[1:] * e, sd, w[:-1] * e, z_arith)
         if not all(0 < norm < math.inf for norm in by_k):
             raise ConvergenceError(f"resolvent norms {by_k} on {grid.n_points}"
                                    f" points at z = {z}: not positive floats")
         return {(i, j): by_k[i + j] for i in range(2) for j in range(2)}, dist
 
-    t1, dist1 = norms_at(GeometricGrid(-8.0, 8.0, base_points))
+    t1, dist = norms_at(GeometricGrid(-8.0, 8.0, base_points))
     t2, _ = norms_at(GeometricGrid(-8.0, 8.0, 2 * base_points))
     norms = {key: (t1[key], t2[key], t2[key] / t1[key]) for key in t1}
-    sigma = float(prob.V.limit("far"))
-    to_essential = abs(complex(z) - sigma) if z.real < sigma else abs(z.imag)
-    return ResolventProbeReport(norms=norms,
-                                spectrum_distance=min(dist1, to_essential))
+    return ResolventProbeReport(norms=norms, spectrum_distance=dist)
 
 
-def _below_spectrum(d, e, x):
-    """Whether x lies below every eigenvalue of the symmetric tridiagonal
-    (d, e): by Sylvester's law of inertia, exactly when the LDL^T
-    factorization of (d, e) - x (LAPACK pttrf) has only positive pivots,
-    the count bisection makes."""
-    pttrf, = get_lapack_funcs(("pttrf",), (d,))
-    return pttrf(d - x, e)[2] == 0
-
-
-def _weighted_norms(lo, dg, up, z, points):
+def _weighted_norms(lo, dg, up, z):
     """||a^k (a - z)^{-1}|| for k = 0, 1, 2 and the real tridiagonal a with
-    sub-, main and superdiagonal lo, dg, up (see resolvent_probe);
-    ``points`` is the grid's, for error messages."""
+    sub-, main and superdiagonal lo, dg, up (see resolvent_probe)."""
     n = len(dg)
     dtype = np.result_type(dg, z)
     gttrf, gttrs, pttrf, pttrs = get_lapack_funcs(
@@ -549,7 +536,7 @@ def _weighted_norms(lo, dg, up, z, points):
                                tol=tol, return_eigenvectors=False)[0])
         except ArpackError as exc:
             raise ConvergenceError(
-                f"resolvent norm k={k} did not converge on {points} points "
+                f"resolvent norm k={k} did not converge on {n + 1} points "
                 f"after {matvecs} matvecs") from exc
 
     norm0 = math.sqrt(top(0, lambda x: solve(solve(x), "C")))

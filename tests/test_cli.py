@@ -232,6 +232,15 @@ class TestConfigParsing:
                 if key != "command":  # the one key without a default
                     assert read(parser[section][key], key) == default, key
 
+    def test_readme_exit_table_is_the_exit_codes(self):
+        section = README.read_text().split("### Exit codes\n")[1]
+        table = section.split("\n#")[0]
+        rows = [int(code) for code in
+                re.findall(r"^\|\s*(\d+)\s*\|", table, re.MULTILINE)]
+        assert rows == sorted(getattr(cli, name) for name in dir(cli)
+                              if name.startswith("EXIT_"))
+        assert {code for code, _ in cli._EXITS.values()} <= set(rows)
+
 
 class TestMain:
     def test_classify(self, tmp_path, capsys):
@@ -507,15 +516,20 @@ class TestMain:
         assert capsys.readouterr().err == (
             f"precondition violated: {message}\n")
 
-    # far from the spectrum: plain norms whose complex division overflows;
-    # a weighted k = 1 square that cancels (1e150), |z|^2 past the float
-    # range (1e160) and T^{-1} underflowing to a zero vector (1e200)
+    # far from the spectrum: plain norms whose complex division overflows
+    # exit 4; a real z inside hydrogen's essential spectrum [0, inf) exits 3
+    # however far from the grid's eigenvalues it lies
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("z_real, z_imag, mode", [
-        ("1e308", "1e308", "plain"), ("1e150", "0", "weighted"),
-        ("1e160", "0", "weighted"), ("1e200", "0", "weighted")])
+    @pytest.mark.parametrize("z_real, z_imag, mode, code, err", [
+        ("1e308", "1e308", "plain", EXIT_CONVERGENCE,
+         "convergence failure: resolvent norm")] + [
+        (z, "0", mode, EXIT_PRECONDITION,
+         f"precondition violated: z = {complex(float(z))} is within 0.1 of "
+         "the essential spectrum, which starts at 0\n")
+        for z, mode in (("1e13", "plain"), ("1e150", "weighted"),
+                        ("1e160", "weighted"), ("1e200", "weighted"))])
     def test_resolvent_far_from_the_spectrum(self, tmp_path, capsys, z_real,
-                                             z_imag, mode):
+                                             z_imag, mode, code, err):
         cfg = write_config(tmp_path, f"""
             [run]
             command = resolvent
@@ -524,10 +538,8 @@ class TestMain:
             z_imag = {z_imag}
             mode = {mode}
         """)
-        code = main(["--config", cfg, "--out", str(tmp_path)])
-        assert code == EXIT_CONVERGENCE
-        assert capsys.readouterr().err.startswith(
-            "convergence failure: resolvent norm")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.startswith(err)
         assert not (tmp_path / "resolvent.txt").exists()
 
     # far below the spectrum: the ends-only path prints what every
@@ -567,18 +579,22 @@ class TestMain:
             assert not (tmp_path / "resolvent.txt").exists()
 
     # real z below the ground state: the ends-only path prints the report
-    # that every eigenvalue prints, in both modes
+    # that every eigenvalue prints, in both modes; a bisection that ignores
+    # ``select`` forces the every-eigenvalue path
     @pytest.mark.parametrize("mode", ["plain", "weighted"])
     @pytest.mark.parametrize("model", sorted(DEEP_MODELS))
     def test_ends_only_matches_every_eigenvalue(self, tmp_path, monkeypatch,
                                                 model, mode):
         gamma, gamma_prime, potential, _ = DEEP_MODELS[model]
-        real = schrodinger._below_spectrum
-        verdicts = []
+        real = schrodinger.eigh_tridiagonal
+        selects = []
 
-        def recorded(*args):
-            verdicts.append(real(*args))
-            return verdicts[-1]
+        def recorded(d, e, **kwargs):
+            selects.append(kwargs.get("select"))
+            return real(d, e, **kwargs)
+
+        def every(d, e, **kwargs):
+            return real(d, e, eigvals_only=True)
 
         cells = 0
         for n in (2, 3, 4):
@@ -602,9 +618,9 @@ class TestMain:
                         mode = {mode}
                     """)
                     reports = []
-                    for below in (recorded, lambda *args: False):
-                        monkeypatch.setattr(schrodinger, "_below_spectrum",
-                                            below)
+                    for solver in (recorded, every):
+                        monkeypatch.setattr(schrodinger, "eigh_tridiagonal",
+                                            solver)
                         assert main(["--config", cfg, "--out",
                                      str(tmp_path)]) == EXIT_OK
                         reports.append(
@@ -612,7 +628,8 @@ class TestMain:
                     assert reports[0] == reports[1], (n, l, z)
                     cells += 1
         assert cells == (25 if model == "hydrogen" else 27)
-        assert len(verdicts) == 2 * cells and all(verdicts)
+        # two grids, each bisected at its two ends only
+        assert selects == ["i"] * 4 * cells
 
     def test_precondition_exit_code(self, tmp_path, capsys):
         # potential exponents inconsistent with the declared gamma

@@ -13,8 +13,7 @@ from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 
 from degcalc import flows
-from degcalc.errors import (ConvergenceError, PreconditionError,
-                            PropertyViolationError)
+from degcalc.errors import ConvergenceError, PreconditionError
 from degcalc.flows import (GROW_CHUNK, HALVINGS, SIGMA_MEMO, TABLE_STEP, Flow,
                            completeness_check, flow_scaling_limit,
                            power_flow_exponents)
@@ -619,6 +618,11 @@ class TestEndpointReached:
         fl = Flow(Weight.from_term(1, -1), require_complete=False)
         assert fl.F(1e200) == math.inf
         assert fl.F(2e75) == pytest.approx(2e150, rel=1e-15)
+        # phi = t^2/(1+t): F(x) = ln x - 1/x, and 1.7e308 lies past the
+        # table's last node, so its segment is fitted on its own
+        fl = Flow(Weight.from_term(1, 2, -1))
+        assert fl.F(1.7e308) - fl.F(1e308) == pytest.approx(
+            math.log(1.7), rel=0, abs=2e-13)
 
     def test_power_weight_stops_at_one(self):
         # t^2 does not vanish at 1: sigma_s(x) = x/(1 - sx) reaches 1 at
@@ -737,7 +741,7 @@ class TestScalingLimit:
             return true_rate(psi, phi, end) + 0.01
 
         monkeypatch.setattr(flows, "scaling_rate", wrong_rate)
-        with pytest.raises(PropertyViolationError):
+        with pytest.raises(PreconditionError, match="scaling limit mismatch"):
             flow_scaling_limit(fl, Weight.from_term(1, 1), 0.5)
 
     def test_s_zero_identity(self):

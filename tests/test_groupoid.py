@@ -160,6 +160,9 @@ class TestZeta:
         assert abs(z - math.exp(-0.5)) < 1e-12
         z = zeta_cocycle(GPhiElement(math.inf, 0.5), "infinity", exp_flow)
         assert abs(z - math.exp(0.5)) < 1e-12
+        # rho_infinity is 1 at 0
+        assert zeta_cocycle(GPhiElement(0.0, 0.5), "infinity",
+                            exp_flow) == 1.0
         # a > 1 freezes the 0 boundary
         assert zeta_cocycle(GPhiElement(0.0, 0.7), "zero", numeric_flow) == 1.0
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degcalc import powerfun
-from degcalc.errors import DegcalcError, EndpointEvalError
+from degcalc.errors import DegcalcError, EndpointEvalError, PreconditionError
 from degcalc.powerfun import (HALF_LINE, UNIT_INTERVAL, RadialFunction,
                               _binomial_step, as_exponent, b_weight, from_u,
                               shift_u, to_u)
@@ -198,6 +198,12 @@ class TestCoordinateMaps:
     def test_flip_unit_interval(self):
         f = rf((1, F(1, 2), 2), domain=UNIT_INTERVAL)
         assert f.flip() == rf((1, 2, F(1, 2)), domain=UNIT_INTERVAL)
+
+    def test_ring_operations_need_one_domain(self):
+        f, g = rf((1, 1, 0)), rf((1, 1, 0), domain=UNIT_INTERVAL)
+        for op in (f.__add__, f.__mul__, f.divide_term):
+            with pytest.raises(PreconditionError, match="domain mismatch"):
+                op(g)
 
     def test_invert_matches_pointwise(self):
         f = rf((1, 2, -3), (F(1, 2), 0, -1))

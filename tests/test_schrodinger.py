@@ -16,7 +16,7 @@ from degcalc.diffop import (CylinderFunction, DiffOp, parametrix_1d,
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
-                                 _below_spectrum, assemble_and_solve, membership_in_diff_s,
+                                 assemble_and_solve, membership_in_diff_s,
                                  membership_weights, parametrix_residual,
                                  resolvent_probe, rewrite)
 from degcalc.weights import Weight
@@ -41,6 +41,9 @@ class TestProblemValidation:
                                RadialFunction.term(-1, -1))
         with pytest.raises(PreconditionError):
             SchrodingerProblem.hydrogen(l=-1)
+        with pytest.raises(PreconditionError, match="on the half-line"):
+            SchrodingerProblem(3, F(1, 2), F(-1, 2), RadialFunction.term(
+                -1, -1, domain=UNIT_INTERVAL))
 
     @pytest.mark.parametrize("gamma, gamma_prime", [
         (float("inf"), 0), (0, float("nan")), (F(1, 2), None)])
@@ -265,6 +268,8 @@ class TestGrid:
     def test_invalid_grid(self):
         with pytest.raises(PreconditionError):
             GeometricGrid(1.0, -1.0, 100)
+        with pytest.raises(PreconditionError, match="too coarse"):
+            GeometricGrid(n_points=9)
 
     @pytest.mark.parametrize("s_min, s_max, key", [
         (-800.0, 8.0, "s_min"), (-745.2, 8.0, "s_min"),
@@ -658,16 +663,18 @@ class TestResolventProbe:
             assert rep.norms[(0, 0)][0] == pytest.approx(
                 1.0 / rep.spectrum_distance, rel=1e-12)
 
-    # the certificate against a dense eigensolve: it holds just below the
-    # lowest eigenvalue and fails just above it, on A and on phi*A's
-    # symmetric form, whose diagonals reach 2.5e10 at 600 points
+    # the path rule against a dense eigensolve: a z just below the lowest
+    # eigenvalue keeps the two bisected ends, and a z just above it takes
+    # every eigenvalue, on A and on phi*A's symmetric form, whose diagonals
+    # reach 2.5e10 at 600 points; both lie within 0.1 and raise
     @pytest.mark.parametrize("weighted", [False, True],
                              ids=["plain", "weighted"])
     @pytest.mark.parametrize("points", [300, 600])
     @pytest.mark.parametrize("prob", [SchrodingerProblem.hydrogen(),
                                       SchrodingerProblem.oscillator()],
                              ids=["hydrogen", "oscillator"])
-    def test_below_spectrum_certificate(self, prob, points, weighted):
+    def test_ends_only_below_the_spectrum(self, monkeypatch, prob, points,
+                                          weighted):
         d, e, rho = _assemble(prob, GeometricGrid(-8.0, 8.0, points).s_nodes())
         w = (membership_weights(prob)[0].profile(rho) if weighted
              else np.ones(len(rho)))
@@ -675,8 +682,19 @@ class TestResolventProbe:
         d, e = w * d, sqrt_w[:-1] * e * sqrt_w[1:]
         lam_min = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
                                      + np.diag(e, -1))[0]
-        assert _below_spectrum(d, e, lam_min - 1e-9 * abs(lam_min))
-        assert not _below_spectrum(d, e, lam_min + 1e-9 * abs(lam_min))
+        real, selects = schrodinger.eigh_tridiagonal, []
+
+        def recorded(d, e, **kwargs):
+            selects.append(kwargs.get("select"))
+            return real(d, e, **kwargs)
+
+        monkeypatch.setattr(schrodinger, "eigh_tridiagonal", recorded)
+        for sign, path in ((-1, ["i", "i"]), (1, ["i", "i", None])):
+            selects.clear()
+            with pytest.raises(PreconditionError, match="within 0.1"):
+                resolvent_probe(prob, lam_min + sign * 1e-9 * abs(lam_min),
+                                "weighted" if weighted else "plain", points)
+            assert selects == path
 
     def test_plain_bound(self):
         rep = resolvent_probe(SchrodingerProblem.oscillator(), -1.0,
