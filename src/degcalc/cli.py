@@ -152,10 +152,15 @@ class RunConfig:
 
 
 def load_config(path):
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    return RunConfig(parser)
+    """The RunConfig of a UTF-8 config file, where ``#`` starts a comment;
+    whatever configparser cannot read is a one-line ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        return RunConfig(parser)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
 
 
 def _report(out, name, lines):
@@ -407,7 +412,11 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a file by that name, or on its path
+            raise ConfigError(f"cannot make the output directory "
+                              f"{args.out}: {exc.strerror}") from None
         return _DISPATCH[cfg.command](cfg, args.out, log)
     except DegcalcError as exc:
         code, prefix = next(v for k, v in _EXITS.items() if isinstance(exc, k))

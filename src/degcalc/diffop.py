@@ -18,6 +18,7 @@ them, kept on phi and freed with it.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from math import comb
 
 from .errors import PreconditionError
@@ -79,10 +80,8 @@ class CylinderFunction:
         return self.modes.get(0, RadialFunction.zero(domain=self.domain))
 
     def __add__(self, other):
-        other = _as_cylinder(other, self.domain)
         merged = dict(self.modes)
-        for m, f in other.modes.items():
-            merged[m] = merged[m] + f if m in merged else f
+        _add_all(merged, _as_cylinder(other, self.domain).modes)
         return _cylinder(merged, self.domain)
 
     __radd__ = __add__
@@ -94,19 +93,15 @@ class CylinderFunction:
         return self + (-_as_cylinder(other, self.domain))
 
     def __mul__(self, other):
-        if isinstance(other, (RadialFunction, CylinderFunction)):
-            other = _as_cylinder(other, self.domain)
-            merged = {}
-            for m1, f1 in self.modes.items():
-                for m2, f2 in other.modes.items():
-                    m = m1 + m2
-                    prod = f1 * f2
-                    merged[m] = merged[m] + prod if m in merged else prod
-            return _cylinder(merged, self.domain)
-        if isinstance(other, (int, float, complex)) or hasattr(other, "numerator"):
-            return _cylinder({m: f * other for m, f in self.modes.items()},
-                             self.domain)
-        return NotImplemented  # an operator's __rmul__ takes over
+        if isinstance(other, (CylinderFunction, RadialFunction)):
+            modes = _times_modes(self.modes,
+                                 _as_cylinder(other, self.domain).modes)
+        elif isinstance(other, (int, float, complex)) or \
+                hasattr(other, "numerator"):
+            modes = {m: f * other for m, f in self.modes.items()}
+        else:
+            return NotImplemented  # an operator's __rmul__ takes over
+        return _cylinder(modes, self.domain)
 
     __rmul__ = __mul__
 
@@ -151,6 +146,34 @@ def _as_cylinder(c, domain):
             raise PreconditionError("mixed base domains")
         return c
     return CylinderFunction.const(c, domain=domain)
+
+
+def _times_modes(a, b):
+    """The product of the mode dicts a and b; each mode sums its products
+    f1 f2 in the order of the pairs, and a zero sum is kept."""
+    merged = {}
+    for m1, f1 in a.items():
+        for m2, f2 in b.items():
+            m, prod = m1 + m2, f1 * f2
+            merged[m] = merged[m] + prod if m in merged else prod
+    return merged
+
+
+def _add_all(terms, other, w=1):
+    """terms[key] += w f for each (key, f) of ``other``, f ring or cylinder
+    functions: a zero w f adds nothing, and a zero sum is dropped."""
+    for key, f in other.items():
+        if w != 1 and not f.is_zero:
+            f = f * w
+        if f.is_zero:
+            continue
+        old = terms.get(key)
+        if old is not None:
+            f = old + f
+            if f.is_zero:
+                del terms[key]
+                continue
+        terms[key] = f
 
 
 class DiffOp:
@@ -208,13 +231,13 @@ class DiffOp:
                 and (self.psi is psi or self.psi == psi))
 
     def _basis(self):
-        """The basis table of (phi, psi): on phi, keyed by psi's exact value,
-        so equal weights built apart share it."""
-        tables = self.phi._bases
-        key = self.psi.profile.to_text()
-        if key not in tables:
-            tables[key] = _Basis(self.phi, self.psi)
-        return tables[key]
+        """The basis table of (phi, psi): on phi, keyed by psi's exact value
+        ``psi.profile.key()``, so equal weights built apart share it."""
+        tables, key = self.phi._bases, self.psi.profile.key()
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _Basis(self.phi, self.psi)
+        return table
 
     # -- form conversions ------------------------------------------------
 
@@ -229,17 +252,17 @@ class DiffOp:
         basis = self._basis()
         raw = {}
         for (i, j), c in self.coeffs.items():
-            for (k, l), b in basis[self.form, i, j].items():
-                _raw_add(raw, k, l, c * b)
-        return _op("raw", raw, self.phi, self.psi)
+            for key, b in basis[self.form, i, j].items():
+                _raw_add(raw, key, _times_modes(c.modes, {0: b}))
+        return _op("raw", _cylinders(raw, self.domain), self.phi, self.psi)
 
     def to_monomial(self):
         if self.form == "monomial":
             return self
         self._require_single_terms("monomial")
         basis = self._basis()
-        return _op("monomial", {(i, j): basis.divide(i, j, b) for (i, j), b
-                                in self.to_raw().coeffs.items()},
+        return _op("monomial", {(i, j): basis.divide(i, j, b.modes)
+                                for (i, j), b in self.to_raw().coeffs.items()},
                    self.phi, self.psi)
 
     def to_lie(self):
@@ -248,14 +271,16 @@ class DiffOp:
             return self
         self._require_single_terms("lie")
         basis = self._basis()
-        remaining = dict(self.to_raw().coeffs)
+        remaining = {key: dict(b.modes)
+                     for key, b in self.to_raw().coeffs.items()}
         lie = {}
         while remaining:
             (i, j) = max(remaining, key=lambda k: (k[0] + k[1], k[0]))
             c = lie[(i, j)] = basis.divide(i, j, remaining[(i, j)])
             # subtract c * X^i Y^j; the top raw term cancels exactly
-            for (k, l), b in basis["lie", i, j].items():
-                _raw_add(remaining, k, l, -(c * b))
+            for key, b in basis["lie", i, j].items():
+                _raw_add(remaining, key, {m: -f for m, f in _times_modes(
+                    c.modes, {0: b}).items() if not f.is_zero})
             if (i, j) in remaining:
                 raise PreconditionError(
                     "triangular elimination failed to cancel the top term")
@@ -270,8 +295,8 @@ class DiffOp:
             raise PreconditionError("operators built over different weights")
         a, b = self.to_raw(), other.to_raw()
         merged = dict(a.coeffs)
-        for key, c in b.coeffs.items():
-            _raw_add(merged, key[0], key[1], -c if negate else c)
+        _add_all(merged, {key: -c for key, c in b.coeffs.items()}
+                 if negate else b.coeffs)
         return _op("raw", merged, self.phi, self.psi)
 
     def __sub__(self, other):
@@ -287,11 +312,10 @@ class DiffOp:
     def apply(self, f):
         """Exact action on a cylinder function."""
         f = _as_cylinder(f, self.domain)
-        raw = self.to_raw()
-        out = CylinderFunction.zero(self.domain)
-        for (i, j), b in raw.coeffs.items():
-            out = out + b * _partial(f, i, j)
-        return out
+        out = {}
+        for (i, j), b in self.to_raw().coeffs.items():
+            _add_all(out, _times_modes(b.modes, _partial(f, i, j).modes))
+        return _cylinder(out, self.domain)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
@@ -337,18 +361,20 @@ def _op(form, coeffs, phi, psi, out=None):
     return out
 
 
-def _raw_add(raw, i, j, c):
-    key = (i, j)
-    cur = raw.get(key)
-    new = c if cur is None else cur + c
-    if new.is_zero:
-        raw.pop(key, None)
-    else:
-        raw[key] = new
+def _raw_add(raw, key, modes, w=1):
+    """raw[key] += w times these modes, for raw {(i, j): mode dict}."""
+    _add_all(raw.setdefault(key, {}), modes, w)
+    if not raw[key]:
+        del raw[key]
+
+
+def _cylinders(raw, domain):
+    return {key: _cylinder(modes, domain) for key, modes in raw.items()}
 
 
 class _Basis(dict):
-    """Raw terms {(k, l): b} of the basis operators, for one weight pair.
+    """Raw terms {(k, l): b} of the basis operators, for one weight pair,
+    kept in phi's ``_bases`` under psi's ``profile.key()``.
 
     Keys ("monomial", i, j): phi^i psi^j dt^i dtheta^j.  ("lie", i, j):
     X^i Y^j = X o X^{i-1} Y^j, down to Y^j = psi^j dtheta^j, by X o b dt^k
@@ -373,16 +399,16 @@ class _Basis(dict):
         else:
             val, prof = {}, self["phi", 1]
             for (k, l), b in self["lie", key[1] - 1, key[2]].items():
-                _raw_add(val, k, l, prof * b.derivative())
-                _raw_add(val, k + 1, l, prof * b)
+                _add_all(val, {(k, l): prof * b.derivative()})
+                _add_all(val, {(k + 1, l): prof * b})
         self[key] = val
         return val
 
-    def divide(self, i, j, b):
-        """The raw coefficient b divided by phi^i psi^j."""
+    def divide(self, i, j, modes):
+        """The raw coefficient with these modes divided by phi^i psi^j."""
         den = self["monomial", i, j][i, j]
-        return _cylinder({m: f.divide_term(den) for m, f in b.modes.items()},
-                         b.domain)
+        return _cylinder({m: f.divide_term(den) for m, f in modes.items()},
+                         den.domain)
 
 
 def _partial(f, i, j):
@@ -410,11 +436,11 @@ def _leibniz(A, B, top):
         for (i2, j2), b2 in b.items():
             for m in range(i1 + 1):
                 for l in range(0 if top or m else 1, j1 + 1):
-                    g = _partial(b2, m, l)
-                    w = comb(i1, m) * comb(j1, l)
-                    _raw_add(raw, i1 - m + i2, j1 - l + j2,
-                             b1 * g if w == 1 else b1 * g * w)
-    return _op("raw", raw, A.phi, A.psi)
+                    _raw_add(raw, (i1 - m + i2, j1 - l + j2),
+                             _times_modes(b1.modes,
+                                          _partial(b2, m, l).modes),
+                             comb(i1, m) * comb(j1, l))
+    return _op("raw", _cylinders(raw, A.domain), A.phi, A.psi)
 
 
 def op_compose(A, B):
@@ -473,16 +499,9 @@ def random_lie_rinehart_samples(phi, psi, count, seed=0):
     def rnd_cf():
         return CylinderFunction({rng.randint(-1, 1): rnd_rf()}, domain=dom)
 
-    samples = []
-    for _ in range(count):
-        samples.append({
-            "Z": VectorField(rnd_cf(), rnd_cf(), phi, psi),
-            "W": VectorField(rnd_cf(), rnd_cf(), phi, psi),
-            "U": VectorField(rnd_cf(), rnd_cf(), phi, psi),
-            "a": rnd_cf(),
-            "f": rnd_cf(),
-        })
-    return samples
+    return [{**{name: VectorField(rnd_cf(), rnd_cf(), phi, psi)
+                for name in "ZWU"}, "a": rnd_cf(), "f": rnd_cf()}
+            for _ in range(count)]
 
 
 def lie_rinehart_check(phi, psi, samples):
@@ -494,13 +513,8 @@ def lie_rinehart_check(phi, psi, samples):
     counterexample count).  A field built over other weights raises
     PreconditionError.
     """
-    results = {}
-
-    def record(name, ok_list):
-        fails = sum(1 for ok in ok_list if not ok)
-        results[name] = (fails == 0, fails)
-
-    jacobi, leibniz, module_act, module_br, derivation = [], [], [], [], []
+    fails = dict.fromkeys(("jacobi", "leibniz", "module_action",
+                           "module_bracket", "derivation"), 0)
     for n, s in enumerate(samples):
         for name in ("Z", "W", "U"):
             if not s[name]._over(phi, psi):
@@ -513,19 +527,16 @@ def lie_rinehart_check(phi, psi, samples):
         j1 = _bracket(ZW, U).apply(f)
         j2 = _bracket(_bracket(W, U), Z).apply(f)
         j3 = _bracket(_bracket(U, Z), W).apply(f)
-        jacobi.append((j1 + j2 + j3).is_zero)
-        # [Z, aW] = Z(a) W + a [Z, W]
-        leibniz.append(_bracket(Z, W * a) == W * Za + aZW)
-        module_act.append(aZ.apply(f) == a * Zf)
-        # [aZ, W] = a [Z, W] - W(a) Z
-        module_br.append(_bracket(aZ, W) == aZW - Z * W.apply(a))
-        derivation.append(Z.apply(a * f) == Za * f + a * Zf)
-    record("jacobi", jacobi)
-    record("leibniz", leibniz)
-    record("module_action", module_act)
-    record("module_bracket", module_br)
-    record("derivation", derivation)
-    return results
+        holds = ((j1 + j2 + j3).is_zero,
+                 # [Z, aW] = Z(a) W + a [Z, W]
+                 _bracket(Z, W * a) == W * Za + aZW,
+                 aZ.apply(f) == a * Zf,
+                 # [aZ, W] = a [Z, W] - W(a) Z
+                 _bracket(aZ, W) == aZW - Z * W.apply(a),
+                 Z.apply(a * f) == Za * f + a * Zf)
+        for name, ok in zip(fails, holds):
+            fails[name] += not ok
+    return {name: (k == 0, k) for name, k in fails.items()}
 
 
 # -- symbols ---------------------------------------------------------------
@@ -538,16 +549,8 @@ def _trim_poly(poly):
 
 
 def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        if k < len(a) and k < len(b):
-            out.append(a[k] + b[k])
-        elif k < len(a):
-            out.append(a[k])
-        else:
-            out.append(b[k])
-    return out
+    return [x if y is None else y if x is None else x + y
+            for x, y in zip_longest(a, b)]
 
 
 def _poly_sub(a, b):

@@ -232,6 +232,23 @@ class Flow:
             table[at:at] = column
         return True
 
+    def _reach_to(self, y, up, reach):
+        """The u to grow the table of F to for a y past its upper or lower
+        end: ``reach`` past it, or further where F cannot reach y before.
+        Where g has positive coefficients, ln(1/g) rises outward at most at
+        a rate K that its terms' end exponents bound, so v past the end F
+        has gained at most (e^{K v} - 1)/K times 1/g at the end."""
+        u, F = (self._table_u[-1], self._table_F[-1]) if up else \
+            (self._table_u[0], self._table_F[0])
+        gain = abs(y - F) * self._g.at_u(u)  # in units of 1/g at the end
+        if self._g.has_positive_coefficients and math.isfinite(gain):
+            ends = [e for p, q in self._g.terms for e in (
+                p, p + q if self.weight.domain == HALF_LINE else -q)]
+            K = float(-min(ends) if up else max(ends))
+            reach = max(reach, gain if K == 0.0 else math.inf
+                        if K * gain <= -1.0 else math.log1p(K * gain) / K)
+        return u + reach if up else u - reach
+
     def _F_u(self, u):
         """F at u: the table value at the inner node a of u's segment, grown
         to it if need be, plus (u - a) times the mean of 1/g over [a, u];
@@ -255,15 +272,16 @@ class Flow:
     def _u_of_F(self, y):
         """The u with F(u) = y inside its table segment; -inf or inf where y
         lies beyond the table, whose ends are the last u with t inside the
-        float range or the node where 1/g leaves it, grown by a reach that
-        doubles from one segment on each pass while y lies past it.  A y
+        float range or the node where 1/g leaves it, grown while y lies past
+        it by a reach that doubles from one segment on each pass, or further
+        where ``_reach_to`` bounds the distance to y from below.  A y
         equal to a node's F is that node; inside a segment, safeguarded
         Newton solves (u - a) m(x) = y - F(a) for the segment's mean m of
         1/g from its inner node a, whose derivative in u is m + (x + 1) m'."""
         us, Fs = self._table_u, self._table_F
         up, reach = y > 0.0, TABLE_STEP
         while ((y > Fs[-1] if up else y < Fs[0])
-               and self._grow(up, us[-1] + reach if up else us[0] - reach)):
+               and self._grow(up, self._reach_to(y, up, reach))):
             reach *= 2
         if not Fs[0] <= y <= Fs[-1]:
             return math.copysign(math.inf, y)

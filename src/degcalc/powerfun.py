@@ -86,7 +86,7 @@ class RadialFunction:
     object.
     """
 
-    __slots__ = ("domain", "_terms", "_den", "_cden", "_floats")
+    __slots__ = ("domain", "_terms", "_den", "_cden", "_floats", "_key")
 
     def __init__(self, terms=None, domain=HALF_LINE):
         _wrap(*_stored(dict(terms or {}).items(), domain), out=self)
@@ -118,6 +118,14 @@ class RadialFunction:
             (Fraction(P, d), Fraction(Q, d)): _read(c, cden)
             for (P, Q), c in self._terms.items()})
 
+    def key(self):
+        """The exact value as a hashable set, formed once: the domain and the
+        frozen set of the ``terms`` items, equal for equal functions."""
+        if not hasattr(self, "_key"):
+            object.__setattr__(self, "_key", (self.domain,
+                                              frozenset(self.terms.items())))
+        return self._key
+
     @property
     def is_zero(self):
         return not self._terms
@@ -141,17 +149,17 @@ class RadialFunction:
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, Fraction, complex)):
-            other = RadialFunction.const(other, domain=self.domain)
         if not isinstance(other, RadialFunction):
-            return NotImplemented
+            if not isinstance(other, (int, float, Fraction, complex)):
+                return NotImplemented
+            other = RadialFunction.const(other, domain=self.domain)
         self._require_same_domain(other)
         a, b, den = _common(self, other)
-        cden = math.lcm(self._cden, other._cden)
-        merged = _scaled(a, cden // self._cden)
-        for key, c in _scaled(b, cden // other._cden).items():
-            _accumulate(merged, key, c, cden)
-        return _wrap(merged, den, cden, self.domain)
+        d1, d2 = self._cden, other._cden
+        cden = d1 if d1 == d2 else math.lcm(d1, d2)
+        return _wrap(_collect(_scaled(a, cden // d1), (
+            b if d2 == cden else _scaled(b, cden // d2)).items(), cden),
+            den, cden, self.domain)
 
     __radd__ = __add__
 
@@ -166,25 +174,36 @@ class RadialFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction, complex)):
-            s, ds = _ratio(other)
-            d, cden = self._cden, self._cden * ds
-            merged = {}
-            if s != 0:  # an inf coefficient times 0 stays 0, not nan
-                for key, c in self._terms.items():
-                    _accumulate(merged, key, _times(c, d, s, ds), cden)
-            return _wrap(merged, self._den, cden, self.domain)
-        if not isinstance(other, RadialFunction):
+        if isinstance(other, RadialFunction):
+            self._require_same_domain(other)
+            a, b, den = (self._terms, other._terms, self._den) \
+                if self._den == other._den else _common(self, other)
+            d2 = other._cden
+        elif isinstance(other, (int, float, Fraction, complex)):
+            s, d2 = _ratio(other)  # an inf coefficient times 0 stays 0
+            a, b, den = self._terms, {(0, 0): s} if s != 0 else {}, self._den
+        else:
             return NotImplemented
-        self._require_same_domain(other)
-        a, b, den = _common(self, other)
-        d1, d2 = self._cden, other._cden
-        merged = {}
+        d1 = self._cden
+        cden, merged = d1 * d2, {}
+        get = merged.get
         for (P1, Q1), c1 in a.items():
+            exact = type(c1) is int
             for (P2, Q2), c2 in b.items():
-                _accumulate(merged, (P1 + P2, Q1 + Q2),
-                            _times(c1, d1, c2, d2), d1 * d2)
-        return _wrap(merged, den, d1 * d2, self.domain)
+                c = c1 * c2 if (type(c2) is int) == exact else \
+                    _mixed(c1, d1, c2, d2, mul)
+                if c == 0:
+                    continue
+                key = P1 + P2, Q1 + Q2
+                old = get(key)
+                if old is not None:
+                    c = old + c if (type(old) is int) == (type(c) is int) \
+                        else _mixed(old, cden, c, cden, add)
+                    if c == 0:
+                        del merged[key]
+                        continue
+                merged[key] = c
+        return _wrap(merged, den, cden, self.domain)
 
     __rmul__ = __mul__
 
@@ -207,25 +226,24 @@ class RadialFunction:
         exact = type(c0) is int  # then c/d : c0/d0 is c d0 sgn(c0) / d |c0|
         k, cden = (d0 if c0 > 0 else -d0, d * abs(c0)) if exact else (1, d)
         merged = {}
-        for (P, Q), c in a.items():
-            _accumulate(merged, (P - P0, Q - Q0), c * k if exact and
-                        type(c) is int else _mixed(c, d, c0, d0, truediv),
-                        cden)
+        for (P, Q), c in a.items():  # distinct keys: only a 0 is dropped
+            c = c * k if exact and type(c) is int else \
+                _mixed(c, d, c0, d0, truediv)
+            if c != 0:
+                merged[P - P0, Q - Q0] = c
         return _wrap(merged, den, cden, self.domain)
 
     def derivative(self):
         """Exact d/dt in the ring."""
         sign = 1 if self.domain == HALF_LINE else -1
         den, d = self._den, self._cden
-        merged = {}
+        pairs = []
         for (P, Q), c in self._terms.items():  # (P/den) c and sign (Q/den) c
-            if P:
-                _accumulate(merged, (P - den, Q), _times(P, den, c, d),
-                            den * d)
-            if Q:
-                _accumulate(merged, (P, Q - den),
-                            _times(sign * Q, den, c, d), den * d)
-        return _wrap(merged, den, den * d, self.domain)
+            for key, n in (((P - den, Q), P), ((P, Q - den), sign * Q)):
+                if n:
+                    pairs.append((key, n * c if type(c) is int else
+                                  _mixed(n, den, c, d, mul)))
+        return _wrap(_collect({}, pairs, den * d), den, den * d, self.domain)
 
     # -- coordinate changes ----------------------------------------------
 
@@ -381,6 +399,12 @@ class RadialFunction:
         return "\n".join(lines)
 
 
+#: the slots' own setters, which skip the immutable ``__setattr__``
+_set_domain, _set_terms, _set_den, _set_cden = (
+    RadialFunction.__dict__[name].__set__
+    for name in ("domain", "_terms", "_den", "_cden"))
+
+
 # -- the flow coordinate u of the b-weight ----------------------------------
 # u = ln t on the half-line and logit t on the unit interval; both map the
 # interior onto the real line, and the b-weight t resp. t(1-t) flows by
@@ -462,25 +486,23 @@ def _mixed(x, dx, y, dy, op):
     return op(x, y)
 
 
-def _times(x, dx, y, dy):
-    """x y of stored coefficients x over dx and y over dy, over dx dy."""
-    return x * y if (type(x) is int) == (type(y) is int) else \
-        _mixed(x, dx, y, dy, mul)
-
-
-def _accumulate(merged, key, c, d):
-    """Add c at key, keeping every stored coefficient nonzero; the exact
-    numerators are over d."""
-    if c == 0:
-        return
-    old = merged.get(key)
-    if old is not None:
-        c = old + c if (type(old) is int) == (type(c) is int) else \
-            _mixed(old, d, c, d, add)
+def _collect(merged, pairs, d):
+    """merged with each (key, c) of pairs added in order, every stored
+    coefficient kept nonzero; the exact numerators are over d.  (The ring's
+    product runs this loop inline.)"""
+    get = merged.get
+    for key, c in pairs:
         if c == 0:
-            del merged[key]
-            return
-    merged[key] = c
+            continue
+        old = get(key)
+        if old is not None:
+            c = old + c if (type(old) is int) == (type(c) is int) else \
+                _mixed(old, d, c, d, add)
+            if c == 0:
+                del merged[key]
+                continue
+        merged[key] = c
+    return merged
 
 
 def _stored(pairs, domain):
@@ -491,11 +513,10 @@ def _stored(pairs, domain):
     items = [(_exponent(p), _exponent(q), *_ratio(c)) for (p, q), c in pairs]
     den = math.lcm(*(x.denominator for p, q, *_ in items for x in (p, q)))
     cden = math.lcm(*(d for *_, d in items))
-    merged = {}
-    for p, q, n, d in items:
-        _accumulate(merged, (p.numerator * (den // p.denominator),
+    merged = _collect({}, (((p.numerator * (den // p.denominator),
                              q.numerator * (den // q.denominator)),
-                    n * (cden // d) if type(n) is int else n, cden)
+                            n * (cden // d) if type(n) is int else n)
+                           for p, q, n, d in items), cden)
     return merged, den, cden, domain
 
 
@@ -515,10 +536,10 @@ def _wrap(terms, den, cden, domain, out=None):
                      for k, c in terms.items()}
         cden //= g
     out = RadialFunction.__new__(RadialFunction) if out is None else out
-    object.__setattr__(out, "domain", domain)
-    object.__setattr__(out, "_terms", terms)
-    object.__setattr__(out, "_den", den)
-    object.__setattr__(out, "_cden", cden)
+    _set_domain(out, domain)
+    _set_terms(out, terms)
+    _set_den(out, den)
+    _set_cden(out, cden)
     return out
 
 

@@ -34,8 +34,8 @@ class Weight:
     """A positive ring function, stored as one term if it equals one.
 
     ``_bases`` holds the operator basis tables of the weight pairs with this
-    weight as phi, keyed by psi's exact value (``diffop._Basis``); they are
-    freed with the weight.
+    weight as phi, keyed by psi's exact value ``psi.profile.key()``, formed
+    once per weight (``diffop._Basis``); they are freed with the weight.
     """
 
     __slots__ = ("profile", "_bases")

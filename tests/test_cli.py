@@ -220,17 +220,21 @@ class TestConfigParsing:
             "cutoffs", "s", "s_max", "s_min", "tolerance", "x_values",
             "z_imag", "z_real"]
 
-    def test_readme_config_block_is_the_key_table(self):
-        block = README.read_text().split("```ini\n")[1].split("```")[0]
-        lines = (re.sub(r"\s*#.*", "", line) for line in block.splitlines())
-        parser = configparser.ConfigParser()
-        parser.read_string("\n".join(line for line in lines if line))
+    def test_readme_config_block_is_the_key_table(self, tmp_path):
+        """README's block lists every key of the table and loads as
+        written, its inline comments included, to every default."""
+        path = tmp_path / "readme.ini"
+        path.write_text(README.read_text().split("```ini\n")[1].split("```")[0])
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read(path)
         assert {name: set(parser[name]) for name in parser.sections()} \
             == {name: set(keys) for name, keys in _KEYS.items()}
-        for section, keys in _KEYS.items():
-            for key, (read, default) in keys.items():
+        cfg = load_config(str(path))
+        assert cfg.command == "spectrum"
+        for keys in _KEYS.values():
+            for key, (_, default) in keys.items():
                 if key != "command":  # the one key without a default
-                    assert read(parser[section][key], key) == default, key
+                    assert getattr(cfg, key) == default, key
 
     def test_readme_exit_table_is_the_exit_codes(self):
         section = README.read_text().split("### Exit codes\n")[1]
@@ -428,6 +432,37 @@ class TestMain:
         code = main(["--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "wat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (b"[run]\ncommand = classify\n[problem]\nn = 3%\n",
+         "'%' must be followed by '%' or '(', found: '%'"),
+        (b"[run]\ncommand = classify\n[problem]\nn = 3\nn = 4\n",
+         "option 'n' in section 'problem' already exists"),
+        (b"[run]\ncommand = classify\n[problem\nn = 3\n",
+         "Source contains parsing errors"),
+        (b"n = 3\n[run]\ncommand = classify\n",
+         "File contains no section headers."),
+        (b"[run]\ncommand = classify\n[problem]\nn = 3 \xff\n",
+         "'utf-8' codec can't decode byte 0xff")],
+        ids=["percent", "duplicate_key", "open_header", "key_before_section",
+             "not_utf8"])
+    def test_malformed_file_exit_code(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(text)
+        code = main(["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[run]\ncommand = classify\n")
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: cannot make the output directory {out}: "
+            "File exists\n")
 
     @pytest.mark.parametrize("command", ["classify", "membership"])
     def test_non_finite_exponents_exit_code(self, tmp_path, capsys, command):

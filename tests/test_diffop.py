@@ -293,6 +293,25 @@ class TestBasisTable:
         DiffOp.X(phi, Weight.from_term(1, F(1, 2))).to_raw()
         assert len(phi._bases) == 2
 
+    def test_equal_psi_built_apart_shares_one_table(self):
+        phi = Weight.from_term(1, 1)
+        root = RadialFunction.term(1, F(1, 2))
+        for psi in (Weight.from_term(1, 1), Weight(root * root)):
+            DiffOp("lie", {(2, 1): 1}, phi, psi).to_raw()
+        assert len(phi._bases) == 1
+
+    def test_conversions_render_no_text(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("rendered text")
+
+        monkeypatch.setattr(RadialFunction, "to_text", refuse)
+        phi, psi = Weight.from_term(2, 1), Weight.from_term(1, F(1, 2))
+        A = DiffOp("lie", {(2, 1): RadialFunction.term(F(1, 3), 1, -1),
+                           (0, 1): 1}, phi, psi)
+        raw = A.to_raw()
+        assert A.to_monomial().to_lie().coeffs == A.coeffs
+        assert raw.to_lie().to_raw().coeffs == raw.coeffs
+
     def test_tables_are_freed_with_their_weights(self):
         def tables():
             gc.collect()
