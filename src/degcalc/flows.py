@@ -5,16 +5,19 @@ F(x) = integral_gamma^x dt/phi(t) and sigma_s = F^{-1}(F + s).  Everything is
 done in the flow coordinate u of the b-weight b (``powerfun.to_u``), where
 F(u) = integral_0^u du'/g with g = phi/b.  A constant g = c (c*t on the
 half-line, c*t(1-t) on [0, 1]) flows by translation in u and pure powers c*t^a
-have a closed form.  For everything else F is a table over segments 0.2 wide
+have a closed form.  For everything else F is a table over segments 0.8 wide
 in u, grown outward from u = 0 only as far as a call needs (an inversion off
-the table asks for a reach that doubles on each pass), up to 256 segments per
-evaluation of g and per stacked product.  Each segment keeps the Chebyshev
-coefficients of the mean of 1/g from its inner node, fitted to 16 samples; a
+the table asks for a reach that doubles on each pass, and returns +/-inf at
+once where g's exponents show that F cannot reach its target before t leaves
+the float range), up to 256 segments per evaluation of g and per stacked
+product.  Each segment keeps the Chebyshev coefficients of the mean of 1/g
+from its inner node, fitted to 16 samples, and F' = 1/g at both its nodes; a
 segment whose fit leaves a tail above the samples' own rounding noise is
-halved, so F is one Clenshaw sum on every segment, and Newton on the same sum
-inverts it inside one segment.  The table ends where 1/g leaves the float
-range.  A numeric flow remembers its last SIGMA_MEMO values sigma_s(x), so an
-arrow's range is inverted once.
+halved, up to eight times, so F is one Clenshaw sum on every segment, and
+Newton on the same sum, started from the cubic Hermite inverse of the
+segment's ends, inverts it inside one segment.  The table ends where 1/g
+leaves the float range.  A numeric flow remembers its last SIGMA_MEMO values
+sigma_s(x), so an arrow's range is inverted once.
 """
 
 from __future__ import annotations
@@ -35,14 +38,16 @@ TAU_FLOW_CLOSED = 1e-10
 #: flow tolerance, numeric mode
 TAU_FLOW_NUMERIC = 1e-8
 
-#: width in u of one segment of the table of F
-TABLE_STEP = 0.2
+#: width in u of one segment of the table of F; 16 samples resolve 1/g over
+#: most segments this wide, and ``_fit`` halves the others
+TABLE_STEP = 0.8
 #: segments per evaluation of g and per stacked product M @ rows[..., None]
 #: of sample rows, one gemv per row as M @ row (a gemm rows @ M.T rounds apart)
 GROW_CHUNK = 256
 #: halvings of a segment whose 16 samples do not resolve 1/g, after which
-#: its fit is taken as it is, or where 1/g leaves the float range
-HALVINGS = 6
+#: its fit is taken as it is, or where 1/g leaves the float range: the
+#: finest part is TABLE_STEP / 256 = 0.003125 wide
+HALVINGS = 8
 #: numeric sigma_s(x) values one flow remembers: a groupoid arrow asks for
 #: 3 distinct (s, x) in 10 applies (range, composite, cocycles) and repeats
 #: come within one arrow, so on the flows workload 64 keeps all but 21 of
@@ -51,12 +56,15 @@ SIGMA_MEMO = 64
 
 #: a segment samples 1/g at a + (node - a) * _AT, the Chebyshev points cos
 #: theta_j moved to [0, 1]; _CHEB maps the values to Chebyshev coefficients
-#: (angles k theta_j reduced exactly), _MEAN to those of the mean over [-1, x]
+#: (angles k theta_j reduced exactly), _MEAN to those of the mean m over
+#: [-1, x], and _ENDS to F' = 1/g at the ends, m(-1) and m(1) + 2 m'(1)
 _AT = (1.0 + np.cos(np.pi * (np.arange(16) + 0.5) / 16)) / 2
 _CHEB = np.outer(np.arange(16), 2 * np.arange(16) + 1) % 64
 _CHEB = np.cos(np.pi / 32 * np.minimum(_CHEB, 64 - _CHEB)) / 8
 _CHEB[0] /= 2
 _MEAN = np.array([chebdiv(P, [1, 1])[0] for P in chebint(_CHEB, lbnd=-1).T]).T
+_ENDS = (np.array([(-1.0) ** np.arange(16), 1.0 + 2.0 * np.arange(16) ** 2])
+         [..., None] * _MEAN).sum(1)
 
 
 def _clenshaw(c, x):
@@ -105,6 +113,11 @@ class Flow:
         self.mode = mode or detected
         self.tolerance = (TAU_FLOW_NUMERIC if self.mode == "numeric"
                           else TAU_FLOW_CLOSED)
+        self._far = from_u(weight.domain, math.inf)
+        # where g has positive coefficients, at the lower and the upper end:
+        # the rate K at which ln(1/g) can rise outward, and the u where t
+        # leaves the float range (None: no bound)
+        self._bounds = None
         if self.mode == "closed_form_b":
             (_, c), = self._g.terms.items()
             self._rate = float(c)
@@ -112,15 +125,23 @@ class Flow:
             ((p, _), c), = weight.profile.terms.items()
             self._a = float(p)
             self._c = float(c)
-        self._far = from_u(weight.domain, math.inf)
+        elif self._g.has_positive_coefficients:
+            ends = [e for p, q in self._g.terms for e in (
+                p, p + q if weight.domain == HALF_LINE else -q)]
+            self._bounds = (
+                (float(max(ends)), to_u(weight.domain, 5e-324)),
+                (float(-min(ends)),
+                 to_u(weight.domain, math.nextafter(self._far, 0.0))))
         # the table of F, grown from (0, 0): nodes u, F(u) as the rounded
-        # value plus its rounding error, so long sums keep digits, and the
-        # mean of 1/g over the segment inward of each node (None: none, at
-        # u = 0 and past the node where 1/g leaves the float range)
+        # value plus its rounding error, so long sums keep digits, and for
+        # the segment inward of each node the mean of 1/g and F' = 1/g at
+        # its inner and outer node (None: none, at u = 0 and past the node
+        # where 1/g leaves the float range)
         self._table_u = [0.0]
         self._table_F = [0.0]
         self._table_err = [0.0]
         self._table_mean = [None]
+        self._table_slope = [None]
         # numeric sigma_s(x) by (s, x), oldest first
         self._sigma = {}
 
@@ -158,17 +179,18 @@ class Flow:
     # -- numeric mode: F and its inverse in u -----------------------------
 
     def _fit(self, inner, outer, depth=0):
-        """(outer node, mean, integral) for each segment from a node of
-        ``inner`` to the same place in ``outer``, in order.  mean holds the
-        Chebyshev coefficients of the mean of 1/g from the inner node,
-        fitted to 16 samples, GROW_CHUNK segments per evaluation of g and
-        per stacked product; the integral of 1/g is the width times the mean
-        at x = 1.  A fit passes when its last two coefficients lie within
-        1e-15 of its largest or within twice the samples' rounding noise; a
-        segment whose fit fails is halved, up to HALVINGS times, and then
-        taken as fitted.  A segment where 1/g leaves the float range is
-        halved as deep, and its last part ends the list with mean None and
-        integral +/-inf."""
+        """(outer node, mean, slopes, integral) for each segment from a node
+        of ``inner`` to the same place in ``outer``, in order.  mean holds
+        the Chebyshev coefficients of the mean of 1/g from the inner node,
+        fitted to 16 samples, and slopes F' = 1/g of the fit at the inner
+        and the outer node, GROW_CHUNK segments per evaluation of g and per
+        stacked product; the integral of 1/g is the width times the mean at
+        x = 1.  A fit passes when its last two coefficients lie within 1e-15
+        of its largest or within twice the samples' rounding noise, which
+        is at most 1/DBL_MAX where g overflows; a segment whose fit fails is
+        halved, up to HALVINGS times, and then taken as fitted.  A segment
+        where 1/g leaves the float range is halved as deep, and its last
+        part ends the list with mean and slopes None and integral +/-inf."""
         out = []
         for lo in range(0, len(inner), GROW_CHUNK):
             ins, outs = inner[lo:lo + GROW_CHUNK], outer[lo:lo + GROW_CHUNK]
@@ -178,6 +200,7 @@ class Flow:
                 g = self._g.at_u(u)
                 cols = (1.0 / g)[..., None]
                 coef, mean = abs(_CHEB @ cols)[..., 0], (_MEAN @ cols)[..., 0]
+                ends = (_ENDS @ cols)[..., 0]
                 finite = np.isfinite(mean).all(1)
                 tail = coef[:, -2:].max(1)
                 fits = finite & (tail <= 1e-15 * coef.max(1))
@@ -185,15 +208,18 @@ class Flow:
                     fits = finite
                 elif not fits.all():  # g's relative rounding, carried to 1/g
                     rest = ~fits
-                    noise = (self._g.at_u_error(u[rest]) / abs(g[rest])
-                             * abs(cols[rest, :, 0])).max(1)
+                    noise = np.where(
+                        np.isinf(g[rest]), 1.0 / np.finfo(float).max,
+                        self._g.at_u_error(u[rest]) / abs(g[rest])
+                        * abs(cols[rest, :, 0])).max(1)
                     fits[rest] = finite[rest] & (tail[rest] <= 2.0 * noise)
-            for x, y, m, ok in zip(ins, outs, mean.tolist(), fits.tolist()):
+            for x, y, m, d, ok in zip(ins, outs, mean.tolist(),
+                                      ends.tolist(), fits.tolist()):
                 if ok:
-                    out.append((y, m, (y - x) * math.fsum(m)))
+                    out.append((y, m, d, (y - x) * math.fsum(m)))
                     continue
                 if depth == HALVINGS:  # 1/g leaves the float range here
-                    return out + [(y, None, (y - x) * math.inf)]
+                    return out + [(y, None, None, (y - x) * math.inf)]
                 mid = 0.5 * (x + y)
                 out += self._fit([x, mid], [mid, y], depth + 1)
                 if out[-1][1] is None:
@@ -219,14 +245,15 @@ class Flow:
         if len(nodes) == 1:
             return False
         F, err, new = self._table_F[end], self._table_err[end], []
-        for node, mean, seg in self._fit(nodes[:-1], nodes[1:]):
+        for node, mean, slopes, seg in self._fit(nodes[:-1], nodes[1:]):
             total = math.fsum((F, err, seg))
             err = (math.fsum((F, err, seg, -total))
                    if math.isfinite(total) else 0.0)
             F = total
-            new.append((node, F, err, mean))
+            new.append((node, F, err, mean, slopes))
         for table, column in zip((self._table_u, self._table_F,
-                                  self._table_err, self._table_mean),
+                                  self._table_err, self._table_mean,
+                                  self._table_slope),
                                  zip(*(new if up else new[::-1]))):
             at = len(table) if up else 0
             table[at:at] = column
@@ -234,19 +261,26 @@ class Flow:
 
     def _reach_to(self, y, up, reach):
         """The u to grow the table of F to for a y past its upper or lower
-        end: ``reach`` past it, or further where F cannot reach y before.
-        Where g has positive coefficients, ln(1/g) rises outward at most at
-        a rate K that its terms' end exponents bound, so v past the end F
-        has gained at most (e^{K v} - 1)/K times 1/g at the end."""
-        u, F = (self._table_u[-1], self._table_F[-1]) if up else \
-            (self._table_u[0], self._table_F[0])
-        gain = abs(y - F) * self._g.at_u(u)  # in units of 1/g at the end
-        if self._g.has_positive_coefficients and math.isfinite(gain):
-            ends = [e for p, q in self._g.terms for e in (
-                p, p + q if self.weight.domain == HALF_LINE else -q)]
-            K = float(-min(ends) if up else max(ends))
-            reach = max(reach, gain if K == 0.0 else math.inf
-                        if K * gain <= -1.0 else math.log1p(K * gain) / K)
+        end: ``reach`` past it, or further where F cannot reach y before;
+        None where F cannot reach y before t leaves the float range.  Where
+        g has positive coefficients, ln(1/g) rises outward at most at a rate
+        K that its terms' end exponents bound, so v past the end F has
+        gained at most (e^{K v} - 1)/K times 1/g at the end; y is out of
+        reach only where that bound misses it by a factor 1 + 1e-6, far
+        more than the rounding of g, of the fits and of the bound."""
+        end = -1 if up else 0
+        u, F = self._table_u[end], self._table_F[end]
+        if self._bounds is not None:
+            gain = abs(y - F) * self._g.at_u(u)  # in units of 1/g at the end
+            if math.isfinite(gain):
+                K, last = self._bounds[up]
+                v = abs(last - u)
+                most = (v if K == 0.0 else math.inf if K * v > 700.0
+                        else math.expm1(K * v) / K)
+                if gain > most * (1.0 + 1e-6):
+                    return None
+                reach = max(reach, gain if K == 0.0 else math.inf
+                            if K * gain <= -1.0 else math.log1p(K * gain) / K)
         return u + reach if up else u - reach
 
     def _F_u(self, u):
@@ -274,14 +308,18 @@ class Flow:
         lies beyond the table, whose ends are the last u with t inside the
         float range or the node where 1/g leaves it, grown while y lies past
         it by a reach that doubles from one segment on each pass, or further
-        where ``_reach_to`` bounds the distance to y from below.  A y
-        equal to a node's F is that node; inside a segment, safeguarded
-        Newton solves (u - a) m(x) = y - F(a) for the segment's mean m of
-        1/g from its inner node a, whose derivative in u is m + (x + 1) m'."""
+        where ``_reach_to`` bounds the distance to y from below, and not at
+        all where it shows y out of reach.  A y equal to a node's F is that
+        node; inside a segment, safeguarded Newton solves
+        (u - a) m(x) = y - F(a) for the segment's mean m of 1/g from its
+        inner node a, whose derivative in u is m + (x + 1) m', from the
+        cubic Hermite inverse through both nodes' u, F and F' = 1/g."""
         us, Fs = self._table_u, self._table_F
         up, reach = y > 0.0, TABLE_STEP
-        while ((y > Fs[-1] if up else y < Fs[0])
-               and self._grow(up, self._reach_to(y, up, reach))):
+        while y > Fs[-1] if up else y < Fs[0]:
+            to = self._reach_to(y, up, reach)
+            if to is None or not self._grow(up, to):
+                break
             reach *= 2
         if not Fs[0] <= y <= Fs[-1]:
             return math.copysign(math.inf, y)
@@ -297,7 +335,15 @@ class Flow:
         a, width = us[inner], us[outer] - us[inner]
         rest = math.fsum((y, -Fs[inner], -self._table_err[inner]))
         u_lo, u_hi, dF = us[lo], us[hi], Fs[hi] - Fs[lo]
-        u = u_lo + (u_hi - u_lo) * (y - Fs[lo]) / dF if dF else u_lo
+        tau = (y - Fs[lo]) / dF
+        u = u_lo + (u_hi - u_lo) * tau  # the secant
+        d_lo, d_hi = self._table_slope[outer][::1 if lo == inner else -1]
+        if min(d_lo, d_hi) > 0.0:  # the cubic Hermite inverse, if inside
+            hermite = (u_lo + (u_hi - u_lo) * tau * tau * (3.0 - 2.0 * tau)
+                       + dF * tau * (1.0 - tau)
+                       * ((1.0 - tau) / d_lo - tau / d_hi))
+            if u_lo < hermite < u_hi:
+                u = hermite
         for _ in range(100):  # bisection alone stops within 50 steps
             x = 2.0 * (u - a) / width - 1.0
             m, dm = _clenshaw(mean, x)

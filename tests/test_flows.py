@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -152,7 +153,7 @@ class TestTableOfF:
     #: phi = t + t^2/(1+t) = t(1+2t)/(1+t), F(x) = ln x - ln((1+2x)/3)/2
     PHI = RadialFunction.term(1, 1) + RadialFunction.term(1, 2, -1)
     #: phi = t^20/(1+t)^19: 1/g = (1 + e^{-u})^19 is too steep for 16
-    #: points on a segment 0.2 wide below u = 0.2
+    #: points on a segment 0.8 wide below u = 3.2
     STEEP = RadialFunction.term(1, 20, -19)
 
     def test_first_apply_grows_only_what_it_needs(self):
@@ -170,18 +171,22 @@ class TestTableOfF:
             fl.apply(-1.5 + 0.03 * k, math.exp(-2.0 + 0.04 * k))
         assert calls == []
 
-    @pytest.mark.parametrize("x", [1e-16, 1e300])
+    #: the tables that growth fills, one entry per node
+    TABLES = ("_table_u", "_table_F", "_table_err", "_table_mean",
+              "_table_slope")
+
+    @pytest.mark.parametrize("x", [1e-200, 1e300])
     def test_far_F_table_matches_single_segment_growth(self, x):
-        # one call grows the table to u = ln x at once; growing it one
-        # segment at a time gives the same table, bit for bit
+        # one call grows the table to u = ln x at once, over several chunks;
+        # growing it one segment at a time gives the same table, bit for bit
         fl, ref = Flow(Weight(self.PHI)), Flow(Weight(self.PHI))
         fl.F(x)
         u, up = math.log(x), x > 1.0
         while ((ref._table_u[-1] < u if up else ref._table_u[0] > u)
                and ref._grow(up)):
             pass
-        assert len(fl._table_u) == len(ref._table_u) > 150
-        for table in ("_table_u", "_table_F", "_table_err", "_table_mean"):
+        assert len(fl._table_u) == len(ref._table_u) > 2 * GROW_CHUNK
+        for table in self.TABLES:
             assert getattr(fl, table) == getattr(ref, table)
 
     def test_far_F_evaluates_g_once_per_direction(self, monkeypatch):
@@ -190,18 +195,19 @@ class TestTableOfF:
             RadialFunction, "at_u",
             lambda g, u: calls.append(np.shape(u)) or real(g, u))
         fl = Flow(Weight(self.PHI))
-        fl.F(1e-16)
+        fl.F(1e-200)
         fl.F(1e300)
-        # 185 segments down to u = ln 1e-16 ~ -36.8, 3,454 up to ~690.8,
+        # 576 segments down to u = ln 1e-200 ~ -460.5, 864 up to ~690.8,
         # each direction one _grow that samples at most GROW_CHUNK at once
-        assert calls == [(185, 16)] + [(GROW_CHUNK, 16)] * 13 + [(126, 16)]
+        assert calls == ([(GROW_CHUNK, 16)] * 2 + [(64, 16)]
+                         + [(GROW_CHUNK, 16)] * 3 + [(96, 16)])
 
-    #: far inversions: 258 segments down to u ~ -51.6; the whole upper table
-    #: to u ~ 709.6 (the image is past the float range); 65 segments down to
-    #: u = -13, each halved once; 2,052 segments up to u ~ 410.4, the first
-    #: halved once
+    #: far inversions: 931 segments down to the float range's end at u ~
+    #: -744.8 (the image is near u = -450); 750 segments up to u = 600;
+    #: 136 segments down to u = -13.6, each halved three times; 372
+    #: segments up to u ~ 290.4, the first halved up to three times
     FAR_APPLIES = pytest.mark.parametrize(
-        "phi, s", [(PHI, -40.0), (PHI, 1000.0), (STEEP, -1e100),
+        "phi, s", [(PHI, -450.0), (PHI, 300.0), (STEEP, -1e100),
                    (STEEP, 5.9e4)],
         ids=["phi-down", "phi-up", "steep-down", "steep-up"])
 
@@ -216,21 +222,32 @@ class TestTableOfF:
             pass
         while ref._table_u[0] > fl._table_u[0] and ref._grow(False):
             pass
-        assert len(fl._table_u) > 60
-        for table in ("_table_u", "_table_F", "_table_err", "_table_mean"):
+        assert len(fl._table_u) > 120
+        for table in self.TABLES:
             assert getattr(fl, table) == getattr(ref, table)
 
     def test_inversion_off_the_table_grows_in_few_calls(self, monkeypatch):
-        # the image of 1 lies past the float range: the table is grown to
-        # its end, 3,548 segments, by a reach that doubles on each pass
+        # the image of 1 lies past the float range, and F returns inf after
+        # a pinned number of nodes.  For t^2/(1+t), 1/g = 1 + e^{-u} falls
+        # outward, so F gains at most 2 per unit of u from u = 0: F(u) = 1000
+        # lies past u = 500, where one _grow call takes the table.  There
+        # F gains at most 1 + e^{-500} per unit over the 209.8 left before
+        # t leaves the float range, too little to reach 1000.
         calls, real = [], Flow._grow
         monkeypatch.setattr(
             Flow, "_grow",
             lambda fl, *a: calls.append(a) or real(fl, *a))
         fl = Flow(Weight(RadialFunction.term(1, 2, -1)))
         assert fl.apply(1000.0, 1.0) == math.inf
-        assert len(fl._table_u) == 3549
-        assert len(calls) <= 15
+        assert len(fl._table_u) == 626
+        assert calls == [(True, 500.0)]
+        # for phi, 1/g lies in [1/2, 1], so F gains at most 709.8 before t
+        # leaves the float range: nothing is built
+        calls.clear()
+        fl = Flow(Weight(self.PHI))
+        assert fl.apply(1000.0, 1.0) == math.inf
+        assert fl._table_u == [0.0]
+        assert calls == []
 
     @FAR_APPLIES
     def test_stacked_products_match_per_row_products(self, phi, s):
@@ -264,15 +281,17 @@ class TestTableOfF:
                     or width == pytest.approx(deepest))
 
     def test_steep_segments_are_halved(self, monkeypatch):
-        # 1/g = (1 + e^{-u})^19 changes by up to e^{3.8} over 0.2: every
-        # segment from u = -1 to 0.2 is halved once, those above stay whole,
-        # and nothing calls scipy
+        # 1/g = (1 + e^{-u})^19 changes by up to e^{15.2} over 0.8: both
+        # segments below u = 0 are halved three times, the one above into
+        # parts 0.1 and 0.2 wide, the next one twice, the two after it
+        # once, the one from u = 3.2 stays whole, and nothing calls scipy
         calls = scipy_calls(monkeypatch)
         fl = Flow(Weight(self.STEEP))
         fl.apply(0.5, math.exp(-1.0))
-        fl.F(math.exp(1.0))
+        fl.F(math.exp(4.0))
         assert np.diff(fl._table_u) == pytest.approx(
-            [TABLE_STEP / 2] * 12 + [TABLE_STEP] * 4)
+            [TABLE_STEP / 8] * 18 + [TABLE_STEP / 4] * 7
+            + [TABLE_STEP / 2] * 4 + [TABLE_STEP])
         assert fl._table_mean.count(None) == 1  # the node u = 0
         assert calls == []
 
@@ -314,9 +333,10 @@ class TestTableOfF:
                                         abs=0)
 
     def test_image_next_to_the_overflow(self):
-        # F(1) - 1e306 is reached near u = -37.2387, in the whole segment
-        # [-37.4, -37.2] where 1/g overflows below u ~ -37.36: the halves
-        # before the overflow are fitted, and the image is a root of F
+        # F(1) - 1e306 is reached near u = -37.2387, in the part
+        # [-37.3, -37.2] of the segment [-37.6, -36.8], where 1/g overflows
+        # below u ~ -37.36: the parts before the overflow are fitted, and
+        # the image is a root of F
         fl = Flow(Weight(self.STEEP))
         got = fl.apply(-1e306, 1.0)
         with mpmath.workdps(60):
@@ -331,7 +351,7 @@ class TestTableOfF:
     @pytest.mark.parametrize("x", [1e-12, 1e-6, 0.3, 1 + 1e-9, 5.0, 1e6,
                                    1e12])
     def test_F_matches_closed_form(self, x):
-        # up to 140 segments of 0.2 in u = ln x; near u = 0, F ~ 2u/3 keeps
+        # up to 35 segments of 0.8 in u = ln x; near u = 0, F ~ 2u/3 keeps
         # its relative digits
         with mpmath.workdps(30):
             xm = mpmath.mpf(x)
@@ -341,8 +361,8 @@ class TestTableOfF:
 
     @pytest.mark.parametrize("x", [1e30, 1e300])
     def test_F_keeps_its_digits_over_many_segments(self, x):
-        # phi = 2t + t^{3/2}(1+t)^{-1/2}: a segment adds nearly the same 1/15
-        # each time, whose rounding would add up over the 350 and 3,450
+        # phi = 2t + t^{3/2}(1+t)^{-1/2}: a segment adds nearly the same 4/15
+        # each time, whose rounding would add up over the 87 and 864
         # segments.  With w = (t/(1+t))^{1/2}, F is the sum of ln w,
         # -ln(1-w)/3 = (ln(1+t) + ln(1+w))/3, -ln(1+w) and ln(2+w)/3.
         phi = (RadialFunction.term(2, 1)
@@ -374,6 +394,34 @@ class TestTableOfF:
         for x in (1e-17, 1e-20):
             with pytest.raises(ConvergenceError):
                 Flow(w).apply(1.0, x)
+
+    def test_segment_where_g_overflows_is_fitted_whole(self, monkeypatch):
+        # forced-numeric t^e: g = t^{e-1} overflows near u = 413.08, inside
+        # the segment [412.8, 413.6], where 1/g is 0 and within 1/DBL_MAX
+        # of its value.  Growing the table to the float range's end fits
+        # every segment whole, and F at every node before that segment is
+        # the same as on a table grown only that far, and F's closed form
+        depths, real = [], Flow._fit
+        monkeypatch.setattr(
+            Flow, "_fit", lambda fl, inner, outer, depth=0:
+            depths.extend([depth] * len(inner))
+            or real(fl, inner, outer, depth))
+        w = Weight.from_term(1, math.e)
+        fl = Flow(w, mode="numeric", require_complete=False)
+        while fl._grow(True):
+            pass
+        assert Counter(depths) == {0: 887}
+        ref = Flow(w, mode="numeric", require_complete=False)
+        ref.F(math.exp(412.5))
+        n = len(ref._table_u)
+        assert ref._table_u[-1] == pytest.approx(412.8)
+        for table in self.TABLES:
+            assert getattr(fl, table)[:n] == getattr(ref, table)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(math.e) - 1
+            for u, F_u in zip(fl._table_u, fl._table_F):
+                assert F_u == pytest.approx(
+                    float(-mpmath.expm1(-a * u) / a), rel=2e-15, abs=0)
 
     def test_inverse_where_the_integrand_overflows(self):
         # F = -1.7e308 is reached near u = -37.5, where 1/g ~ 19|F| is
@@ -481,6 +529,77 @@ class TestNewtonInversion:
         for y in np.linspace(fl._table_F[0], fl._table_F[-1], 41):
             assert fl.F(fl.F_inverse(y)) == pytest.approx(y, rel=1e-14,
                                                           abs=1e-15)
+
+
+#: the exponent of t^e as a float stores it, exactly
+E = mpmath.mpf(math.e)
+#: forced-numeric flows of the accuracy oracle: (phi, F as a function of
+#: u = ln t, F at u = inf)
+ORACLE_FAMILIES = {
+    "2t": (RadialFunction.term(2, 1), lambda u: u / 2, mpmath.inf),
+    "t^3/2": (RadialFunction.term(1, F(3, 2)),
+              lambda u: -2 * mpmath.expm1(-u / 2), 2),
+    "t^2": (RadialFunction.term(1, 2), lambda u: -mpmath.expm1(-u), 1),
+    "t^e": (RadialFunction.term(1, math.e),
+            lambda u: -mpmath.expm1((1 - E) * u) / (E - 1), 1 / (E - 1)),
+    "quotient": (RadialFunction.term(1, 2, -1),
+                 lambda u: u + 1 - mpmath.exp(-u), mpmath.inf),
+    "two_term": (RadialFunction.term(1, 1, -1)
+                 + RadialFunction.term(1, 2, -2),
+                 lambda u: mpmath.expm1(u) / 2 + u
+                 - mpmath.log((1 + 2 * mpmath.exp(u)) / 3) / 4, mpmath.inf),
+    "mixed": (RadialFunction.term(1, 1) - RadialFunction.term(F(1, 2), 2, -1),
+              lambda u: u + mpmath.log((mpmath.exp(u) + 2) / 3), mpmath.inf),
+    "steep": (RadialFunction.term(1, 20, -19), steep_F, mpmath.inf),
+}
+
+
+def mpq(q):
+    """The rational q as an mpmath number at the working precision."""
+    q = Fraction(q)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def flow_error(phi, F_u, x, s, sigma):
+    """How far sigma is from sigma_s(x) for the exact F, as the error in
+    flow time |F(sigma) - F(x) - s| over |F(x)| + |s| + F'(sigma), F' in
+    u.  A float flow rounds F(x) + s, so its error is a few units of 2^-53
+    of |F(x)| + |s|, and a correctly rounded sigma is 2^-53 F'(sigma) off.
+    Computed at 40 digits."""
+    with mpmath.workdps(40):
+        u, v = mpmath.log(x), mpmath.log(sigma)
+        t = mpmath.exp(v)
+        g = sum(mpq(c) * t ** (mpq(p) - 1) * (1 + t) ** mpq(q)
+                for (p, q), c in phi.terms.items())
+        return float(abs(F_u(v) - F_u(u) - s)
+                     / (abs(F_u(u)) + abs(s) + 1 / g))
+
+
+def oracle_errors(family, draws=100, seed=41):
+    """flow_error of each of ``draws`` forced-numeric sigma_s(x) on one
+    flow, x = e^u and s drawn as the flows workload draws them, u in
+    [-2, 2] and s in [-1.5, 1.5], redrawn until sigma_s(x) stays at most
+    halfway to its escape time."""
+    phi, F_u, F_inf = ORACLE_FAMILIES[family]
+    fl, rng = Flow(Weight(phi), mode="numeric", require_complete=False), \
+        random.Random(seed)
+    errors = []
+    while len(errors) < draws:
+        u, s = rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5)
+        with mpmath.workdps(40):
+            if 2 * s >= F_inf - F_u(mpmath.mpf(u)):
+                continue
+        x = math.exp(u)
+        errors.append(flow_error(phi, F_u, x, s, fl.apply(s, x)))
+    return errors
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_numeric_flows_match_the_mpmath_oracle(family):
+    # every forced-numeric sigma_s(x) is within 1e-15 in flow time, a few
+    # units of 2^-53.  Relative to sigma itself, t^20/(1+t)^19 is up to
+    # ~5e-13 off, all of it from rounding F(x) ~ 6e4 + s to one float.
+    assert max(oracle_errors(family)) <= 1e-15
 
 
 #: the numeric families of the flows workload: t^2/(1+t), the two-term
