@@ -9,15 +9,16 @@ have a closed form.  For everything else F is a table over segments 0.8 wide
 in u, grown outward from u = 0 only as far as a call needs (an inversion off
 the table asks for a reach that doubles on each pass, and returns +/-inf at
 once where g's exponents show that F cannot reach its target before t leaves
-the float range), up to 256 segments per evaluation of g and per stacked
-product.  Each segment keeps the Chebyshev coefficients of the mean of 1/g
+the float range), with one evaluation of g and one stacked product per
+growth.  Each segment keeps the Chebyshev coefficients of the mean of 1/g
 from its inner node, fitted to 16 samples, and F' = 1/g at both its nodes; a
 segment whose fit leaves a tail above the samples' own rounding noise is
 halved, up to eight times, so F is one Clenshaw sum on every segment, and
 Newton on the same sum, started from the cubic Hermite inverse of the
-segment's ends, inverts it inside one segment.  The table ends where 1/g
-leaves the float range.  A numeric flow remembers its last SIGMA_MEMO values
-sigma_s(x), so an arrow's range is inverted once.
+segment's ends, inverts it inside one segment, for F(x) + s summed without
+rounding.  The table ends where 1/g leaves the float range.  A numeric flow
+remembers its last SIGMA_MEMO values sigma_s(x), so an arrow's range is
+inverted once.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ TAU_FLOW_NUMERIC = 1e-8
 #: width in u of one segment of the table of F; 16 samples resolve 1/g over
 #: most segments this wide, and ``_fit`` halves the others
 TABLE_STEP = 0.8
-#: segments per evaluation of g and per stacked product M @ rows[..., None]
-#: of sample rows, one gemv per row as M @ row (a gemm rows @ M.T rounds apart)
-GROW_CHUNK = 256
 #: halvings of a segment whose 16 samples do not resolve 1/g, after which
 #: its fit is taken as it is, or where 1/g leaves the float range: the
 #: finest part is TABLE_STEP / 256 = 0.003125 wide
@@ -180,50 +178,48 @@ class Flow:
 
     def _fit(self, inner, outer, depth=0):
         """(outer node, mean, slopes, integral) for each segment from a node
-        of ``inner`` to the same place in ``outer``, in order.  mean holds
-        the Chebyshev coefficients of the mean of 1/g from the inner node,
-        fitted to 16 samples, and slopes F' = 1/g of the fit at the inner
-        and the outer node, GROW_CHUNK segments per evaluation of g and per
-        stacked product; the integral of 1/g is the width times the mean at
-        x = 1.  A fit passes when its last two coefficients lie within 1e-15
-        of its largest or within twice the samples' rounding noise, which
-        is at most 1/DBL_MAX where g overflows; a segment whose fit fails is
-        halved, up to HALVINGS times, and then taken as fitted.  A segment
-        where 1/g leaves the float range is halved as deep, and its last
-        part ends the list with mean and slopes None and integral +/-inf."""
+        of ``inner`` to the same place in ``outer``, in order, all from one
+        evaluation of g and one stacked product per matrix.  mean holds the
+        Chebyshev coefficients of the mean of 1/g from the inner node, fitted
+        to 16 samples, slopes F' = 1/g of the fit at the inner and the outer
+        node, and the integral of 1/g is the width times the mean at x = 1.
+        A fit passes when its last two coefficients lie within 1e-15 of its
+        largest or within twice the samples' rounding noise, at most 1/DBL_MAX
+        where g overflows; a segment whose fit fails is halved, up to
+        HALVINGS times, and then taken as fitted.  A segment where 1/g leaves
+        the float range is halved as deep, and its last part ends the list
+        with mean and slopes None and integral +/-inf."""
+        a, b = np.array(inner)[:, None], np.array(outer)[:, None]
+        u = a + (b - a) * _AT
+        with np.errstate(all="ignore"):
+            g = self._g.at_u(u)
+            # M @ cols is one gemv per row (a gemm rows @ M.T rounds apart)
+            cols = (1.0 / g)[..., None]
+            coef, mean = abs(_CHEB @ cols)[..., 0], (_MEAN @ cols)[..., 0]
+            ends = (_ENDS @ cols)[..., 0]
+            finite = np.isfinite(mean).all(1)
+            tail = coef[:, -2:].max(1)
+            fits = finite & (tail <= 1e-15 * coef.max(1))
+            if depth == HALVINGS:
+                fits = finite
+            elif not fits.all():  # g's relative rounding, carried to 1/g
+                rest = ~fits
+                noise = np.where(
+                    np.isinf(g[rest]), 1.0 / np.finfo(float).max,
+                    self._g.at_u_error(u[rest]) * abs(cols[rest, :, 0])).max(1)
+                fits[rest] = finite[rest] & (tail[rest] <= 2.0 * noise)
         out = []
-        for lo in range(0, len(inner), GROW_CHUNK):
-            ins, outs = inner[lo:lo + GROW_CHUNK], outer[lo:lo + GROW_CHUNK]
-            a, b = np.array(ins)[:, None], np.array(outs)[:, None]
-            u = a + (b - a) * _AT
-            with np.errstate(all="ignore"):
-                g = self._g.at_u(u)
-                cols = (1.0 / g)[..., None]
-                coef, mean = abs(_CHEB @ cols)[..., 0], (_MEAN @ cols)[..., 0]
-                ends = (_ENDS @ cols)[..., 0]
-                finite = np.isfinite(mean).all(1)
-                tail = coef[:, -2:].max(1)
-                fits = finite & (tail <= 1e-15 * coef.max(1))
-                if depth == HALVINGS:
-                    fits = finite
-                elif not fits.all():  # g's relative rounding, carried to 1/g
-                    rest = ~fits
-                    noise = np.where(
-                        np.isinf(g[rest]), 1.0 / np.finfo(float).max,
-                        self._g.at_u_error(u[rest]) / abs(g[rest])
-                        * abs(cols[rest, :, 0])).max(1)
-                    fits[rest] = finite[rest] & (tail[rest] <= 2.0 * noise)
-            for x, y, m, d, ok in zip(ins, outs, mean.tolist(),
-                                      ends.tolist(), fits.tolist()):
-                if ok:
-                    out.append((y, m, d, (y - x) * math.fsum(m)))
-                    continue
-                if depth == HALVINGS:  # 1/g leaves the float range here
-                    return out + [(y, None, None, (y - x) * math.inf)]
-                mid = 0.5 * (x + y)
-                out += self._fit([x, mid], [mid, y], depth + 1)
-                if out[-1][1] is None:
-                    return out
+        for x, y, m, d, ok in zip(inner, outer, mean.tolist(), ends.tolist(),
+                                  fits.tolist()):
+            if ok:
+                out.append((y, m, d, (y - x) * math.fsum(m)))
+                continue
+            if depth == HALVINGS:  # 1/g leaves the float range here
+                return out + [(y, None, None, (y - x) * math.inf)]
+            mid = 0.5 * (x + y)
+            out += self._fit([x, mid], [mid, y], depth + 1)
+            if out[-1][1] is None:
+                return out
         return out
 
     def _grow(self, up, to=0.0):
@@ -284,9 +280,10 @@ class Flow:
         return u + reach if up else u - reach
 
     def _F_u(self, u):
-        """F at u: the table value at the inner node a of u's segment, grown
-        to it if need be, plus (u - a) times the mean of 1/g over [a, u];
-        past the table's last fitted segment, [a, u] is fitted on its own."""
+        """F at u, unrounded, as the table value at the inner node a of u's
+        segment, grown to it if need be, that value's rounding error and
+        (u - a) times the mean of 1/g over [a, u]; past the table's last
+        fitted segment, [a, u] is fitted on its own."""
         us, Fs = self._table_u, self._table_F
         up = u > 0.0
         if us[-1] < u if up else us[0] > u:
@@ -301,20 +298,22 @@ class Flow:
         elif u != a and math.isfinite(Fs[i]):  # where 1/g leaves the float
             # range, or t is still a float past the table's last node
             rest = math.fsum(seg for *_, seg in self._fit([a], [u]))
-        return math.fsum((Fs[i], self._table_err[i], rest))
+        return Fs[i], self._table_err[i], rest
 
-    def _u_of_F(self, y):
-        """The u with F(u) = y inside its table segment; -inf or inf where y
-        lies beyond the table, whose ends are the last u with t inside the
-        float range or the node where 1/g leaves it, grown while y lies past
-        it by a reach that doubles from one segment on each pass, or further
-        where ``_reach_to`` bounds the distance to y from below, and not at
-        all where it shows y out of reach.  A y equal to a node's F is that
+    def _u_of_F(self, *parts):
+        """The u with F(u) = y for y the sum of ``parts``, rounded to pick
+        a segment and unrounded inside it; -inf or inf where y lies beyond
+        the table, whose ends are the last u with t inside the float range
+        or the node where 1/g leaves it, grown while y lies past it by a
+        reach that doubles from one segment on each pass, or further where
+        ``_reach_to`` bounds the distance to y from below, and not at all
+        where it shows y out of reach.  A y equal to a node's F is that
         node; inside a segment, safeguarded Newton solves
         (u - a) m(x) = y - F(a) for the segment's mean m of 1/g from its
         inner node a, whose derivative in u is m + (x + 1) m', from the
         cubic Hermite inverse through both nodes' u, F and F' = 1/g."""
         us, Fs = self._table_u, self._table_F
+        y = sum(parts)
         up, reach = y > 0.0, TABLE_STEP
         while y > Fs[-1] if up else y < Fs[0]:
             to = self._reach_to(y, up, reach)
@@ -333,7 +332,7 @@ class Flow:
         inner, outer = (lo, hi) if us[lo] >= 0.0 else (hi, lo)
         mean = self._table_mean[outer]
         a, width = us[inner], us[outer] - us[inner]
-        rest = math.fsum((y, -Fs[inner], -self._table_err[inner]))
+        rest = math.fsum((*parts, -Fs[inner], -self._table_err[inner]))
         u_lo, u_hi, dF = us[lo], us[hi], Fs[hi] - Fs[lo]
         tau = (y - Fs[lo]) / dF
         u = u_lo + (u_hi - u_lo) * tau  # the secant
@@ -360,32 +359,12 @@ class Flow:
 
     # -- public interface -------------------------------------------------
 
-    def F(self, x):
-        """The reparametrization F(x) = integral from the base point."""
-        if not (0.0 < x < self._far):
-            raise PreconditionError(f"F is defined on the interior, got {x}")
-        if self.mode == "closed_form_b":
-            return to_u(self.weight.domain, x) / self._rate
-        if self.mode == "closed_form_power":
-            a, c = self._a, self._c
-            try:
-                return (1.0 - x ** (1.0 - a)) / (c * (a - 1.0))
-            except OverflowError:  # x^{1-a}, and with it F(x), is infinite
-                return math.copysign(math.inf, c * (1.0 - a))
-        return self._F_u(to_u(self.weight.domain, x))
-
-    def F_inverse(self, y):
-        if self.mode == "closed_form_b":
-            return from_u(self.weight.domain, self._rate * y)
-        if self.mode == "closed_form_power":
-            return self._power_flow(y, 1.0)  # F(1) = 0
-        return from_u(self.weight.domain, self._u_of_F(y))
-
     def apply(self, s, x):
         """sigma_s(x); endpoints are fixed points by continuous extension,
         and a flow that reaches an endpoint (past the float range or past
-        its escape time) stays there.  A numeric flow returns a remembered
-        sigma_s(x) for an (s, x) among its last SIGMA_MEMO."""
+        its escape time) stays there.  A numeric flow inverts F(x) + s from
+        F(x)'s unrounded parts, and returns a remembered sigma_s(x) for an
+        (s, x) among its last SIGMA_MEMO."""
         if x == 0.0 or x == self._far:
             return x
         if not (0.0 < x < self._far):
@@ -398,11 +377,11 @@ class Flow:
             return self._power_flow(s, x)
         sigma = self._sigma.get((s, x))
         if sigma is None:
-            y = self.F(x)
-            if not math.isfinite(y):
+            parts = self._F_u(to_u(self.weight.domain, x))
+            if not math.isfinite(y := sum(parts)):
                 raise ConvergenceError(
                     f"F({x}) = {y} lies past the float range")
-            sigma = from_u(self.weight.domain, self._u_of_F(y + s))
+            sigma = from_u(self.weight.domain, self._u_of_F(*parts, s))
             if len(self._sigma) >= SIGMA_MEMO:
                 del self._sigma[next(iter(self._sigma))]
             self._sigma[(s, x)] = sigma

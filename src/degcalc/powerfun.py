@@ -340,18 +340,24 @@ class RadialFunction:
         return total
 
     def at_u_error(self, u):
-        """A bound on the rounding error of ``at_u(u)`` for a numpy array u
-        that is itself rounded: a term c e^E, E = p ln t + q ln(1 -/+ t), is
-        off by |c| e^E (1 + |p| (|ln t| + |u|) + |q| (|ln(1 -/+ t)| + |u|))
-        units of 2^-53, because E is rounded before ``exp`` and u's own
-        rounding by |u| 2^-53 moves both logarithms by at most that much."""
+        """A bound on the rounding error of ``at_u(u)`` relative to
+        |at_u(u)|, for a numpy array u that is itself rounded: a term c e^E,
+        E = p ln t + q ln(1 -/+ t), is off by |c| e^E (1 + |p| (|ln t| + |u|)
+        + |q| (|ln(1 -/+ t)| + |u|)) units of 2^-53, because E is rounded
+        before ``exp`` and u's own rounding by |u| 2^-53 moves both
+        logarithms by at most that much.  Both sums are taken relative to
+        the largest e^E at each point, so neither overflows."""
         ln_t, ln_base = _logs(self.domain, u, np)
-        total = np.zeros(u.shape)
-        for p, q, c in self._float_terms():
+        E = [p * ln_t + q * ln_base for p, q, _ in self._float_terms()]
+        top = np.max(E, axis=0)
+        value = bound = np.zeros(u.shape)
+        for (p, q, c), e in zip(self._float_terms(), E):
             digits = 1.0 + abs(p) * (abs(ln_t) + abs(u)) \
                 + abs(q) * (abs(ln_base) + abs(u))
-            total = total + abs(c) * _exp(p * ln_t + q * ln_base) * digits
-        return total * 2.0 ** -53
+            scale = np.exp(e - top)
+            value = value + c * scale
+            bound = bound + abs(c) * scale * digits
+        return bound / abs(value) * 2.0 ** -53
 
     def _float_terms(self):
         """(p, q, c) per term as floats, converted once."""

@@ -15,14 +15,24 @@ from scipy.integrate import quad
 
 from degcalc import flows
 from degcalc.errors import ConvergenceError, PreconditionError
-from degcalc.flows import (GROW_CHUNK, HALVINGS, SIGMA_MEMO, TABLE_STEP, Flow,
+from degcalc.flows import (HALVINGS, SIGMA_MEMO, TABLE_STEP, Flow,
                            completeness_check, flow_scaling_limit,
                            power_flow_exponents)
 from degcalc.groupoid import GPhiElement, gphi_compose, zeta_cocycle
-from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, to_u
+from degcalc.powerfun import UNIT_INTERVAL, RadialFunction, from_u, to_u
 from degcalc.weights import Weight
 
 F = Fraction
+
+
+def F_at(fl, x):
+    """F(x) of a numeric flow: the sum of the parts ``_F_u`` returns."""
+    return math.fsum(fl._F_u(to_u(fl.weight.domain, x)))
+
+
+def F_inverse(fl, y):
+    """The x with F(x) = y for a numeric flow, through ``_u_of_F``."""
+    return from_u(fl.weight.domain, fl._u_of_F(y))
 
 
 class TestCompleteness:
@@ -49,13 +59,11 @@ class TestClosedForms:
     def test_exponential_flow(self):
         fl = Flow(Weight.from_term(1, 1))
         assert fl.mode == "closed_form_b"
-        assert abs(fl.F(math.e) - 1.0) < 1e-15
         assert abs(fl.apply(math.log(2), 3.0) - 6.0) < 1e-12
 
     def test_power_flow_reference_values(self):
         fl = Flow(Weight.from_term(1, 2), require_complete=False)
         assert fl.mode == "closed_form_power"
-        assert abs(fl.F(0.5) - (-1.0)) < 1e-15
         # sigma_{1/2}(1/2) = 0.5 / (1 - 0.5*0.5) = 2/3
         assert abs(fl.apply(0.5, 0.5) - 2.0 / 3.0) < 1e-15
 
@@ -63,7 +71,6 @@ class TestClosedForms:
         # phi = 2t(1-t) on [0, 1] moves x = 2t - 1 by dx/ds = 1 - x^2
         fl = Flow(Weight.from_term(2, 1, 1, domain=UNIT_INTERVAL))
         assert fl.mode == "closed_form_b"
-        assert fl.F_inverse(0.0) == 0.5
         assert abs(2 * fl.apply(1.0, 0.5) - 1 - math.tanh(1.0)) < 1e-15
         assert fl.apply(5.0, 0.0) == 0.0
         for s in (-1.3, 0.4, 2.0):
@@ -113,7 +120,7 @@ class TestNumericMode:
     def test_inverse_round_trip(self):
         fl = Flow(Weight(RadialFunction.term(1, 2, -1)))
         for x in (0.05, 2.0, 9.0):
-            assert abs(fl.F_inverse(fl.F(x)) - x) < 1e-10 * max(1.0, x)
+            assert abs(F_inverse(fl, F_at(fl, x)) - x) < 1e-10 * max(1.0, x)
 
     def test_endpoints_fixed(self):
         fl = Flow(Weight(RadialFunction.term(1, 2, -1)))
@@ -177,15 +184,16 @@ class TestTableOfF:
 
     @pytest.mark.parametrize("x", [1e-200, 1e300])
     def test_far_F_table_matches_single_segment_growth(self, x):
-        # one call grows the table to u = ln x at once, over several chunks;
-        # growing it one segment at a time gives the same table, bit for bit
+        # one call grows the table to u = ln x at once, 576 or 864 segments
+        # from one evaluation of g; growing it one segment at a time gives
+        # the same table, bit for bit
         fl, ref = Flow(Weight(self.PHI)), Flow(Weight(self.PHI))
-        fl.F(x)
         u, up = math.log(x), x > 1.0
+        fl._F_u(u)
         while ((ref._table_u[-1] < u if up else ref._table_u[0] > u)
                and ref._grow(up)):
             pass
-        assert len(fl._table_u) == len(ref._table_u) > 2 * GROW_CHUNK
+        assert len(fl._table_u) == len(ref._table_u) > 512
         for table in self.TABLES:
             assert getattr(fl, table) == getattr(ref, table)
 
@@ -195,12 +203,11 @@ class TestTableOfF:
             RadialFunction, "at_u",
             lambda g, u: calls.append(np.shape(u)) or real(g, u))
         fl = Flow(Weight(self.PHI))
-        fl.F(1e-200)
-        fl.F(1e300)
+        fl._F_u(math.log(1e-200))
+        fl._F_u(math.log(1e300))
         # 576 segments down to u = ln 1e-200 ~ -460.5, 864 up to ~690.8,
-        # each direction one _grow that samples at most GROW_CHUNK at once
-        assert calls == ([(GROW_CHUNK, 16)] * 2 + [(64, 16)]
-                         + [(GROW_CHUNK, 16)] * 3 + [(96, 16)])
+        # each direction one _grow that samples all its segments at once
+        assert calls == [(576, 16), (864, 16)]
 
     #: far inversions: 931 segments down to the float range's end at u ~
     #: -744.8 (the image is near u = -450); 750 segments up to u = 600;
@@ -213,7 +220,7 @@ class TestTableOfF:
 
     @FAR_APPLIES
     def test_far_apply_table_matches_single_segment_growth(self, phi, s):
-        # the inversion grows the table by a doubling reach in chunks; one
+        # the inversion grows the table by a doubling reach; one
         # segment at a time to the same ends gives the same table, bit for
         # bit, halved segments included
         fl, ref = Flow(Weight(phi)), Flow(Weight(phi))
@@ -251,7 +258,7 @@ class TestTableOfF:
 
     @FAR_APPLIES
     def test_stacked_products_match_per_row_products(self, phi, s):
-        # one stacked product per chunk runs one gemv per row, so it equals
+        # one stacked product per growth runs one gemv per row, so it equals
         # the per-row matvec bit for bit (rows @ M.T, a gemm, does not);
         # every stored mean is that matvec, and its fit passes: the last two
         # Chebyshev coefficients lie within 1e-15 of the largest, or within
@@ -267,7 +274,7 @@ class TestTableOfF:
         with np.errstate(all="ignore"):
             g = fl._g.at_u(u)
             rows = 1.0 / g
-            noise = (fl._g.at_u_error(u) / abs(g) * abs(rows)).max(1)
+            noise = (fl._g.at_u_error(u) * abs(rows)).max(1)
         for M in (flows._CHEB, flows._MEAN):
             stacked = (M @ rows[..., None])[..., 0]
             assert np.array_equal(stacked, [M @ row for row in rows])
@@ -288,7 +295,7 @@ class TestTableOfF:
         calls = scipy_calls(monkeypatch)
         fl = Flow(Weight(self.STEEP))
         fl.apply(0.5, math.exp(-1.0))
-        fl.F(math.exp(4.0))
+        fl._F_u(4.0)
         assert np.diff(fl._table_u) == pytest.approx(
             [TABLE_STEP / 8] * 18 + [TABLE_STEP / 4] * 7
             + [TABLE_STEP / 2] * 4 + [TABLE_STEP])
@@ -298,8 +305,7 @@ class TestTableOfF:
     def test_steep_sigma_matches_mpmath(self):
         # F(u) = u + sum_k C(19,k)(1 - e^{-ku})/k increases with F' >= 1,
         # so the image lies within |s| of u; the points mix whole and halved
-        # segments, and keep |F| small enough that rounding F(x) + s does
-        # not dominate
+        # segments
         fl = Flow(Weight(self.STEEP))
         with mpmath.workdps(40):
             for u in (-0.4, 0.0, 0.4, 0.8, 1.2):
@@ -315,21 +321,24 @@ class TestTableOfF:
                     assert fl.apply(s, x) == pytest.approx(
                         float(mpmath.exp(lo)), rel=1e-12, abs=0)
 
-    def test_steep_far_image_by_newton(self, monkeypatch):
+    @pytest.mark.parametrize("s, x", [(10.0, 10.0), (-1.7, 1000.0),
+                                      (1.0, 100.0)])
+    def test_steep_far_image_by_newton(self, monkeypatch, s, x):
         """sigma_10(10) lies near u = 9.1, where the 16 samples of each
         segment used to fail the strict tail test on rounding noise alone;
-        Newton inverts it there, without brentq.  F(10) ~ 5.87e4 is rounded
-        before s is added, which costs up to ~1e-11 (ulp(F) g(sigma))."""
+        Newton inverts it there, without brentq.  F(x) ~ 5.87e4 at all
+        three points, where one float rounds it by up to 3.6e-12, so
+        sigma_s(x) keeps its digits only where F(x) + s is not rounded."""
         calls = scipy_calls(monkeypatch)
-        fl = Flow(Weight(self.STEEP))
-        got = fl.apply(10.0, 10.0)
+        got = Flow(Weight(self.STEEP)).apply(s, x)
         assert calls == []
         with mpmath.workdps(50):
-            u = mpmath.log(10.0)
-            target = steep_F(u) + 10
+            u = mpmath.log(x)
+            target = steep_F(u) + s
             root = mpmath.findroot(lambda v: steep_F(v) - target,
-                                   (u, u + 10), solver="illinois")
-            assert got == pytest.approx(float(mpmath.exp(root)), rel=1e-11,
+                                   (u, u + s) if s > 0 else (u + s, u),
+                                   solver="illinois")
+            assert got == pytest.approx(float(mpmath.exp(root)), rel=4e-15,
                                         abs=0)
 
     def test_image_next_to_the_overflow(self):
@@ -356,7 +365,7 @@ class TestTableOfF:
         with mpmath.workdps(30):
             xm = mpmath.mpf(x)
             exact = mpmath.log(xm) - mpmath.log((1 + 2 * xm) / 3) / 2
-            assert Flow(Weight(self.PHI)).F(x) == pytest.approx(
+            assert F_at(Flow(Weight(self.PHI)), x) == pytest.approx(
                 float(exact), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("x", [1e30, 1e300])
@@ -375,7 +384,7 @@ class TestTableOfF:
 
         with mpmath.workdps(40):
             exact = antiderivative(mpmath.mpf(x)) - antiderivative(1)
-            assert Flow(Weight(phi)).F(x) == pytest.approx(
+            assert F_at(Flow(Weight(phi)), x) == pytest.approx(
                 float(exact), rel=1e-15, abs=0)
 
     def test_g_underflowing_far_from_the_call(self):
@@ -412,7 +421,7 @@ class TestTableOfF:
             pass
         assert Counter(depths) == {0: 887}
         ref = Flow(w, mode="numeric", require_complete=False)
-        ref.F(math.exp(412.5))
+        ref._F_u(412.5)
         n = len(ref._table_u)
         assert ref._table_u[-1] == pytest.approx(412.8)
         for table in self.TABLES:
@@ -462,8 +471,8 @@ class TestNewtonInversion:
     def grown(self):
         """A flow whose table reaches u = -10 and u = 10."""
         fl = Flow(Weight(self.PHI))
-        fl.F(math.exp(-10.0))
-        fl.F(math.exp(10.0))
+        fl._F_u(-10.0)
+        fl._F_u(10.0)
         return fl
 
     def test_clenshaw_value_and_derivative(self):
@@ -511,24 +520,24 @@ class TestNewtonInversion:
         # the lowest and highest nodes, u = 0 (F = 0) and every node between
         fl = self.grown()
         for y in fl._table_F:
-            assert fl.F_inverse(y) == pytest.approx(self.phi_inverse(y),
+            assert F_inverse(fl, y) == pytest.approx(self.phi_inverse(y),
                                                     rel=1e-13, abs=0)
 
     def test_zero_is_the_base_point(self):
-        assert Flow(Weight(self.PHI)).F_inverse(0.0) == 1.0
-        assert self.grown().F_inverse(0.0) == 1.0
+        assert F_inverse(Flow(Weight(self.PHI)), 0.0) == 1.0
+        assert F_inverse(self.grown(), 0.0) == 1.0
 
     def test_negative_u_segments(self):
         fl = self.grown()
         for y in np.linspace(fl._table_F[0], -1e-3, 37):
-            assert fl.F_inverse(y) == pytest.approx(self.phi_inverse(y),
+            assert F_inverse(fl, y) == pytest.approx(self.phi_inverse(y),
                                                     rel=1e-13, abs=0)
 
     def test_round_trip(self):
         fl = self.grown()
         for y in np.linspace(fl._table_F[0], fl._table_F[-1], 41):
-            assert fl.F(fl.F_inverse(y)) == pytest.approx(y, rel=1e-14,
-                                                          abs=1e-15)
+            assert F_at(fl, F_inverse(fl, y)) == pytest.approx(
+                y, rel=1e-14, abs=1e-15)
 
 
 #: the exponent of t^e as a float stores it, exactly
@@ -563,8 +572,8 @@ def mpq(q):
 def flow_error(phi, F_u, x, s, sigma):
     """How far sigma is from sigma_s(x) for the exact F, as the error in
     flow time |F(sigma) - F(x) - s| over |F(x)| + |s| + F'(sigma), F' in
-    u.  A float flow rounds F(x) + s, so its error is a few units of 2^-53
-    of |F(x)| + |s|, and a correctly rounded sigma is 2^-53 F'(sigma) off.
+    u.  A flow that rounds F(x) + s to one float is off by a few units of
+    2^-53 of |F(x)| + |s|, and a correctly rounded sigma by 2^-53 F'(sigma).
     Computed at 40 digits."""
     with mpmath.workdps(40):
         u, v = mpmath.log(x), mpmath.log(sigma)
@@ -597,8 +606,7 @@ def oracle_errors(family, draws=100, seed=41):
 @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
 def test_numeric_flows_match_the_mpmath_oracle(family):
     # every forced-numeric sigma_s(x) is within 1e-15 in flow time, a few
-    # units of 2^-53.  Relative to sigma itself, t^20/(1+t)^19 is up to
-    # ~5e-13 off, all of it from rounding F(x) ~ 6e4 + s to one float.
+    # units of 2^-53
     assert max(oracle_errors(family)) <= 1e-15
 
 
@@ -640,8 +648,9 @@ class TestSigmaMemo:
         # y, the composite's range check, z1, z2 and six cocycles ask for
         # only sigma_t(x), sigma_s(y) and sigma_{s+t}(x)
         calls, real = [], Flow._u_of_F
-        monkeypatch.setattr(Flow, "_u_of_F",
-                            lambda fl, y: calls.append(y) or real(fl, y))
+        monkeypatch.setattr(
+            Flow, "_u_of_F",
+            lambda fl, *parts: calls.append(parts) or real(fl, *parts))
         fl = NUMERIC_FAMILIES["quotient"]()
         x, t, s = 0.7, 0.4, -1.1
         h = GPhiElement(x, t)
@@ -693,7 +702,7 @@ class TestEndpointReached:
             closed = Flow(w, require_complete=False)
             assert (numeric.apply(2.0, 1.0) == closed.apply(2.0, 1.0)
                     == math.inf)
-            assert numeric.F_inverse(2.0) == math.inf
+            assert numeric._u_of_F(2.0) == math.inf
 
     def test_numeric_past_the_float_range(self):
         # F grows like u = ln t at the far end, so sigma_1000(1) ~ e^1000
@@ -706,7 +715,6 @@ class TestEndpointReached:
         fl = Flow(Weight.from_term(1, F(1, 2)), require_complete=False)
         assert fl.mode == "closed_form_power"
         assert fl.apply(1e300, 1.0) == math.inf
-        assert fl.F_inverse(1e300) == math.inf
         assert fl.apply(-1e300, 1.0) == 0.0
         # phi = t^{99/100}: sigma_s(x) = (x^{1/100} + s/100)^100 is finite
         # though the bracket (1 + s x^{-1/100}/100)^100 overflows
@@ -729,18 +737,11 @@ class TestEndpointReached:
                                                        rel=1e-12, abs=0)
         assert fl.apply(1.0, 1e200) == math.inf
 
-    def test_power_weight_F_past_the_float_range(self):
-        # phi = t^3: F(x) = (1 - x^{-2})/2; phi = t^{-1}: F(x) = (x^2 - 1)/2
-        fl = Flow(Weight.from_term(1, 3), require_complete=False)
-        assert fl.F(1e-200) == -math.inf
-        assert fl.F(1e-100) == -5e199
-        fl = Flow(Weight.from_term(1, -1), require_complete=False)
-        assert fl.F(1e200) == math.inf
-        assert fl.F(2e75) == pytest.approx(2e150, rel=1e-15)
+    def test_F_past_the_last_node(self):
         # phi = t^2/(1+t): F(x) = ln x - 1/x, and 1.7e308 lies past the
         # table's last node, so its segment is fitted on its own
         fl = Flow(Weight.from_term(1, 2, -1))
-        assert fl.F(1.7e308) - fl.F(1e308) == pytest.approx(
+        assert F_at(fl, 1.7e308) - F_at(fl, 1e308) == pytest.approx(
             math.log(1.7), rel=0, abs=2e-13)
 
     def test_power_weight_stops_at_one(self):
@@ -752,8 +753,6 @@ class TestEndpointReached:
         assert abs(fl.apply(0.1, 0.9) - 0.9 / 0.91) < 1e-15
         assert fl.apply(1.0, 0.9) == 1.0
         assert fl.apply(2.0, 0.9) == 1.0
-        assert fl.F_inverse(0.5) == 1.0
-        assert fl.F_inverse(2.0) == 1.0
 
 
 UNIT_WEIGHTS = [

@@ -308,7 +308,8 @@ class TestFlowCoordinate:
     @pytest.mark.parametrize("domain", [HALF_LINE, UNIT_INTERVAL])
     def test_at_u_error_bounds_the_rounding(self, domain):
         # the exact value at u and at u's neighbours u (1 +/- 2^-53) lies
-        # within at_u_error(u) of at_u(u), also where |p ln t| is large
+        # within at_u_error(u) |at_u(u)| of at_u(u), also where |p ln t| is
+        # large
         f = rf((2, F(1, 2), -1), (-1, 2, F(3, 2)), (F(1, 3), 3, 0),
                domain=domain)
         u = np.array([-300.0, -40.0, -6.0, -0.3, 0.0, 1.2, 6.0, 30.0])
@@ -323,8 +324,16 @@ class TestFlowCoordinate:
                     base = 1 + sign * t
                     exact = (2 * mpmath.sqrt(t) / base
                              - t ** 2 * base * mpmath.sqrt(base) + t ** 3 / 3)
-                    assert abs(value - exact) <= err
-        assert (bound > 0).all() and (bound <= 1e-12 * abs(got)).all()
+                    assert abs(value - exact) <= err * abs(value)
+        assert (bound > 0).all() and (bound <= 1e-12).all()
+
+    def test_at_u_error_is_finite_where_at_u_is(self):
+        # t^2 at u = 354 is 3.0e307, and 1 + 2 (|ln t| + |u|) = 1417 times
+        # that, the bound in absolute terms, leaves the float range
+        f = rf((1, 2, 0))
+        u = np.array([354.0])
+        assert np.isfinite(f.at_u(u)).all()
+        assert f.at_u_error(u) == pytest.approx(1417 * 2.0 ** -53, rel=1e-15)
 
     def test_at_u_keeps_the_far_factor(self):
         # t rounds to 1 at u = 40, but 1 - t = 1/(1 + e^u) does not

@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with ``ast``: no module imports a
-name it never uses, and no module-level private function or class goes
-unreferenced, so deleting code cannot leave its imports or helpers behind.
+name it never uses, no module-level private function or class goes
+unreferenced and no upper-case module constant goes unread, so deleting
+code cannot leave its imports, helpers or constants behind.
 Every exported name, and every public method or property of an exported
 class, has a reader besides the unit tests, so the public API is what the
 commands, demos and benchmark use.  Only ``powerfun.py`` reads the
@@ -94,6 +95,41 @@ def test_no_orphaned_private_definitions(name):
     assert not orphans, f"{name} defines private names nothing uses: {orphans}"
 
 
+def module_constants(tree):
+    """The upper-case names that the statements at the top of ``tree`` bind,
+    imports aside."""
+    return {node.id for top in tree.body
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef,
+                                    ast.Import, ast.ImportFrom))
+            for node in ast.walk(top) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store) and node.id.isupper()}
+
+
+def unread_constants(trees):
+    """The module constants of ``trees`` that none of them reads."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    return set().union(*map(module_constants, trees)) - read
+
+
+def test_the_constant_check_sees_a_leftover():
+    tree = ast.parse("CHUNK = 256\nSTEP = 0.8\nN: int = 3\n"
+                     "def f(u):\n    return u + STEP\n")
+    assert module_constants(tree) == {"CHUNK", "STEP", "N"}
+    assert unread_constants([tree]) == {"CHUNK", "N"}
+
+
+def test_every_module_constant_is_read():
+    """Every upper-case name bound at the top of a module is read somewhere
+    in the package, so a constant cannot outlive its last reader."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    assert len(set().union(*map(module_constants, trees))) >= 30
+    unread = unread_constants(trees)
+    assert not unread, f"module constants nothing reads: {sorted(unread)}"
+
+
 def test_every_export_has_a_reader():
     """A reference counts unless it sits in the name's own definition or in
     that of another export without a reader, so a chain of exports that
@@ -116,8 +152,6 @@ def test_every_export_has_a_reader():
 #: public members that only the unit tests read, each with its reason
 KEPT_MEMBERS = {
     "CylinderFunction.harmonic": "the tests build angular functions with it",
-    "Flow.F_inverse": "the tests reach inside apply, which returns early at 0 "
-                      "and at the power branch's base point",
     "GPhiElement.inverse": "the test of the inverse law",
     "HPsiElement.is_unit": "the test of the unit law",
     "DiffOp.order": "the tests of the commutator's and the top term's order",
