@@ -243,6 +243,8 @@ def _cmd_parametrix(cfg, out, log):
 def _cmd_resolvent(cfg, out, log):
     z = complex(cfg.z_real, cfg.z_imag)
     rep = resolvent_probe(cfg.problem(), z, mode=cfg.mode)
+    for (points, k), count in rep.matvecs.items():
+        log(f"Lanczos k={k} on {points} points: {count} matvecs")
     lines = [f"z = {z}", f"spectrum distance = {rep.spectrum_distance:.6g}"]
     for (i, j), (a, b, r) in sorted(rep.norms.items()):
         lines.append(f"i={i} j={j}: coarse {a:.6g}  fine {b:.6g}  "

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .diffop import DiffOp, parametrix_1d
 from .errors import ConvergenceError, PreconditionError
@@ -46,6 +45,11 @@ from .weights import Weight, membership_order
 S_MIN_DEFAULT = -12.0
 S_MAX_DEFAULT = 12.0
 N_POINTS_DEFAULT = 4000
+#: Lanczos of ``_weighted_norms``: steps per cycle before it restarts, and
+#: the matvecs one run may take before it gives up (the slowest known cell,
+#: the oscillator's k = 1 at z = -1 + 1j, takes about 320)
+LANCZOS_CYCLE = 60
+LANCZOS_MATVECS = 3000
 
 
 @dataclass(frozen=True)
@@ -418,6 +422,7 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
 class ResolventProbeReport:
     norms: dict  # (i, j) -> (coarse, fine, ratio)
     spectrum_distance: float
+    matvecs: dict  # (grid points, k) -> its Lanczos run's; plain mode: {}
 
 
 def resolvent_probe(prob, z, mode="plain", base_points=300):
@@ -431,7 +436,12 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     symmetric tridiagonal S = W^{1/2} A W^{1/2}, whose eigenvalues are lam.
     lam_min and lam_max are found by bisection (LAPACK stebz).  A real z
     below lam_min keeps them, since |lam^k / (lam - z)|, k <= 2, has no
-    interior maximum on (z, inf); any other z takes every eigenvalue.  The
+    interior maximum on (z, inf).  A real z above lam_min adds the two
+    eigenvalues around it, bisected by the indices that a Sturm count of
+    S - z gives: on each side of z that function peaks only at the ends or
+    next to z, since its interior critical points lam = 0 and lam = 2z are
+    minima.  A complex z takes every eigenvalue (LAPACK sterf), since
+    |lam| / |lam - z| has an interior maximum at lam = |z|^2 / Re z.  The
     distance from z to the spectrum is the smaller of its distances to the
     lam and to [Sigma, inf), the essential spectrum (see the module
     docstring); no lam >= Sigma is nearer than that interval, so the grid's
@@ -440,8 +450,8 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     [Sigma, inf) always does.  A is symmetric, hence normal, and its norms
     are max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
     those of M_k = (phi A)^k T^{-1}, T = phi*A - z, each the root of a top
-    eigenvalue found by Lanczos (``eigsh``) on an operator that applies
-    O(n) tridiagonal products and solves with one LU of T (LAPACK gttrf and
+    eigenvalue found by restarted Lanczos on an operator that applies O(n)
+    tridiagonal products and solves with one LU of T (LAPACK gttrf and
     gttrs):
 
     - k = 0: T^{-H} T^{-1};
@@ -457,10 +467,11 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
       width apart, where the top singular values of M_1 itself cluster
       near 1.  At z = 0, M_1 = I.
 
-    Lanczos stops once its residual is 1e-12 of the eigenvalue.  No n x n
-    array is formed.  A Lanczos run that fails, a k = 1 square below 1e-12
-    and a norm outside (0, inf) raise ``ConvergenceError``; a z that is not
-    finite raises ``PreconditionError``.
+    Lanczos stops once its residual is 1e-12 of the eigenvalue.  It holds
+    at most LANCZOS_CYCLE vectors, and no n x n array is formed; the report
+    keeps each run's matvecs.  A Lanczos run that fails, a k = 1 square
+    below 1e-12 and a norm outside (0, inf) raise ``ConvergenceError``; a z
+    that is not finite raises ``PreconditionError``.
     """
     if mode not in ("plain", "weighted"):
         raise PreconditionError(f"unknown probe mode {mode!r}")
@@ -472,16 +483,26 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     to_essential = (abs(complex(z) - float(sigma)) if z.real < sigma
                     else abs(z.imag))
 
+    matvecs = {}
+
     def norms_at(grid):
         d, e, rho = _assemble(prob, grid.s_nodes())
         w = phi.profile(rho) if mode == "weighted" else np.ones(len(rho))
         sqrt_w = np.sqrt(w)
         sd, se = w * d, sqrt_w[:-1] * e * sqrt_w[1:]
-        lam = np.concatenate([eigh_tridiagonal(
-            sd, se, eigvals_only=True, select="i", select_range=(i, i),
-            lapack_driver="stebz", tol=1e-300) for i in (0, len(sd) - 1)])
-        if isinstance(z_arith, complex) or z_arith >= lam[0]:
+
+        def bisect(lo, hi):  # the eigenvalues lo..hi, counted from 0
+            return eigh_tridiagonal(
+                sd, se, eigvals_only=True, select="i", select_range=(lo, hi),
+                lapack_driver="stebz", tol=1e-300)
+
+        lam = np.concatenate([bisect(i, i) for i in (0, len(sd) - 1)])
+        if isinstance(z_arith, complex):
             lam = eigh_tridiagonal(sd, se, eigvals_only=True)
+        elif z_arith >= lam[0]:  # and the two eigenvalues around z
+            j = _sturm_count(sd, se, z_arith)
+            lam = np.concatenate([lam, bisect(max(j - 1, 0),
+                                              min(j, len(sd) - 1))])
         dist = min(float(np.min(np.abs(lam - z_arith))), to_essential)
         if dist < 0.1:
             raise PreconditionError(f"z = {z} is within 0.1 of the " + (
@@ -491,7 +512,8 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
             by_k = [float(np.max(np.abs(lam ** k / (lam - z_arith))))
                     for k in range(3)]
         else:
-            by_k = _weighted_norms(w[1:] * e, sd, w[:-1] * e, z_arith)
+            by_k, runs = _weighted_norms(w[1:] * e, sd, w[:-1] * e, z_arith)
+            matvecs.update(((grid.n_points, k), m) for k, m in runs.items())
         if not all(0 < norm < math.inf for norm in by_k):
             raise ConvergenceError(f"resolvent norms {by_k} on {grid.n_points}"
                                    f" points at z = {z}: not positive floats")
@@ -500,16 +522,36 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     t1, dist = norms_at(GeometricGrid(-8.0, 8.0, base_points))
     t2, _ = norms_at(GeometricGrid(-8.0, 8.0, 2 * base_points))
     norms = {key: (t1[key], t2[key], t2[key] / t1[key]) for key in t1}
-    return ResolventProbeReport(norms=norms, spectrum_distance=dist)
+    return ResolventProbeReport(norms=norms, spectrum_distance=dist,
+                                matvecs=matvecs)
+
+
+def _sturm_count(d, e, z):
+    """The number of eigenvalues below z of the symmetric tridiagonal with
+    diagonal d and off-diagonal e: the negative pivots of the LDL^T
+    factorization of S - z, where a zero pivot counts as -pivmin, as in
+    LAPACK's dlaneg."""
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0)))
+    count, p = 0, 1.0
+    for dk, e2k in zip((d - z).tolist(), [0.0] + e2.tolist()):
+        p = dk - e2k / p
+        if p == 0:
+            p = -pivmin
+        count += p < 0
+    return count
 
 
 def _weighted_norms(lo, dg, up, z):
     """||a^k (a - z)^{-1}|| for k = 0, 1, 2 and the real tridiagonal a with
-    sub-, main and superdiagonal lo, dg, up (see resolvent_probe)."""
+    sub-, main and superdiagonal lo, dg, up (see resolvent_probe), and the
+    matvecs of each k's Lanczos run."""
     n = len(dg)
     dtype = np.result_type(dg, z)
     gttrf, gttrs, pttrf, pttrs = get_lapack_funcs(
         ("gttrf", "gttrs", "pttrf", "pttrs"), dtype=dtype)
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), dtype=float)
+    nrm2, = get_blas_funcs(("nrm2",), dtype=dtype)  # scaled: no underflow
     lu = gttrf(lo, dg - z, up)[:5]
     tol = 1e-12
 
@@ -522,27 +564,68 @@ def _weighted_norms(lo, dg, up, z):
     def a_t(x):
         return _tridiagonal_product(up, dg, lo, x)
 
+    matvecs = {}  # k -> the matvecs of its Lanczos run
+
     def top(k, op):
-        matvecs = 0
+        """The top eigenvalue of the Hermitian op, by Lanczos from the unit
+        vector of ones, restarted from the top Ritz vector every
+        LANCZOS_CYCLE steps; each new vector is orthogonalized twice
+        against the cycle's basis.  The run stops once the top Ritz pair
+        (theta, s) of the cycle's tridiagonal has |beta s_last| <= tol
+        theta, ARPACK's test.  A product that vanishes or leaves the floats,
+        a breakdown (beta <= tol ||op v||: what is left is rounding) before
+        that test passes, a top eigenvalue that is not positive and
+        LANCZOS_MATVECS spent raise ConvergenceError."""
+        basis = np.empty((LANCZOS_CYCLE, n), dtype)
+        v = np.full(n, 1 / math.sqrt(n), dtype)
+        matvecs[k] = 0
 
-        def matvec(x):
-            nonlocal matvecs
-            matvecs += 1
-            return op(x)
-
-        try:
-            return float(eigsh(LinearOperator((n, n), matvec, dtype=dtype),
-                               k=1, which="LA", v0=np.ones(n, dtype),
-                               tol=tol, return_eigenvectors=False)[0])
-        except ArpackError as exc:
-            raise ConvergenceError(
+        def fail():
+            return ConvergenceError(
                 f"resolvent norm k={k} did not converge on {n + 1} points "
-                f"after {matvecs} matvecs") from exc
+                f"after {matvecs[k]} matvecs")
+
+        while True:
+            alpha, beta = [], []
+            for m in range(LANCZOS_CYCLE):
+                if matvecs[k] == LANCZOS_MATVECS:
+                    raise fail()
+                basis[m] = v
+                w = op(v)
+                matvecs[k] += 1
+                size = nrm2(w)
+                if not 0 < size < math.inf:
+                    raise fail()
+                alpha.append(np.vdot(v, w).real)
+                for _ in range(2):
+                    w -= (basis[:m + 1] @ w.conj()).conj() @ basis[:m + 1]
+                beta.append(nrm2(w))
+                breakdown = beta[-1] <= tol * size
+                # the top Ritz pair every third step, at the cycle's end
+                # and at a breakdown
+                if m % 3 == 2 or m + 1 == LANCZOS_CYCLE or breakdown:
+                    # bisect the top one (range 3: by index) and take its
+                    # vector by inverse iteration; f2py wants one entry of
+                    # the off-diagonal at m = 0
+                    off = beta[:max(m, 1)]
+                    theta, iblock, isplit = stebz(
+                        alpha, off, 3, 0, 0, m + 1, m + 1, 0, "E")[1:4]
+                    theta, s = theta[0], stein(
+                        alpha, off, theta[:1], iblock, isplit)[0][:, 0]
+                    if beta[-1] * abs(s[-1]) <= tol * abs(theta):
+                        if not theta > 0:
+                            raise fail()
+                        return float(theta)
+                    if breakdown:
+                        raise fail()
+                v = w / beta[-1]
+            v = s @ basis
+            v /= nrm2(v)
 
     norm0 = math.sqrt(top(0, lambda x: solve(solve(x), "C")))
     norm2 = math.sqrt(top(2, lambda x: solve(a_t(a_t(a(a(solve(x))))), "C")))
     if z == 0:
-        return [norm0, 1.0, norm2]
+        return [norm0, 1.0, norm2], matvecs
     # K's diagonal and superdiagonal; its subdiagonal is the conjugate
     k_dg = 2 * z.real * dg - abs(z) * abs(z)
     k_up = z * lo + np.conj(z) * up
@@ -556,4 +639,16 @@ def _weighted_norms(lo, dg, up, z):
         norm1_sq = 1 + top(1, lambda x: solve(_tridiagonal_product(
             np.conj(k_up), k_dg, k_up, solve(x)), "C"))
     # 1 -/+ an eigenvalue found to tol: a smaller square has no digit left
-    return [norm0, math.sqrt(norm1_sq) if norm1_sq > tol else math.nan, norm2]
+    norm1 = math.sqrt(norm1_sq) if norm1_sq > tol else math.nan
+    return [norm0, norm1, norm2], matvecs
+
+
+def __getattr__(name):
+    """``schrodinger.eigsh``: scipy's ``eigsh``, imported on first access.
+    Nothing in degcalc calls it; it exists only for the benchmark's tracer,
+    which looks it up by name (``perfbench/tracing.py``,
+    ``SCIPY_ENTRY_POINTS``)."""
+    if name == "eigsh":
+        from scipy.sparse.linalg import eigsh
+        return eigsh
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from degcalc import cli, schrodinger
 from degcalc.cli import (_KEYS, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK,
@@ -398,33 +397,52 @@ class TestMain:
         lines = (tmp_path / "resolvent.txt").read_text().splitlines()
         assert lines[3] == "i=0 j=1: coarse 1  fine 1  ratio 1"
 
-    # eigsh runs k = 0, then k = 2, then k = 1 on each grid
-    @pytest.mark.parametrize("failing_call, k", [(0, 0), (1, 2), (2, 1)])
+    # Lanczos runs k = 0, then k = 2, then k = 1 on each grid, taking 12, 15
+    # and 21 matvecs on 300 points: a budget one short of a run's own count
+    # and at least every earlier run's stops that run, and only in this
+    # order of runs
+    @pytest.mark.parametrize("failing_run, k", [(0, 0), (1, 2), (2, 1)])
     def test_weighted_resolvent_non_convergence(self, tmp_path, capsys,
-                                                monkeypatch, failing_call,
+                                                monkeypatch, failing_run,
                                                 k):
-        real = schrodinger.eigsh
-        calls = []
-
-        def stalled(A, **kwargs):
-            calls.append(A)
-            if len(calls) <= failing_call:
-                return real(A, **kwargs)
-            for _ in range(3):
-                A.matvec(kwargs["v0"])
-            raise ArpackNoConvergence(
-                "ARPACK error -1: No convergence", np.zeros(0),
-                np.zeros((A.shape[0], 0)))
-
-        monkeypatch.setattr(schrodinger, "eigsh", stalled)
+        rep = schrodinger.resolvent_probe(
+            schrodinger.SchrodingerProblem.oscillator(), -1, mode="weighted")
+        counts = [count for (points, _), count in rep.matvecs.items()
+                  if points == 300]
+        assert [key[1] for key in rep.matvecs][:3] == [0, 2, 1]
+        budget = counts[failing_run] - 1
+        assert all(count <= budget for count in counts[:failing_run])
+        monkeypatch.setattr(schrodinger, "LANCZOS_MATVECS", budget)
         cfg = write_config(tmp_path, OSCILLATOR_RESOLVENT.format(
             z_real=-1, mode="weighted"))
         code = main(["--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_CONVERGENCE
         err = capsys.readouterr().err
         assert f"resolvent norm k={k} did not converge on 300 points " \
-               "after 3 matvecs" in err
+               f"after {budget} matvecs" in err
         assert not (tmp_path / "resolvent.txt").exists()
+
+    # --verbose logs each Lanczos run's matvecs, weighted mode only; the
+    # report and stdout do not change
+    @pytest.mark.parametrize("mode, log", [
+        ("plain", []),
+        ("weighted", [f"Lanczos k={k} on {points} points: {count} matvecs"
+                      for points, counts in ((300, (12, 15, 21)),
+                                             (600, (12, 21, 27)))
+                      for k, count in zip((0, 2, 1), counts)])])
+    def test_resolvent_verbose_logs_the_matvecs(self, tmp_path, capsys,
+                                                mode, log):
+        cfg = write_config(tmp_path, OSCILLATOR_RESOLVENT.format(
+            z_real=-1, mode=mode))
+        args = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        quiet = capsys.readouterr()
+        text = (tmp_path / "resolvent.txt").read_text()
+        assert main(args + ["--verbose"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err.splitlines() == log and not quiet.err
+        assert out == quiet.out == text
+        assert (tmp_path / "resolvent.txt").read_text() == text
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\ncommand = classify\n"
@@ -1005,7 +1023,7 @@ class TestDeepCut:
 def test_commands_load_neither_integrate_nor_optimize(tmp_path):
     """In a fresh interpreter, importing degcalc and running classify,
     membership, spectrum, a weighted resolvent and a numeric flow leaves
-    scipy.integrate and scipy.optimize unloaded."""
+    scipy.integrate, scipy.optimize and scipy.sparse unloaded."""
     configs = [
         "[run]\ncommand = classify\n", "[run]\ncommand = membership\n",
         "[run]\ncommand = spectrum\n",
@@ -1017,8 +1035,8 @@ def test_commands_load_neither_integrate_nor_optimize(tmp_path):
         "import sys\nimport degcalc\nfrom degcalc import cli\n"
         "print([cli.main(['--config', c, '--out', sys.argv[1]])"
         " for c in sys.argv[2:]])\n"
-        "print(sorted({'scipy.integrate', 'scipy.optimize'}"
-        " & set(sys.modules)))\n")
+        "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.sparse',"
+        " 'scipy.sparse.linalg'} & set(sys.modules)))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out"), *paths],

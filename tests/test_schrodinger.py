@@ -16,7 +16,8 @@ from degcalc.diffop import (CylinderFunction, DiffOp, parametrix_1d,
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
-                                 assemble_and_solve, membership_in_diff_s,
+                                 _sturm_count, assemble_and_solve,
+                                 membership_in_diff_s,
                                  membership_weights, parametrix_residual,
                                  resolvent_probe, rewrite)
 from degcalc.weights import Weight
@@ -631,20 +632,20 @@ class TestResolventProbe:
     # indefinite for hydrogen on R^2 (nu = 0, norm 1.39); complex z is
     # indefinite on all three, and on the oscillator Lanczos runs longest.
     # Real z = -2 lies below each spectrum (only its two ends are found);
-    # the last two cells put a real z inside it, where every eigenvalue is
-    # found: 5 between the oscillator's 3 and 7, and 1.1 between phi*A's
-    # two lowest, 0.70 and 1.47 (1.49 on the fine grid).  Those come from
-    # LAPACK sterf, whose error is absolute: about 2.3e-10 at A's 6.84 on
-    # 60 points, where the diagonal reaches 2.8e8, so the plain cell at
-    # z = 5 is held to 1e-9 (its distance is 1.2e-10 off; bisection and the
-    # dense solve agree to 1e-14).
+    # the last two cells put a real z inside it, where a Sturm count at z
+    # picks the two eigenvalues around it for bisection: 5 between the
+    # oscillator's 3 and 7, and 1.1 between phi*A's two lowest, 0.70 and
+    # 1.47 (1.49 on the fine grid).  Bisection keeps its relative accuracy
+    # on A's 6.84 at 60 points, where the diagonal reaches 2.8e8 and LAPACK
+    # sterf is 2.3e-10 off, so the plain cell at z = 5 is held to 1e-12
+    # (its distance is 3.3e-14 off).
     @pytest.mark.parametrize("prob, z, mode, rel", [
         pytest.param(prob, z, mode, 1e-10, id=f"{name}-{z_id}-{mode}")
         for name, prob in ORACLE_PROBLEMS
         for z_id, z in (("real_z", complex(-2.0)),
                         ("complex_z", complex(-1.0, 1.0)))
         for mode in ("plain", "weighted")] + [
-        pytest.param(SchrodingerProblem.oscillator(), 5.0, "plain", 1e-9,
+        pytest.param(SchrodingerProblem.oscillator(), 5.0, "plain", 1e-12,
                      id="oscillator-real_z_inside-plain"),
         pytest.param(SchrodingerProblem.oscillator(), 1.1, "weighted", 1e-10,
                      id="oscillator-real_z_inside-weighted")])
@@ -664,9 +665,10 @@ class TestResolventProbe:
                 1.0 / rep.spectrum_distance, rel=1e-12)
 
     # the path rule against a dense eigensolve: a z just below the lowest
-    # eigenvalue keeps the two bisected ends, and a z just above it takes
-    # every eigenvalue, on A and on phi*A's symmetric form, whose diagonals
-    # reach 2.5e10 at 600 points; both lie within 0.1 and raise
+    # eigenvalue keeps the two bisected ends, and a z just above it bisects
+    # the two eigenvalues around it as well, on A and on phi*A's symmetric
+    # form, whose diagonals reach 2.5e10 at 600 points; both lie within 0.1
+    # and raise
     @pytest.mark.parametrize("weighted", [False, True],
                              ids=["plain", "weighted"])
     @pytest.mark.parametrize("points", [300, 600])
@@ -689,12 +691,26 @@ class TestResolventProbe:
             return real(d, e, **kwargs)
 
         monkeypatch.setattr(schrodinger, "eigh_tridiagonal", recorded)
-        for sign, path in ((-1, ["i", "i"]), (1, ["i", "i", None])):
+        for sign, path in ((-1, ["i", "i"]), (1, ["i", "i", "i"])):
             selects.clear()
             with pytest.raises(PreconditionError, match="within 0.1"):
                 resolvent_probe(prob, lam_min + sign * 1e-9 * abs(lam_min),
                                 "weighted" if weighted else "plain", points)
             assert selects == path
+
+    # the Sturm count at z against a dense eigensolve, on phi*A's symmetric
+    # form at 600 points (diagonal up to 2.5e10) at z between and beside its
+    # eigenvalues, and on [[0, 1], [1, 0]] at 0, whose first pivot is zero
+    def test_sturm_count(self):
+        prob = SchrodingerProblem.oscillator()
+        d, e, rho = _assemble(prob, GeometricGrid(-8.0, 8.0, 600).s_nodes())
+        sqrt_w = np.sqrt(membership_weights(prob)[0].profile(rho))
+        d, e = sqrt_w ** 2 * d, sqrt_w[:-1] * e * sqrt_w[1:]
+        lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        for z in (lam[0] - 1, *(lam[:5] + lam[1:6]) / 2, 1e3, 1e9,
+                  lam[-1] + 1):
+            assert _sturm_count(d, e, z) == np.sum(lam < z), z
+        assert _sturm_count(np.zeros(2), np.ones(1), 0.0) == 1
 
     def test_plain_bound(self):
         rep = resolvent_probe(SchrodingerProblem.oscillator(), -1.0,
