@@ -408,10 +408,14 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
     xis = np.array([np.linspace(K / 2.0, K, 9) for K in cutoffs]).reshape(-1)
     rows = []
     for N in orders:
-        vals = np.abs(remainders[N].evaluate(rs, xis[:, None]))
-        means = np.sqrt(np.mean(vals ** 2, axis=1)).reshape(len(cutoffs), 9)
+        with np.errstate(all="ignore"):  # a ratio past floats raises below
+            vals = np.abs(remainders[N].evaluate(rs, xis[:, None]))
+            means = np.sqrt(np.mean(vals ** 2, axis=1)).reshape(-1, 9)
         rows.extend((N, float(K), float(np.max(band)))
                     for K, band in zip(cutoffs, means))
+    bad = [f"N = {N}, K = {K:g}" for N, K, r in rows if not math.isfinite(r)]
+    if bad:
+        raise ConvergenceError(f"residual ratio at {bad[0]} is not finite")
     return tuple(rows)
 
 
@@ -434,25 +438,18 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     commute, so a norm depends on k = i + j alone: (0, 1) equals (1, 0).
     With W = diag(phi) (W = I in plain mode) phi*A is similar to the
     symmetric tridiagonal S = W^{1/2} A W^{1/2}, whose eigenvalues are lam.
-    lam_min and lam_max are found by bisection (LAPACK stebz).  A real z
-    below lam_min keeps them, since |lam^k / (lam - z)|, k <= 2, has no
-    interior maximum on (z, inf).  A real z above lam_min adds the two
-    eigenvalues around it, bisected by the indices that a Sturm count of
-    S - z gives: on each side of z that function peaks only at the ends or
-    next to z, since its interior critical points lam = 0 and lam = 2z are
-    minima.  A complex z takes every eigenvalue (LAPACK sterf), since
-    |lam| / |lam - z| has an interior maximum at lam = |z|^2 / Re z.  The
-    distance from z to the spectrum is the smaller of its distances to the
-    lam and to [Sigma, inf), the essential spectrum (see the module
-    docstring); no lam >= Sigma is nearer than that interval, so the grid's
-    box states never decide it.  The coarse grid's distance is reported,
-    and a distance below 0.1 on either grid raises, so a real z in
-    [Sigma, inf) always does.  A is symmetric, hence normal, and its norms
-    are max |lam^k / (lam - z)|.  phi*A is not normal; its norms are
-    those of M_k = (phi A)^k T^{-1}, T = phi*A - z, each the root of a top
-    eigenvalue found by restarted Lanczos on an operator that applies O(n)
-    tridiagonal products and solves with one LU of T (LAPACK gttrf and
-    gttrs):
+    One rule for every z bisects the lam that decide the distance and the
+    plain norms (``_deciding_eigenvalues``).  The distance from z to the
+    spectrum is the smaller of its distances to those lam and to
+    [Sigma, inf), the essential spectrum (see the module docstring); no
+    lam >= Sigma is nearer than that interval, so the grid's box states
+    never decide it.  The coarse grid's distance is reported, and a
+    distance below 0.1 on either grid raises, so a real z in [Sigma, inf)
+    always does.  A is symmetric, hence normal, and its norms are
+    max |lam^k / (lam - z)|.  phi*A is not normal; its norms are those of
+    M_k = (phi A)^k T^{-1}, T = phi*A - z, each the root of a top eigenvalue
+    found by restarted Lanczos on an operator that applies O(n) tridiagonal
+    products and solves with one LU of T (LAPACK gttrf and gttrs):
 
     - k = 0: T^{-H} T^{-1};
     - k = 2: T^{-H} B^T B T^{-1} with B = (phi A)^2;
@@ -490,27 +487,16 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
         w = phi.profile(rho) if mode == "weighted" else np.ones(len(rho))
         sqrt_w = np.sqrt(w)
         sd, se = w * d, sqrt_w[:-1] * e * sqrt_w[1:]
-
-        def bisect(lo, hi):  # the eigenvalues lo..hi, counted from 0
-            return eigh_tridiagonal(
-                sd, se, eigvals_only=True, select="i", select_range=(lo, hi),
-                lapack_driver="stebz", tol=1e-300)
-
-        lam = np.concatenate([bisect(i, i) for i in (0, len(sd) - 1)])
-        if isinstance(z_arith, complex):
-            lam = eigh_tridiagonal(sd, se, eigvals_only=True)
-        elif z_arith >= lam[0]:  # and the two eigenvalues around z
-            j = _sturm_count(sd, se, z_arith)
-            lam = np.concatenate([lam, bisect(max(j - 1, 0),
-                                              min(j, len(sd) - 1))])
+        lam = _deciding_eigenvalues(sd, se, z_arith)
         dist = min(float(np.min(np.abs(lam - z_arith))), to_essential)
         if dist < 0.1:
             raise PreconditionError(f"z = {z} is within 0.1 of the " + (
                 "computed spectrum" if dist < to_essential else
                 f"essential spectrum, which starts at {sigma}"))
         if mode == "plain":
-            by_k = [float(np.max(np.abs(lam ** k / (lam - z_arith))))
-                    for k in range(3)]
+            with np.errstate(all="ignore"):  # a norm past floats raises below
+                by_k = [float(np.max(np.abs(lam ** k / (lam - z_arith))))
+                        for k in range(3)]
         else:
             by_k, runs = _weighted_norms(w[1:] * e, sd, w[:-1] * e, z_arith)
             matvecs.update(((grid.n_points, k), m) for k, m in runs.items())
@@ -524,6 +510,30 @@ def resolvent_probe(prob, z, mode="plain", base_points=300):
     norms = {key: (t1[key], t2[key], t2[key] / t1[key]) for key in t1}
     return ResolventProbeReport(norms=norms, spectrum_distance=dist,
                                 matvecs=matvecs)
+
+
+def _deciding_eigenvalues(d, e, z):
+    """lam_min, lam_max and the two eigenvalues around each real point where
+    some |lam^k / (lam - z)|, k <= 2, peaks, of the symmetric tridiagonal
+    (d, e), by a Sturm count and bisection.  With z = x + iy the peaks are
+    x, x + y^2/x and (x^2 >= 8y^2) x + 4y^2/(x + sgn(x) sqrt(x^2 - 8y^2));
+    each function is monotone between them, and a real z has the one peak
+    z.  Peaks below lam_min or not finite are skipped."""
+    def bisect(lo, hi):  # the eigenvalues lo..hi, counted from 0
+        return eigh_tridiagonal(
+            d, e, eigvals_only=True, select="i", select_range=(lo, hi),
+            lapack_driver="stebz", tol=1e-300)
+
+    lam = [bisect(i, i) for i in (0, len(d) - 1)]
+    x, y2 = z.real, z.imag * z.imag  # products: they overflow to inf
+    q = x * x - 8 * y2
+    peaks = {x, x + y2 / x} if x else {x}
+    if x and q >= 0:
+        peaks.add(x + 4 * y2 / (x + math.copysign(math.sqrt(q), x)))
+    for j in sorted({_sturm_count(d, e, p) for p in peaks
+                     if lam[0][0] <= p < math.inf}):
+        lam.append(bisect(max(j - 1, 0), min(j, len(d) - 1)))
+    return np.concatenate(lam)
 
 
 def _sturm_count(d, e, z):

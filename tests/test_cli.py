@@ -362,6 +362,23 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "parametrix.csv").exists()
 
+    # default orders: at N = 2 the remainder's denominator overflows, so the
+    # ratio is not finite; the run writes no file and warns nothing
+    @pytest.mark.parametrize("problem, cutoff", [
+        ("", "1e28"),
+        ("[problem]\ngamma = -1\ngamma_prime = 1\npotential = 1,2,0\n",
+         "1e30")], ids=["hydrogen", "oscillator"])
+    def test_parametrix_past_the_float_range(self, tmp_path, capsys, problem,
+                                             cutoff):
+        cfg = write_config(tmp_path, "[run]\ncommand = parametrix\n"
+                           f"{problem}[parametrix]\ncutoffs = {cutoff}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) \
+            == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == (
+            "convergence failure: residual ratio at N = 2, "
+            f"K = {float(cutoff):g} is not finite\n")
+        assert not (tmp_path / "parametrix.csv").exists()
+
     @pytest.mark.parametrize("mode", ["plain", "weighted"])
     def test_resolvent(self, tmp_path, capsys, mode):
         cfg = write_config(tmp_path, OSCILLATOR_RESOLVENT.format(
@@ -570,12 +587,12 @@ class TestMain:
             f"precondition violated: {message}\n")
 
     # far from the spectrum: plain norms whose complex division overflows
-    # exit 4; a real z inside hydrogen's essential spectrum [0, inf) exits 3
-    # however far from the grid's eigenvalues it lies
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # exit 4 with no warning; a real z inside hydrogen's essential spectrum
+    # [0, inf) exits 3 however far from the grid's eigenvalues it lies
     @pytest.mark.parametrize("z_real, z_imag, mode, code, err", [
         ("1e308", "1e308", "plain", EXIT_CONVERGENCE,
-         "convergence failure: resolvent norm")] + [
+         "convergence failure: resolvent norms [0.0, 0.0, 0.0] on 300 points "
+         "at z = (1e+308+1e+308j): not positive floats\n")] + [
         (z, "0", mode, EXIT_PRECONDITION,
          f"precondition violated: z = {complex(float(z))} is within 0.1 of "
          "the essential spectrum, which starts at 0\n")
@@ -592,7 +609,7 @@ class TestMain:
             mode = {mode}
         """)
         assert main(["--config", cfg, "--out", str(tmp_path)]) == code
-        assert capsys.readouterr().err.startswith(err)
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "resolvent.txt").exists()
 
     # far below the spectrum: the ends-only path prints what every

@@ -16,7 +16,8 @@ from degcalc.diffop import (CylinderFunction, DiffOp, parametrix_1d,
 from degcalc.errors import PreconditionError
 from degcalc.powerfun import UNIT_INTERVAL, RadialFunction
 from degcalc.schrodinger import (GeometricGrid, SchrodingerProblem, _assemble,
-                                 _sturm_count, assemble_and_solve,
+                                 _deciding_eigenvalues, _sturm_count,
+                                 assemble_and_solve,
                                  membership_in_diff_s,
                                  membership_weights, parametrix_residual,
                                  resolvent_probe, rewrite)
@@ -632,15 +633,18 @@ class TestResolventProbe:
     # indefinite for hydrogen on R^2 (nu = 0, norm 1.39); complex z is
     # indefinite on all three, and on the oscillator Lanczos runs longest.
     # Real z = -2 lies below each spectrum (only its two ends are found);
-    # the last two cells put a real z inside it, where a Sturm count at z
-    # picks the two eigenvalues around it for bisection: 5 between the
-    # oscillator's 3 and 7, and 1.1 between phi*A's two lowest, 0.70 and
-    # 1.47 (1.49 on the fine grid).  Bisection keeps its relative accuracy
-    # on A's 6.84 at 60 points, where the diagonal reaches 2.8e8 and LAPACK
-    # sterf is 2.3e-10 off, so the plain cell at z = 5 is held to 1e-12
-    # (its distance is 3.3e-14 off).
+    # the last four cells put z inside it, where a Sturm count picks the
+    # two eigenvalues around each peak of |lam^k / (lam - z)| for
+    # bisection: 5 between the oscillator's 3 and 7, 1.1 between phi*A's
+    # two lowest, 0.70 and 1.47 (1.49 on the fine grid), and 5 + 0.5j,
+    # whose peaks 5, 5.05 and 5.10 all lie between 3 and 7.  Bisection
+    # keeps its relative accuracy on A's 6.84 at 60 points, where the
+    # diagonal reaches 2.8e8 and an every-eigenvalue solver (LAPACK sterf)
+    # is 2.3e-10 off and puts the plain norms at 5 + 0.5j 1.2e-10 off, so
+    # every plain cell is held to 1e-12.
     @pytest.mark.parametrize("prob, z, mode, rel", [
-        pytest.param(prob, z, mode, 1e-10, id=f"{name}-{z_id}-{mode}")
+        pytest.param(prob, z, mode, 1e-12 if mode == "plain" else 1e-10,
+                     id=f"{name}-{z_id}-{mode}")
         for name, prob in ORACLE_PROBLEMS
         for z_id, z in (("real_z", complex(-2.0)),
                         ("complex_z", complex(-1.0, 1.0)))
@@ -648,7 +652,11 @@ class TestResolventProbe:
         pytest.param(SchrodingerProblem.oscillator(), 5.0, "plain", 1e-12,
                      id="oscillator-real_z_inside-plain"),
         pytest.param(SchrodingerProblem.oscillator(), 1.1, "weighted", 1e-10,
-                     id="oscillator-real_z_inside-weighted")])
+                     id="oscillator-real_z_inside-weighted"),
+        pytest.param(SchrodingerProblem.oscillator(), 5 + 0.5j, "plain",
+                     1e-12, id="oscillator-complex_z_inside-plain"),
+        pytest.param(SchrodingerProblem.oscillator(), 5 + 0.5j, "weighted",
+                     1e-10, id="oscillator-complex_z_inside-weighted")])
     def test_matches_dense_oracle(self, prob, z, mode, rel):
         rep = resolvent_probe(prob, z, mode=mode, base_points=60)
         coarse, dist = dense_resolvent_norms(prob, z, mode, 60)
@@ -698,6 +706,83 @@ class TestResolventProbe:
                                 "weighted" if weighted else "plain", points)
             assert selects == path
 
+    # every eigenvalue is bisected by index, for a complex z inside the
+    # spectrum too: no call takes them all
+    @pytest.mark.parametrize("mode", ["plain", "weighted"])
+    def test_every_eigenvalue_call_selects(self, monkeypatch, mode):
+        real, selects = schrodinger.eigh_tridiagonal, []
+
+        def recorded(d, e, **kwargs):
+            selects.append(kwargs.get("select"))
+            return real(d, e, **kwargs)
+
+        monkeypatch.setattr(schrodinger, "eigh_tridiagonal", recorded)
+        resolvent_probe(SchrodingerProblem.oscillator(), 5 + 0.5j, mode, 60)
+        assert selects == ["i"] * 6  # each grid: two ends, one pair
+
+    # one case per peak of |lam^k / (lam - z)| on S = diag(lam): the
+    # eigenvalue ``top`` next to the k-th peak holds the k-th norm, and
+    # every other eigenvalue the rule keeps gives less.  The peaks are 3,
+    # 3.33 and 4 at 3 + 1j, 2 at 1 + 1j (k = 2 has none), and 1, 1.12 and
+    # 1.43 at 1 + 0.35j, where 1.45 gives the k = 2 norm 3.6880, against
+    # 3.6855 at lam_max.
+    @pytest.mark.parametrize("lam, z, k, top, norm", [
+        ((-1, 2.95, 3.2, 3.3, 3.9, 4.1, 10), 3 + 1j, 0, 2.95, 0.99875),
+        ((0.5, 0.9, 1.1, 2, 5), 1 + 1j, 1, 2, math.sqrt(2)),
+        ((0.5, 1.2, 1.45, 1.6), 1 + 0.35j, 2, 1.45, 3.6880)],
+        ids=["k0", "k1", "k2"])
+    def test_peaks_on_a_synthetic_s(self, lam, z, k, top, norm):
+        lam = np.array(lam, dtype=float)
+        kept = _deciding_eigenvalues(lam, np.zeros(len(lam) - 1), z)
+        assert set(kept) <= set(lam)
+
+        def norm_k(values):
+            return np.max(np.abs(values ** k / (values - z)))
+
+        assert norm_k(kept) == norm_k(lam) == pytest.approx(norm, rel=1e-4)
+        assert norm_k(kept[kept != top]) < norm_k(lam)
+
+    # the rule against every eigenvalue (stebz) on random symmetric
+    # tridiagonals of 2-12 rows: in odd cases z lies anywhere, real (a
+    # float), complex or on Re z = 0; in even cases the spectrum clusters
+    # on x = Re z and |Im z| <= 0.35 |x|, where each of the three peaks
+    # decides some norm.  As in the probe, whose guard rejects it, a z
+    # within 0.1 of the spectrum is skipped: there a rounding-level shift
+    # of the nearest eigenvalue moves its norms by more than 1e-13
+    def test_rule_matches_every_eigenvalue(self):
+        rng = np.random.default_rng(2412)
+        checked = 0
+        for case in range(800):
+            n = int(rng.integers(2, 13))
+            x = rng.uniform(-3, 3)
+            if case % 2 == 0:
+                d = x * (1 + rng.uniform(-0.6, 0.8, n))
+                e = rng.normal(0, 0.05 * abs(x), n - 1)
+            else:
+                d = rng.normal(0, 3, n) + rng.choice([0, 5])
+                e = rng.normal(0, 1, n - 1)
+            lam = eigh_tridiagonal(d, e, eigvals_only=True,
+                                   lapack_driver="stebz")
+            if case % 2 == 0:
+                z = complex(x, x * rng.uniform(-0.35, 0.35))
+            elif case % 7 == 0:
+                z = rng.uniform(lam[0] - 3, lam[-1] + 3)
+            else:
+                z = complex(0 if case % 5 == 0 else rng.uniform(
+                    lam[0] - 3, lam[-1] + 3), rng.choice(
+                    [0, 1e-3, 0.3, 1, 5]) * rng.choice([-1, 1]))
+            if np.min(np.abs(lam - z)) < 0.1:
+                continue
+            kept = _deciding_eigenvalues(d, e, z)
+            checked += 1
+            for k in range(3):
+                assert np.max(np.abs(kept ** k / (kept - z))) == \
+                    pytest.approx(np.max(np.abs(lam ** k / (lam - z))),
+                                  rel=1e-13, abs=0), (case, k)
+            assert np.min(np.abs(kept - z)) == pytest.approx(
+                np.min(np.abs(lam - z)), rel=1e-13, abs=0), case
+        assert checked > 600
+
     # the Sturm count at z against a dense eigensolve, on phi*A's symmetric
     # form at 600 points (diagonal up to 2.5e10) at z between and beside its
     # eigenvalues, and on [[0, 1], [1, 0]] at 0, whose first pivot is zero
@@ -737,3 +822,12 @@ class TestResolventProbe:
         with pytest.raises(PreconditionError, match="is not finite"):
             resolvent_probe(SchrodingerProblem.hydrogen(), z, mode=mode,
                             base_points=60)
+
+
+def test_scipy_name_only_for_the_tracer():
+    # the benchmark's tracer looks up schrodinger.eigsh by name; each access
+    # imports scipy's function and binds nothing in schrodinger
+    assert schrodinger.eigsh is eigsh
+    assert "eigsh" not in vars(schrodinger)
+    with pytest.raises(AttributeError):
+        schrodinger.EIGSH
