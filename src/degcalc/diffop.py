@@ -553,10 +553,6 @@ def _poly_add(a, b):
             for x, y in zip_longest(a, b)]
 
 
-def _poly_sub(a, b):
-    return _poly_add(a, [-c for c in b])
-
-
 def _poly_mul(a, b):
     """Each slot of the product starts from its first product: 0 + p is p."""
     if not a or not b:
@@ -569,14 +565,12 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_dxi(a):
-    return [a[k] * k for k in range(1, len(a))]
-
-
-def _poly_eval(poly, t, xi):
-    val = 0j
-    for c in reversed(poly):
-        val = val * xi + c(t)
+def _poly_eval(poly, t, u, e):
+    """poly(2^e u) / 2^(e deg poly) at t by Horner's rule in u, each
+    coefficient scaled by its power of two."""
+    val, d = 0j, len(poly) - 1
+    for k in range(d, -1, -1):
+        val = val * u + poly[k](t) * np.ldexp(1.0, e * (k - d))
     return val
 
 
@@ -584,9 +578,10 @@ def radial_symbol(A):
     """Full symbol of a radial operator in the flow coordinate.
 
     The operator must be in lie form with radial coefficients; X = d/ds there,
-    so A = sum a_i X^i has symbol sum a_i (i xi)^i.  It is returned as the
-    PoweredSymbol with itself as base and power 0, the shape the parametrix
-    recursion divides by.
+    so A = sum a_i X^i has symbol sum a_i zeta^i in zeta = i xi, and its
+    coefficients are A's lie coefficients as they stand.  It is returned as
+    the PoweredSymbol with itself as base and power 0, the shape the
+    parametrix recursion divides by.
     """
     lie = A.to_lie()
     if not lie.is_radial:
@@ -594,19 +589,21 @@ def radial_symbol(A):
     mmax = max((i for (i, _) in lie.coeffs), default=0)
     poly = [RadialFunction.zero(domain=A.domain)] * (mmax + 1)
     for (i, _), c in lie.coeffs.items():
-        poly[i] = c.radial_part() * (1j ** i)
+        poly[i] = c.radial_part()
     poly = _trim_poly(poly)
     return PoweredSymbol(poly, poly, 0)
 
 
 class PoweredSymbol:
-    """Rational symbol of the special shape  num / base^power.
+    """Rational symbol of the special shape  num / base^power,  num and base
+    polynomials in zeta = i xi with ring coefficients, so that every
+    coefficient stays exact; only ``evaluate`` reads zeta as i xi.
 
     The parametrix recursion only ever produces denominators that are powers
     of the full symbol, so pinning the base keeps every operation polynomial
     instead of compounding unreduced quotients.  A polynomial symbol (power
-    0) stays at power 0 under d_xi and D_s, so for an operator of order m
-    the remainder E_N has power (m + 1) N.  ``num`` is copied and trimmed.
+    0) stays at power 0 under X, so for an operator of order m the
+    remainder E_N has power (m + 1) N.  ``num`` is copied and trimmed.
     """
 
     __slots__ = ("num", "base", "power")
@@ -640,40 +637,33 @@ class PoweredSymbol:
         a, b, r = self._align(other)
         return PoweredSymbol(_poly_add(a, b), self.base, r)
 
-    def __sub__(self, other):
-        a, b, r = self._align(other)
-        return PoweredSymbol(_poly_sub(a, b), self.base, r)
+    def X(self, phi):
+        """X = phi d/dt, which is d/ds in the flow coordinate, on each
+        coefficient, by the quotient rule."""
+        prof = phi.profile
 
-    def __mul__(self, other):
-        if isinstance(other, PoweredSymbol):
-            return PoweredSymbol(_poly_mul(self.num, other.num), self.base,
-                                 self.power + other.power)
-        return PoweredSymbol([c * other for c in self.num], self.base,
-                             self.power)
+        def d(poly):
+            return [prof * c.derivative() for c in poly]
 
-    __rmul__ = __mul__
-
-    def _derive(self, d):
-        """The quotient rule for a derivation ``d`` of coefficient lists."""
         if self.power == 0:
             return PoweredSymbol(d(self.num), self.base, 0)
-        num = _poly_sub(_poly_mul(d(self.num), self.base),
+        num = _poly_add(_poly_mul(d(self.num), self.base),
                         _poly_mul(self.num,
-                                  [c * self.power for c in d(self.base)]))
+                                  [c * -self.power for c in d(self.base)]))
         return PoweredSymbol(num, self.base, self.power + 1)
 
-    def d_xi(self):
-        return self._derive(_poly_dxi)
-
-    def D_s(self, phi):
-        prof = phi.profile
-        return self._derive(
-            lambda poly: [(prof * c.derivative()) * (-1j) for c in poly])
-
     def evaluate(self, t, xi):
-        """The value at (t, xi): floats, or numpy arrays that broadcast."""
-        return (_poly_eval(self.num, t, xi)
-                / _poly_eval(self.base, t, xi) ** self.power)
+        """The value at (t, zeta = i xi): floats, or numpy arrays that
+        broadcast.  Where |xi| >= 1, zeta is scaled by 2^-e, e the binary
+        exponent of xi, and the quotient is scaled back by 2^(e order):
+        powers of two keep every bit, and num and base^power stay near the
+        size of their coefficients however large xi is."""
+        e = np.maximum(np.frexp(xi)[1], 0)
+        u = 1j * np.ldexp(xi, -e)
+        order = len(self.num) - 1 - self.power * (len(self.base) - 1)
+        return (_poly_eval(self.num, t, u, e)
+                / _poly_eval(self.base, t, u, e) ** self.power
+                * np.ldexp(1.0, e * order))
 
     def __repr__(self):
         return (f"PoweredSymbol(deg {len(self.num) - 1} num / "
@@ -691,33 +681,20 @@ class ParametrixExpansion:
         self.remainder_order = remainder_order
 
 
-def symbol_sharp(sigma, q, phi):
-    """Asymptotic composition sigma # q = sum_alpha (1/alpha!) d_xi^alpha sigma
-    * D_s^alpha q.  Finite because sigma is polynomial in xi: alpha runs up
-    to its degree.  A factor 1/alpha! of 1 multiplies nothing."""
-    out = None
-    dsig = sigma
-    dq = q
-    fact = 1
-    for alpha in range(len(sigma.num)):
-        if alpha > 0:
-            dsig = dsig.d_xi()
-            dq = dq.D_s(phi)
-            fact *= alpha
-        term = dsig * dq if fact == 1 else dsig * dq * (1.0 / fact)
-        out = term if out is None else out + term
-    return out
-
-
 def parametrix_1d(A, N):
     """N-term symbolic parametrix of an elliptic radial operator.
 
-    Works in the flow coordinate where X = d/ds.  Returns a
-    ParametrixExpansion with ord(q_k) <= -m - k (a bound: hydrogen's and
-    the oscillator's q_0, q_1, q_2 have orders -2, -4, -5 at m = 2) and the
-    exact remainder symbols E_k = 1 - sigma_A # (q_0 + ... + q_{k-1}), each
-    step q_k = q_0 E_k.  An operator in another form is read through its lie
-    form, so every form of one operator has one parametrix.
+    Works in the flow coordinate where X = d/ds, with symbols in zeta = i xi.
+    Returns a ParametrixExpansion with ord(q_k) <= -m - k (a bound:
+    hydrogen's and the oscillator's q_0, q_1, q_2 have orders -2, -4, -5 at
+    m = 2) and the exact remainder symbols E_k = 1 - sigma_A # (q_0 + ... +
+    q_{k-1}).  In zeta, d_xi = i d_zeta and D_s = -i X, so the composition
+    sigma # q = sum_alpha (1/alpha!) d_xi^alpha sigma * D_s^alpha q is
+    sum_alpha (1/alpha!) d_zeta^alpha sigma * X^alpha q, with alpha up to m.
+    Each step takes q_k = E_k / sigma, whose term alpha = 0 is E_k itself,
+    so E_{k+1} is the rest of the sum, negated.  An operator in another form
+    is read through its lie form, so every form of one operator has one
+    parametrix.
 
     The recursion lives on the operator and is freed with it: the terms and
     remainders built so far are kept once the operator passes the checks,
@@ -736,31 +713,41 @@ def parametrix_1d(A, N):
             raise PreconditionError(
                 "full symbol vanishes for real xi; shift the operator off "
                 "its spectrum before building a parametrix")
-        q0, one = (PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
-                                 sigma.num, power) for power in (1, 0))
-        object.__setattr__(A, "_parametrix", (sigma, q0, [], [one]))
-    sigma, q0, terms, remainders = A._parametrix
+        a = sigma.num
+        # -(1/alpha!) d_zeta^alpha sigma for alpha = 1 .. m
+        dsig = [[a[k] * -comb(k, alpha) for k in range(alpha, len(a))]
+                for alpha in range(1, len(a))]
+        one = PoweredSymbol([RadialFunction.const(1, domain=A.domain)], a, 0)
+        object.__setattr__(A, "_parametrix", (dsig, [], [one]))
+    dsig, terms, remainders = A._parametrix
     while len(terms) < N:
-        q = q0 * remainders[-1]
-        E = remainders[-1] - symbol_sharp(sigma, q, A.phi)
+        last = remainders[-1]
+        q = dq = PoweredSymbol(last.num, last.base, last.power + 1)
+        E = PoweredSymbol([], q.base, q.power)
+        for d in dsig:
+            dq = dq.X(A.phi)
+            E = E + PoweredSymbol(_poly_mul(d, dq.num), q.base, dq.power)
         terms.append(q)
         remainders.append(E)
-    m = len(sigma.num) - 1
+    m = len(dsig)
     return ParametrixExpansion(terms[:N], remainders[:N + 1],
                                m - 1 - N if N else m)
 
 
 def _no_real_roots(poly):
-    """True iff the polynomial in xi has no real root at any sampled radius.
+    """True iff the polynomial in zeta = i xi has no root at a real xi at any
+    sampled radius.
 
     At 32 radii, uniform in u over [-11, 11], the ring coefficients are
-    evaluated and the roots of the resulting polynomials, the eigenvalues of
-    their companion matrices, are tested for proximity to the real axis.  A
-    polynomial whose constant or leading coefficient vanishes at a radius
-    fails there: it has the root 0, or it loses its degree.
+    evaluated and read in xi, the coefficient of zeta^k times i^k, and the
+    roots of the resulting polynomials, the eigenvalues of their companion
+    matrices, are tested for proximity to the real axis.  A polynomial whose
+    constant or leading coefficient vanishes at a radius fails there: it has
+    the root 0, or it loses its degree.
     """
     u = np.linspace(-11.0, 11.0, 32)
-    p = np.array([c.at_u(u) for c in reversed(poly)], dtype=complex).T
+    p = np.array([c.at_u(u) * 1j ** k for k, c in enumerate(poly)][::-1],
+                 dtype=complex).T
     if not (p[:, 0].all() and p[:, -1].all()):
         return False
     n = p.shape[1] - 1

@@ -366,7 +366,7 @@ class RadialFunction:
         except AttributeError:
             d = self._cden
             floats = tuple((P / self._den, Q / self._den,
-                            c / d if type(c) is int else
+                            _to_float(c, d) if type(c) is int else
                             c if isinstance(c, complex) else float(c))
                            for (P, Q), c in self._terms.items())
             object.__setattr__(self, "_floats", floats)
@@ -477,6 +477,14 @@ def _read(c, d):
     """A stored coefficient as the ring reads it: Fraction(c, d) for an exact
     numerator c over d, c itself for a float or a complex."""
     return Fraction(c, d) if type(c) is int else c
+
+
+def _to_float(c, d):
+    """The exact numerator c over d as a float, +-inf past the float range."""
+    try:
+        return c / d
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 def _mixed(x, dx, y, dy, op):

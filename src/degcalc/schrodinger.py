@@ -410,7 +410,10 @@ def parametrix_residual(prob, orders=(0, 1, 2), cutoffs=(4.0, 8.0),
     for N in orders:
         with np.errstate(all="ignore"):  # a ratio past floats raises below
             vals = np.abs(remainders[N].evaluate(rs, xis[:, None]))
-            means = np.sqrt(np.mean(vals ** 2, axis=1)).reshape(-1, 9)
+            # each row scaled by a power of two, so no square underflows
+            e = np.frexp(vals.max(axis=1))[1]
+            means = np.ldexp(np.sqrt(np.mean(np.ldexp(vals, -e[:, None]) ** 2,
+                                             axis=1)), e).reshape(-1, 9)
         rows.extend((N, float(K), float(np.max(band)))
                     for K, band in zip(cutoffs, means))
     bad = [f"N = {N}, K = {K:g}" for N, K, r in rows if not math.isfinite(r)]

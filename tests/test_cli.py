@@ -362,21 +362,37 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "parametrix.csv").exists()
 
-    # default orders: at N = 2 the remainder's denominator overflows, so the
-    # ratio is not finite; the run writes no file and warns nothing
-    @pytest.mark.parametrize("problem, cutoff", [
-        ("", "1e28"),
-        ("[problem]\ngamma = -1\ngamma_prime = 1\npotential = 1,2,0\n",
-         "1e30")], ids=["hydrogen", "oscillator"])
-    def test_parametrix_past_the_float_range(self, tmp_path, capsys, problem,
-                                             cutoff):
+    def test_parametrix_decays_past_the_float_range(self, tmp_path):
+        # hydrogen's default N = 2 ratio falls as K^-3 where base^power, at
+        # power 6, leaves the floats: 5.32e-76 at K = 1e25 down to 5.32e-85;
+        # at 1e60 and 1e100 the ratio's square is below the floats too
         cfg = write_config(tmp_path, "[run]\ncommand = parametrix\n"
-                           f"{problem}[parametrix]\ncutoffs = {cutoff}\n")
+                           "[parametrix]\n"
+                           "cutoffs = 1e25;3e25;1e26;1e27;1e28;1e60;1e100\n")
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        rows = [row.split(",") for row in (tmp_path / "parametrix.csv")
+                .read_text().splitlines()[1:]]
+        decay = [float(ratio) * float(K) ** 3 for N, K, ratio in rows
+                 if N == "2"]
+        assert decay == pytest.approx([0.53242927901952] * 7, rel=1e-12)
+
+    # a potential of 1e300 t^2: the N = 1 remainder's coefficients hold its
+    # square, which leaves the floats, so the ratio is not finite; the run
+    # writes no file and warns nothing
+    def test_parametrix_past_the_float_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, """
+            [run]
+            command = parametrix
+            [problem]
+            gamma = -1
+            gamma_prime = 1
+            potential = 1e300,2,0
+        """)
         assert main(["--config", cfg, "--out", str(tmp_path)]) \
             == EXIT_CONVERGENCE
         assert capsys.readouterr().err == (
-            "convergence failure: residual ratio at N = 2, "
-            f"K = {float(cutoff):g} is not finite\n")
+            "convergence failure: residual ratio at N = 1, K = 4 is not "
+            "finite\n")
         assert not (tmp_path / "parametrix.csv").exists()
 
     @pytest.mark.parametrize("mode", ["plain", "weighted"])

@@ -10,7 +10,8 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
 from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
-                            VectorField, _Basis, lie_rinehart_check,
+                            VectorField, _Basis, _no_real_roots,
+                            lie_rinehart_check,
                             op_commutator, op_compose, parametrix_1d,
                             radial_symbol, random_lie_rinehart_samples)
 from degcalc.errors import PreconditionError
@@ -712,18 +713,21 @@ class TestParametrix:
         A = far_field_op("oscillator n=3 l=0")
         sigma = radial_symbol(A)
         assert sigma.power == 0
-        for d in (sigma.d_xi(), sigma.D_s(A.phi), sigma.d_xi().d_xi()):
+        # sigma = -zeta^2 + 3 r^2 zeta + 1 in zeta = i xi, with phi = r^3
+        assert [c.to_text() for c in sigma.num] == [
+            "1 * t^0 * (1-t)^0", "3 * t^2 * (1-t)^0", "-1 * t^0 * (1-t)^0"]
+        for d in (sigma.X(A.phi), sigma.X(A.phi).X(A.phi)):
             assert d.power == 0
-        dxi = sigma.d_xi()
-        assert len(dxi.num) == len(sigma.num) - 1
+        dX = sigma.X(A.phi)
+        assert len(dX.num) == len(sigma.num) - 1
         for xi in (0.5, 3.0):
-            # sigma = xi^2 + 3i r^2 xi + 1, so d_xi sigma = 2 xi + 3i r^2
-            assert dxi.evaluate(0.25, xi) == pytest.approx(2 * xi + 0.1875j)
+            # X sigma = r^3 d/dr (3 r^2) zeta = 6 r^4 i xi
+            assert dX.evaluate(0.25, xi) == pytest.approx(6 / 256 * xi * 1j)
         q0 = PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
                            sigma.num, 1)
-        assert q0.d_xi().power == q0.D_s(A.phi).power == 2
+        assert q0.X(A.phi).power == 2
         # a sum brings the lower power to the higher one, on either side
-        dq = q0.d_xi()
+        dq = q0.X(A.phi)
         for total in (q0 + dq, dq + q0):
             assert total.power == 2
             for xi in (0.5, 3.0):
@@ -754,6 +758,17 @@ class TestParametrix:
         A = DiffOp("lie", {(2, 0): RadialFunction.term(1, 1), (0, 0): 1}, w, w)
         with pytest.raises(PreconditionError, match="not elliptic"):
             parametrix_1d(A, 1)
+
+    # coefficients of zeta^0, zeta^1, zeta^2 in zeta = i xi, each read in xi
+    # as the coefficient times i^k; a wrong companion matrix, one that
+    # repeats its first row or multiplies where it should divide, finds a
+    # real root in the first two
+    @pytest.mark.parametrize("coeffs, expected", [
+        ((5, 0, -1), True), ((1, -2j, -2), True), ((-5, 0, -1), False)],
+        ids=["xi^2+5", "2xi^2+2xi+1", "xi^2-5"])
+    def test_no_real_roots_reads_zeta(self, coeffs, expected):
+        assert _no_real_roots([RadialFunction.const(c) for c in coeffs]) \
+            is expected
 
     def test_every_form_has_one_parametrix(self):
         # phi = t^{1/2} has phi' unbounded at 0, yet X^2 - 1 converts from

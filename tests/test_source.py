@@ -7,7 +7,9 @@ class, has a reader besides the unit tests, so the public API is what the
 commands, demos and benchmark use.  Only ``powerfun.py`` reads the
 stored form of a ring function.  Only ``cli.py`` touches the file system,
 so every output file is written in one place.  No function changes module
-state, so every cache lives on the object it serves and dies with it."""
+state, so every cache lives on the object it serves and dies with it.  The
+symbol layer holds no complex literal, ``complex(`` call or float division,
+so the parametrix symbols stay exact in zeta = i xi."""
 
 import ast
 from collections import Counter
@@ -298,3 +300,47 @@ def test_no_function_changes_module_state(name):
     changes = list(module_state_changes(ast.parse(
         (PACKAGE / name).read_text())))
     assert not changes, f"{name} changes module state: {changes}"
+
+
+#: the symbol layer of ``diffop.py``, exact in zeta = i xi: these functions
+#: and every ``PoweredSymbol`` method but ``evaluate``, which reads zeta as
+#: i xi
+EXACT_SYMBOL_FUNCTIONS = ("radial_symbol", "parametrix_1d", "_trim_poly",
+                          "_poly_add", "_poly_mul")
+
+
+def inexact_operations(function):
+    """(line, what) for each complex literal, ``complex(`` call and float
+    division in ``function``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            yield node.lineno, f"literal {node.value!r}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "complex"):
+            yield node.lineno, "complex("
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.Div)):
+            yield node.lineno, "/"
+
+
+def test_the_exactness_check_sees_complex_and_division():
+    tree = ast.parse("def f(a, b):\n    c = a * 1j + complex(b)\n"
+                     "    c /= 2\n    return c / 3 + a // b\n")
+    assert sorted(inexact_operations(tree.body[0])) == [
+        (2, "complex("), (2, "literal 1j"), (3, "/"), (4, "/")]
+
+
+def test_the_symbol_layer_is_exact():
+    tree = ast.parse((PACKAGE / "diffop.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    symbol, = (node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "PoweredSymbol")
+    methods = [item for item in symbol.body
+               if isinstance(item, ast.FunctionDef) and item.name != "evaluate"]
+    assert len(methods) >= 5
+    found = {f.name: list(inexact_operations(f)) for f in
+             [functions[name] for name in EXACT_SYMBOL_FUNCTIONS] + methods}
+    assert not any(found.values()), \
+        f"inexact operations in the symbol layer: " \
+        f"{ {name: ops for name, ops in found.items() if ops} }"
