@@ -27,9 +27,6 @@ from .weights import Weight
 
 import numpy as np
 
-#: interior points of the sampled closure check
-CLOSURE_SAMPLES = 64
-
 
 class CylinderFunction:
     """Finite Fourier sum  sum_m f_m(t) e^{i m theta}  with ring coefficients."""
@@ -600,10 +597,11 @@ class PoweredSymbol:
     coefficient stays exact; only ``evaluate`` reads zeta as i xi.
 
     The parametrix recursion only ever produces denominators that are powers
-    of the full symbol, so pinning the base keeps every operation polynomial
-    instead of compounding unreduced quotients.  A polynomial symbol (power
-    0) stays at power 0 under X, so for an operator of order m the
-    remainder E_N has power (m + 1) N.  ``num`` is copied and trimmed.
+    of the full symbol, so pinning the base keeps X polynomial instead of
+    compounding unreduced quotients, and ``parametrix_1d`` sums its terms
+    over one power of it.  A polynomial symbol (power 0) stays at power 0
+    under X, so for an operator of order m the remainder E_N has power
+    (m + 1) N.  ``num`` is copied and trimmed.
     """
 
     __slots__ = ("num", "base", "power")
@@ -622,20 +620,6 @@ class PoweredSymbol:
         if not self.num:
             return -math.inf
         return (len(self.num) - 1) - self.power * (len(self.base) - 1)
-
-    def _align(self, other):
-        r = max(self.power, other.power)
-        a = self.num
-        for _ in range(r - self.power):
-            a = _poly_mul(a, self.base)
-        b = other.num
-        for _ in range(r - other.power):
-            b = _poly_mul(b, self.base)
-        return a, b, r
-
-    def __add__(self, other):
-        a, b, r = self._align(other)
-        return PoweredSymbol(_poly_add(a, b), self.base, r)
 
     def X(self, phi):
         """X = phi d/dt, which is d/ds in the flow coordinate, on each
@@ -692,28 +676,23 @@ def parametrix_1d(A, N):
     sigma # q = sum_alpha (1/alpha!) d_xi^alpha sigma * D_s^alpha q is
     sum_alpha (1/alpha!) d_zeta^alpha sigma * X^alpha q, with alpha up to m.
     Each step takes q_k = E_k / sigma, whose term alpha = 0 is E_k itself,
-    so E_{k+1} is the rest of the sum, negated.  An operator in another form
-    is read through its lie form, so every form of one operator has one
-    parametrix.
+    so E_{k+1} is the rest of the sum, negated.  Its term alpha has the
+    power of q_k plus alpha, so the numerators are summed by Horner's rule
+    in sigma: the running sum times sigma, plus the next term.  An operator
+    in another form is read through its lie form, so every form of one
+    operator has one parametrix.
 
     The recursion lives on the operator and is freed with it: the terms and
-    remainders built so far are kept once the operator passes the checks,
-    and a higher order extends them, so it reuses the lower ones.  An
-    operator that fails a check keeps nothing and raises on every call.
+    remainders built so far are kept once the symbol passes
+    ``_check_invertible``, and a higher order extends them, so it reuses
+    the lower ones.  An operator that fails the check keeps nothing and
+    raises on every call.
     """
     if N < 0:
         raise PreconditionError(f"parametrix order must be >= 0, got {N}")
     if A._parametrix is None:
-        sigma = radial_symbol(A)
-        lead = sigma.num[-1] if sigma.num else None
-        if lead is None or not _nonvanishing_on_closure(lead):
-            raise PreconditionError(
-                "operator is not elliptic on its radial sector")
-        if not _no_real_roots(sigma.num):
-            raise PreconditionError(
-                "full symbol vanishes for real xi; shift the operator off "
-                "its spectrum before building a parametrix")
-        a = sigma.num
+        a = radial_symbol(A).num
+        _check_invertible(a)
         # -(1/alpha!) d_zeta^alpha sigma for alpha = 1 .. m
         dsig = [[a[k] * -comb(k, alpha) for k in range(alpha, len(a))]
                 for alpha in range(1, len(a))]
@@ -723,48 +702,46 @@ def parametrix_1d(A, N):
     while len(terms) < N:
         last = remainders[-1]
         q = dq = PoweredSymbol(last.num, last.base, last.power + 1)
-        E = PoweredSymbol([], q.base, q.power)
-        for d in dsig:
+        num = []
+        for d in dsig:  # num over base^dq.power, by Horner's rule in base
             dq = dq.X(A.phi)
-            E = E + PoweredSymbol(_poly_mul(d, dq.num), q.base, dq.power)
+            num = _trim_poly(_poly_add(_poly_mul(num, q.base),
+                                       _trim_poly(_poly_mul(d, dq.num))))
         terms.append(q)
-        remainders.append(E)
+        remainders.append(PoweredSymbol(num, q.base, dq.power))
     m = len(dsig)
     return ParametrixExpansion(terms[:N], remainders[:N + 1],
                                m - 1 - N if N else m)
 
 
-def _no_real_roots(poly):
-    """True iff the polynomial in zeta = i xi has no root at a real xi at any
-    sampled radius.
+def _check_invertible(poly):
+    """Raise PreconditionError unless the symbol with these coefficients of
+    zeta = i xi is invertible up to the faces.
 
-    At 32 radii, uniform in u over [-11, 11], the ring coefficients are
-    evaluated and read in xi, the coefficient of zeta^k times i^k, and the
-    roots of the resulting polynomials, the eigenvalues of their companion
-    matrices, are tested for proximity to the real axis.  A polynomial whose
-    constant or leading coefficient vanishes at a radius fails there: it has
-    the root 0, or it loses its degree.
+    Its leading coefficient must tend to a finite nonzero limit at both
+    faces, read exactly as the exponent 0 of ``leading``, and be nonzero at
+    32 radii, uniform in u over [-11, 11]; otherwise the operator is not
+    elliptic.  At the same radii the coefficients are evaluated and read in
+    xi, the coefficient of zeta^k times i^k, and the roots of the resulting
+    polynomials, the eigenvalues of their companion matrices, must lie off
+    the real axis; a vanishing constant coefficient is the root xi = 0.
     """
     u = np.linspace(-11.0, 11.0, 32)
     p = np.array([c.at_u(u) * 1j ** k for k, c in enumerate(poly)][::-1],
                  dtype=complex).T
-    if not (p[:, 0].all() and p[:, -1].all()):
-        return False
-    n = p.shape[1] - 1
-    companion = np.zeros((len(p), n, n), dtype=complex)
-    companion[:, :1] = -p[:, None, 1:] / p[:, None, :1]
-    companion[:, range(1, n), range(n - 1)] = 1.0
-    roots = np.linalg.eigvals(companion)
-    near_real = abs(roots.imag) <= 1e-9 * np.maximum(1.0, abs(roots.real))
-    return not near_real.any()
-
-
-def _nonvanishing_on_closure(f):
-    if np.any(np.abs(f.at_u(np.linspace(-14.0, 14.0, CLOSURE_SAMPLES)))
-              <= 1e-9):
-        return False
-    for end in ("zero", "far"):
-        v = f.limit(end)
-        if not math.isfinite(abs(v)) or abs(v) <= 1e-9:
-            return False
-    return True
+    if not poly or not p[:, 0].all() or any(
+            poly[-1].leading(end)[0] != 0 for end in ("zero", "far")):
+        raise PreconditionError(
+            "operator is not elliptic on its radial sector")
+    if p[:, -1].all():
+        n = p.shape[1] - 1
+        companion = np.zeros((len(p), n, n), dtype=complex)
+        companion[:, :1] = -p[:, None, 1:] / p[:, None, :1]
+        companion[:, range(1, n), range(n - 1)] = 1.0
+        roots = np.linalg.eigvals(companion)
+        if not (abs(roots.imag)
+                <= 1e-9 * np.maximum(1.0, abs(roots.real))).any():
+            return
+    raise PreconditionError(
+        "full symbol vanishes for real xi; shift the operator off its "
+        "spectrum before building a parametrix")

@@ -10,7 +10,7 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
 from degcalc.diffop import (CylinderFunction, DiffOp, PoweredSymbol,
-                            VectorField, _Basis, _no_real_roots,
+                            VectorField, _Basis, _check_invertible,
                             lie_rinehart_check,
                             op_commutator, op_compose, parametrix_1d,
                             radial_symbol, random_lie_rinehart_samples)
@@ -726,13 +726,6 @@ class TestParametrix:
         q0 = PoweredSymbol([RadialFunction.const(1, domain=A.domain)],
                            sigma.num, 1)
         assert q0.X(A.phi).power == 2
-        # a sum brings the lower power to the higher one, on either side
-        dq = q0.X(A.phi)
-        for total in (q0 + dq, dq + q0):
-            assert total.power == 2
-            for xi in (0.5, 3.0):
-                assert total.evaluate(0.25, xi) == pytest.approx(
-                    q0.evaluate(0.25, xi) + dq.evaluate(0.25, xi))
 
     @pytest.mark.parametrize("name", sorted(FAR_FIELD))
     def test_remainder_matches_sympy(self, name):
@@ -759,16 +752,49 @@ class TestParametrix:
         with pytest.raises(PreconditionError, match="not elliptic"):
             parametrix_1d(A, 1)
 
+    # the leading coefficient tends to 0 at the face t = 0, resp. to
+    # infinity at the far face, though it is positive on the interior
+    @pytest.mark.parametrize("lead", [RadialFunction.term(1, 1, -1),
+                                      RadialFunction.term(1, 0, 1)],
+                             ids=["t/(1+t)", "1+t"])
+    def test_leading_coefficient_read_at_the_faces(self, lead):
+        w = Weight.from_term(1, 1)
+        A = DiffOp("lie", {(2, 0): lead, (0, 0): -1}, w, w)
+        with pytest.raises(PreconditionError, match="not elliptic"):
+            parametrix_1d(A, 1)
+
+    def test_zero_constant_coefficient_rejected(self):
+        # sigma = -xi^2 + i xi vanishes at xi = 0 on every radius
+        w = Weight.from_term(1, 1)
+        A = DiffOp("lie", {(2, 0): 1, (1, 0): 1}, w, w)
+        with pytest.raises(PreconditionError,
+                           match="full symbol vanishes for real xi"):
+            parametrix_1d(A, 1)
+
+    def test_small_leading_coefficient_accepted(self):
+        # the face limits 1e-10 are small but finite and nonzero
+        w = Weight.from_term(1, 1)
+        A = DiffOp("lie", {(2, 0): 1e-10, (0, 0): -1}, w, w)
+        px = parametrix_1d(A, 2)
+        assert px.terms[0].evaluate(1.0, 2.0) == pytest.approx(
+            1 / (-4e-10 - 1), rel=1e-15)
+        assert px.terms[1].is_zero and px.remainder.is_zero
+
     # coefficients of zeta^0, zeta^1, zeta^2 in zeta = i xi, each read in xi
     # as the coefficient times i^k; a wrong companion matrix, one that
     # repeats its first row or multiplies where it should divide, finds a
     # real root in the first two
-    @pytest.mark.parametrize("coeffs, expected", [
+    @pytest.mark.parametrize("coeffs, invertible", [
         ((5, 0, -1), True), ((1, -2j, -2), True), ((-5, 0, -1), False)],
         ids=["xi^2+5", "2xi^2+2xi+1", "xi^2-5"])
-    def test_no_real_roots_reads_zeta(self, coeffs, expected):
-        assert _no_real_roots([RadialFunction.const(c) for c in coeffs]) \
-            is expected
+    def test_check_invertible_reads_zeta(self, coeffs, invertible):
+        poly = [RadialFunction.const(c) for c in coeffs]
+        if invertible:
+            _check_invertible(poly)
+        else:
+            with pytest.raises(PreconditionError,
+                               match="full symbol vanishes for real xi"):
+                _check_invertible(poly)
 
     def test_every_form_has_one_parametrix(self):
         # phi = t^{1/2} has phi' unbounded at 0, yet X^2 - 1 converts from

@@ -127,6 +127,10 @@ class TestNumericMode:
         assert fl.apply(3.0, 0.0) == 0.0
         assert fl.apply(3.0, math.inf) == math.inf
 
+    def test_point_outside_the_domain_rejected(self):
+        with pytest.raises(PreconditionError, match="outside the domain"):
+            Flow(Weight.from_term(1, 1)).apply(1.0, -1.0)
+
     def test_monotone_in_x(self):
         fl = Flow(Weight(RadialFunction.term(1, 2, -1)))
         xs = [0.01, 0.1, 1.0, 5.0, 50.0]
@@ -624,6 +628,41 @@ NUMERIC_FAMILIES = {
 }
 
 
+#: the flows of the Newton-start bound: the steep t^20/(1+t)^19, three
+#: numeric families of the flows workload, and forced-numeric t^{3/2} and
+#: 2t, whose g = 2 the Hermite start inverts exactly
+NEWTON_START_FAMILIES = {
+    "steep": lambda: Flow(Weight(RadialFunction.term(1, 20, -19))),
+    **{name: NUMERIC_FAMILIES[name]
+       for name in ("quotient", "two_term", "mixed")},
+    "t^3/2": lambda: Flow(Weight.from_term(1, F(3, 2)), mode="numeric",
+                          require_complete=False),
+    "2t": lambda: Flow(Weight.from_term(2, 1), mode="numeric",
+                       require_complete=False),
+}
+
+
+def test_hermite_start_saves_newton_steps(monkeypatch):
+    # each Newton step sums the segment's series once; from the cubic
+    # Hermite start a warm inversion takes 2.8 sums on average, from one
+    # with u_hi + u_lo for its width 3.5, and with the sign inside its
+    # slope term flipped 3.9
+    calls, real = [], flows._clenshaw
+    draws = 400
+    for make in NEWTON_START_FAMILIES.values():
+        fl, rng, targets = make(), random.Random(5), []
+        for _ in range(draws):
+            s, x = rng.uniform(-1.5, 1.5), math.exp(rng.uniform(-3.0, 3.0))
+            targets.append((*fl._F_u(to_u(fl.weight.domain, x)), s))
+            fl._u_of_F(*targets[-1])  # grows the table to the image
+        monkeypatch.setattr(flows, "_clenshaw",
+                            lambda c, x: calls.append(1) or real(c, x))
+        for parts in targets:
+            fl._u_of_F(*parts)
+        monkeypatch.setattr(flows, "_clenshaw", real)
+    assert len(calls) / (draws * len(NEWTON_START_FAMILIES)) <= 3.0
+
+
 class TestSigmaMemo:
     """A numeric flow remembers its last SIGMA_MEMO values sigma_s(x)."""
 
@@ -865,6 +904,12 @@ class TestScalingLimit:
     def test_s_zero_identity(self):
         fl = Flow(Weight.from_term(1, 1))
         assert flow_scaling_limit(fl, Weight.from_term(1, 1), 0.0) == 1.0
+
+    def test_every_sample_escaping_raises(self):
+        # t^2 flows 10^-k to t / (1 - s t) = inf for every k <= 16
+        fl = Flow(Weight.from_term(1, 2), require_complete=False)
+        with pytest.raises(ConvergenceError, match="could not be sampled"):
+            flow_scaling_limit(fl, Weight.from_term(1, 1), 1e17)
 
     def test_zero_boundary_ratio_limits(self):
         # sigma_t(x)/x -> e^t for a = 1 and -> 1 for a > 1

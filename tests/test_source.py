@@ -9,9 +9,12 @@ stored form of a ring function.  Only ``cli.py`` touches the file system,
 so every output file is written in one place.  No function changes module
 state, so every cache lives on the object it serves and dies with it.  The
 symbol layer holds no complex literal, ``complex(`` call or float division,
-so the parametrix symbols stay exact in zeta = i xi."""
+so the parametrix symbols stay exact in zeta = i xi.  Every third-party
+module the tests import is declared in ``pyproject.toml``."""
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -149,6 +152,26 @@ def test_every_export_has_a_reader():
         unread = exports - read
     assert not unread, f"exported names only the unit tests read: " \
         f"{sorted(unread)}"
+
+
+def test_every_test_import_is_declared():
+    """A third-party module that a test imports is a dependency or in an
+    extra of ``pyproject.toml``, so ``pip install -e ".[test]"`` brings
+    everything the suite needs; the tests' own modules and the package are
+    not third-party."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = [*project["dependencies"],
+                    *sum(project["optional-dependencies"].values(), [])]
+    declared = {re.match(r"[\w.-]+", r)[0].lower().replace("-", "_")
+                for r in requirements}
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    imported = {name for path in tests
+                for name in imported_modules(ast.parse(path.read_text()))}
+    assert {"numpy", "pytest"} <= imported
+    undeclared = sorted(imported - set(sys.stdlib_module_names) - declared
+                        - {project["name"]} - {path.stem for path in tests})
+    assert not undeclared, f"tests import undeclared modules: {undeclared}"
 
 
 #: public members that only the unit tests read, each with its reason
